@@ -37,6 +37,7 @@ from .harness import (
     SYSTEMS,
     TARGET_TABLE,
     TASK_OBJECTS,
+    ConfigError,
     ExperimentConfig,
     dump_report,
     make_scene,
@@ -183,6 +184,12 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
+def _invalid(what: str, exc: Exception) -> int:
+    """Report an unusable input file on one line; exit code 2."""
+    print(f"invalid {what}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.config:
         flag_defaults = {"task": 1, "environment": "easy", "seed": 42,
@@ -192,7 +199,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"error: --config cannot be combined with experiment flags "
                   f"({', '.join(overridden) or 'systems'})", file=sys.stderr)
             return 2
-        config = ExperimentConfig.from_yaml(args.config)
+        try:
+            config = ExperimentConfig.from_yaml(args.config)
+        except (ConfigError, OSError, yaml.YAMLError) as exc:
+            return _invalid("config", exc)
     else:
         config = ExperimentConfig(
             task=args.task,
@@ -222,8 +232,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         scene = load_scene(args.scene)
     except (SceneError, OSError, yaml.YAMLError) as exc:
-        print(f"invalid scene: {exc}", file=sys.stderr)
-        return 2
+        return _invalid("scene", exc)
     rows, cols = scene.grid.occupied.shape
     print(f"scene ok: {len(scene.tables)} tables, {len(scene.obstacles)} obstacles, "
           f"{len(scene.objects)} objects")

@@ -171,11 +171,6 @@ def compute_feasibility_map(
     return fmap
 
 
-def manipulation_feasibility(fmap: FeasibilityMap, cell: Cell) -> float:
-    """Success probability of unloading from one concrete standing cell."""
-    return fmap.value_at(cell)
-
-
 def sample_standing_cell(fmap: FeasibilityMap, rng: np.random.Generator) -> Cell:
     """Draw a standing cell with probability proportional to its feasibility.
 

@@ -57,9 +57,6 @@ class Configuration:
     positions: dict[str, tuple[float, float]]
     layers: dict[str, int]
 
-    def position_of(self, obj: str) -> tuple[float, float]:
-        return self.positions[obj]
-
 
 @dataclass
 class GroundingResult:

@@ -15,6 +15,12 @@ size. Four systems are compared:
 * ``grop``       - one random placement configuration, then the full
                    feasibility-aware utility-optimal planner.
 
+All four systems load from the same stands and pay for the same legs:
+``planning.Router`` picks each loading stand (the free pickup-band cell
+nearest the previous stand, facing the object), prices the legs and
+builds the paths. A baseline leg that does not connect cuts the plan to
+its routed prefix, which then ends in a navigation failure.
+
 Every trial simulates execution under arrival noise, verifies the final
 arrangement against the task's canonical relational goal, and logs cost.
 Reports are plain nested dictionaries serialized with sorted keys and no
@@ -49,14 +55,14 @@ from .grounding import (
     nominal_layout,
     sample_configurations,
 )
-from .motion import MotionError, navigator_for
+from .motion import MotionError
 from .planning import (
-    BandIndex,
     MANIPULATION_COST,
     PlanningError,
     PlanningParams,
-    PlanStep,
+    Router,
     SelectedPlan,
+    UnloadOption,
     plan_task,
 )
 from .relations import PlacementAtom, goal_objects
@@ -65,10 +71,8 @@ from .world import (
     ObstacleSpec,
     Pose2D,
     SceneState,
-    SymbolicLocation,
     TableSpec,
     build_scene,
-    symbolic_locations,
 )
 
 log = logging.getLogger(__name__)
@@ -161,6 +165,27 @@ def scripted_backend_for_task(task: int) -> ScriptedBackend:
 # Experiment configuration
 
 
+class ConfigError(ValueError):
+    """Raised when an experiment config file is malformed."""
+
+
+def _check_fields(path: str | Path, section: str, data: object, defaults: object) -> None:
+    """Reject a section that is not a mapping, keys its defaults lack, and
+    scalars of another type than their default (an int passes for a float)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: {section} must be a mapping")
+    extra = set(data) - set(defaults.__dataclass_fields__)  # type: ignore[attr-defined]
+    if extra:
+        raise ConfigError(f"{path}: unknown {section} keys {sorted(map(str, extra))}")
+    for key, value in data.items():
+        kind = type(getattr(defaults, key))
+        if kind not in (int, float, str):
+            continue  # nested sections are checked by their own rules
+        kinds = (int, float) if kind is float else (kind,)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise ConfigError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     task: int = 1
@@ -175,13 +200,18 @@ class ExperimentConfig:
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh) or {}
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"{path}: unknown config keys {sorted(extra)}")
+        _check_fields(path, "config", data, cls())
+        if data.get("task", 1) not in TASK_OBJECTS:
+            raise ConfigError(f"{path}: unknown task {data['task']!r}")
+        if data.get("environment", "easy") not in ENVIRONMENTS:
+            raise ConfigError(f"{path}: unknown environment {data['environment']!r}")
         if "systems" in data:
-            data["systems"] = tuple(data["systems"])
+            systems = data["systems"]
+            if not isinstance(systems, list) or not all(s in SYSTEMS for s in systems):
+                raise ConfigError(f"{path}: systems must be a list drawn from {list(SYSTEMS)}")
+            data["systems"] = tuple(systems)
         if "feasibility" in data:
+            _check_fields(path, "feasibility", data["feasibility"], FeasibilityParams())
             data["feasibility"] = FeasibilityParams(**data["feasibility"])
         return cls(**data)
 
@@ -282,103 +312,37 @@ def _random_configuration(
     return Configuration(positions, {o: 0 for o in objects})
 
 
-def _uniform_inreach_steps(
-    scene: SceneState,
+def _uniform_inreach_options(
+    router: Router,
     config: Configuration,
     order: list[str],
     rng: np.random.Generator,
     params: FeasibilityParams,
-) -> list[PlanStep]:
-    """Plan steps whose unload stands are uniform draws over band cells
+) -> list[tuple[str, UnloadOption]]:
+    """Unload stands drawn uniformly over the target table's band cells
     within arm's reach of each unload point (any side, no feasibility
-    analysis). Navigation legs are filled in by the shared walker."""
-    nav = navigator_for(scene)
-    table = scene.table(TARGET_TABLE)
-    locations = symbolic_locations(scene, TARGET_TABLE)
-    steps: list[PlanStep] = []
+    analysis), paired with their objects in order."""
+    table = router.scene.table(TARGET_TABLE)
+    band = router.band(TARGET_TABLE)
+    pairs: list[tuple[str, UnloadOption]] = []
     for obj in order:
-        tx, ty = config.positions[obj]
-        target = table.to_world(tx, ty)
-        candidates: list[tuple[SymbolicLocation, tuple[int, int], tuple[float, float]]] = []
-        for loc in locations:
-            centers = loc.cell_centers()
-            rows, cols = loc.dims
-            for rr in range(rows):
-                for cc in range(cols):
-                    cx, cy = centers[rr, cc]
-                    if math.hypot(cx - target[0], cy - target[1]) <= params.reach_radius:
-                        candidates.append((loc, (rr, cc), (cx, cy)))
-        if not candidates:
+        target = table.to_world(*config.positions[obj])
+        dist = np.hypot(band.centers[:, 0] - target[0], band.centers[:, 1] - target[1])
+        in_reach = np.flatnonzero(dist <= params.reach_radius)
+        if not len(in_reach):
             raise PlanningError(f"no band cell within reach of {obj!r} target")
-        loc, cell, point = candidates[int(rng.integers(len(candidates)))]
-        pose = Pose2D(
-            point[0], point[1], math.atan2(target[1] - point[1], target[0] - point[0])
+        idx = in_reach[int(rng.integers(len(in_reach)))]
+        x, y = band.centers[idx]
+        pose = Pose2D(x, y, math.atan2(target[1] - y, target[0] - x))
+        option = UnloadOption(
+            location=band.locations[band.owner[idx]],
+            pose=pose,
+            cell=router.nav.cell_of(pose.x, pose.y),
+            target_world=target,
+            layer=config.layers[obj],
         )
-        steps.append(
-            PlanStep(
-                object_id=obj,
-                source_table=scene.object(obj).initial_location,
-                load_pose=Pose2D(0, 0),  # filled by _route_steps
-                load_cell=(0, 0),
-                unload_location=loc.id,
-                unload_pose=pose,
-                unload_cell=nav.cell_of(pose.x, pose.y),
-                target_world=target,
-                target_layer=config.layers[obj],
-                fea_task=0.0,
-                fea_stand=0.0,
-                leg_to_load=0.0,
-                leg_to_unload=0.0,
-            )
-        )
-    return steps
-
-
-def _route_steps(scene: SceneState, steps: list[PlanStep]) -> tuple[list[PlanStep], bool]:
-    """Fill loading stands and explicit paths for externally built steps.
-
-    Loading stands use the same nearest-free-band-cell rule as the main
-    planner. When a leg cannot be connected (stand blocked or unreachable)
-    the routed prefix is returned together with a truncation flag, so the
-    failure shows up as a navigation breakdown at execution time rather
-    than as a refusal to plan.
-    """
-    nav = navigator_for(scene)
-    start_cell = nav.cell_of(*scene.robot_pose.xy)
-    start_comp = nav.component(start_cell)
-    bands: dict[str, BandIndex] = {}
-    routed: list[PlanStep] = []
-    prev_cell = start_cell
-    prev_point = scene.robot_pose.xy
-    for step in steps:
-        src = step.source_table
-        if src not in bands:
-            bands[src] = BandIndex(nav, symbolic_locations(scene, src))
-        found = bands[src].nearest_free(prev_point, start_comp)
-        if found is None:
-            return routed, True
-        _, _, load_point = found
-        load_cell = nav.cell_of(*load_point)
-        obj_world = scene.table(src).to_world(*scene.object(step.object_id).initial_position)  # type: ignore[misc]
-        step.load_pose = Pose2D(
-            load_point[0],
-            load_point[1],
-            math.atan2(obj_world[1] - load_point[1], obj_world[0] - load_point[0]),
-        )
-        step.load_cell = load_cell
-        try:
-            p1 = nav.astar(prev_cell, load_cell) if prev_cell != load_cell else None
-            p2 = nav.astar(load_cell, step.unload_cell)
-        except MotionError:
-            return routed, True
-        step.path_to_load = p1
-        step.path_to_unload = p2
-        step.leg_to_load = p1.cost if p1 else 0.0
-        step.leg_to_unload = p2.cost
-        routed.append(step)
-        prev_cell = step.unload_cell
-        prev_point = (step.unload_pose.x, step.unload_pose.y)
-    return routed, False
+        pairs.append((obj, option))
+    return pairs
 
 
 def _baseline_plan(
@@ -388,10 +352,14 @@ def _baseline_plan(
     rng: np.random.Generator,
     params: FeasibilityParams,
 ) -> SelectedPlan:
-    steps = _uniform_inreach_steps(scene, config, order, rng, params)
-    steps, truncated = _route_steps(scene, steps)
-    cost = sum(s.leg_to_load + s.leg_to_unload for s in steps)
-    cost += MANIPULATION_COST * 2 * len(steps)
+    """Route uniform in-reach unload stands in the given order. A leg that
+    does not connect cuts the plan to its routed prefix and marks it
+    truncated, so the failure shows up as a navigation breakdown at
+    execution time rather than as a refusal to plan."""
+    router = Router(scene)
+    pairs = _uniform_inreach_options(router, config, order, rng, params)
+    steps, _, connected = router.walk(pairs)
+    cost = router.paths(steps) + MANIPULATION_COST * 2 * len(steps)
     return SelectedPlan(
         config_index=0,
         plan_index=0,
@@ -405,7 +373,7 @@ def _baseline_plan(
         search_cost=cost,
         search_utility=0.0,
         candidates_evaluated=1,
-        truncated=truncated,
+        truncated=not connected,
     )
 
 

@@ -19,7 +19,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy import ndimage
@@ -278,7 +278,20 @@ class Navigator:
         )
 
 
-@lru_cache(maxsize=8)
+# Least recently used first. A navigator holds every cost field it has
+# computed, so the bound caps memory for callers that keep many scenes alive.
+_NAVIGATORS: "WeakKeyDictionary[SceneState, Navigator]" = WeakKeyDictionary()
+_MAX_NAVIGATORS = 8
+
+
 def navigator_for(scene: SceneState) -> Navigator:
-    """Shared navigator per scene instance (scenes hash by identity)."""
-    return Navigator(scene)
+    """Shared navigator per scene instance (scenes hash by identity). It is
+    dropped with its scene, or when it is the least recently used of more
+    than eight."""
+    nav = _NAVIGATORS.pop(scene, None)
+    if nav is None:
+        nav = Navigator(scene)
+    _NAVIGATORS[scene] = nav
+    if len(_NAVIGATORS) > _MAX_NAVIGATORS:
+        del _NAVIGATORS[next(iter(_NAVIGATORS))]
+    return nav

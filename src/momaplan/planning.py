@@ -13,10 +13,14 @@ utility: a fixed reward scaled by the plan's expected manipulation
 feasibility, minus its cost. Feasibility averages one term per manipulation
 (loading counts as certain; unloading uses the standing-spot analysis for
 that side and unload point). Cost adds optimal navigation distances between
-consecutive stands and a fixed charge per manipulation. The search prices
-navigation legs with cached single-source cost fields; only the winning
-plan gets its legs rebuilt as explicit grid paths, and its cost and utility
-are recomputed from those paths.
+consecutive stands and a fixed charge per manipulation.
+
+``Router`` holds the loading-stand and leg-routing rule, shared with the
+baseline planners in ``harness``: it picks each loading stand, prices both
+legs of a step with cached single-source cost fields, and rebuilds the legs
+of a chosen plan as explicit grid paths. The planner skips candidates with
+a leg that does not connect; only the winning plan gets explicit paths, and
+its cost and utility are recomputed from them.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +40,6 @@ import numpy as np
 from .feasibility import (
     FeasibilityParams,
     compute_feasibility_map,
-    manipulation_feasibility,
     sample_standing_cell,
     standing_pose,
     task_feasibility,
@@ -149,51 +153,152 @@ def enumerate_candidates(
 
 
 class BandIndex:
-    """Flat arrays over every band cell of one table, for nearest-free-cell
-    queries."""
+    """Flat arrays over every band cell of one table, location by location
+    in row-major cell order, for nearest-free-cell and in-reach queries."""
 
     def __init__(self, nav: Navigator, locations: list[SymbolicLocation]):
         self.locations = locations
         centers = []
         owner = []
-        cells = []
         for li, loc in enumerate(locations):
             grid = loc.cell_centers().reshape(-1, 2)
             centers.append(grid)
             owner.append(np.full(len(grid), li))
-            rows, cols = loc.dims
-            rr, cc = np.divmod(np.arange(rows * cols), cols)
-            cells.append(np.stack([rr, cc], axis=1))
         self.centers = np.concatenate(centers)
         self.owner = np.concatenate(owner)
-        self.cells = np.concatenate(cells)
         self.free = nav.free_mask_at(self.centers)
         self.components = nav.components_at(self.centers)
 
     def nearest_free(
         self, point: tuple[float, float], component: int
-    ) -> tuple[SymbolicLocation, Cell, tuple[float, float]] | None:
+    ) -> tuple[float, float] | None:
+        """Center of the free cell in ``component`` nearest ``point``."""
         usable = self.free & (self.components == component)
         if not usable.any():
             return None
         d2 = (self.centers[:, 0] - point[0]) ** 2 + (self.centers[:, 1] - point[1]) ** 2
         d2 = np.where(usable, d2, np.inf)
         idx = int(np.argmin(d2))
-        loc = self.locations[int(self.owner[idx])]
-        cell = (int(self.cells[idx, 0]), int(self.cells[idx, 1]))
-        return loc, cell, (float(self.centers[idx, 0]), float(self.centers[idx, 1]))
+        return (float(self.centers[idx, 0]), float(self.centers[idx, 1]))
 
 
 @dataclass
-class _UnloadOption:
+class UnloadOption:
+    """One way to put an object down: a standing pose beside the target
+    table, facing the unload point, with the feasibility the planner scored
+    for it (zero for the baselines, which score none)."""
+
     location: SymbolicLocation
-    fea_task: float
-    fea_stand: float
-    cell: Cell
     pose: Pose2D
-    grid_cell: Cell  # navigation grid cell of the standing pose
+    cell: Cell  # navigation grid cell of the standing pose
     target_world: tuple[float, float]
     layer: int
+    fea_task: float = 0.0
+    fea_stand: float = 0.0
+
+
+class Router:
+    """The loading-stand and leg-routing rule every system shares.
+
+    A loading stand is the free band cell of the object's source table
+    nearest the previous stand, in the robot's start component, facing the
+    object. Both legs of a step are priced off the loading cell's cached
+    cost field, so a search walking thousands of candidates computes at
+    most one field per distinct loading stand; ``paths`` then turns the
+    priced legs of the chosen steps into explicit A* paths.
+    """
+
+    def __init__(self, scene: SceneState):
+        self.scene = scene
+        self.nav = navigator_for(scene)
+        self.start_cell = self.nav.cell_of(*scene.robot_pose.xy)
+        self.start_comp = self.nav.component(self.start_cell)
+        self._bands: dict[str, BandIndex] = {}
+        # The nearest-free rule reads the previous stand's point, so the
+        # memo is keyed by that point, not by the grid cell it falls in.
+        self._nearest: dict[tuple[str, tuple[float, float]], tuple[tuple[float, float], Cell] | None] = {}
+
+    def band(self, table_id: str) -> BandIndex:
+        if table_id not in self._bands:
+            self._bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
+        return self._bands[table_id]
+
+    def load_stand(
+        self, obj: str, prev_point: tuple[float, float]
+    ) -> tuple[Pose2D, Cell] | None:
+        """Loading pose and its grid cell for ``obj`` after standing at
+        ``prev_point``; None when no band cell of its source table is
+        reachable."""
+        spec = self.scene.object(obj)
+        key = (spec.initial_location, prev_point)
+        found = self._nearest.get(key, _MISS)
+        if found is _MISS:
+            point = self.band(spec.initial_location).nearest_free(prev_point, self.start_comp)
+            found = None if point is None else (point, self.nav.cell_of(*point))
+            self._nearest[key] = found
+        if found is None:
+            return None
+        (x, y), cell = found
+        ox, oy = self.scene.table(spec.initial_location).to_world(*spec.initial_position)  # type: ignore[misc]
+        return Pose2D(x, y, math.atan2(oy - y, ox - x)), cell
+
+    def walk(
+        self, pairs: Iterable[tuple[str, UnloadOption]]
+    ) -> tuple[list[PlanStep], float, bool]:
+        """Route (object, unload option) pairs in order.
+
+        Returns the steps routed before the first leg that does not connect,
+        their navigation cost, and whether every leg connected.
+        """
+        prev_cell = self.start_cell
+        prev_point = self.scene.robot_pose.xy
+        nav_cost = 0.0
+        steps: list[PlanStep] = []
+        for obj, option in pairs:
+            stand = self.load_stand(obj, prev_point)
+            if stand is None:
+                return steps, nav_cost, False
+            load_pose, load_cell = stand
+            load_field = self.nav.cost_field(load_cell)
+            leg1 = 0.0 if prev_cell == load_cell else float(load_field[prev_cell])
+            leg2 = float(load_field[option.cell])
+            if math.isinf(leg1) or math.isinf(leg2):
+                return steps, nav_cost, False
+            steps.append(
+                PlanStep(
+                    object_id=obj,
+                    source_table=self.scene.object(obj).initial_location,
+                    load_pose=load_pose,
+                    load_cell=load_cell,
+                    unload_location=option.location.id,
+                    unload_pose=option.pose,
+                    unload_cell=option.cell,
+                    target_world=option.target_world,
+                    target_layer=option.layer,
+                    fea_task=option.fea_task,
+                    fea_stand=option.fea_stand,
+                    leg_to_load=leg1,
+                    leg_to_unload=leg2,
+                )
+            )
+            nav_cost += leg1 + leg2
+            prev_cell = option.cell
+            prev_point = option.pose.xy
+        return steps, nav_cost, True
+
+    def paths(self, steps: list[PlanStep]) -> float:
+        """Give walked steps explicit optimal paths, re-price their legs by
+        the paths' step counts and return the total navigation cost."""
+        prev = self.start_cell
+        for step in steps:
+            p1 = self.nav.astar(prev, step.load_cell) if prev != step.load_cell else None
+            p2 = self.nav.astar(step.load_cell, step.unload_cell)
+            step.path_to_load = p1
+            step.path_to_unload = p2
+            step.leg_to_load = p1.cost if p1 else 0.0
+            step.leg_to_unload = p2.cost
+            prev = step.unload_cell
+        return sum(s.leg_to_load + s.leg_to_unload for s in steps)
 
 
 def _unload_option(
@@ -204,7 +309,7 @@ def _unload_option(
     layer: int,
     params: PlanningParams,
     seed_key: tuple[int, ...],
-) -> _UnloadOption:
+) -> UnloadOption:
     fmap = compute_feasibility_map(scene, location, target_world, params.feasibility)
     entropy = (scene.rng_seed, params.stand_seed)
     fea_rng = np.random.Generator(
@@ -216,15 +321,14 @@ def _unload_option(
     fea_task = task_feasibility(fmap, fea_rng)
     cell = sample_standing_cell(fmap, draw_rng)
     pose = standing_pose(location, cell, target_world)
-    return _UnloadOption(
+    return UnloadOption(
         location=location,
-        fea_task=fea_task,
-        fea_stand=manipulation_feasibility(fmap, cell),
-        cell=cell,
         pose=pose,
-        grid_cell=nav.cell_of(pose.x, pose.y),
+        cell=nav.cell_of(pose.x, pose.y),
         target_world=target_world,
         layer=layer,
+        fea_task=fea_task,
+        fea_stand=fmap.value_at(cell),
     )
 
 
@@ -242,7 +346,6 @@ def plan_task(
     params = params or PlanningParams()
     if not configurations:
         raise PlanningError("no grounded configurations to plan for")
-    nav = navigator_for(scene)
     objects = list(configurations[0].positions)
     table = scene.table(target_table)
     target_locations = symbolic_locations(scene, target_table)
@@ -253,16 +356,9 @@ def plan_task(
     if not candidates:
         raise PlanningError("no admissible object orders")
 
-    start_cell = nav.cell_of(*scene.robot_pose.xy)
-    start_comp = nav.component(start_cell)
-    if start_comp < 0:
+    router = Router(scene)
+    if router.start_comp < 0:
         raise PlanningError("robot start cell is blocked on the inflated grid")
-
-    band_index: dict[str, BandIndex] = {}
-    for obj in objects:
-        src = scene.object(obj).initial_location
-        if src not in band_index:
-            band_index[src] = BandIndex(nav, symbolic_locations(scene, src))
 
     n = len(objects)
     manip_total = params.manipulation_cost * 2 * n
@@ -274,30 +370,27 @@ def plan_task(
     evaluated = 0
 
     for m, config in enumerate(configurations):
-        options: dict[tuple[str, str], _UnloadOption] = {}
+        options: dict[tuple[str, str], UnloadOption] = {}
         for oi, obj in enumerate(objects):
             tx, ty = config.positions[obj]
             target_world = table.to_world(tx, ty)
             for si, side in enumerate(side_ids):
                 options[(obj, side)] = _unload_option(
                     scene,
-                    nav,
+                    router.nav,
                     loc_by_side[side],
                     target_world,
                     config.layers[obj],
                     params,
                     seed_key=(m, oi, si),
                 )
-        load_cache: dict[tuple[str, Cell], tuple | None] = {}
         for pi, (order, sides_combo) in enumerate(candidates):
             evaluated += 1
-            walk = _walk_candidate(
-                scene, nav, band_index, options, order, sides_combo,
-                start_cell, start_comp, load_cache,
+            steps, nav_cost, connected = router.walk(
+                (obj, options[(obj, side)]) for obj, side in zip(order, sides_combo)
             )
-            if walk is None:
+            if not connected:
                 continue
-            steps, nav_cost = walk
             fea = (n * 1.0 + sum(s.fea_task for s in steps)) / (2 * n)
             cost = nav_cost + manip_total
             utility = params.reward * fea - cost
@@ -311,8 +404,7 @@ def plan_task(
 
     utility, m, pi = best
     order, sides_combo = candidates[pi]
-    steps = _rebuild_paths(nav, start_cell, best_walk)
-    final_cost = sum(s.leg_to_load + s.leg_to_unload for s in steps) + manip_total
+    final_cost = router.paths(best_walk) + manip_total
     final_utility = params.reward * best_f - final_cost
     log.info(
         "selected config %d plan %d order=%s sides=%s F=%.3f C=%.2f U=%.2f",
@@ -324,7 +416,7 @@ def plan_task(
         order=order,
         sides=sides_combo,
         configuration=configurations[m],
-        steps=steps,
+        steps=best_walk,
         feasibility=best_f,
         cost=final_cost,
         utility=final_utility,
@@ -332,86 +424,3 @@ def plan_task(
         search_utility=utility,
         candidates_evaluated=evaluated,
     )
-
-
-def _walk_candidate(
-    scene: SceneState,
-    nav: Navigator,
-    band_index: dict[str, BandIndex],
-    options: dict[tuple[str, str], "_UnloadOption"],
-    order: tuple[str, ...],
-    sides_combo: tuple[str, ...],
-    start_cell: Cell,
-    start_comp: int,
-    load_cache: dict,
-) -> tuple[list[PlanStep], float] | None:
-    """Price one candidate; None when any leg is disconnected."""
-    prev_cell = start_cell
-    prev_point = scene.robot_pose.xy
-    nav_cost = 0.0
-    steps: list[PlanStep] = []
-    for obj, side in zip(order, sides_combo):
-        src_table = scene.object(obj).initial_location
-        cache_key = (src_table, prev_cell)
-        found = load_cache.get(cache_key, _MISS)
-        if found is _MISS:
-            found = band_index[src_table].nearest_free(prev_point, start_comp)
-            load_cache[cache_key] = found
-        if found is None:
-            return None
-        _, _, load_point = found
-        load_cell = nav.cell_of(*load_point)
-        option = options[(obj, side)]
-        # Both legs of this step are priced off the load cell's field, so
-        # the planner computes at most one field per distinct loading spot.
-        load_field = nav.cost_field(load_cell)
-        leg1 = 0.0 if prev_cell == load_cell else float(load_field[prev_cell])
-        leg2 = float(load_field[option.grid_cell])
-        if math.isinf(leg1) or math.isinf(leg2):
-            return None
-        src_spec = scene.object(obj)
-        src = scene.table(src_table)
-        obj_world = src.to_world(*src_spec.initial_position)  # type: ignore[misc]
-        load_pose = Pose2D(
-            load_point[0],
-            load_point[1],
-            math.atan2(obj_world[1] - load_point[1], obj_world[0] - load_point[0]),
-        )
-        steps.append(
-            PlanStep(
-                object_id=obj,
-                source_table=src_table,
-                load_pose=load_pose,
-                load_cell=load_cell,
-                unload_location=option.location.id,
-                unload_pose=option.pose,
-                unload_cell=option.grid_cell,
-                target_world=option.target_world,
-                target_layer=option.layer,
-                fea_task=option.fea_task,
-                fea_stand=option.fea_stand,
-                leg_to_load=leg1,
-                leg_to_unload=leg2,
-            )
-        )
-        nav_cost += leg1 + leg2
-        prev_cell = option.grid_cell
-        prev_point = (option.pose.x, option.pose.y)
-    return steps, nav_cost
-
-
-def _rebuild_paths(nav: Navigator, start_cell: Cell, steps: list[PlanStep]) -> list[PlanStep]:
-    """Replace field-priced legs with explicit optimal paths and their
-    step-count costs."""
-    prev = start_cell
-    out: list[PlanStep] = []
-    for step in steps:
-        p1 = nav.astar(prev, step.load_cell) if prev != step.load_cell else None
-        p2 = nav.astar(step.load_cell, step.unload_cell)
-        step.path_to_load = p1
-        step.path_to_unload = p2
-        step.leg_to_load = p1.cost if p1 else 0.0
-        step.leg_to_unload = p2.cost
-        out.append(step)
-        prev = step.unload_cell
-    return out

@@ -15,7 +15,6 @@ pins an object to a particular cell.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -275,7 +274,3 @@ def satisfied_atoms(
 ) -> list[bool]:
     return [atom_holds(a, positions, layers, tol) for a in atoms]
 
-
-def all_pairs_relations(names: list[str]) -> list[tuple[str, str]]:
-    """Ordered pairs of distinct object names, in first-mention order."""
-    return [(a, b) for a, b in itertools.permutations(names, 2)]

@@ -348,18 +348,6 @@ def rasterize(
     return OccupancyGrid(resolution=resolution, origin=origin, occupied=occupied)
 
 
-def rasterize_scene(scene: SceneState) -> OccupancyGrid:
-    """Re-rasterize an existing scene at its stored grid geometry."""
-    return rasterize(
-        scene.tables,
-        scene.obstacles,
-        scene.robot_pose,
-        resolution=scene.grid.resolution,
-        origin=scene.grid.origin,
-        shape=scene.grid.shape,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scene assembly and validation
 
@@ -509,6 +497,20 @@ def scene_to_dict(scene: SceneState) -> dict:
     }
 
 
+def _pair(entry: dict, key: str, kind: type = float) -> tuple:
+    """A two-number scene entry such as a center, half extents or grid shape."""
+    value = entry[key]
+    kinds = (int,) if kind is int else (int, float)
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
+    ):
+        owner = f"{entry['id']!r} " if "id" in entry else ""
+        raise SceneError(f"{owner}{key} must be two {kind.__name__}s, got {value!r}")
+    return tuple(value)
+
+
 def scene_from_dict(data: dict) -> SceneState:
     if not isinstance(data, dict):
         raise SceneError("scene document must be a mapping")
@@ -520,12 +522,12 @@ def scene_from_dict(data: dict) -> SceneState:
         robot_pose = Pose2D(robot["x"], robot["y"], robot.get("theta", 0.0))
         robot_radius = float(robot.get("radius", DEFAULT_ROBOT_RADIUS))
         tables = [
-            TableSpec(t["id"], tuple(t["center"]), tuple(t["half_extents"]))
+            TableSpec(t["id"], _pair(t, "center"), _pair(t, "half_extents"))
             for t in data.get("tables", [])
         ]
         obstacles = [
             ObstacleSpec(
-                o["id"], tuple(o["center"]), tuple(o["half_extents"]), o.get("kind", "chair")
+                o["id"], _pair(o, "center"), _pair(o, "half_extents"), o.get("kind", "chair")
             )
             for o in data.get("obstacles", [])
         ]
@@ -536,26 +538,29 @@ def scene_from_dict(data: dict) -> SceneState:
                 initial_location=o["initial_location"],
                 supports_stacking=bool(o.get("supports_stacking", False)),
                 initial_position=(
-                    tuple(o["initial_position"]) if o.get("initial_position") else None
+                    _pair(o, "initial_position") if o.get("initial_position") else None
                 ),
             )
             for o in data.get("objects", [])
         ]
         seed = int(data.get("seed", 0))
-    except (KeyError, TypeError) as exc:
+        grid_cfg = data.get("grid") or {}
+        return build_scene(
+            tables,
+            obstacles,
+            objects,
+            robot_pose,
+            rng_seed=seed,
+            robot_radius=robot_radius,
+            resolution=float(grid_cfg.get("resolution", DEFAULT_GRID_RESOLUTION)),
+            grid_origin=_pair(grid_cfg, "origin") if "origin" in grid_cfg else None,
+            grid_shape=_pair(grid_cfg, "shape", int) if "shape" in grid_cfg else None,
+        )
+    except SceneError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        # ValueError also covers furniture with a non-positive half extent.
         raise SceneError(f"malformed scene entry: {exc}") from exc
-    grid_cfg = data.get("grid") or {}
-    return build_scene(
-        tables,
-        obstacles,
-        objects,
-        robot_pose,
-        rng_seed=seed,
-        robot_radius=robot_radius,
-        resolution=float(grid_cfg.get("resolution", DEFAULT_GRID_RESOLUTION)),
-        grid_origin=tuple(grid_cfg["origin"]) if "origin" in grid_cfg else None,
-        grid_shape=tuple(grid_cfg["shape"]) if "shape" in grid_cfg else None,
-    )
 
 
 def load_scene(path: str | Path) -> SceneState:

@@ -4,7 +4,8 @@ import yaml
 
 from momaplan.cli import main, write_heatmap_pgm
 from momaplan.feasibility import FeasibilityMap, FeasibilityParams
-from momaplan.world import load_scene
+from momaplan.harness import make_scene
+from momaplan.world import load_scene, scene_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -151,3 +152,48 @@ def test_bundled_demo_scene_validates(capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 0
     assert "scene ok" in out
+
+
+def _rejected_in_one_line(code, err, what):
+    assert code == 2
+    assert err.startswith(f"invalid {what}: ")
+    assert err.count("\n") == 1
+
+
+def _scene_with_dining(tmp_path, key, value):
+    data = scene_to_dict(make_scene(1, "easy", 42))
+    dining = next(t for t in data["tables"] if t["id"] == "dining")
+    dining[key] = value
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
+
+
+def test_validate_rejects_short_center(tmp_path, capsys):
+    path = _scene_with_dining(tmp_path, "center", [0.0])
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert "'dining' center must be two floats" in err
+
+
+def test_validate_rejects_zero_half_extent(tmp_path, capsys):
+    path = _scene_with_dining(tmp_path, "half_extents", [0.0, 0.15])
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert "half extents must be positive" in err
+
+
+def test_run_rejects_config_of_wrong_type(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text('task: 1\ntrials: "many"\n')
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert "trials must be int, got 'many'" in err
+
+
+def test_run_rejects_unknown_config_key(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text("task: 1\nworkers: 4\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert "unknown config keys ['workers']" in err

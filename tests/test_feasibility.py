@@ -8,7 +8,6 @@ from momaplan.feasibility import (
     build_feasibility_dataset,
     compute_feasibility_map,
     expected_task_feasibility,
-    manipulation_feasibility,
     sample_standing_cell,
     standing_pose,
     task_feasibility,
@@ -171,7 +170,7 @@ def test_sample_standing_cell_uniform_fallback():
 def test_manipulation_feasibility_reads_cell():
     values = np.array([[0.2, 0.8]])
     fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
-    assert manipulation_feasibility(fmap, (0, 1)) == 0.8
+    assert fmap.value_at((0, 1)) == 0.8
 
 
 def test_task_feasibility_estimates_weighted_mean():

@@ -7,6 +7,7 @@ from momaplan.harness import (
     ENVIRONMENTS,
     SYSTEMS,
     TASK_OBJECTS,
+    ConfigError,
     ExperimentConfig,
     build_report,
     dump_report,
@@ -87,6 +88,33 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("task: 1\nworkers: 4\n")
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_yaml(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("- task\n", "config must be a mapping"),
+        ("task: 99\n", "unknown task 99"),
+        ("environment: zero_g\n", "unknown environment"),
+        ("seed: true\n", "seed must be int"),
+        ("systems: llm_grop\n", "systems must be a list"),
+        ("systems: [llm_grop, oracle]\n", "systems must be a list"),
+        ("feasibility: 3\n", "feasibility must be a mapping"),
+        ("feasibility: {trials: 3}\n", "unknown feasibility keys"),
+        ("feasibility: {reach_radius: far}\n", "reach_radius must be float"),
+    ],
+)
+def test_config_rejects_malformed_values(tmp_path, text, message):
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_yaml(path)
+
+
+def test_config_accepts_int_for_float(tmp_path):
+    path = tmp_path / "exp.yaml"
+    path.write_text("feasibility: {reach_radius: 1}\n")
+    assert ExperimentConfig.from_yaml(path).feasibility.reach_radius == 1
 
 
 @pytest.fixture(scope="module")

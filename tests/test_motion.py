@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from momaplan.harness import make_scene
 from momaplan.motion import (
     MotionError,
     Navigator,
@@ -186,6 +189,24 @@ def test_point_queries_match_scalar(scene1):
 
 def test_navigator_cached_per_scene(scene1):
     assert navigator_for(scene1) is navigator_for(scene1)
+
+
+def test_navigator_released_with_its_scene():
+    scene = make_scene(1, "easy", seed=3)
+    nav = weakref.ref(navigator_for(scene))
+    assert nav() is navigator_for(scene)
+    del scene
+    gc.collect()
+    assert nav() is None
+
+
+def test_navigators_of_live_scenes_stay_bounded():
+    scenes = [make_scene(1, "easy", seed=s) for s in range(9)]
+    navs = [weakref.ref(navigator_for(s)) for s in scenes[:8]]
+    assert navs[0]() is navigator_for(scenes[0])  # now the most recently used
+    navigator_for(scenes[8])
+    gc.collect()
+    assert [nav() is not None for nav in navs] == [True, False] + [True] * 6
 
 
 def test_robot_collision_continuous(scene1):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from momaplan.planning import (
     REWARD,
     PlanningError,
     PlanningParams,
+    Router,
     enumerate_candidates,
     plan_task,
     stacking_orders,
@@ -183,6 +185,30 @@ def test_stacked_object_ordering():
     plan = plan_task(scene, "dining", configs, goal.atoms, fast_params())
     for rider, support in supports.items():
         assert plan.order.index(support) < plan.order.index(rider)
+
+
+def test_loading_stand_does_not_depend_on_walk_history():
+    """At each dining band corner, two stand points 5 cm apart share one
+    grid cell and can have different loading stands. The stand after one
+    point must be the same whether or not the other was walked first."""
+    scene = make_scene(8, "easy", seed=42)
+    nav = navigator_for(scene)
+    by_cell = defaultdict(list)
+    for x, y in Router(scene).band("dining").centers:
+        by_cell[nav.cell_of(x, y)].append((float(x), float(y)))
+    pairs = [points for points in by_cell.values() if len(points) == 2]
+    assert len(pairs) == 24
+    objects = [scene.objects[0].id, scene.objects[1].id]  # one per pickup table
+    assert scene.object(objects[0]).initial_location != scene.object(objects[1]).initial_location
+    differing = 0
+    for obj in objects:
+        for p, q in pairs:
+            differing += Router(scene).load_stand(obj, p) != Router(scene).load_stand(obj, q)
+            for first, second in ((p, q), (q, p)):
+                warm = Router(scene)
+                warm.load_stand(obj, first)
+                assert warm.load_stand(obj, second) == Router(scene).load_stand(obj, second)
+    assert differing > 0
 
 
 def test_selected_plan_survives_exhaustive_rescoring(goal1):

@@ -182,6 +182,27 @@ def test_scene_from_dict_rejects_bad_version():
         scene_from_dict(["not", "a", "mapping"])
 
 
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("tables", "center", [0.0], "center must be two floats"),
+        ("tables", "half_extents", [0.6, "wide"], "half_extents must be two floats"),
+        ("tables", "half_extents", [0.0, 0.15], "half extents must be positive"),
+        ("grid", "shape", [115.0, 162.0], "shape must be two ints"),
+        ("robot", "x", "left", "malformed scene entry"),
+    ],
+)
+def test_scene_from_dict_rejects_malformed_entries(scene1, section, key, value, message):
+    data = scene_to_dict(scene1)
+    entry = data[section][0] if section == "tables" else data[section]
+    entry[key] = value
+    with pytest.raises(SceneError, match=message):
+        scene_from_dict(data)
+    data[section] = ["not", "a", "mapping"]
+    with pytest.raises(SceneError, match="malformed scene entry"):
+        scene_from_dict(data)
+
+
 def test_bundled_scene_fixture_loads():
     from importlib.resources import files
 
