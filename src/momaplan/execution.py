@@ -75,10 +75,7 @@ def _reach_clear(
 ) -> bool:
     if math.hypot(arrival.x - target[0], arrival.y - target[1]) > params.reach_radius:
         return False
-    table_rect = scene.table(target_table).rect
-    for rect in scene.solid_rects():
-        if rect == table_rect:
-            continue
+    for rect in scene.reach_blockers(target_table):
         if segment_hits_rect((arrival.x, arrival.y), target, rect):
             return False
     return True

@@ -15,7 +15,9 @@ The per-cell trial noise comes from a seed sequence derived from the scene
 seed, the location, the unload point and the trial parameters, with one
 child stream per cell. Recomputing a map for the same inputs therefore
 reproduces it bit for bit, cells are statistically independent, and maps
-are cached per scene instance.
+are cached per scene instance. Only the draws are made cell by cell: the
+collision, reach and reach-line tests run once per map over the arrivals
+of every reachable cell.
 
 Two summary quantities feed planning: the per-cell probability itself for
 a concrete standing cell, and the expected probability under
@@ -49,6 +51,17 @@ class FeasibilityParams:
     reach_radius: float = 0.80
     # Standing-pose draws used to estimate whole-task feasibility.
     task_draws: int = 25
+
+    def __post_init__(self) -> None:
+        if self.trials_per_cell < 1:
+            raise ValueError(f"trials_per_cell must be at least 1, got {self.trials_per_cell}")
+        if self.task_draws < 1:
+            raise ValueError(f"task_draws must be at least 1, got {self.task_draws}")
+        for name in ("nav_sigma_xy", "nav_sigma_theta"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not self.reach_radius > 0.0:
+            raise ValueError(f"reach_radius must be positive, got {self.reach_radius}")
 
     def fingerprint(self) -> tuple[int, ...]:
         return (
@@ -94,49 +107,44 @@ def trial_outcomes(
     target: tuple[float, float],
     params: FeasibilityParams | None = None,
 ) -> np.ndarray:
-    """Per-trial success booleans, shape (rows, cols, trials_per_cell)."""
+    """Per-trial success booleans, shape (rows, cols, trials_per_cell).
+
+    Cells off the robot's start component fail every trial and draw
+    nothing; every other cell draws its arrivals from its own (row, col)
+    stream.
+    """
     params = params or FeasibilityParams()
     nav = navigator_for(scene)
     rows, cols = location.dims
     n = params.trials_per_cell
-    success = np.zeros((rows, cols, n), dtype=bool)
 
-    centers = location.cell_centers()  # (rows, cols, 2)
-    flat_centers = centers.reshape(-1, 2)
-    robot_cell = nav.cell_of(*scene.robot_pose.xy)
-    robot_comp = nav.component(robot_cell)
-    comps = nav.components_at(flat_centers).reshape(rows, cols)
-    reachable = comps == robot_comp
-
-    target_arr = np.asarray(target, dtype=float)
-    # Reaching over the target table itself is what unloading means; every
-    # other piece of furniture blocks the reach line.
-    target_table = None
-    for t in scene.tables:
-        if t.id == location.table_id:
-            target_table = t
-    blocking = [r for r in scene.solid_rects() if target_table is None or r != target_table.rect]
+    centers = location.cell_centers().reshape(-1, 2)
+    robot_comp = nav.component(nav.cell_of(*scene.robot_pose.xy))
+    cells = np.flatnonzero(nav.components_at(centers) == robot_comp)
 
     root = np.random.SeedSequence(
         _entropy_words(scene.rng_seed, location.id, target, params)
     )
-    for r in range(rows):
-        for c in range(cols):
-            if not reachable[r, c]:
-                continue
-            child = np.random.SeedSequence(
-                entropy=root.entropy, spawn_key=(r, c)
-            )
-            rng = np.random.Generator(np.random.PCG64(child))
-            arrivals = centers[r, c] + rng.normal(0.0, params.nav_sigma_xy, size=(n, 2))
-            nav_ok = ~robot_collides_batch(scene, arrivals)
-            dist = np.hypot(arrivals[:, 0] - target_arr[0], arrivals[:, 1] - target_arr[1])
-            manip_ok = dist <= params.reach_radius
-            if manip_ok.any():
-                for rect in blocking:
-                    manip_ok &= ~segments_hit_rect(arrivals, target_arr, rect)
-            success[r, c] = nav_ok & manip_ok
-    return success
+    noise = np.empty((len(cells), n, 2))
+    for k, index in enumerate(cells):
+        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=divmod(int(index), cols))
+        rng = np.random.Generator(np.random.PCG64(child))
+        noise[k] = rng.normal(0.0, params.nav_sigma_xy, size=(n, 2))
+    arrivals = (centers[cells, None, :] + noise).reshape(-1, 2)
+
+    target_arr = np.asarray(target, dtype=float)
+    dist = np.hypot(arrivals[:, 0] - target_arr[0], arrivals[:, 1] - target_arr[1])
+    ok = (dist <= params.reach_radius) & ~robot_collides_batch(scene, arrivals)
+    # Only arrivals still in play need the reach-line tests.
+    live = np.flatnonzero(ok)
+    for rect in scene.reach_blockers(location.table_id):
+        hit = segments_hit_rect(arrivals[live], target_arr, rect)
+        ok[live[hit]] = False
+        live = live[~hit]
+
+    success = np.zeros((rows * cols, n), dtype=bool)
+    success[cells] = ok.reshape(-1, n)
+    return success.reshape(rows, cols, n)
 
 
 _MAP_CACHE: "WeakKeyDictionary[SceneState, dict]" = WeakKeyDictionary()

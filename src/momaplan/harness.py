@@ -212,7 +212,10 @@ class ExperimentConfig:
             data["systems"] = tuple(systems)
         if "feasibility" in data:
             _check_fields(path, "feasibility", data["feasibility"], FeasibilityParams())
-            data["feasibility"] = FeasibilityParams(**data["feasibility"])
+            try:
+                data["feasibility"] = FeasibilityParams(**data["feasibility"])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
         return cls(**data)
 
     def to_dict(self) -> dict:

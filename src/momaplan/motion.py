@@ -41,7 +41,6 @@ class MotionError(RuntimeError):
 @dataclass(frozen=True)
 class MotionPlan:
     cells: tuple[Cell, ...]
-    xy: tuple[tuple[float, float], ...]
     straight_steps: int
     diagonal_steps: int
     resolution: float
@@ -268,10 +267,8 @@ class Navigator:
         while cells[-1] != start:
             cells.append(parent[cells[-1]])
         cells.reverse()
-        xy = tuple(self.grid.center_of(c) for c in cells)
         return MotionPlan(
             cells=tuple(cells),
-            xy=xy,
             straight_steps=counts[0],
             diagonal_steps=counts[1],
             resolution=self.grid.resolution,

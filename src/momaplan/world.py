@@ -195,13 +195,26 @@ class SymbolicLocation:
         return (row, col)
 
     def cell_centers(self) -> np.ndarray:
-        """All cell centers as an array of shape (rows, cols, 2)."""
-        rows, cols = self.dims
-        out = np.empty((rows, cols, 2))
-        for r in range(rows):
-            for c in range(cols):
-                out[r, c] = self.cell_center(r, c)
-        return out
+        """All cell centers as a read-only array of shape (rows, cols, 2).
+
+        The arithmetic is ``cell_center``'s, term for term, so every entry
+        equals it bit for bit. Computed once per location instance.
+        """
+        centers = self.__dict__.get("_centers")
+        if centers is None:
+            rows, cols = self.dims
+            ox, oy = self.outward
+            lx, ly = -oy, ox
+            near = ((np.arange(rows) + 0.5) * self.cell_size)[:, None]
+            lateral = (np.arange(cols) + 0.5) * self.cell_size - (cols * self.cell_size) / 2.0
+            ax = self.rect.cx - ox * self._depth_half()
+            ay = self.rect.cy - oy * self._depth_half()
+            centers = np.stack(
+                (ax + ox * near + lx * lateral, ay + oy * near + ly * lateral), axis=-1
+            )
+            centers.setflags(write=False)
+            object.__setattr__(self, "_centers", centers)
+        return centers
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +245,22 @@ class SceneState:
                 return o
         raise KeyError(f"unknown object {object_id!r}")
 
-    def solid_rects(self) -> list[Rect]:
-        return [t.rect for t in self.tables] + [o.rect for o in self.obstacles]
+    def __post_init__(self) -> None:
+        solid = tuple(t.rect for t in self.tables) + tuple(o.rect for o in self.obstacles)
+        object.__setattr__(self, "_solid", solid)
+        # Reaching over the target table itself is what unloading means;
+        # every other piece of furniture blocks the reach line.
+        object.__setattr__(self, "_blockers", {
+            t.id: solid[:i] + solid[i + 1:] for i, t in enumerate(self.tables)
+        })
+
+    def solid_rects(self) -> tuple[Rect, ...]:
+        """Every table and obstacle rectangle, tables first."""
+        return self._solid  # type: ignore[attr-defined]
+
+    def reach_blockers(self, table_id: str) -> tuple[Rect, ...]:
+        """The solid rectangles a reach line onto ``table_id`` must not cross."""
+        return self._blockers[table_id]  # type: ignore[attr-defined]
 
 
 def symbolic_locations(scene: SceneState, table_id: str) -> list[SymbolicLocation]:

@@ -6,7 +6,8 @@ enumeration instead of backtracking search, heapq Dijkstra with explicit
 neighbor loops instead of sparse-matrix graph algorithms, plain Python
 arithmetic instead of vectorized slicing. If an oracle and the package
 agree, the agreement is between two separately written encodings of the
-same definition.
+same definition. The one exception is the per-cell feasibility loop, the
+package's former implementation, kept to referee its batched form.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ import itertools
 import math
 
 import numpy as np
+
+from momaplan.feasibility import _entropy_words
+from momaplan.geometry import segments_hit_rect
+from momaplan.motion import navigator_for, robot_collides_batch
 
 SQRT2 = math.sqrt(2.0)
 
@@ -316,6 +321,51 @@ def noise_success_probability(
         )
         clear &= ~inside.any(axis=1)
     return float((weights[ok] * clear).sum())
+
+
+def cell_trial_outcomes(scene, location, target, params, row: int, col: int) -> np.ndarray:
+    """Unload-trial outcomes of one band cell, computed alone: the cell's
+    own (row, col) stream, then the collision, reach and reach-line tests
+    on its arrivals only.
+
+    This is the feasibility module's former per-cell loop body, kept as the
+    reference its batched form must reproduce bit for bit. It shares the
+    package's geometry predicates and entropy words on purpose: what it
+    referees is the batching and the stream layout, not the geometry.
+    """
+    nav = navigator_for(scene)
+    n = params.trials_per_cell
+    center = np.asarray(location.cell_center(row, col), dtype=float)
+    robot_comp = nav.component(nav.cell_of(*scene.robot_pose.xy))
+    if nav.components_at(center[None, :])[0] != robot_comp:
+        return np.zeros(n, dtype=bool)
+    target_table = None
+    for t in scene.tables:
+        if t.id == location.table_id:
+            target_table = t
+    blocking = [r for r in scene.solid_rects() if target_table is None or r != target_table.rect]
+
+    root = np.random.SeedSequence(_entropy_words(scene.rng_seed, location.id, target, params))
+    child = np.random.SeedSequence(entropy=root.entropy, spawn_key=(row, col))
+    rng = np.random.Generator(np.random.PCG64(child))
+    arrivals = center + rng.normal(0.0, params.nav_sigma_xy, size=(n, 2))
+    target_arr = np.asarray(target, dtype=float)
+    nav_ok = ~robot_collides_batch(scene, arrivals)
+    dist = np.hypot(arrivals[:, 0] - target_arr[0], arrivals[:, 1] - target_arr[1])
+    manip_ok = dist <= params.reach_radius
+    if manip_ok.any():
+        for rect in blocking:
+            manip_ok &= ~segments_hit_rect(arrivals, target_arr, rect)
+    return nav_ok & manip_ok
+
+
+def per_cell_trial_outcomes(scene, location, target, params) -> np.ndarray:
+    """``cell_trial_outcomes`` for every cell, shape (rows, cols, trials)."""
+    rows, cols = location.dims
+    return np.array([
+        [cell_trial_outcomes(scene, location, target, params, r, c) for c in range(cols)]
+        for r in range(rows)
+    ]).reshape(rows, cols, params.trials_per_cell)
 
 
 def random_relation_set(rng: np.random.Generator, max_objects: int = 4, max_atoms: int = 6):

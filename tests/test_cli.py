@@ -197,3 +197,14 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--config", str(config))
     _rejected_in_one_line(code, err, "config")
     assert "unknown config keys ['workers']" in err
+
+
+def test_run_rejects_out_of_range_feasibility(tmp_path, capsys):
+    config = tmp_path / "exp.yaml"
+    config.write_text(
+        "task: 1\ntrials: 1\nsystems: [llm_grop]\nconfigurations: 1\n"
+        "feasibility: {trials_per_cell: 0}\n"
+    )
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert "trials_per_cell must be at least 1, got 0" in err

@@ -13,10 +13,16 @@ from momaplan.feasibility import (
     task_feasibility,
     trial_outcomes,
 )
+from momaplan.harness import make_scene
 from momaplan.motion import navigator_for
 from momaplan.world import location_by_id, symbolic_locations
 
-from oracles import noise_success_probability, weighted_mean_feasibility
+from oracles import (
+    cell_trial_outcomes,
+    noise_success_probability,
+    per_cell_trial_outcomes,
+    weighted_mean_feasibility,
+)
 
 
 def _dining_target(scene):
@@ -57,13 +63,48 @@ def test_map_is_deterministic_and_cached(scene1):
 
 def test_cells_are_independent_of_each_other(scene1):
     """A cell's trial draws depend only on its own (row, col) stream, so the
-    same cell produces the same outcomes whether or not its neighbors ran."""
+    cell run alone gives the outcomes it has in the whole map."""
     loc = location_by_id(scene1, "dining/south")
     target = _dining_target(scene1)
-    params_one = FeasibilityParams(trials_per_cell=5)
-    full = trial_outcomes(scene1, loc, target, params_one)
-    again = trial_outcomes(scene1, loc, target, params_one)
-    assert np.array_equal(full, again)
+    params = FeasibilityParams(trials_per_cell=5, nav_sigma_xy=0.08)
+    full = trial_outcomes(scene1, loc, target, params)
+    mixed = np.argwhere(full.any(axis=2) & ~full.all(axis=2))
+    assert len(mixed) >= 3
+    for row, col in mixed[:: max(1, len(mixed) // 3)][:3]:
+        alone = cell_trial_outcomes(scene1, loc, target, params, int(row), int(col))
+        assert np.array_equal(full[row, col], alone)
+
+
+@pytest.fixture(scope="module")
+def oracle_scenes(scene1, scene1_chair_top):
+    return {
+        "easy": scene1,
+        "chair_top": scene1_chair_top,
+        "chair_bottom": make_scene(1, "chair_bottom", 42),
+        "random": make_scene(1, "random", 42),
+    }
+
+
+@pytest.mark.parametrize("trials", [1, 5, 7])
+@pytest.mark.parametrize("sigma", [0.01, 0.08])
+@pytest.mark.parametrize("environment", ["easy", "chair_top", "chair_bottom", "random"])
+def test_trial_outcomes_equal_per_cell_oracle(oracle_scenes, environment, sigma, trials):
+    """The batched map reproduces the per-cell loop bit for bit on every side
+    of the dining table, for a target near that side."""
+    scene = oracle_scenes[environment]
+    table = scene.table("dining")
+    params = FeasibilityParams(trials_per_cell=trials, nav_sigma_xy=sigma)
+    outcomes = []
+    for loc in symbolic_locations(scene, "dining"):
+        ox, oy = loc.outward
+        target = (table.center[0] + 0.6 * ox * table.half_extents[0] + 0.03,
+                  table.center[1] + 0.6 * oy * table.half_extents[1] - 0.02)
+        got = trial_outcomes(scene, loc, target, params)
+        expected = per_cell_trial_outcomes(scene, loc, target, params)
+        assert got.shape == expected.shape == (*loc.dims, trials)
+        assert np.array_equal(got, expected), loc.id
+        outcomes.append(got)
+    assert np.any(outcomes) and not np.all(outcomes)
 
 
 def test_blocked_side_is_all_zero(scene1_chair_top):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -102,6 +104,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("feasibility: 3\n", "feasibility must be a mapping"),
         ("feasibility: {trials: 3}\n", "unknown feasibility keys"),
         ("feasibility: {reach_radius: far}\n", "reach_radius must be float"),
+        ("feasibility: {trials_per_cell: 0}\n", "trials_per_cell must be at least 1"),
+        ("feasibility: {task_draws: 0}\n", "task_draws must be at least 1"),
+        ("feasibility: {nav_sigma_xy: -0.01}\n", "nav_sigma_xy must be non-negative"),
+        ("feasibility: {nav_sigma_theta: -1}\n", "nav_sigma_theta must be non-negative"),
+        ("feasibility: {reach_radius: 0}\n", "reach_radius must be positive"),
     ],
 )
 def test_config_rejects_malformed_values(tmp_path, text, message):
@@ -195,6 +202,15 @@ def test_report_bytes_reproducible(tmp_path):
     assert out.read_bytes() == a
     parsed = yaml.safe_load(a)
     assert parsed["config"]["task"] == 1
+
+
+def test_report_digest_is_pinned():
+    """The report bytes of one fixed experiment. Any change to a random
+    stream's layout or to a planning rule moves this digest; update it only
+    on purpose and record why in CHANGES.md."""
+    config = ExperimentConfig(task=8, environment="chair_top", trials=2, configurations=3, seed=42)
+    digest = hashlib.sha256(report_bytes(run_experiment(config))).hexdigest()
+    assert digest == "e88cda6d58783da25ea2e84a5df96fb2cb044449e50c44516a733d8a9d3b16ea"
 
 
 def test_build_report_aggregates():

@@ -85,10 +85,15 @@ def test_band_cell_of_inverts_cell_center(scene1):
 
 
 def test_band_cell_centers_array_matches_scalar(scene1):
-    loc = symbolic_locations(scene1, "dining")[0]
-    centers = loc.cell_centers()
-    assert centers.shape == (BAND_ROWS, BAND_COLS, 2)
-    assert centers[3, 7] == pytest.approx(loc.cell_center(3, 7))
+    for loc in symbolic_locations(scene1, "dining"):
+        centers = loc.cell_centers()
+        assert centers.shape == (BAND_ROWS, BAND_COLS, 2)
+        for row in range(BAND_ROWS):
+            for col in range(BAND_COLS):
+                assert tuple(centers[row, col]) == loc.cell_center(row, col)
+        assert loc.cell_centers() is centers
+        with pytest.raises(ValueError):
+            centers[0, 0, 0] = 0.0
 
 
 def test_location_by_id(scene1):
@@ -113,6 +118,16 @@ def test_rasterize_matches_point_in_rect_oracle():
         rects, scene.grid.resolution, scene.grid.origin, scene.grid.shape
     )
     assert np.array_equal(scene.grid.occupied, expected)
+
+
+def test_reach_blockers_are_the_other_solid_rects(scene1_chair_top):
+    scene = scene1_chair_top
+    assert scene.solid_rects() is scene.solid_rects()
+    for table in scene.tables:
+        blockers = scene.reach_blockers(table.id)
+        assert table.rect not in blockers
+        assert len(blockers) == len(scene.solid_rects()) - 1
+        assert set(blockers) | {table.rect} == set(scene.solid_rects())
 
 
 def test_auto_spread_keeps_objects_apart():
