@@ -206,10 +206,17 @@ def standing_pose(
 def task_feasibility(
     fmap: FeasibilityMap, rng: np.random.Generator, draws: int | None = None
 ) -> float:
-    """Mean cell feasibility over repeated weighted standing draws."""
+    """Mean cell feasibility over repeated weighted standing draws.
+
+    The draws are the ones ``sample_standing_cell`` would make one at a
+    time, made in one call; an all-zero map scores 0.0 without drawing.
+    """
     draws = draws or fmap.params.task_draws
-    vals = [fmap.value_at(sample_standing_cell(fmap, rng)) for _ in range(draws)]
-    return float(np.mean(vals))
+    flat = fmap.values.ravel()
+    total = flat.sum()
+    if total <= 0.0:
+        return 0.0
+    return float(np.mean(flat[rng.choice(flat.size, size=draws, p=flat / total)]))
 
 
 def expected_task_feasibility(fmap: FeasibilityMap) -> float:

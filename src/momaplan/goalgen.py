@@ -165,7 +165,9 @@ class HttpChatBackend:
     """OpenAI-style chat completion client.
 
     Configuration falls back to the MOMAPLAN_API_BASE, MOMAPLAN_API_KEY and
-    MOMAPLAN_MODEL environment variables.
+    MOMAPLAN_MODEL environment variables. A failed request (HTTP status
+    error, timeout, connection error) or a reply that is not a JSON chat
+    completion raises ``GoalGenerationError`` with a one-line message.
     """
 
     def __init__(
@@ -201,14 +203,15 @@ class HttpChatBackend:
             "presence_penalty": 0.0,
             "frequency_penalty": 0.0,
         }
-        resp = self.session.post(
-            f"{self.base_url}/v1/chat/completions",
-            json=payload,
-            headers=headers,
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        body = resp.json()
+        url = f"{self.base_url}/v1/chat/completions"
+        try:
+            resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
+            resp.raise_for_status()
+            body = resp.json()
+        except (requests.RequestException, ValueError) as exc:
+            # Status errors, timeouts, refused connections and non-JSON bodies.
+            reason = " ".join(str(exc).split())
+            raise GoalGenerationError(f"chat completion request to {url} failed: {reason}") from exc
         try:
             return body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

@@ -361,7 +361,7 @@ def _baseline_plan(
     execution time rather than as a refusal to plan."""
     router = Router(scene)
     pairs = _uniform_inreach_options(router, config, order, rng, params)
-    steps, _, connected = router.walk(pairs)
+    steps, connected = router.walk(pairs)
     cost = router.paths(steps) + MANIPULATION_COST * 2 * len(steps)
     return SelectedPlan(
         config_index=0,

@@ -111,6 +111,9 @@ class Navigator:
         self._labels = np.full(self.grid.shape, -1, dtype=np.int64)
         self._labels.ravel()[free_idx] = labels
         self._fields: dict[Cell, np.ndarray] = {}
+        # One tuple per path cell, shared by every path this navigator
+        # builds, so plans kept alive do not each hold their own copies.
+        self._cells: dict[Cell, Cell] = {}
 
     # -- graph construction
 
@@ -200,13 +203,6 @@ class Navigator:
         self._fields[source] = field
         return field
 
-    def leg_cost(self, a: Cell, b: Cell) -> float:
-        """Optimal travel cost between two cells; inf when disconnected.
-        Uses whichever endpoint already has a cached field."""
-        if b in self._fields:
-            return float(self._fields[b][a])
-        return float(self.cost_field(a)[b])
-
     def astar(self, start: Cell, goal: Cell) -> MotionPlan:
         """Optimal grid path with an octile-distance heuristic."""
         if not self.is_free(start):
@@ -266,9 +262,9 @@ class Navigator:
         cells = [goal]
         while cells[-1] != start:
             cells.append(parent[cells[-1]])
-        cells.reverse()
+        intern = self._cells.setdefault
         return MotionPlan(
-            cells=tuple(cells),
+            cells=tuple(intern(cell, cell) for cell in reversed(cells)),
             straight_steps=counts[0],
             diagonal_steps=counts[1],
             resolution=self.grid.resolution,

@@ -16,11 +16,15 @@ that side and unload point). Cost adds optimal navigation distances between
 consecutive stands and a fixed charge per manipulation.
 
 ``Router`` holds the loading-stand and leg-routing rule, shared with the
-baseline planners in ``harness``: it picks each loading stand, prices both
-legs of a step with cached single-source cost fields, and rebuilds the legs
-of a chosen plan as explicit grid paths. The planner skips candidates with
-a leg that does not connect; only the winning plan gets explicit paths, and
-its cost and utility are recomputed from them.
+baseline planners in ``harness``: ``legs`` picks one step's loading stand
+and prices both of its legs with cached single-source cost fields, ``walk``
+chains steps into a plan, and ``paths`` rebuilds the legs of a chosen plan
+as explicit grid paths. The planner prices every candidate of a
+configuration from one leg table over (previous stand, unload option)
+pairs, filled only for the pairs some candidate reaches, and skips
+candidates with a leg that does not connect. Only the winning plan is
+walked into steps and given explicit paths, and its cost and utility are
+recomputed from them.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -203,7 +207,7 @@ class Router:
     A loading stand is the free band cell of the object's source table
     nearest the previous stand, in the robot's start component, facing the
     object. Both legs of a step are priced off the loading cell's cached
-    cost field, so a search walking thousands of candidates computes at
+    cost field, so a search pricing thousands of candidates computes at
     most one field per distinct loading stand; ``paths`` then turns the
     priced legs of the chosen steps into explicit A* paths.
     """
@@ -242,28 +246,39 @@ class Router:
         ox, oy = self.scene.table(spec.initial_location).to_world(*spec.initial_position)  # type: ignore[misc]
         return Pose2D(x, y, math.atan2(oy - y, ox - x)), cell
 
+    def legs(
+        self, prev_cell: Cell, prev_point: tuple[float, float], obj: str, option: UnloadOption
+    ) -> tuple[Pose2D, Cell, float, float] | None:
+        """Load pose, load cell and both leg costs of one step: move ``obj``
+        to ``option`` after standing at ``prev_point`` in ``prev_cell``.
+        None when there is no loading stand or a leg does not connect."""
+        stand = self.load_stand(obj, prev_point)
+        if stand is None:
+            return None
+        load_pose, load_cell = stand
+        load_field = self.nav.cost_field(load_cell)
+        leg1 = 0.0 if prev_cell == load_cell else float(load_field[prev_cell])
+        leg2 = float(load_field[option.cell])
+        if math.isinf(leg1) or math.isinf(leg2):
+            return None
+        return load_pose, load_cell, leg1, leg2
+
     def walk(
         self, pairs: Iterable[tuple[str, UnloadOption]]
-    ) -> tuple[list[PlanStep], float, bool]:
+    ) -> tuple[list[PlanStep], bool]:
         """Route (object, unload option) pairs in order.
 
         Returns the steps routed before the first leg that does not connect,
-        their navigation cost, and whether every leg connected.
+        and whether every leg connected.
         """
         prev_cell = self.start_cell
         prev_point = self.scene.robot_pose.xy
-        nav_cost = 0.0
         steps: list[PlanStep] = []
         for obj, option in pairs:
-            stand = self.load_stand(obj, prev_point)
-            if stand is None:
-                return steps, nav_cost, False
-            load_pose, load_cell = stand
-            load_field = self.nav.cost_field(load_cell)
-            leg1 = 0.0 if prev_cell == load_cell else float(load_field[prev_cell])
-            leg2 = float(load_field[option.cell])
-            if math.isinf(leg1) or math.isinf(leg2):
-                return steps, nav_cost, False
+            legs = self.legs(prev_cell, prev_point, obj, option)
+            if legs is None:
+                return steps, False
+            load_pose, load_cell, leg1, leg2 = legs
             steps.append(
                 PlanStep(
                     object_id=obj,
@@ -281,10 +296,9 @@ class Router:
                     leg_to_unload=leg2,
                 )
             )
-            nav_cost += leg1 + leg2
             prev_cell = option.cell
             prev_point = option.pose.xy
-        return steps, nav_cost, True
+        return steps, True
 
     def paths(self, steps: list[PlanStep]) -> float:
         """Give walked steps explicit optimal paths, re-price their legs by
@@ -332,6 +346,39 @@ def _unload_option(
     )
 
 
+def _price_candidates(
+    router: Router, choices: list[tuple[str, UnloadOption]], pairs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Navigation cost, summed unload feasibility and connectedness of every
+    candidate of one configuration, priced from one leg table.
+
+    ``pairs[c, k]`` codes step k of candidate c as ``prev * len(choices) +
+    choice``, where ``prev`` is 0 at the robot's start and ``1 + j`` after
+    unloading ``choices[j]``. Step k's pairs are priced once each, and only
+    for candidates whose earlier steps connected, so the table asks for the
+    cost fields that walking every candidate would. Both sums add column by
+    column, so each candidate's equal its steps added one at a time.
+    """
+    stands = [(router.start_cell, router.scene.robot_pose.xy)]
+    stands += [(option.cell, option.pose.xy) for _, option in choices]
+    fea_task = np.array([option.fea_task for _, option in choices])
+    step_cost = np.full(len(stands) * len(choices), np.nan)  # nan: not priced
+    connected = np.ones(len(pairs), dtype=bool)
+    nav_cost = np.zeros(len(pairs))
+    fea_sum = np.zeros(len(pairs))
+    for column in pairs.T:
+        wanted = column[connected]
+        for code in np.unique(wanted[np.isnan(step_cost[wanted])]).tolist():
+            prev, choice = divmod(code, len(choices))
+            legs = router.legs(*stands[prev], *choices[choice])
+            step_cost[code] = math.inf if legs is None else legs[2] + legs[3]
+        costs = step_cost[column]
+        connected &= costs < math.inf
+        nav_cost = nav_cost + costs
+        fea_sum = fea_sum + fea_task[column % len(choices)]
+    return nav_cost, fea_sum, connected
+
+
 def plan_task(
     scene: SceneState,
     target_table: str,
@@ -362,49 +409,53 @@ def plan_task(
 
     n = len(objects)
     manip_total = params.manipulation_cost * 2 * n
+    # Step k of candidate c unloads choice codes[c, k] = object * sides + side,
+    # after standing at the start or at the previous step's choice.
+    object_index = {obj: oi for oi, obj in enumerate(objects)}
+    side_index = {side: si for si, side in enumerate(side_ids)}
+    codes = np.array([
+        [object_index[obj] * len(side_ids) + side_index[side] for obj, side in zip(*candidate)]
+        for candidate in candidates
+    ])
+    prev = np.zeros_like(codes)
+    prev[:, 1:] = codes[:, :-1] + 1
+    pairs = prev * (n * len(side_ids)) + codes
 
     best: tuple[float, int, int] | None = None  # (utility, config_idx, plan_idx)
-    best_walk: list[PlanStep] | None = None
+    best_choices: list[tuple[str, UnloadOption]] = []
     best_f = 0.0
     best_c = math.inf
-    evaluated = 0
 
     for m, config in enumerate(configurations):
-        options: dict[tuple[str, str], UnloadOption] = {}
-        for oi, obj in enumerate(objects):
-            tx, ty = config.positions[obj]
-            target_world = table.to_world(tx, ty)
-            for si, side in enumerate(side_ids):
-                options[(obj, side)] = _unload_option(
-                    scene,
-                    router.nav,
-                    loc_by_side[side],
-                    target_world,
-                    config.layers[obj],
-                    params,
-                    seed_key=(m, oi, si),
-                )
-        for pi, (order, sides_combo) in enumerate(candidates):
-            evaluated += 1
-            steps, nav_cost, connected = router.walk(
-                (obj, options[(obj, side)]) for obj, side in zip(order, sides_combo)
-            )
-            if not connected:
-                continue
-            fea = (n * 1.0 + sum(s.fea_task for s in steps)) / (2 * n)
-            cost = nav_cost + manip_total
-            utility = params.reward * fea - cost
-            if best is None or utility > best[0] + 1e-12:
-                best = (utility, m, pi)
-                best_walk = steps
-                best_f = fea
-                best_c = cost
-    if best is None or best_walk is None:
+        choices = [
+            (obj, _unload_option(
+                scene, router.nav, loc_by_side[side], table.to_world(*config.positions[obj]),
+                config.layers[obj], params, seed_key=(m, oi, si),
+            ))
+            for oi, obj in enumerate(objects)
+            for si, side in enumerate(side_ids)
+        ]
+        nav_cost, fea_sum, connected = _price_candidates(router, choices, pairs)
+        fea = (n * 1.0 + fea_sum) / (2 * n)
+        cost = nav_cost + manip_total
+        utility = params.reward * fea - cost
+        # Visit candidates in plan order, so the first of near-ties wins;
+        # one that cannot beat the best so far is never visited.
+        if best is not None:
+            connected &= utility > best[0] + 1e-12
+        for pi in np.flatnonzero(connected).tolist():
+            if best is None or utility[pi] > best[0] + 1e-12:
+                best = (float(utility[pi]), m, pi)
+                best_choices = choices
+                best_f = float(fea[pi])
+                best_c = float(cost[pi])
+    if best is None:
         raise PlanningError("every candidate plan was disconnected or infeasible")
 
     utility, m, pi = best
     order, sides_combo = candidates[pi]
-    final_cost = router.paths(best_walk) + manip_total
+    steps, _ = router.walk(best_choices[code] for code in codes[pi].tolist())
+    final_cost = router.paths(steps) + manip_total
     final_utility = params.reward * best_f - final_cost
     log.info(
         "selected config %d plan %d order=%s sides=%s F=%.3f C=%.2f U=%.2f",
@@ -416,11 +467,11 @@ def plan_task(
         order=order,
         sides=sides_combo,
         configuration=configurations[m],
-        steps=best_walk,
+        steps=steps,
         feasibility=best_f,
         cost=final_cost,
         utility=final_utility,
         search_cost=best_c,
         search_utility=utility,
-        candidates_evaluated=evaluated,
+        candidates_evaluated=len(candidates) * len(configurations),
     )

@@ -6,8 +6,10 @@ enumeration instead of backtracking search, heapq Dijkstra with explicit
 neighbor loops instead of sparse-matrix graph algorithms, plain Python
 arithmetic instead of vectorized slicing. If an oracle and the package
 agree, the agreement is between two separately written encodings of the
-same definition. The one exception is the per-cell feasibility loop, the
-package's former implementation, kept to referee its batched form.
+same definition. The exceptions are the package's former implementations,
+kept to referee the faster forms that replaced them bit for bit: the
+per-cell feasibility loop, the one-draw-at-a-time task feasibility and the
+plan search that walks every candidate.
 """
 from __future__ import annotations
 
@@ -17,9 +19,18 @@ import math
 
 import numpy as np
 
-from momaplan.feasibility import _entropy_words
+from momaplan.feasibility import _entropy_words, sample_standing_cell
 from momaplan.geometry import segments_hit_rect
 from momaplan.motion import navigator_for, robot_collides_batch
+from momaplan.planning import (
+    PlanningError,
+    PlanningParams,
+    Router,
+    SelectedPlan,
+    _unload_option,
+    enumerate_candidates,
+)
+from momaplan.world import symbolic_locations
 
 SQRT2 = math.sqrt(2.0)
 
@@ -389,3 +400,91 @@ def random_relation_set(rng: np.random.Generator, max_objects: int = 4, max_atom
         reference = others[int(rng.integers(len(others)))]
         triples.append((rel, subject, reference))
     return triples
+
+
+def scalar_task_feasibility(fmap, rng, draws=None) -> float:
+    """The former ``task_feasibility``: one weighted standing draw at a
+    time through ``sample_standing_cell``, then the mean cell value."""
+    draws = draws or fmap.params.task_draws
+    vals = [fmap.value_at(sample_standing_cell(fmap, rng)) for _ in range(draws)]
+    return float(np.mean(vals))
+
+
+def walk_every_candidate(scene, target_table, configurations, atoms, params=None):
+    """The former ``plan_task`` search: every candidate of every
+    configuration is walked into steps through ``Router.walk`` and scored
+    one at a time, a later candidate wins only by more than 1e-12, and
+    the winner's legs are rebuilt as A* paths.
+
+    Returns the selected plan and the number of candidates skipped because
+    a leg did not connect. Leg costs and feasibility terms add step by
+    step, left to right, as the former walk and its ``sum`` did.
+    """
+    params = params or PlanningParams()
+    objects = list(configurations[0].positions)
+    table = scene.table(target_table)
+    target_locations = symbolic_locations(scene, target_table)
+    side_ids = tuple(loc.side for loc in target_locations)
+    loc_by_side = {loc.side: loc for loc in target_locations}
+    candidates = enumerate_candidates(objects, atoms, side_ids, params.max_plans)
+    router = Router(scene)
+    n = len(objects)
+    manip_total = params.manipulation_cost * 2 * n
+
+    best = None
+    best_walk = None
+    best_f = 0.0
+    best_c = math.inf
+    evaluated = 0
+    skipped = 0
+    for m, config in enumerate(configurations):
+        options = {}
+        for oi, obj in enumerate(objects):
+            target_world = table.to_world(*config.positions[obj])
+            for si, side in enumerate(side_ids):
+                options[(obj, side)] = _unload_option(
+                    scene, router.nav, loc_by_side[side], target_world,
+                    config.layers[obj], params, seed_key=(m, oi, si),
+                )
+        for pi, (order, sides_combo) in enumerate(candidates):
+            evaluated += 1
+            steps, connected = router.walk(
+                (obj, options[(obj, side)]) for obj, side in zip(order, sides_combo)
+            )
+            if not connected:
+                skipped += 1
+                continue
+            nav_cost = 0.0
+            fea_sum = 0.0
+            for step in steps:
+                nav_cost += step.leg_to_load + step.leg_to_unload
+                fea_sum += step.fea_task
+            fea = (n * 1.0 + fea_sum) / (2 * n)
+            cost = nav_cost + manip_total
+            utility = params.reward * fea - cost
+            if best is None or utility > best[0] + 1e-12:
+                best = (utility, m, pi)
+                best_walk = steps
+                best_f = fea
+                best_c = cost
+    if best is None:
+        raise PlanningError("every candidate plan was disconnected or infeasible")
+
+    utility, m, pi = best
+    order, sides_combo = candidates[pi]
+    final_cost = router.paths(best_walk) + manip_total
+    plan = SelectedPlan(
+        config_index=m,
+        plan_index=pi,
+        order=order,
+        sides=sides_combo,
+        configuration=configurations[m],
+        steps=best_walk,
+        feasibility=best_f,
+        cost=final_cost,
+        utility=params.reward * best_f - final_cost,
+        search_cost=best_c,
+        search_utility=utility,
+        candidates_evaluated=evaluated,
+    )
+    return plan, skipped

@@ -21,6 +21,7 @@ from oracles import (
     cell_trial_outcomes,
     noise_success_probability,
     per_cell_trial_outcomes,
+    scalar_task_feasibility,
     weighted_mean_feasibility,
 )
 
@@ -221,6 +222,24 @@ def test_task_feasibility_estimates_weighted_mean():
     exact = weighted_mean_feasibility(values)
     estimate = task_feasibility(fmap, np.random.default_rng(5), draws=20000)
     assert estimate == pytest.approx(exact, abs=0.01)
+
+
+@pytest.mark.parametrize("draws", [1, 25, 200])
+def test_task_feasibility_equals_scalar_draw_oracle(draws):
+    """One vectorized weighted draw reproduces the former one-cell-at-a-time
+    loop exactly: quantized maps like the planner's, continuous maps with
+    zero cells, a one-cell support, and an all-zero map."""
+    rng = np.random.default_rng(draws)
+    maps = [np.zeros((8, 24)), np.eye(1, 8 * 24, 77).reshape(8, 24) * 0.6]
+    for _ in range(20):
+        maps.append(rng.integers(0, 6, size=(8, 24)) / 5)
+        maps.append(rng.uniform(0.0, 1.0, size=(8, 24)) * (rng.uniform(size=(8, 24)) < 0.3))
+    for k, values in enumerate(maps):
+        fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+        got = task_feasibility(fmap, np.random.default_rng(k), draws=draws)
+        assert got == scalar_task_feasibility(fmap, np.random.default_rng(k), draws=draws)
+    assert task_feasibility(FeasibilityMap("loc", (0.0, 0.0), maps[0], FeasibilityParams()),
+                            np.random.default_rng(0)) == 0.0
 
 
 def test_task_feasibility_error_shrinks_with_draws():

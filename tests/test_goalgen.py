@@ -1,8 +1,11 @@
 import pytest
+import requests
 
+from momaplan import cli
 from momaplan.goalgen import (
     CANONICAL_PHRASE,
     GoalGenerationError,
+    HttpChatBackend,
     LineParseError,
     ScriptedBackend,
     bundled_script_path,
@@ -204,3 +207,53 @@ def test_all_bundled_scripts_complete():
         goal = generate_goal(list(objects), scripted_backend_for_task(task))
         placed = {a.subject for a in goal.atoms}
         assert placed == set(objects), f"task {task} leaves objects unplaced"
+
+
+class FakeSession:
+    """Stands in for ``requests.Session``: ``post`` raises ``error`` or
+    returns a response with the given status and body."""
+
+    def __init__(self, error=None, status=200, body=b""):
+        self.error = error
+        self.status = status
+        self.body = body
+
+    def post(self, url, **kwargs):
+        if self.error is not None:
+            raise self.error
+        resp = requests.Response()
+        resp.status_code = self.status
+        resp._content = self.body
+        resp.url = url
+        return resp
+
+
+FAILING_SESSIONS = {
+    "status": FakeSession(status=503, body=b"busy"),
+    "timeout": FakeSession(error=requests.Timeout("read timed out")),
+    "connection": FakeSession(error=requests.ConnectionError("connection refused")),
+    "not_json": FakeSession(body=b"<html>gateway</html>"),
+}
+
+
+def test_http_backend_returns_completion_text():
+    body = b'{"choices": [{"message": {"content": "1. the plate goes in the center"}}]}'
+    backend = HttpChatBackend(base_url="http://llm.invalid", session=FakeSession(body=body))
+    assert backend.complete("prompt") == "1. the plate goes in the center"
+
+
+@pytest.mark.parametrize("failure", sorted(FAILING_SESSIONS))
+def test_http_backend_failures_raise_goal_generation_error(failure):
+    backend = HttpChatBackend(base_url="http://llm.invalid", session=FAILING_SESSIONS[failure])
+    with pytest.raises(GoalGenerationError, match="chat completion request to .* failed"):
+        backend.complete("prompt")
+
+
+@pytest.mark.parametrize("failure", sorted(FAILING_SESSIONS))
+def test_cli_reports_http_failure_in_one_line(failure, monkeypatch, capsys):
+    backend = HttpChatBackend(base_url="http://llm.invalid", session=FAILING_SESSIONS[failure])
+    monkeypatch.setattr(cli, "scripted_backend_for_task", lambda task: backend)
+    assert cli.main(["plan", "--task", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: chat completion request to http://llm.invalid/")
+    assert err.count("\n") == 1

@@ -133,6 +133,7 @@ def test_cost_field_cached_and_readonly():
 
 
 def test_leg_cost_agrees_with_astar():
+    """A leg's cost read off either endpoint's cost field is the A* cost."""
     rng = np.random.default_rng(31)
     grid = random_grid(rng, shape=(15, 15))
     nav = Navigator.from_grid(grid)
@@ -141,11 +142,26 @@ def test_leg_cost_agrees_with_astar():
     for _ in range(10):
         b = free_cells[int(rng.integers(len(free_cells)))]
         if not nav.same_component(a, b):
-            assert math.isinf(nav.leg_cost(a, b))
+            assert math.isinf(nav.cost_field(a)[b])
+            assert math.isinf(nav.cost_field(b)[a])
             continue
         plan = nav.astar(a, b)
-        assert nav.leg_cost(a, b) == pytest.approx(plan.cost, abs=1e-9)
-        assert nav.leg_cost(b, a) == pytest.approx(plan.cost, abs=1e-9)
+        assert float(nav.cost_field(a)[b]) == pytest.approx(plan.cost, abs=1e-9)
+        assert float(nav.cost_field(b)[a]) == pytest.approx(plan.cost, abs=1e-9)
+
+
+def test_paths_share_interned_cells():
+    nav = Navigator.from_grid(grid_from(np.zeros((8, 8), dtype=bool)))
+    first = nav.astar((0, 0), (7, 7))
+    second = nav.astar((0, 0), (7, 7))
+    crossing = nav.astar((3, 0), (3, 7))
+    assert first.cells == second.cells
+    assert all(a is b for a, b in zip(first.cells, second.cells))
+    shared = set(first.cells) & set(crossing.cells)
+    assert shared
+    for cell in shared:
+        assert crossing.cells[crossing.cells.index(cell)] is first.cells[first.cells.index(cell)]
+    assert all(type(c) is tuple and len(c) == 2 for c in first.cells)
 
 
 def test_astar_rejects_blocked_endpoints():

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -10,8 +12,15 @@ from momaplan.feasibility import (
     compute_feasibility_map,
     sample_standing_cell,
 )
+from momaplan.goalgen import generate_goal
 from momaplan.grounding import GroundingParams, sample_configurations
-from momaplan.harness import OBJECT_CATALOG, make_scene
+from momaplan.harness import (
+    ENVIRONMENTS,
+    OBJECT_CATALOG,
+    TASK_OBJECTS,
+    make_scene,
+    scripted_backend_for_task,
+)
 from momaplan.motion import navigator_for
 from momaplan.planning import (
     MANIPULATION_COST,
@@ -26,7 +35,7 @@ from momaplan.planning import (
 from momaplan.relations import PlacementAtom
 from momaplan.world import symbolic_locations
 
-from oracles import dijkstra_counts, weighted_mean_feasibility
+from oracles import dijkstra_counts, walk_every_candidate, weighted_mean_feasibility
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
 SIDES = ("north", "south", "east", "west")
@@ -46,6 +55,24 @@ def grounded(scene, goal, m=3, seed=0):
         np.random.default_rng(seed),
         GroundingParams(configurations=m),
     ).configurations
+
+
+@functools.cache
+def task_goal(task):
+    return generate_goal(list(TASK_OBJECTS[task]), scripted_backend_for_task(task))
+
+
+def assert_same_plan(plan, reference):
+    """Field-for-field equality, floats exact: indices, order, sides, F,
+    cost, utility, search values, candidate count, and every step's
+    stands, legs and path cells."""
+    for f in dataclasses.fields(plan):
+        if f.name != "steps":
+            assert getattr(plan, f.name) == getattr(reference, f.name), f.name
+    assert len(plan.steps) == len(reference.steps)
+    for k, (step, ref) in enumerate(zip(plan.steps, reference.steps)):
+        for f in dataclasses.fields(step):
+            assert getattr(step, f.name) == getattr(ref, f.name), (k, f.name)
 
 
 def test_stacking_orders_unconstrained():
@@ -185,6 +212,48 @@ def test_stacked_object_ordering():
     plan = plan_task(scene, "dining", configs, goal.atoms, fast_params())
     for rider, support in supports.items():
         assert plan.order.index(support) < plan.order.index(rider)
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+@pytest.mark.parametrize("task", range(1, 10))
+def test_plan_task_equals_walk_every_candidate(task, environment):
+    """Pricing candidates from the leg table selects, scores and routes the
+    same plan, bit for bit, as walking every candidate into steps."""
+    scene = make_scene(task, environment, seed=42)
+    goal = task_goal(task)
+    configs = grounded(scene, goal, m=2)
+    for stand_seed in (0, 1):
+        params = fast_params(stand_seed=stand_seed)
+        plan = plan_task(scene, "dining", configs, goal.atoms, params)
+        reference, _ = walk_every_candidate(scene, "dining", configs, goal.atoms, params)
+        assert_same_plan(plan, reference)
+
+
+def test_disconnected_candidates_are_skipped_alike():
+    """On task 8 / chair_top the chair walls off stands that some unload
+    options draw, so candidates through them do not connect; the table
+    must skip exactly those and still pick the walked search's plan."""
+    scene = make_scene(8, "chair_top", seed=42)
+    goal = task_goal(8)
+    configs = grounded(scene, goal, m=2)
+    params = fast_params()
+    plan = plan_task(scene, "dining", configs, goal.atoms, params)
+    reference, skipped = walk_every_candidate(scene, "dining", configs, goal.atoms, params)
+    assert skipped > 0
+    assert_same_plan(plan, reference)
+
+
+def test_leg_table_asks_for_the_walked_cost_fields():
+    """The table prices a step only where some candidate reaches it
+    connected, so it computes the cost fields of exactly the loading cells
+    that walking every candidate computes, none beyond."""
+    table_scene = make_scene(8, "chair_top", seed=42)
+    walk_scene = make_scene(8, "chair_top", seed=42)
+    goal = task_goal(8)
+    configs = grounded(table_scene, goal, m=2)
+    plan_task(table_scene, "dining", configs, goal.atoms, fast_params())
+    walk_every_candidate(walk_scene, "dining", configs, goal.atoms, fast_params())
+    assert set(navigator_for(table_scene)._fields) == set(navigator_for(walk_scene)._fields)
 
 
 def test_loading_stand_does_not_depend_on_walk_history():
