@@ -13,10 +13,15 @@ Verbs:
 ``momaplan run`` accepts either ``--config file.yaml`` or individual flags;
 flags override nothing when a config file is given (mixing the two is an
 error so a report never silently diverges from its config file).
+
+The global ``--log-level`` sets the level of the ``momaplan`` package
+loggers, whose messages go to stderr; at the default ``WARNING`` the output
+is that of an unconfigured program.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -50,6 +55,9 @@ from .planning import PlanningError, PlanningParams, plan_task
 from .world import SceneError, load_scene, location_by_id, save_scene, symbolic_locations
 
 
+LOG_LEVELS = ("WARNING", "INFO", "DEBUG")
+
+
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", type=int, default=1, choices=sorted(TASK_OBJECTS))
     parser.add_argument("--environment", default="easy", choices=ENVIRONMENTS)
@@ -62,6 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale mobile manipulation planning benchmark.",
     )
     parser.add_argument("--version", action="version", version=f"momaplan {__version__}")
+    parser.add_argument("--log-level", default="WARNING", choices=LOG_LEVELS,
+                        help="level of the momaplan loggers, printed on stderr "
+                             "(default WARNING)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     sub.add_parser("scenarios", help="list tasks, environments and systems")
@@ -246,6 +257,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # The handler's default format is the bare message, as Python prints an
+    # unhandled warning, so WARNING changes nothing.
+    logger = logging.getLogger("momaplan")
+    handler = logging.StreamHandler(sys.stderr)
+    saved_level = logger.level
+    logger.setLevel(args.log_level)
+    logger.addHandler(handler)
+    try:
+        return _dispatch(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved_level)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         if args.verb == "scenarios":
             return _cmd_scenarios()

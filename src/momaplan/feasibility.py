@@ -22,13 +22,20 @@ of every reachable cell.
 Two summary quantities feed planning: the per-cell probability itself for
 a concrete standing cell, and the expected probability under
 probability-weighted standing-cell sampling for a whole unload task,
-estimated from a fixed number of draws.
+estimated from a fixed number of draws. Weighted draws read a normalised
+cumulative table each map builds once, and make the same draws as
+``Generator.choice`` with the map's probabilities. ``pcg64_states``
+derives many seeded ``PCG64`` streams in one array pass, so a caller that
+needs hundreds of them (the planner needs two per unload option) loads
+each into one shared generator instead of building one per stream.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -87,6 +94,20 @@ class FeasibilityMap:
     def all_zero(self) -> bool:
         return not self.values.any()
 
+    @cached_property
+    def cdf(self) -> np.ndarray | None:
+        """Normalised cumulative table of the weighted standing draw, built
+        as ``Generator.choice`` builds it from ``p = values / values.sum()``;
+        None when no cell is feasible."""
+        flat = self.values.ravel()
+        total = flat.sum()
+        if total <= 0.0:
+            return None
+        cdf = (flat / total).cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
+
 
 def _entropy_words(scene_seed: int, location_id: str, target: tuple[float, float],
                    params: FeasibilityParams) -> list[int]:
@@ -99,6 +120,102 @@ def _entropy_words(scene_seed: int, location_id: str, target: tuple[float, float
         int(round(target[1] * 1e6)) & 0xFFFFFFFFFFFF,
         *params.fingerprint(),
     ]
+
+
+# numpy's SeedSequence hashing and PCG64 seeding constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(entropy: int | Sequence) -> list[int]:
+    """The uint32 words SeedSequence reads from a non-negative int (least
+    significant first, one word for 0) or a sequence of them."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        if value < 0:
+            raise ValueError(f"entropy must be non-negative, got {value}")
+        words = [value & _MASK32]
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+        return words
+    return [word for item in entropy for word in _uint32_words(item)]
+
+
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix on a word or a uint32 array of words; returns
+    the mixed value and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def pcg64_states(entropy: int | Sequence, keys) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` that ``PCG64(SeedSequence(entropy,
+    spawn_key=key))`` starts from, for each row ``key`` of the ``(K, L)``
+    array ``keys`` (every key word below 2**32).
+
+    The entropy words are pool-mixed once in Python ints; the spawn-key
+    words of all K keys are mixed in uint32 array arithmetic; PCG64's
+    two-step seeding of each stream then runs in 128-bit Python ints.
+    Loading a pair into a generator's ``bit_generator.state`` reproduces
+    that stream without building a SeedSequence, PCG64 and Generator for it.
+    """
+    keys = np.asarray(keys, dtype=np.uint32)
+    if keys.ndim != 2:
+        raise ValueError(f"keys must be a (K, L) array, got shape {keys.shape}")
+    # SeedSequence pads short entropy with zero words before a spawn key;
+    # without one, a missing pool word hashes as zero all the same.
+    run = _uint32_words(entropy)
+    run += [0] * (_POOL_SIZE - len(run))
+    hash_const = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, hash_const = _hashmix(run[i], hash_const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in run[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, hash_const = _hashmix(extra, hash_const)
+            pool[dst] = _mix(pool[dst], word)
+    pool = [np.full(len(keys), word, dtype=np.uint32) for word in pool]
+    for column in keys.T:
+        for dst in range(_POOL_SIZE):
+            word, hash_const = _hashmix(column, hash_const)
+            pool[dst] = _mix(pool[dst], word)
+    # generate_state(4, np.uint64): eight words, paired little-endian into
+    # the 128-bit seed and increment.
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        word = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = (word * hash_const) & _MASK32
+        words.append((word ^ (word >> 16)).astype(np.uint64))
+    s_hi, s_lo, i_hi, i_lo = (
+        (words[2 * j] | (words[2 * j + 1] << 32)).tolist() for j in range(4)
+    )
+    states = []
+    for seed, seq in zip(zip(s_hi, s_lo), zip(i_hi, i_lo)):
+        inc = (((seq[0] << 64) | seq[1]) << 1 | 1) & _MASK128
+        state = ((inc + ((seed[0] << 64) | seed[1])) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
 
 
 def trial_outcomes(
@@ -182,17 +299,17 @@ def compute_feasibility_map(
 def sample_standing_cell(fmap: FeasibilityMap, rng: np.random.Generator) -> Cell:
     """Draw a standing cell with probability proportional to its feasibility.
 
-    A map with no feasible cell at all falls back to a uniform draw so a
-    pose can still be proposed (and will score zero).
+    The draw is the one ``rng.choice(cells, p=values / values.sum())``
+    makes. A map with no feasible cell at all falls back to a uniform draw
+    so a pose can still be proposed (and will score zero).
     """
-    flat = fmap.values.ravel()
-    total = flat.sum()
-    if total <= 0.0:
-        idx = int(rng.integers(flat.size))
+    cdf = fmap.cdf
+    if cdf is None:
+        idx = int(rng.integers(fmap.values.size))
     else:
-        idx = int(rng.choice(flat.size, p=flat / total))
-    row, col = np.unravel_index(idx, fmap.values.shape)
-    return (int(row), int(col))
+        idx = int(cdf.searchsorted(rng.random(), side="right"))
+    row, col = divmod(idx, fmap.values.shape[1])
+    return (row, col)
 
 
 def standing_pose(
@@ -212,11 +329,10 @@ def task_feasibility(
     time, made in one call; an all-zero map scores 0.0 without drawing.
     """
     draws = draws or fmap.params.task_draws
-    flat = fmap.values.ravel()
-    total = flat.sum()
-    if total <= 0.0:
+    cdf = fmap.cdf
+    if cdf is None:
         return 0.0
-    return float(np.mean(flat[rng.choice(flat.size, size=draws, p=flat / total)]))
+    return float(np.mean(fmap.values.ravel()[cdf.searchsorted(rng.random(draws), side="right")]))
 
 
 def expected_task_feasibility(fmap: FeasibilityMap) -> float:

@@ -30,6 +30,11 @@ Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
 the feasibility map, seeded from the scene seed, so re-planning reproduces
 the same plan and execution replays the exact stands the planner scored.
+Each unload option has two ``SeedSequence``-spawned ``PCG64`` streams, one
+for its feasibility estimate and one for its stand draw; a planning call
+derives all of them in one array pass (``feasibility.pcg64_states``) and
+loads each in turn into one shared generator. Pricing a step reads only
+the memoised loading cell; the loading pose is built for walked steps.
 """
 from __future__ import annotations
 
@@ -44,6 +49,7 @@ import numpy as np
 from .feasibility import (
     FeasibilityParams,
     compute_feasibility_map,
+    pcg64_states,
     sample_standing_cell,
     standing_pose,
     task_feasibility,
@@ -218,6 +224,7 @@ class Router:
         self.start_cell = self.nav.cell_of(*scene.robot_pose.xy)
         self.start_comp = self.nav.component(self.start_cell)
         self._bands: dict[str, BandIndex] = {}
+        self._source = {o.id: o.initial_location for o in scene.objects}
         # The nearest-free rule reads the previous stand's point, so the
         # memo is keyed by that point, not by the grid cell it falls in.
         self._nearest: dict[tuple[str, tuple[float, float]], tuple[tuple[float, float], Cell] | None] = {}
@@ -229,39 +236,43 @@ class Router:
 
     def load_stand(
         self, obj: str, prev_point: tuple[float, float]
-    ) -> tuple[Pose2D, Cell] | None:
-        """Loading pose and its grid cell for ``obj`` after standing at
-        ``prev_point``; None when no band cell of its source table is
+    ) -> tuple[tuple[float, float], Cell] | None:
+        """Loading stand point and its grid cell for ``obj`` after standing
+        at ``prev_point``; None when no band cell of its source table is
         reachable."""
-        spec = self.scene.object(obj)
-        key = (spec.initial_location, prev_point)
+        key = (self._source[obj], prev_point)
         found = self._nearest.get(key, _MISS)
         if found is _MISS:
-            point = self.band(spec.initial_location).nearest_free(prev_point, self.start_comp)
+            point = self.band(key[0]).nearest_free(prev_point, self.start_comp)
             found = None if point is None else (point, self.nav.cell_of(*point))
             self._nearest[key] = found
-        if found is None:
-            return None
-        (x, y), cell = found
+        return found
+
+    def load_pose(self, obj: str, point: tuple[float, float]) -> Pose2D:
+        """Pose at a loading stand point, facing ``obj``."""
+        spec = self.scene.object(obj)
+        x, y = point
         ox, oy = self.scene.table(spec.initial_location).to_world(*spec.initial_position)  # type: ignore[misc]
-        return Pose2D(x, y, math.atan2(oy - y, ox - x)), cell
+        return Pose2D(x, y, math.atan2(oy - y, ox - x))
 
     def legs(
         self, prev_cell: Cell, prev_point: tuple[float, float], obj: str, option: UnloadOption
-    ) -> tuple[Pose2D, Cell, float, float] | None:
-        """Load pose, load cell and both leg costs of one step: move ``obj``
-        to ``option`` after standing at ``prev_point`` in ``prev_cell``.
-        None when there is no loading stand or a leg does not connect."""
-        stand = self.load_stand(obj, prev_point)
-        if stand is None:
+    ) -> tuple[tuple[float, float], Cell, float, float] | None:
+        """Loading stand point, load cell and both leg costs of one step:
+        move ``obj`` to ``option`` after standing at ``prev_point`` in
+        ``prev_cell``. None when there is no loading stand or a leg does
+        not connect. Pricing builds no pose; ``walk`` turns the point of a
+        kept step into one."""
+        found = self.load_stand(obj, prev_point)
+        if found is None:
             return None
-        load_pose, load_cell = stand
+        load_point, load_cell = found
         load_field = self.nav.cost_field(load_cell)
         leg1 = 0.0 if prev_cell == load_cell else float(load_field[prev_cell])
         leg2 = float(load_field[option.cell])
         if math.isinf(leg1) or math.isinf(leg2):
             return None
-        return load_pose, load_cell, leg1, leg2
+        return load_point, load_cell, leg1, leg2
 
     def walk(
         self, pairs: Iterable[tuple[str, UnloadOption]]
@@ -278,12 +289,12 @@ class Router:
             legs = self.legs(prev_cell, prev_point, obj, option)
             if legs is None:
                 return steps, False
-            load_pose, load_cell, leg1, leg2 = legs
+            load_point, load_cell, leg1, leg2 = legs
             steps.append(
                 PlanStep(
                     object_id=obj,
-                    source_table=self.scene.object(obj).initial_location,
-                    load_pose=load_pose,
+                    source_table=self._source[obj],
+                    load_pose=self.load_pose(obj, load_point),
                     load_cell=load_cell,
                     unload_location=option.location.id,
                     unload_pose=option.pose,
@@ -322,18 +333,15 @@ def _unload_option(
     target_world: tuple[float, float],
     layer: int,
     params: PlanningParams,
-    seed_key: tuple[int, ...],
+    gen: np.random.Generator,
+    streams: tuple[tuple[int, int], tuple[int, int]],
 ) -> UnloadOption:
+    """Score one unload option and freeze its stand: ``gen`` is loaded with
+    the feasibility stream, then with the stand-draw stream, of
+    ``streams`` (``PCG64`` ``(state, inc)`` pairs)."""
     fmap = compute_feasibility_map(scene, location, target_world, params.feasibility)
-    entropy = (scene.rng_seed, params.stand_seed)
-    fea_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*seed_key, 0)))
-    )
-    draw_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*seed_key, 1)))
-    )
-    fea_task = task_feasibility(fmap, fea_rng)
-    cell = sample_standing_cell(fmap, draw_rng)
+    fea_task = task_feasibility(fmap, _load(gen, streams[0]))
+    cell = sample_standing_cell(fmap, _load(gen, streams[1]))
     pose = standing_pose(location, cell, target_world)
     return UnloadOption(
         location=location,
@@ -344,6 +352,17 @@ def _unload_option(
         fea_task=fea_task,
         fea_stand=fmap.value_at(cell),
     )
+
+
+def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
+    """``gen`` set to the start of the PCG64 stream ``(state, inc)``."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": stream[0], "inc": stream[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _price_candidates(
@@ -421,6 +440,15 @@ def plan_task(
     prev[:, 1:] = codes[:, :-1] + 1
     pairs = prev * (n * len(side_ids)) + codes
 
+    # Spawn key (m, oi, si, t) seeds unload option (object oi, side si) of
+    # configuration m: t = 0 scores its feasibility, t = 1 draws its stand.
+    streams = pcg64_states(
+        (scene.rng_seed, params.stand_seed),
+        np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T,
+    )
+    option_streams = list(zip(streams[0::2], streams[1::2]))
+    gen = np.random.Generator(np.random.PCG64(0))
+
     best: tuple[float, int, int] | None = None  # (utility, config_idx, plan_idx)
     best_choices: list[tuple[str, UnloadOption]] = []
     best_f = 0.0
@@ -430,7 +458,8 @@ def plan_task(
         choices = [
             (obj, _unload_option(
                 scene, router.nav, loc_by_side[side], table.to_world(*config.positions[obj]),
-                config.layers[obj], params, seed_key=(m, oi, si),
+                config.layers[obj], params, gen,
+                option_streams[(m * n + oi) * len(side_ids) + si],
             ))
             for oi, obj in enumerate(objects)
             for si, side in enumerate(side_ids)

@@ -8,8 +8,9 @@ arithmetic instead of vectorized slicing. If an oracle and the package
 agree, the agreement is between two separately written encodings of the
 same definition. The exceptions are the package's former implementations,
 kept to referee the faster forms that replaced them bit for bit: the
-per-cell feasibility loop, the one-draw-at-a-time task feasibility and the
-plan search that walks every candidate.
+per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
+unload option with its own seeded generators and ``rng.choice`` draws, and
+the plan search that walks every candidate.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from momaplan.feasibility import _entropy_words, sample_standing_cell
+from momaplan.feasibility import _entropy_words, compute_feasibility_map, standing_pose
 from momaplan.geometry import segments_hit_rect
 from momaplan.motion import navigator_for, robot_collides_batch
 from momaplan.planning import (
@@ -27,7 +28,7 @@ from momaplan.planning import (
     PlanningParams,
     Router,
     SelectedPlan,
-    _unload_option,
+    UnloadOption,
     enumerate_candidates,
 )
 from momaplan.world import symbolic_locations
@@ -402,16 +403,64 @@ def random_relation_set(rng: np.random.Generator, max_objects: int = 4, max_atom
     return triples
 
 
+def choice_standing_cell(fmap, rng) -> tuple[int, int]:
+    """The former ``sample_standing_cell``: one ``rng.choice`` over the
+    cells with ``p = values / values.sum()``, or a uniform ``integers``
+    draw when no cell is feasible."""
+    flat = fmap.values.ravel()
+    total = flat.sum()
+    if total <= 0.0:
+        idx = int(rng.integers(flat.size))
+    else:
+        idx = int(rng.choice(flat.size, p=flat / total))
+    row, col = np.unravel_index(idx, fmap.values.shape)
+    return (int(row), int(col))
+
+
 def scalar_task_feasibility(fmap, rng, draws=None) -> float:
-    """The former ``task_feasibility``: one weighted standing draw at a
-    time through ``sample_standing_cell``, then the mean cell value."""
+    """The former ``task_feasibility``: one weighted ``rng.choice`` standing
+    draw at a time, then the mean cell value. An all-zero map scores 0.0
+    without drawing, as the package does."""
     draws = draws or fmap.params.task_draws
-    vals = [fmap.value_at(sample_standing_cell(fmap, rng)) for _ in range(draws)]
+    flat = fmap.values.ravel()
+    total = flat.sum()
+    if total <= 0.0:
+        return 0.0
+    vals = [flat[int(rng.choice(flat.size, p=flat / total))] for _ in range(draws)]
     return float(np.mean(vals))
 
 
+def seeded_unload_option(scene, nav, location, target_world, layer, params, seed_key):
+    """The former ``planning._unload_option``: two ``SeedSequence`` /
+    ``PCG64`` / ``Generator`` triples per option, spawned from the scene
+    seed and ``params.stand_seed`` with keys ``(*seed_key, 0)`` (feasibility
+    draws) and ``(*seed_key, 1)`` (the stand draw), both drawn through
+    ``rng.choice``."""
+    fmap = compute_feasibility_map(scene, location, target_world, params.feasibility)
+    entropy = (scene.rng_seed, params.stand_seed)
+    fea_rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*seed_key, 0)))
+    )
+    draw_rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*seed_key, 1)))
+    )
+    fea_task = scalar_task_feasibility(fmap, fea_rng)
+    cell = choice_standing_cell(fmap, draw_rng)
+    pose = standing_pose(location, cell, target_world)
+    return UnloadOption(
+        location=location,
+        pose=pose,
+        cell=nav.cell_of(pose.x, pose.y),
+        target_world=target_world,
+        layer=layer,
+        fea_task=fea_task,
+        fea_stand=fmap.value_at(cell),
+    )
+
+
 def walk_every_candidate(scene, target_table, configurations, atoms, params=None):
-    """The former ``plan_task`` search: every candidate of every
+    """The former ``plan_task`` search: every configuration's unload options
+    come from ``seeded_unload_option``, every candidate of every
     configuration is walked into steps through ``Router.walk`` and scored
     one at a time, a later candidate wins only by more than 1e-12, and
     the winner's legs are rebuilt as A* paths.
@@ -442,7 +491,7 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
         for oi, obj in enumerate(objects):
             target_world = table.to_world(*config.positions[obj])
             for si, side in enumerate(side_ids):
-                options[(obj, side)] = _unload_option(
+                options[(obj, side)] = seeded_unload_option(
                     scene, router.nav, loc_by_side[side], target_world,
                     config.layers[obj], params, seed_key=(m, oi, si),
                 )

@@ -44,6 +44,25 @@ def test_plan_prints_goal_and_quantities(capsys):
     assert out.count("load from") == 3
 
 
+def test_log_level_info_prints_the_planner_selection_on_stderr(capsys):
+    argv = ("plan", "--task", "1", "--configurations", "2", "--seed", "7")
+    code, out, err = run_cli(capsys, "--log-level", "INFO", *argv)
+    assert code == 0
+    assert "selected config" in err
+    assert "selected config" not in out
+    code, quiet_out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert quiet_out == out
+
+
+def test_log_level_rejects_unknown_levels(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--log-level", "CHATTY", "scenarios"])
+    assert excinfo.value.code == 2
+    assert "--log-level" in capsys.readouterr().err
+
+
 def test_write_heatmap_pgm_bytes(tmp_path):
     values = np.array([[0.0, 0.5, 1.0]])
     fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())

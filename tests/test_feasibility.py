@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from momaplan.feasibility import (
@@ -8,6 +9,7 @@ from momaplan.feasibility import (
     build_feasibility_dataset,
     compute_feasibility_map,
     expected_task_feasibility,
+    pcg64_states,
     sample_standing_cell,
     standing_pose,
     task_feasibility,
@@ -19,6 +21,7 @@ from momaplan.world import location_by_id, symbolic_locations
 
 from oracles import (
     cell_trial_outcomes,
+    choice_standing_cell,
     noise_success_probability,
     per_cell_trial_outcomes,
     scalar_task_feasibility,
@@ -226,9 +229,10 @@ def test_task_feasibility_estimates_weighted_mean():
 
 @pytest.mark.parametrize("draws", [1, 25, 200])
 def test_task_feasibility_equals_scalar_draw_oracle(draws):
-    """One vectorized weighted draw reproduces the former one-cell-at-a-time
-    loop exactly: quantized maps like the planner's, continuous maps with
-    zero cells, a one-cell support, and an all-zero map."""
+    """Drawing from a map's cumulative table takes the cells, and leaves the
+    stream state, of the former ``rng.choice(p=...)`` draws, call after
+    call: quantized maps like the planner's, continuous maps with zero
+    cells, a one-cell support, and an all-zero map."""
     rng = np.random.default_rng(draws)
     maps = [np.zeros((8, 24)), np.eye(1, 8 * 24, 77).reshape(8, 24) * 0.6]
     for _ in range(20):
@@ -236,10 +240,73 @@ def test_task_feasibility_equals_scalar_draw_oracle(draws):
         maps.append(rng.uniform(0.0, 1.0, size=(8, 24)) * (rng.uniform(size=(8, 24)) < 0.3))
     for k, values in enumerate(maps):
         fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
-        got = task_feasibility(fmap, np.random.default_rng(k), draws=draws)
-        assert got == scalar_task_feasibility(fmap, np.random.default_rng(k), draws=draws)
+        got_rng, oracle_rng = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(3):
+            got = task_feasibility(fmap, got_rng, draws=draws)
+            assert got == scalar_task_feasibility(fmap, oracle_rng, draws=draws)
+            assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert sample_standing_cell(fmap, got_rng) == choice_standing_cell(fmap, oracle_rng)
+            assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
     assert task_feasibility(FeasibilityMap("loc", (0.0, 0.0), maps[0], FeasibilityParams()),
                             np.random.default_rng(0)) == 0.0
+
+
+def test_cumulative_table_is_built_once_and_read_only():
+    values = np.array([[0.0, 0.4], [0.2, 0.4]])
+    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+    assert fmap.cdf is fmap.cdf
+    assert not fmap.cdf.flags.writeable
+    assert fmap.cdf.tolist() == pytest.approx([0.0, 0.4, 0.6, 1.0])
+    assert fmap.cdf[-1] == 1.0
+    assert FeasibilityMap("loc", (0.0, 0.0), np.zeros((2, 2)), FeasibilityParams()).cdf is None
+
+
+def _seed_sequence_stream(entropy, key):
+    state = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)).state["state"]
+    return state["state"], state["inc"]
+
+
+# Zero, one-word, two-word (>= 2**32) and three-word (>= 2**64) integers.
+_ENTROPY_INTS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**96),
+)
+
+
+@settings(max_examples=300)
+@given(
+    entropy=st.one_of(_ENTROPY_INTS, st.lists(_ENTROPY_INTS, max_size=6).map(tuple)),
+    keys=st.integers(1, 4).flatmap(
+        lambda length: st.lists(
+            st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length),
+            min_size=1, max_size=6,
+        )
+    ),
+)
+def test_pcg64_states_equal_seed_sequence_streams(entropy, keys):
+    assert pcg64_states(entropy, keys) == [_seed_sequence_stream(entropy, tuple(k)) for k in keys]
+
+
+@settings(max_examples=25)
+@given(scene_seed=st.integers(0, 2**63), round_index=st.integers(0, 10**6))
+def test_pcg64_states_equal_the_planner_streams(scene_seed, round_index):
+    """The planner's entropy (scene seed, stand seed), with the stand seed a
+    re-planning loop would use, and its (m, oi, si, t) keys."""
+    entropy = (scene_seed, (42 << 20) + round_index)
+    keys = np.indices((3, 5, 4, 2)).reshape(4, -1).T
+    expected = [_seed_sequence_stream(entropy, tuple(k)) for k in keys.tolist()]
+    assert pcg64_states(entropy, keys) == expected
+
+
+def test_pcg64_states_reject_bad_input():
+    with pytest.raises(ValueError):
+        pcg64_states(-1, [[0]])
+    with pytest.raises(ValueError):
+        pcg64_states(0, [0, 1])
+    with pytest.raises(OverflowError):
+        pcg64_states(0, [[2**32]])
 
 
 def test_task_feasibility_error_shrinks_with_draws():

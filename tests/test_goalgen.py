@@ -1,5 +1,6 @@
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from momaplan import cli
 from momaplan.goalgen import (
@@ -141,6 +142,69 @@ def test_parse_distance_errors():
         parse_distance_cm("about 7 inches")
     with pytest.raises(LineParseError, match="no number"):
         parse_distance_cm("several centimeters apart")
+
+
+# Replies that mix well-formed answers with fragments of them (object names,
+# relation phrases, enumeration marks, numbers, ranges, units) and
+# arbitrary text.
+_NAMES = st.sampled_from([name.replace("_", " ") for name in TASK1_OBJECTS])
+_PHRASES = st.sampled_from(list(CANONICAL_PHRASE.values()))
+_GOAL_FRAGMENTS = st.one_of(
+    st.sampled_from([" ", "1. ", "2) ", "- ", "* ", "• ", "the ", ".", "goes "]),
+    _NAMES, _PHRASES, st.text(max_size=8),
+)
+_INSTRUCTION = st.builds(
+    "{}the {} goes {} the {}{}".format,
+    st.sampled_from(["", "1. ", "2) ", "- ", "* ", "• ", "  "]), _NAMES, _PHRASES, _NAMES,
+    st.sampled_from(["", ".", " please", "!"]),
+)
+_GOAL_REPLIES = st.lists(
+    st.one_of(_INSTRUCTION, _INSTRUCTION, st.just(""), st.text(max_size=20),
+              st.lists(_GOAL_FRAGMENTS, max_size=8).map("".join)),
+    max_size=6,
+).map("\n".join)
+
+_NUMBERS = st.one_of(
+    st.integers(0, 10**400).map(str),
+    st.floats(0.0, 1e12).map(str),
+    st.sampled_from(["0", "0.5", "99.99", "007"]),
+)
+_UNITS = st.sampled_from([" cm", "cm", " CM", " centimeters", " centimetre", " Centimetres"])
+_DISTANCE_ANSWER = st.builds(
+    "{}{}{}{}{}{}".format,
+    st.text(max_size=6), _NUMBERS,
+    st.sampled_from(["", " to ", "-", "–", "—", " or "]), st.one_of(st.just(""), _NUMBERS),
+    _UNITS, st.text(max_size=6),
+)
+_DISTANCE_REPLIES = st.one_of(
+    _DISTANCE_ANSWER,
+    st.lists(st.one_of(_NUMBERS, _UNITS, st.sampled_from([" ", "-", " to ", "about "]),
+                       st.text(max_size=6)), max_size=10).map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(_GOAL_REPLIES)
+def test_any_goal_reply_parses_or_raises_line_parse_error(text):
+    try:
+        atoms = parse_goal_response(text, TASK1_OBJECTS)
+    except LineParseError:
+        return
+    assert atoms
+    assert all(isinstance(atom, PlacementAtom) for atom in atoms)
+    assert len(set(atoms)) == len(atoms)
+    assert all(atom.subject in TASK1_OBJECTS for atom in atoms)
+    assert all(atom.reference in (None, *TASK1_OBJECTS) for atom in atoms)
+
+
+@settings(max_examples=300)
+@given(_DISTANCE_REPLIES)
+def test_any_distance_reply_parses_within_bounds_or_raises_line_parse_error(text):
+    try:
+        distance = parse_distance_cm(text)
+    except LineParseError:
+        return
+    assert 1.0 <= distance <= 100.0
 
 
 def test_scripted_backend_replay():

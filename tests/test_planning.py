@@ -10,6 +10,7 @@ import pytest
 from momaplan.feasibility import (
     FeasibilityParams,
     compute_feasibility_map,
+    pcg64_states,
     sample_standing_cell,
 )
 from momaplan.goalgen import generate_goal
@@ -28,6 +29,7 @@ from momaplan.planning import (
     PlanningError,
     PlanningParams,
     Router,
+    _load,
     enumerate_candidates,
     plan_task,
     stacking_orders,
@@ -227,6 +229,18 @@ def test_plan_task_equals_walk_every_candidate(task, environment):
         plan = plan_task(scene, "dining", configs, goal.atoms, params)
         reference, _ = walk_every_candidate(scene, "dining", configs, goal.atoms, params)
         assert_same_plan(plan, reference)
+
+
+def test_loaded_stream_draws_like_its_own_generator():
+    """A stream loaded into a used generator draws, and ends in, what the
+    generator built from its own SeedSequence would."""
+    entropy, key = (42, 7), (3, 1, 2, 1)
+    (stream,) = pcg64_states(entropy, [key])
+    gen = np.random.Generator(np.random.PCG64(0))
+    gen.random(3)
+    own = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)))
+    assert _load(gen, stream).random(5).tolist() == own.random(5).tolist()
+    assert gen.bit_generator.state == own.bit_generator.state
 
 
 def test_disconnected_candidates_are_skipped_alike():
