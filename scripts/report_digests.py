@@ -13,12 +13,16 @@ claims identical output is checked with one ``diff``:
     (cd ../parent && python3 scripts/report_digests.py) > before.txt
     diff before.txt after.txt
 
-The package is imported from this checkout's ``src`` directory.
+The package is imported from this checkout's ``src`` directory. The
+reports run in one worker process per CPU and print in the order above.
 """
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -32,12 +36,17 @@ from momaplan.harness import (  # noqa: E402
 )
 
 
+def digest(task: int, environment: str) -> str:
+    config = ExperimentConfig(task=task, environment=environment, trials=3, seed=42)
+    return hashlib.sha256(report_bytes(run_experiment(config))).hexdigest()
+
+
 def main() -> int:
-    for task in sorted(TASK_OBJECTS):
-        for environment in ENVIRONMENTS:
-            config = ExperimentConfig(task=task, environment=environment, trials=3, seed=42)
-            digest = hashlib.sha256(report_bytes(run_experiment(config))).hexdigest()
-            print(f"{task} {environment} {digest}", flush=True)
+    runs = [(task, environment) for task in sorted(TASK_OBJECTS) for environment in ENVIRONMENTS]
+    workers = min(os.cpu_count() or 1, len(runs))
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("spawn")) as pool:
+        for (task, environment), sha in zip(runs, pool.map(digest, *zip(*runs))):
+            print(f"{task} {environment} {sha}", flush=True)
     return 0
 
 

@@ -15,7 +15,8 @@ The per-cell trial noise comes from a seed sequence derived from the scene
 seed, the location, the unload point and the trial parameters, with one
 child stream per cell. Recomputing a map for the same inputs therefore
 reproduces it bit for bit, cells are statistically independent, and maps
-are cached per scene instance. Only the draws are made cell by cell: the
+are cached with the scene's navigator (``motion.navigator_for``), under its
+bound of eight scenes. Only the draws are made cell by cell: the
 collision, reach and reach-line tests run once per map over the arrivals
 of every reachable cell.
 
@@ -36,7 +37,6 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -226,18 +226,16 @@ def trial_outcomes(
 ) -> np.ndarray:
     """Per-trial success booleans, shape (rows, cols, trials_per_cell).
 
-    Cells off the robot's start component fail every trial and draw
-    nothing; every other cell draws its arrivals from its own (row, col)
-    stream.
+    Cells that are blocked or off the robot's start component
+    (``Navigator.reachable_at``) fail every trial and draw nothing; every
+    other cell draws its arrivals from its own (row, col) stream.
     """
     params = params or FeasibilityParams()
-    nav = navigator_for(scene)
     rows, cols = location.dims
     n = params.trials_per_cell
 
     centers = location.cell_centers().reshape(-1, 2)
-    robot_comp = nav.component(nav.cell_of(*scene.robot_pose.xy))
-    cells = np.flatnonzero(nav.components_at(centers) == robot_comp)
+    cells = np.flatnonzero(navigator_for(scene).reachable_at(centers))
 
     root = np.random.SeedSequence(
         _entropy_words(scene.rng_seed, location.id, target, params)
@@ -264,9 +262,6 @@ def trial_outcomes(
     return success.reshape(rows, cols, n)
 
 
-_MAP_CACHE: "WeakKeyDictionary[SceneState, dict]" = WeakKeyDictionary()
-
-
 def compute_feasibility_map(
     scene: SceneState,
     location: SymbolicLocation,
@@ -275,12 +270,12 @@ def compute_feasibility_map(
 ) -> FeasibilityMap:
     """Per-cell success probabilities for one location and unload point.
 
-    Deterministic in (scene seed, location, target, params) and cached per
-    scene instance.
+    Deterministic in (scene seed, location, target, params) and cached in
+    the scene's navigator.
     """
     params = params or FeasibilityParams()
     key = (location.id, round(target[0], 6), round(target[1], 6), params)
-    per_scene = _MAP_CACHE.setdefault(scene, {})
+    per_scene = navigator_for(scene).maps
     cached = per_scene.get(key)
     if cached is not None:
         return cached

@@ -72,9 +72,6 @@ class Rect:
             and other.y_min < self.y_max
         )
 
-    def expanded(self, margin: float) -> "Rect":
-        return Rect(self.cx, self.cy, self.hx + margin, self.hy + margin)
-
 
 def disc_hits_rect(x: float, y: float, radius: float, rect: Rect) -> bool:
     """True when a disc of the given radius centered at (x, y) touches the rect."""

@@ -297,7 +297,9 @@ def parse_goal_response(response: str, objects: list[str]) -> list[PlacementAtom
 
 
 _NUMBER = r"\d+(?:\.\d+)?"
-_RANGE = re.compile(rf"({_NUMBER})\s*(?:-|–|—|to)\s*({_NUMBER})")
+# A range starts where a digit run does: a match never starts inside a run,
+# and trying every position of an n-digit run would cost O(n^2).
+_RANGE = re.compile(rf"(?<!\d)({_NUMBER})\s*(?:-|–|—|to)\s*({_NUMBER})")
 _SINGLE = re.compile(rf"({_NUMBER})")
 _UNIT = re.compile(r"\b(?:centimeters?|centimetres?|cm)\b", re.IGNORECASE)
 

@@ -86,34 +86,45 @@ class Navigator:
     Cost fields (single-source shortest path distances over the whole grid)
     are computed lazily per source cell and cached, so plan enumeration can
     price thousands of candidate legs that share endpoints.
+
+    A scene's navigator is also its one per-scene store: it records the
+    robot's start cell and component, and holds the feasibility ``maps`` and
+    standing-band indices (``bands``) other modules memoise for the scene.
     """
 
     def __init__(self, scene: SceneState):
         self._setup(scene.grid, scene.robot_radius)
+        self.start_cell: Cell | None = self.cell_of(*scene.robot_pose.xy)
+        self.start_component = self.component(self.start_cell)
 
     @classmethod
     def from_grid(cls, grid: OccupancyGrid, robot_radius: float = 0.0) -> "Navigator":
-        """Navigator over a bare occupancy grid (no furniture semantics)."""
+        """Navigator over a bare occupancy grid (no furniture semantics and
+        no robot start, so no point is ``reachable_at``)."""
         nav = cls.__new__(cls)
         nav._setup(grid, robot_radius)
+        nav.start_cell, nav.start_component = None, -1
         return nav
 
     def _setup(self, grid: OccupancyGrid, robot_radius: float) -> None:
         self.grid = grid
         self.blocked = inflate(grid, robot_radius)
         self.free = ~self.blocked
-        self._node_of = np.full(self.grid.shape, -1, dtype=np.int64)
+        # Node and component labels fit int32, half the int64 grids' memory.
+        self._node_of = np.full(self.grid.shape, -1, dtype=np.int32)
         free_idx = np.flatnonzero(self.free.ravel())
         self._node_of.ravel()[free_idx] = np.arange(len(free_idx))
         self._cell_of_node = free_idx  # flat grid index per node
         self._adjacency = self._build_adjacency()
         n_comp, labels = connected_components(self._adjacency, directed=False)
-        self._labels = np.full(self.grid.shape, -1, dtype=np.int64)
+        self._labels = np.full(self.grid.shape, -1, dtype=np.int32)
         self._labels.ravel()[free_idx] = labels
         self._fields: dict[Cell, np.ndarray] = {}
         # One tuple per path cell, shared by every path this navigator
         # builds, so plans kept alive do not each hold their own copies.
         self._cells: dict[Cell, Cell] = {}
+        self.maps: dict = {}
+        self.bands: dict = {}
 
     # -- graph construction
 
@@ -164,16 +175,6 @@ class Navigator:
         ca, cb = self.component(a), self.component(b)
         return ca >= 0 and ca == cb
 
-    def free_mask_at(self, points: np.ndarray) -> np.ndarray:
-        """Free/blocked lookup for an array of metric points, shape (n, 2)."""
-        ix = np.floor((points[:, 0] - self.grid.origin[0]) / self.grid.resolution).astype(int)
-        iy = np.floor((points[:, 1] - self.grid.origin[1]) / self.grid.resolution).astype(int)
-        nr, nc = self.grid.shape
-        inside = (iy >= 0) & (iy < nr) & (ix >= 0) & (ix < nc)
-        out = np.zeros(len(points), dtype=bool)
-        out[inside] = self.free[iy[inside], ix[inside]]
-        return out
-
     def components_at(self, points: np.ndarray) -> np.ndarray:
         ix = np.floor((points[:, 0] - self.grid.origin[0]) / self.grid.resolution).astype(int)
         iy = np.floor((points[:, 1] - self.grid.origin[1]) / self.grid.resolution).astype(int)
@@ -182,6 +183,12 @@ class Navigator:
         out = np.full(len(points), -1, dtype=np.int64)
         out[inside] = self._labels[iy[inside], ix[inside]]
         return out
+
+    def reachable_at(self, points: np.ndarray) -> np.ndarray:
+        """Whether each metric point, shape (n, 2), lies in a free cell of
+        the robot's start component: the rule for a usable band cell."""
+        components = self.components_at(points)
+        return (components >= 0) & (components == self.start_component)
 
     # -- shortest paths
 
@@ -271,16 +278,16 @@ class Navigator:
         )
 
 
-# Least recently used first. A navigator holds every cost field it has
-# computed, so the bound caps memory for callers that keep many scenes alive.
+# Least recently used first. A navigator holds its scene's cost fields, maps
+# and band indices, so the bound caps memory for callers keeping many scenes.
 _NAVIGATORS: "WeakKeyDictionary[SceneState, Navigator]" = WeakKeyDictionary()
 _MAX_NAVIGATORS = 8
 
 
 def navigator_for(scene: SceneState) -> Navigator:
-    """Shared navigator per scene instance (scenes hash by identity). It is
-    dropped with its scene, or when it is the least recently used of more
-    than eight."""
+    """Shared navigator per scene instance (scenes hash by identity). It and
+    all it caches are dropped with the scene, or when it is the least
+    recently used of more than eight."""
     nav = _NAVIGATORS.pop(scene, None)
     if nav is None:
         nav = Navigator(scene)

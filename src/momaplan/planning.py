@@ -79,7 +79,6 @@ _MISS = object()
 class PlanningParams:
     reward: float = REWARD
     manipulation_cost: float = MANIPULATION_COST
-    max_plans: int = MAX_PLANS
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
     # Entropy word mixed into standing-draw seeds so repeated planning calls
     # on one scene can be made independent when desired.
@@ -164,32 +163,23 @@ def enumerate_candidates(
 
 class BandIndex:
     """Flat arrays over every band cell of one table, location by location
-    in row-major cell order, for nearest-free-cell and in-reach queries."""
+    in row-major cell order, for nearest-usable-cell and in-reach queries.
+    A cell is usable when ``Navigator.reachable_at`` holds at its center."""
 
     def __init__(self, nav: Navigator, locations: list[SymbolicLocation]):
         self.locations = locations
-        centers = []
-        owner = []
-        for li, loc in enumerate(locations):
-            grid = loc.cell_centers().reshape(-1, 2)
-            centers.append(grid)
-            owner.append(np.full(len(grid), li))
-        self.centers = np.concatenate(centers)
-        self.owner = np.concatenate(owner)
-        self.free = nav.free_mask_at(self.centers)
-        self.components = nav.components_at(self.centers)
+        grids = [loc.cell_centers().reshape(-1, 2) for loc in locations]
+        self.centers = np.concatenate(grids)
+        self.owner = np.repeat(np.arange(len(grids)), [len(grid) for grid in grids])
+        self.usable = nav.reachable_at(self.centers)
 
-    def nearest_free(
-        self, point: tuple[float, float], component: int
-    ) -> tuple[float, float] | None:
-        """Center of the free cell in ``component`` nearest ``point``."""
-        usable = self.free & (self.components == component)
-        if not usable.any():
+    def nearest_free(self, point: tuple[float, float]) -> tuple[float, float] | None:
+        """Center of the usable cell nearest ``point`` (the first of ties), or None."""
+        if not self.usable.any():
             return None
         d2 = (self.centers[:, 0] - point[0]) ** 2 + (self.centers[:, 1] - point[1]) ** 2
-        d2 = np.where(usable, d2, np.inf)
-        idx = int(np.argmin(d2))
-        return (float(self.centers[idx, 0]), float(self.centers[idx, 1]))
+        x, y = self.centers[int(np.argmin(np.where(self.usable, d2, np.inf)))]
+        return (float(x), float(y))
 
 
 @dataclass
@@ -215,24 +205,24 @@ class Router:
     object. Both legs of a step are priced off the loading cell's cached
     cost field, so a search pricing thousands of candidates computes at
     most one field per distinct loading stand; ``paths`` then turns the
-    priced legs of the chosen steps into explicit A* paths.
+    priced legs of the chosen steps into explicit A* paths. Cost fields and
+    band indices live in the scene's navigator, so every router of a scene
+    shares them.
     """
 
     def __init__(self, scene: SceneState):
         self.scene = scene
         self.nav = navigator_for(scene)
-        self.start_cell = self.nav.cell_of(*scene.robot_pose.xy)
-        self.start_comp = self.nav.component(self.start_cell)
-        self._bands: dict[str, BandIndex] = {}
         self._source = {o.id: o.initial_location for o in scene.objects}
         # The nearest-free rule reads the previous stand's point, so the
         # memo is keyed by that point, not by the grid cell it falls in.
         self._nearest: dict[tuple[str, tuple[float, float]], tuple[tuple[float, float], Cell] | None] = {}
 
     def band(self, table_id: str) -> BandIndex:
-        if table_id not in self._bands:
-            self._bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
-        return self._bands[table_id]
+        """The band index of ``table_id``, built once per scene."""
+        if table_id not in self.nav.bands:
+            self.nav.bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
+        return self.nav.bands[table_id]
 
     def load_stand(
         self, obj: str, prev_point: tuple[float, float]
@@ -243,7 +233,7 @@ class Router:
         key = (self._source[obj], prev_point)
         found = self._nearest.get(key, _MISS)
         if found is _MISS:
-            point = self.band(key[0]).nearest_free(prev_point, self.start_comp)
+            point = self.band(key[0]).nearest_free(prev_point)
             found = None if point is None else (point, self.nav.cell_of(*point))
             self._nearest[key] = found
         return found
@@ -282,7 +272,7 @@ class Router:
         Returns the steps routed before the first leg that does not connect,
         and whether every leg connected.
         """
-        prev_cell = self.start_cell
+        prev_cell = self.nav.start_cell
         prev_point = self.scene.robot_pose.xy
         steps: list[PlanStep] = []
         for obj, option in pairs:
@@ -314,7 +304,7 @@ class Router:
     def paths(self, steps: list[PlanStep]) -> float:
         """Give walked steps explicit optimal paths, re-price their legs by
         the paths' step counts and return the total navigation cost."""
-        prev = self.start_cell
+        prev = self.nav.start_cell
         for step in steps:
             p1 = self.nav.astar(prev, step.load_cell) if prev != step.load_cell else None
             p2 = self.nav.astar(step.load_cell, step.unload_cell)
@@ -378,7 +368,7 @@ def _price_candidates(
     cost fields that walking every candidate would. Both sums add column by
     column, so each candidate's equal its steps added one at a time.
     """
-    stands = [(router.start_cell, router.scene.robot_pose.xy)]
+    stands = [(router.nav.start_cell, router.scene.robot_pose.xy)]
     stands += [(option.cell, option.pose.xy) for _, option in choices]
     fea_task = np.array([option.fea_task for _, option in choices])
     step_cost = np.full(len(stands) * len(choices), np.nan)  # nan: not priced
@@ -414,16 +404,15 @@ def plan_task(
         raise PlanningError("no grounded configurations to plan for")
     objects = list(configurations[0].positions)
     table = scene.table(target_table)
-    target_locations = symbolic_locations(scene, target_table)
+    router = Router(scene)
+    target_locations = router.band(target_table).locations
     side_ids = tuple(loc.side for loc in target_locations)
     loc_by_side = {loc.side: loc for loc in target_locations}
 
-    candidates = enumerate_candidates(objects, atoms, side_ids, params.max_plans)
+    candidates = enumerate_candidates(objects, atoms, side_ids, MAX_PLANS)
     if not candidates:
         raise PlanningError("no admissible object orders")
-
-    router = Router(scene)
-    if router.start_comp < 0:
+    if router.nav.start_component < 0:
         raise PlanningError("robot start cell is blocked on the inflated grid")
 
     n = len(objects)

@@ -9,21 +9,25 @@ agree, the agreement is between two separately written encodings of the
 same definition. The exceptions are the package's former implementations,
 kept to referee the faster forms that replaced them bit for bit: the
 per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
-unload option with its own seeded generators and ``rng.choice`` draws, and
-the plan search that walks every candidate.
+unload option with its own seeded generators and ``rng.choice`` draws,
+the plan search that walks every candidate, and the distance parser that
+tries a range match at every position of a digit run.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+import re
 
 import numpy as np
 
 from momaplan.feasibility import _entropy_words, compute_feasibility_map, standing_pose
 from momaplan.geometry import segments_hit_rect
+from momaplan.goalgen import MAX_DISTANCE_CM, MIN_DISTANCE_CM, LineParseError
 from momaplan.motion import navigator_for, robot_collides_batch
 from momaplan.planning import (
+    MAX_PLANS,
     PlanningError,
     PlanningParams,
     Router,
@@ -256,6 +260,36 @@ def rasterize_by_point_test(rects, resolution, origin, shape) -> np.ndarray:
     return occupied
 
 
+_NUMBER = r"\d+(?:\.\d+)?"
+_RANGE = re.compile(rf"({_NUMBER})\s*(?:-|–|—|to)\s*({_NUMBER})")
+_SINGLE = re.compile(rf"({_NUMBER})")
+_UNIT = re.compile(r"\b(?:centimeters?|centimetres?|cm)\b", re.IGNORECASE)
+
+
+def parse_distance_cm_by_retry(text: str) -> float:
+    """The former ``goalgen.parse_distance_cm``: its range pattern is tried
+    at every position, inside digit runs too, which costs O(n^2) on an
+    n-digit run. The last number or range midpoint before the first unit
+    token, clamped to [1, 100] cm."""
+    unit = _UNIT.search(text)
+    if unit is None:
+        raise LineParseError(f"no centimeter unit in {text!r}")
+    head = text[: unit.start()]
+    value = None
+    last_end = -1
+    for m in _RANGE.finditer(head):
+        if m.end() > last_end:
+            value = (float(m.group(1)) + float(m.group(2))) / 2.0
+            last_end = m.end()
+    for m in _SINGLE.finditer(head):
+        if m.end() > last_end:
+            value = float(m.group(1))
+            last_end = m.end()
+    if value is None:
+        raise LineParseError(f"no number before the unit in {text!r}")
+    return min(max(value, MIN_DISTANCE_CM), MAX_DISTANCE_CM)
+
+
 def weighted_mean_feasibility(values) -> float:
     """Closed form of the weighted standing-cell draw: sum(h^2) / sum(h)."""
     total = 0.0
@@ -475,7 +509,7 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
     target_locations = symbolic_locations(scene, target_table)
     side_ids = tuple(loc.side for loc in target_locations)
     loc_by_side = {loc.side: loc for loc in target_locations}
-    candidates = enumerate_candidates(objects, atoms, side_ids, params.max_plans)
+    candidates = enumerate_candidates(objects, atoms, side_ids, MAX_PLANS)
     router = Router(scene)
     n = len(objects)
     manip_total = params.manipulation_cost * 2 * n

@@ -15,9 +15,10 @@ from momaplan.feasibility import (
     task_feasibility,
     trial_outcomes,
 )
-from momaplan.harness import make_scene
+from momaplan.harness import ENVIRONMENTS, make_scene
 from momaplan.motion import navigator_for
-from momaplan.world import location_by_id, symbolic_locations
+from momaplan.planning import Router
+from momaplan.world import ObstacleSpec, build_scene, location_by_id, symbolic_locations
 
 from oracles import (
     cell_trial_outcomes,
@@ -109,6 +110,42 @@ def test_trial_outcomes_equal_per_cell_oracle(oracle_scenes, environment, sigma,
         assert np.array_equal(got, expected), loc.id
         outcomes.append(got)
     assert np.any(outcomes) and not np.all(outcomes)
+
+
+def _walled_scene():
+    """Task 8's easy scene with a wall across the room between the robot
+    and the dining table: the dining bands are free but unreachable."""
+    base = make_scene(8, "easy", 42)
+    wall = ObstacleSpec("wall", (0.0, -1.0), (3.5, 0.05), kind="wall")
+    return build_scene(list(base.tables), [wall], [], base.robot_pose, rng_seed=42,
+                       grid_origin=(-3.0, -3.5), grid_shape=(130, 120))
+
+
+def test_usable_band_cells_follow_one_rule():
+    """Map sampling and loading stands read one usable-cell rule: a band
+    cell is usable when its grid cell is free and in the component of the
+    robot's start cell. Unusable cells never succeed a trial."""
+    params = FeasibilityParams(trials_per_cell=2)
+    free_seen, usable_seen = [], []
+    for scene in [make_scene(8, env, 42) for env in ENVIRONMENTS] + [_walled_scene()]:
+        nav = navigator_for(scene)
+        start = nav.component(nav.cell_of(*scene.robot_pose.xy))
+        for table in scene.tables:
+            masks = []
+            for loc in symbolic_locations(scene, table.id):
+                centers = loc.cell_centers().reshape(-1, 2)
+                cells = [nav.cell_of(x, y) for x, y in centers]
+                free = np.array([nav.is_free(c) for c in cells])
+                usable = free & np.array([nav.component(c) == start for c in cells])
+                assert np.array_equal(nav.reachable_at(centers), usable), loc.id
+                outcomes = trial_outcomes(scene, loc, table.center, params)
+                assert not outcomes.reshape(len(centers), -1)[~usable].any(), loc.id
+                masks.append(usable)
+                free_seen.append(free)
+            assert np.array_equal(Router(scene).band(table.id).usable, np.concatenate(masks))
+            usable_seen.extend(masks)
+    free, usable = np.concatenate(free_seen), np.concatenate(usable_seen)
+    assert usable.any() and (~free).any() and (free & ~usable).any()
 
 
 def test_blocked_side_is_all_zero(scene1_chair_top):

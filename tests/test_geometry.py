@@ -56,12 +56,6 @@ def test_rect_overlaps_open_interiors():
     assert a.overlaps(a)
 
 
-def test_rect_expanded():
-    r = Rect(1, 1, 0.5, 0.25).expanded(0.1)
-    assert (r.hx, r.hy) == (0.6, 0.35)
-    assert (r.cx, r.cy) == (1, 1)
-
-
 @given(
     st.floats(-3, 3), st.floats(-3, 3),
     st.floats(0.01, 2.0),

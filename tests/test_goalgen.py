@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import requests
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,8 @@ from momaplan.goalgen import (
     render_goal_prompt,
 )
 from momaplan.relations import PlacementAtom
+
+from oracles import parse_distance_cm_by_retry
 
 TASK1_OBJECTS = ["dinner_plate", "dinner_fork", "dinner_knife"]
 
@@ -205,6 +209,38 @@ def test_any_distance_reply_parses_within_bounds_or_raises_line_parse_error(text
     except LineParseError:
         return
     assert 1.0 <= distance <= 100.0
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except LineParseError as exc:
+        return str(exc)
+
+
+# The reference retries its range pattern inside digit runs, so a reply of
+# a few thousand digits takes it longer than hypothesis's default deadline.
+@settings(max_examples=300, deadline=None)
+@given(_DISTANCE_REPLIES)
+def test_distance_parse_matches_the_retrying_reference(text):
+    assert _parse_outcome(parse_distance_cm, text) == _parse_outcome(
+        parse_distance_cm_by_retry, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1-2-3 cm", "1.5.3-4 cm", "5 to 7 cm", "3.5–4 cm", "12-3.5.6 to 8 cm", "x.5-3 cm",
+])
+def test_distance_parse_matches_the_retrying_reference_on_chained_ranges(text):
+    assert parse_distance_cm(text) == parse_distance_cm_by_retry(text)
+
+
+def test_distance_parse_is_linear_in_the_digit_run():
+    """A range match is tried only where a digit run starts, so a
+    50,000-digit reply parses in milliseconds, not minutes."""
+    start = time.perf_counter()
+    assert parse_distance_cm("about " + "7" * 50_000 + " or 3.5 cm") == pytest.approx(3.5)
+    assert parse_distance_cm("7" * 50_000 + "x cm") == pytest.approx(100.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_scripted_backend_replay():

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from momaplan.feasibility import FeasibilityParams, compute_feasibility_map
 from momaplan.harness import make_scene
 from momaplan.motion import (
     MotionError,
@@ -14,7 +15,8 @@ from momaplan.motion import (
     robot_collides,
     step_cost,
 )
-from momaplan.world import OccupancyGrid
+from momaplan.planning import Router
+from momaplan.world import OccupancyGrid, symbolic_locations
 
 from oracles import dijkstra_counts
 
@@ -195,34 +197,58 @@ def test_point_queries_match_scalar(scene1):
     xs = rng.uniform(-4.5, 4.5, size=200)
     ys = rng.uniform(-4.5, 4.5, size=200)
     pts = np.column_stack([xs, ys])
-    mask = nav.free_mask_at(pts)
     comps = nav.components_at(pts)
-    for (x, y), free, comp in zip(pts, mask, comps):
+    reachable = nav.reachable_at(pts)
+    start_component = nav.component(nav.cell_of(*scene1.robot_pose.xy))
+    assert nav.start_component == start_component >= 0
+    assert reachable.any() and not reachable.all()
+    for (x, y), comp, ok in zip(pts, comps, reachable):
         cell = nav.cell_of(x, y)
-        assert free == nav.is_free(cell)
         assert comp == nav.component(cell)
+        assert (comp >= 0) == nav.is_free(cell)
+        assert ok == (nav.is_free(cell) and nav.component(cell) == start_component)
+
+
+def test_bare_grid_navigator_has_no_reachable_point():
+    nav = Navigator.from_grid(grid_from(np.zeros((5, 5), dtype=bool)))
+    assert nav.start_component == -1
+    assert not nav.reachable_at(np.array([[0.25, 0.25], [-1.0, -1.0]])).any()
 
 
 def test_navigator_cached_per_scene(scene1):
     assert navigator_for(scene1) is navigator_for(scene1)
 
 
+def _store_refs(scene):
+    """Weak references to a scene's navigator and to one feasibility map and
+    one band index it stores."""
+    location = symbolic_locations(scene, "dining")[0]
+    fmap = compute_feasibility_map(
+        scene, location, scene.table("dining").center, FeasibilityParams(trials_per_cell=1)
+    )
+    band = Router(scene).band("dining")
+    nav = navigator_for(scene)
+    assert fmap in nav.maps.values() and nav.bands["dining"] is band
+    return [weakref.ref(nav), weakref.ref(fmap), weakref.ref(band)]
+
+
 def test_navigator_released_with_its_scene():
     scene = make_scene(1, "easy", seed=3)
-    nav = weakref.ref(navigator_for(scene))
-    assert nav() is navigator_for(scene)
+    refs = _store_refs(scene)
+    assert refs[0]() is navigator_for(scene)
     del scene
     gc.collect()
-    assert nav() is None
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_navigators_of_live_scenes_stay_bounded():
     scenes = [make_scene(1, "easy", seed=s) for s in range(9)]
-    navs = [weakref.ref(navigator_for(s)) for s in scenes[:8]]
-    assert navs[0]() is navigator_for(scenes[0])  # now the most recently used
+    refs = [_store_refs(s) for s in scenes[:8]]
+    assert refs[0][0]() is navigator_for(scenes[0])  # now the most recently used
     navigator_for(scenes[8])
     gc.collect()
-    assert [nav() is not None for nav in navs] == [True, False] + [True] * 6
+    alive = [[ref() is not None for ref in store] for store in refs]
+    assert alive == [[True] * 3, [False] * 3] + [[True] * 3] * 6
 
 
 def test_robot_collision_continuous(scene1):

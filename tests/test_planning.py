@@ -26,6 +26,7 @@ from momaplan.motion import navigator_for
 from momaplan.planning import (
     MANIPULATION_COST,
     REWARD,
+    BandIndex,
     PlanningError,
     PlanningParams,
     Router,
@@ -270,6 +271,28 @@ def test_leg_table_asks_for_the_walked_cost_fields():
     assert set(navigator_for(table_scene)._fields) == set(navigator_for(walk_scene)._fields)
 
 
+def test_plan_task_calls_on_one_scene_share_band_indices(goal1, monkeypatch):
+    """Band indices live in the scene's navigator: a second plan_task call
+    on the scene builds none and reads the very indices of the first."""
+    built = []
+    init = BandIndex.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(BandIndex, "__init__", counting_init)
+    scene = make_scene(1, "easy", seed=42)
+    configs = grounded(scene, goal1, m=1)
+    plan_task(scene, "dining", configs, goal1.atoms, fast_params())
+    bands = dict(navigator_for(scene).bands)
+    assert "dining" in bands and len(built) == len(bands)
+    plan_task(scene, "dining", configs, goal1.atoms, fast_params(stand_seed=1))
+    assert len(built) == len(bands)
+    assert all(navigator_for(scene).bands[t] is band for t, band in bands.items())
+    assert Router(scene).band("dining") is bands["dining"]
+
+
 def test_loading_stand_does_not_depend_on_walk_history():
     """At each dining band corner, two stand points 5 cm apart share one
     grid cell and can have different loading stands. The stand after one
@@ -327,7 +350,8 @@ def test_selected_plan_survives_exhaustive_rescoring(goal1):
         centers = np.concatenate(
             [loc.cell_centers().reshape(-1, 2) for loc in symbolic_locations(scene, src)]
         )
-        usable = nav.free_mask_at(centers) & (nav.components_at(centers) == start_comp)
+        cells = [nav.cell_of(x, y) for x, y in centers]
+        usable = np.array([nav.is_free(c) and nav.component(c) == start_comp for c in cells])
         band[src] = (centers, usable)
 
     # One reference Dijkstra per distinct loading spot prices both of a
