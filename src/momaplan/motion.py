@@ -6,12 +6,19 @@ and a diagonal step is allowed only when both adjacent straight cells are
 also free (no squeezing through corners). Obstacles are inflated by the
 robot radius before planning.
 
-All movement queries share one adjacency graph per scene, so A* paths,
+All movement queries share one adjacency graph per scene, so paths,
 Dijkstra cost fields and connected-component reachability can never
-disagree about which cells communicate. A* accumulates straight and
-diagonal step counts separately and reports cost as
+disagree about which cells communicate. Paths count straight and diagonal
+steps separately and report cost as
 ``straight * res + diagonal * res * sqrt(2)``, which makes optimal costs
-exactly comparable across independent implementations.
+exactly comparable across independent implementations: optimal step
+counts are unique because sqrt(2) is irrational.
+
+The package routes with ``Navigator.field_path``, which walks down a
+cached cost field and so needs no search beyond the Dijkstra call that
+priced the leg. ``Navigator.astar`` is the reference: acceptance 4 checks
+it against an independent Dijkstra, and the tests check ``field_path``'s
+step counts against both.
 """
 from __future__ import annotations
 
@@ -210,8 +217,44 @@ class Navigator:
         self._fields[source] = field
         return field
 
+    def field_path(self, far: Cell, source: Cell) -> MotionPlan:
+        """Optimal path from ``far`` to ``source`` read off
+        ``cost_field(source)``: each step goes to the admissible neighbour
+        (the adjacency's offsets and corner rule) with the smallest field
+        value plus step cost, the first in ``_OFFSETS`` order among values
+        within 1e-12. Each field value is its best neighbour's plus one
+        step, so every step descends and the path costs the field value."""
+        field = self.cost_field(source)
+        if not self.grid.in_bounds(far) or math.isinf(field[far]):
+            raise MotionError(f"no path from {far} to {source}")
+        res = self.grid.resolution
+        free = self.free
+        nr, nc = self.grid.shape
+        intern = self._cells.setdefault
+        cells = [intern(far, far)]
+        counts = [0, 0]  # straight, diagonal
+        cy, cx = far
+        while (cy, cx) != source:
+            best = math.inf
+            for dy, dx in _OFFSETS:
+                ny, nx = cy + dy, cx + dx
+                if not (0 <= ny < nr and 0 <= nx < nc) or not free[ny, nx]:
+                    continue
+                diagonal = dy != 0 and dx != 0
+                if diagonal and not (free[cy, nx] and free[ny, cx]):
+                    continue
+                value = field[ny, nx] + (res * _SQRT2 if diagonal else res)
+                if value < best - 1e-12:
+                    best, step, step_diagonal = value, (ny, nx), diagonal
+            cy, cx = step
+            cells.append(intern(step, step))
+            counts[step_diagonal] += 1
+        return MotionPlan(tuple(cells), counts[0], counts[1], res)
+
     def astar(self, start: Cell, goal: Cell) -> MotionPlan:
-        """Optimal grid path with an octile-distance heuristic."""
+        """Optimal grid path with an octile-distance heuristic. The package
+        routes with ``field_path``; this search stays as the reference that
+        acceptance 4 checks against an independent Dijkstra."""
         if not self.is_free(start):
             raise MotionError(f"start cell {start} is blocked")
         if not self.is_free(goal):

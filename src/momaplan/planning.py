@@ -18,13 +18,16 @@ consecutive stands and a fixed charge per manipulation.
 ``Router`` holds the loading-stand and leg-routing rule, shared with the
 baseline planners in ``harness``: ``legs`` picks one step's loading stand
 and prices both of its legs with cached single-source cost fields, ``walk``
-chains steps into a plan, and ``paths`` rebuilds the legs of a chosen plan
-as explicit grid paths. The planner prices every candidate of a
-configuration from one leg table over (previous stand, unload option)
-pairs, filled only for the pairs some candidate reaches, and skips
-candidates with a leg that does not connect. Only the winning plan is
-walked into steps and given explicit paths, and its cost and utility are
-recomputed from them.
+chains steps into a plan, and ``paths`` reads the legs of a chosen plan
+off those same fields as explicit grid paths (``Navigator.field_path``),
+so no A* runs while planning; A* is the reference acceptance 4 checks.
+The planner prices every candidate of a configuration from one leg table
+over (previous stand, unload option) pairs, filled only for the pairs some
+candidate reaches, and skips candidates with a leg that does not connect.
+The table first finds the loading stands after every stand of the
+configuration in one distance pass per source table. Only the winning plan
+is walked into steps and given explicit paths, and its cost and utility
+are recomputed from them.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -42,7 +45,7 @@ import itertools
 import logging
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,9 +73,6 @@ MAX_PLANS = 500
 
 class PlanningError(RuntimeError):
     """No candidate plan survived feasibility and connectivity screening."""
-
-
-_MISS = object()
 
 
 @dataclass
@@ -173,13 +173,15 @@ class BandIndex:
         self.owner = np.repeat(np.arange(len(grids)), [len(grid) for grid in grids])
         self.usable = nav.reachable_at(self.centers)
 
-    def nearest_free(self, point: tuple[float, float]) -> tuple[float, float] | None:
-        """Center of the usable cell nearest ``point`` (the first of ties), or None."""
+    def nearest_free(self, points: np.ndarray) -> list[tuple[float, float] | None]:
+        """Center of the usable cell nearest each of ``points``, shape
+        (m, 2) (the first of ties), or None when no cell is usable; one
+        distance pass for all of them."""
         if not self.usable.any():
-            return None
-        d2 = (self.centers[:, 0] - point[0]) ** 2 + (self.centers[:, 1] - point[1]) ** 2
-        x, y = self.centers[int(np.argmin(np.where(self.usable, d2, np.inf)))]
-        return (float(x), float(y))
+            return [None] * len(points)
+        d2 = (self.centers[:, 0] - points[:, :1]) ** 2 + (self.centers[:, 1] - points[:, 1:]) ** 2
+        nearest = np.argmin(np.where(self.usable, d2, np.inf), axis=1)
+        return [(x, y) for x, y in self.centers[nearest].tolist()]
 
 
 @dataclass
@@ -204,10 +206,10 @@ class Router:
     nearest the previous stand, in the robot's start component, facing the
     object. Both legs of a step are priced off the loading cell's cached
     cost field, so a search pricing thousands of candidates computes at
-    most one field per distinct loading stand; ``paths`` then turns the
-    priced legs of the chosen steps into explicit A* paths. Cost fields and
-    band indices live in the scene's navigator, so every router of a scene
-    shares them.
+    most one field per distinct loading stand; ``paths`` then reads the
+    priced legs of the chosen steps off the same fields as explicit grid
+    paths, with no search of their own. Cost fields and band indices live
+    in the scene's navigator, so every router of a scene shares them.
     """
 
     def __init__(self, scene: SceneState):
@@ -224,6 +226,18 @@ class Router:
             self.nav.bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
         return self.nav.bands[table_id]
 
+    def load_stands(self, objects: Iterable[str], points: list[tuple[float, float]]) -> None:
+        """Memoise the loading stand after each of ``points`` for every
+        source table of ``objects``: one distance pass per table."""
+        for table_id in dict.fromkeys(self._source[obj] for obj in objects):
+            missing = [p for p in points if (table_id, p) not in self._nearest]
+            if missing:
+                found = self.band(table_id).nearest_free(np.array(missing))
+                for prev_point, point in zip(missing, found):
+                    self._nearest[(table_id, prev_point)] = (
+                        None if point is None else (point, self.nav.cell_of(*point))
+                    )
+
     def load_stand(
         self, obj: str, prev_point: tuple[float, float]
     ) -> tuple[tuple[float, float], Cell] | None:
@@ -231,12 +245,9 @@ class Router:
         at ``prev_point``; None when no band cell of its source table is
         reachable."""
         key = (self._source[obj], prev_point)
-        found = self._nearest.get(key, _MISS)
-        if found is _MISS:
-            point = self.band(key[0]).nearest_free(prev_point)
-            found = None if point is None else (point, self.nav.cell_of(*point))
-            self._nearest[key] = found
-        return found
+        if key not in self._nearest:
+            self.load_stands([obj], [prev_point])
+        return self._nearest[key]
 
     def load_pose(self, obj: str, point: tuple[float, float]) -> Pose2D:
         """Pose at a loading stand point, facing ``obj``."""
@@ -302,12 +313,14 @@ class Router:
         return steps, True
 
     def paths(self, steps: list[PlanStep]) -> float:
-        """Give walked steps explicit optimal paths, re-price their legs by
-        the paths' step counts and return the total navigation cost."""
+        """Give walked steps explicit optimal paths, read off the loading
+        cells' cached cost fields, re-price their legs by the paths' step
+        counts and return the total navigation cost."""
         prev = self.nav.start_cell
         for step in steps:
-            p1 = self.nav.astar(prev, step.load_cell) if prev != step.load_cell else None
-            p2 = self.nav.astar(step.load_cell, step.unload_cell)
+            p1 = self.nav.field_path(prev, step.load_cell) if prev != step.load_cell else None
+            p2 = self.nav.field_path(step.unload_cell, step.load_cell)
+            p2 = replace(p2, cells=p2.cells[::-1])
             step.path_to_load = p1
             step.path_to_unload = p2
             step.leg_to_load = p1.cost if p1 else 0.0
@@ -370,6 +383,7 @@ def _price_candidates(
     """
     stands = [(router.nav.start_cell, router.scene.robot_pose.xy)]
     stands += [(option.cell, option.pose.xy) for _, option in choices]
+    router.load_stands((obj for obj, _ in choices), [point for _, point in stands])
     fea_task = np.array([option.fea_task for _, option in choices])
     step_cost = np.full(len(stands) * len(choices), np.nan)  # nan: not priced
     connected = np.ones(len(pairs), dtype=bool)

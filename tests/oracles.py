@@ -10,8 +10,9 @@ same definition. The exceptions are the package's former implementations,
 kept to referee the faster forms that replaced them bit for bit: the
 per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
 unload option with its own seeded generators and ``rng.choice`` draws,
-the plan search that walks every candidate, and the distance parser that
-tries a range match at every position of a digit run.
+the plan search that walks every candidate, the one-point nearest-stand
+query, and the distance parser that tries a range match at every position
+of a digit run.
 """
 from __future__ import annotations
 
@@ -492,12 +493,23 @@ def seeded_unload_option(scene, nav, location, target_world, layer, params, seed
     )
 
 
+def nearest_usable_center(band, point) -> tuple[float, float] | None:
+    """The former ``BandIndex.nearest_free``: one distance pass for one
+    point, the first usable center of least squared distance, or None when
+    no cell of the band is usable."""
+    if not band.usable.any():
+        return None
+    d2 = (band.centers[:, 0] - point[0]) ** 2 + (band.centers[:, 1] - point[1]) ** 2
+    x, y = band.centers[int(np.argmin(np.where(band.usable, d2, np.inf)))]
+    return (float(x), float(y))
+
+
 def walk_every_candidate(scene, target_table, configurations, atoms, params=None):
     """The former ``plan_task`` search: every configuration's unload options
     come from ``seeded_unload_option``, every candidate of every
     configuration is walked into steps through ``Router.walk`` and scored
     one at a time, a later candidate wins only by more than 1e-12, and
-    the winner's legs are rebuilt as A* paths.
+    the winner's legs are rebuilt as paths by ``Router.paths``.
 
     Returns the selected plan and the number of candidates skipped because
     a leg did not connect. Leg costs and feasibility terms add step by

@@ -109,6 +109,44 @@ def test_astar_matches_dijkstra_oracle_on_random_grids():
                 nav.astar(start, unreachable[0])
 
 
+def test_field_path_matches_dijkstra_oracle_on_acceptance_grids():
+    """Acceptance 4's 50 random grids and starts, every reachable goal: the
+    path read off the start's cost field runs from the goal to the start
+    over free 8-adjacent cells, cuts no corner and has the oracle's step
+    counts. A free cell the start cannot reach, a blocked cell and an
+    off-grid cell raise."""
+    rng = np.random.default_rng(99)
+    grids = 0
+    while grids < 50:
+        nav = Navigator.from_grid(random_grid(rng))
+        free_cells = [tuple(c) for c in np.argwhere(nav.free)]
+        if len(free_cells) < 2:
+            continue
+        grids += 1
+        start = free_cells[int(rng.integers(len(free_cells)))]
+        oracle = dijkstra_counts(nav.free, start)
+        for goal, counts in oracle.items():
+            plan = nav.field_path(goal, start)
+            assert (plan.straight_steps, plan.diagonal_steps) == counts
+            assert plan.cells[0] == goal and plan.cells[-1] == start
+            _check_path_moves(nav, plan)
+        unreachable = [c for c in free_cells if c not in oracle]
+        blocked = [tuple(c) for c in np.argwhere(nav.blocked)]
+        for cell in unreachable[:1] + blocked[:1] + [(-1, 0), (20, 3)]:
+            with pytest.raises(MotionError, match="no path"):
+                nav.field_path(cell, start)
+
+
+def test_field_path_takes_the_first_tied_step_in_offset_order():
+    """From (1, 3) to (0, 0) on an open grid, a straight and a diagonal
+    first step tie, and so do two second steps; the straight step comes
+    first in the offsets both times."""
+    nav = Navigator.from_grid(grid_from(np.zeros((3, 4), dtype=bool)))
+    plan = nav.field_path((1, 3), (0, 0))
+    assert plan.cells == ((1, 3), (1, 2), (1, 1), (0, 0))
+    assert (plan.straight_steps, plan.diagonal_steps) == (2, 1)
+
+
 def test_cost_field_matches_oracle_costs():
     rng = np.random.default_rng(23)
     grid = random_grid(rng)
@@ -157,13 +195,15 @@ def test_paths_share_interned_cells():
     first = nav.astar((0, 0), (7, 7))
     second = nav.astar((0, 0), (7, 7))
     crossing = nav.astar((3, 0), (3, 7))
+    descended = nav.field_path((3, 7), (3, 0))
     assert first.cells == second.cells
     assert all(a is b for a, b in zip(first.cells, second.cells))
-    shared = set(first.cells) & set(crossing.cells)
-    assert shared
-    for cell in shared:
-        assert crossing.cells[crossing.cells.index(cell)] is first.cells[first.cells.index(cell)]
-    assert all(type(c) is tuple and len(c) == 2 for c in first.cells)
+    for other in (crossing, descended):
+        shared = set(first.cells) & set(other.cells)
+        assert shared
+        for cell in shared:
+            assert other.cells[other.cells.index(cell)] is first.cells[first.cells.index(cell)]
+    assert all(type(c) is tuple and len(c) == 2 for c in first.cells + descended.cells)
 
 
 def test_astar_rejects_blocked_endpoints():

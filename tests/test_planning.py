@@ -15,14 +15,18 @@ from momaplan.feasibility import (
 )
 from momaplan.goalgen import generate_goal
 from momaplan.grounding import GroundingParams, sample_configurations
+from momaplan import harness
 from momaplan.harness import (
     ENVIRONMENTS,
     OBJECT_CATALOG,
+    SYSTEMS,
     TASK_OBJECTS,
+    ExperimentConfig,
     make_scene,
+    run_trial,
     scripted_backend_for_task,
 )
-from momaplan.motion import navigator_for
+from momaplan.motion import Navigator, navigator_for
 from momaplan.planning import (
     MANIPULATION_COST,
     REWARD,
@@ -38,7 +42,12 @@ from momaplan.planning import (
 from momaplan.relations import PlacementAtom
 from momaplan.world import symbolic_locations
 
-from oracles import dijkstra_counts, walk_every_candidate, weighted_mean_feasibility
+from oracles import (
+    dijkstra_counts,
+    nearest_usable_center,
+    walk_every_candidate,
+    weighted_mean_feasibility,
+)
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
 SIDES = ("north", "south", "east", "west")
@@ -146,10 +155,10 @@ def test_winning_legs_match_rebuilt_paths(goal1):
         if step.path_to_load is None:
             assert step.leg_to_load == 0.0
         else:
-            assert step.leg_to_load == pytest.approx(step.path_to_load.cost)
+            assert step.leg_to_load == step.path_to_load.cost
             if prev is not None:
                 assert step.path_to_load.cells[0] == prev
-        assert step.leg_to_unload == pytest.approx(step.path_to_unload.cost)
+        assert step.leg_to_unload == step.path_to_unload.cost
         assert step.path_to_unload.cells[0] == step.load_cell
         assert step.path_to_unload.cells[-1] == step.unload_cell
         prev = step.unload_cell
@@ -315,6 +324,79 @@ def test_loading_stand_does_not_depend_on_walk_history():
                 warm.load_stand(obj, first)
                 assert warm.load_stand(obj, second) == Router(scene).load_stand(obj, second)
     assert differing > 0
+
+
+def test_every_system_routes_its_legs_without_astar(monkeypatch):
+    """The planner and the three baselines read every leg of their plans
+    off cached cost fields: with ``Navigator.astar`` refusing, each system
+    plans tasks 1, 8 and 9 in all four environments, and every leg has the
+    step counts of the real A* between its end cells."""
+    astar = Navigator.astar
+
+    def refuse(*args):
+        raise AssertionError("Navigator.astar called while planning")
+
+    plans = []
+    execute_plan = harness.execute_plan
+
+    def keep_plan(scene, plan, *args):
+        plans.append((scene, plan))
+        return execute_plan(scene, plan, *args)
+
+    monkeypatch.setattr(Navigator, "astar", refuse)
+    monkeypatch.setattr(harness, "execute_plan", keep_plan)
+    fea = FeasibilityParams(trials_per_cell=3, task_draws=10)
+    for task in (1, 8, 9):
+        for environment in ENVIRONMENTS:
+            config = ExperimentConfig(task=task, environment=environment, trials=1,
+                                      configurations=2, feasibility=fea)
+            scene = make_scene(task, environment, config.seed)
+            for system in SYSTEMS:
+                run_trial(scene, system, task_goal(task), config, trial=0)
+    monkeypatch.undo()
+    assert len(plans) == 3 * len(ENVIRONMENTS) * len(SYSTEMS)
+    for scene, plan in plans:
+        nav = navigator_for(scene)
+        prev = nav.start_cell
+        for step in plan.steps:
+            legs = [(step.path_to_load, step.leg_to_load, prev, step.load_cell),
+                    (step.path_to_unload, step.leg_to_unload, step.load_cell, step.unload_cell)]
+            for path, leg, start, goal in legs:
+                if path is None:
+                    assert start == goal and leg == 0.0
+                    continue
+                reference = astar(nav, start, goal)
+                assert (path.straight_steps, path.diagonal_steps) == (
+                    reference.straight_steps, reference.diagonal_steps)
+                assert path.cells[0] == start and path.cells[-1] == goal
+                assert leg == path.cost
+            prev = step.unload_cell
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_batched_nearest_free_equals_one_point_rule(environment):
+    """Every table's band answers a batch of points exactly as the
+    one-point rule does: band centers, midpoints between neighbouring
+    centers (ties), the robot start and random points over the grid. A band
+    with no usable cell answers None for each point."""
+    scene = make_scene(8, environment, seed=42)
+    router = Router(scene)
+    bands = [router.band(table.id) for table in scene.tables]
+    centers = np.concatenate([band.centers for band in bands])
+    rng = np.random.default_rng(7)
+    (rows, cols), res = scene.grid.shape, scene.grid.resolution
+    corner = np.array(scene.grid.origin)
+    points = np.concatenate([
+        centers,
+        (centers[:-1] + centers[1:]) / 2,
+        [scene.robot_pose.xy],
+        corner + rng.random((200, 2)) * (cols * res, rows * res),
+    ])
+    for band in bands:
+        assert band.usable.any()
+        assert band.nearest_free(points) == [nearest_usable_center(band, p) for p in points]
+    unusable = BandIndex(Navigator.from_grid(scene.grid), bands[0].locations)
+    assert unusable.nearest_free(points[:3]) == [None] * 3
 
 
 def test_selected_plan_survives_exhaustive_rescoring(goal1):
