@@ -212,7 +212,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         try:
             config = ExperimentConfig.from_yaml(args.config)
-        except (ConfigError, OSError, yaml.YAMLError) as exc:
+        except (ConfigError, OSError) as exc:
             return _invalid("config", exc)
     else:
         config = ExperimentConfig(
@@ -242,7 +242,7 @@ def _cmd_export_scene(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         scene = load_scene(args.scene)
-    except (SceneError, OSError, yaml.YAMLError) as exc:
+    except (SceneError, OSError) as exc:
         return _invalid("scene", exc)
     rows, cols = scene.grid.occupied.shape
     print(f"scene ok: {len(scene.tables)} tables, {len(scene.obstacles)} obstacles, "

@@ -10,7 +10,9 @@ target. The rollout halts at the first failure.
 
 The arrival noise parameters are the same FeasibilityParams the planner's
 heatmaps were built with, so feasibility estimates and execution outcomes
-are draws from one distribution.
+are draws from one distribution. Each arrival is one draw call per pose,
+from the same stream as a ``normal`` call for position and one for heading;
+collision and reach tests are scalar loops over each ``Rect``'s stored bounds.
 """
 from __future__ import annotations
 
@@ -58,12 +60,12 @@ class ExecutionResult:
     trace: list[StepTrace] = field(default_factory=list)
 
 
-def _noisy_arrival(
-    pose: Pose2D, params: FeasibilityParams, rng: np.random.Generator
-) -> Pose2D:
-    dx, dy = rng.normal(0.0, params.nav_sigma_xy, size=2)
-    dtheta = rng.normal(0.0, params.nav_sigma_theta)
-    return Pose2D(pose.x + dx, pose.y + dy, pose.theta + dtheta)
+def _noisy_arrival(pose: Pose2D, params: FeasibilityParams, rng: np.random.Generator) -> Pose2D:
+    # numpy's normal(loc, scale) is loc + scale * standard_normal, so this is
+    # the stream and values of normal(0, sigma_xy, 2) then normal(0, sigma_theta).
+    zx, zy, zt = rng.standard_normal(3).tolist()
+    s, st = params.nav_sigma_xy, params.nav_sigma_theta
+    return Pose2D(pose.x + (0.0 + s * zx), pose.y + (0.0 + s * zy), pose.theta + (0.0 + st * zt))
 
 
 def _reach_clear(
@@ -103,13 +105,11 @@ def execute_plan(
     cost = 0.0
     delivered = 0
 
-    def fail(step, stage: str, kind: str, arrival: Pose2D) -> ExecutionResult:
-        trace.append(StepTrace(step.object_id, stage, _commanded(step, stage), arrival, False, kind))
-        log.debug("run failed: %s during %s of %s", kind, stage, step.object_id)
+    def result(kind: str | None = None, failed_object=None, stage=None) -> ExecutionResult:
         return ExecutionResult(
-            success=False,
+            success=kind is None,
             failure_kind=kind,
-            failed_object=step.object_id,
+            failed_object=failed_object,
             failed_stage=stage,
             objects_delivered=delivered,
             executed_cost=cost,
@@ -118,15 +118,17 @@ def execute_plan(
             trace=trace,
         )
 
-    def _commanded(step, stage: str) -> Pose2D:
-        return step.load_pose if stage == "load" else step.unload_pose
+    def fail(step, stage: str, commanded: Pose2D, kind: str, arrival: Pose2D) -> ExecutionResult:
+        trace.append(StepTrace(step.object_id, stage, commanded, arrival, False, kind))
+        log.debug("run failed: %s during %s of %s", kind, stage, step.object_id)
+        return result(kind, step.object_id, stage)
 
     for step in plan.steps:
         # Leg to the loading spot.
         cost += step.leg_to_load
         arrival = _noisy_arrival(step.load_pose, params, rng)
         if robot_collides(scene, arrival.x, arrival.y):
-            return fail(step, "load", NAVIGATION, arrival)
+            return fail(step, "load", step.load_pose, NAVIGATION, arrival)
         # Loading itself is not modeled as failable.
         cost += MANIPULATION_COST
         trace.append(StepTrace(step.object_id, "load", step.load_pose, arrival, True))
@@ -134,27 +136,16 @@ def execute_plan(
         cost += step.leg_to_unload
         arrival = _noisy_arrival(step.unload_pose, params, rng)
         if robot_collides(scene, arrival.x, arrival.y):
-            return fail(step, "unload", NAVIGATION, arrival)
+            return fail(step, "unload", step.unload_pose, NAVIGATION, arrival)
         target_table = step.unload_location.split("/")[0]
         if not _reach_clear(scene, arrival, step.target_world, target_table, params):
-            return fail(step, "unload", MANIPULATION, arrival)
+            return fail(step, "unload", step.unload_pose, MANIPULATION, arrival)
         cost += MANIPULATION_COST
         positions[step.object_id] = step.target_world
         layers[step.object_id] = step.target_layer
         delivered += 1
         trace.append(StepTrace(step.object_id, "unload", step.unload_pose, arrival, True))
-
-    return ExecutionResult(
-        success=True,
-        failure_kind=None,
-        failed_object=None,
-        failed_stage=None,
-        objects_delivered=delivered,
-        executed_cost=cost,
-        final_positions=positions,
-        final_layers=layers,
-        trace=trace,
-    )
+    return result()
 
 
 def verify_goal(

@@ -65,10 +65,10 @@ class FeasibilityParams:
         if self.task_draws < 1:
             raise ValueError(f"task_draws must be at least 1, got {self.task_draws}")
         for name in ("nav_sigma_xy", "nav_sigma_theta"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not self.reach_radius > 0.0:
-            raise ValueError(f"reach_radius must be positive, got {self.reach_radius}")
+            if not 0.0 <= (value := getattr(self, name)) < float("inf"):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        if not 0.0 < self.reach_radius < float("inf"):
+            raise ValueError(f"reach_radius must be positive and finite, got {self.reach_radius}")
 
     def fingerprint(self) -> tuple[int, ...]:
         return (

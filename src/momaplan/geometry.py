@@ -7,7 +7,7 @@ axis-aligned rectangle, and manipulation reach is a circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,25 +33,19 @@ class Rect:
     hx: float
     hy: float
 
+    # Stored once: every collision and reach test reads them.
+    x_min: float = field(init=False, repr=False, compare=False)
+    x_max: float = field(init=False, repr=False, compare=False)
+    y_min: float = field(init=False, repr=False, compare=False)
+    y_max: float = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.hx <= 0.0 or self.hy <= 0.0:
             raise ValueError(f"rect half extents must be positive, got ({self.hx}, {self.hy})")
-
-    @property
-    def x_min(self) -> float:
-        return self.cx - self.hx
-
-    @property
-    def x_max(self) -> float:
-        return self.cx + self.hx
-
-    @property
-    def y_min(self) -> float:
-        return self.cy - self.hy
-
-    @property
-    def y_max(self) -> float:
-        return self.cy + self.hy
+        object.__setattr__(self, "x_min", self.cx - self.hx)
+        object.__setattr__(self, "x_max", self.cx + self.hx)
+        object.__setattr__(self, "y_min", self.cy - self.hy)
+        object.__setattr__(self, "y_max", self.cy + self.hy)
 
     def contains(self, x: float, y: float) -> bool:
         """Closed-interval point membership (boundary counts as inside)."""
@@ -71,11 +65,6 @@ class Rect:
             and self.y_min < other.y_max
             and other.y_min < self.y_max
         )
-
-
-def disc_hits_rect(x: float, y: float, radius: float, rect: Rect) -> bool:
-    """True when a disc of the given radius centered at (x, y) touches the rect."""
-    return rect.distance_to(x, y) <= radius
 
 
 def disc_hits_rect_batch(points: np.ndarray, radius: float, rect: Rect) -> np.ndarray:

@@ -73,6 +73,7 @@ from .world import (
     SceneState,
     TableSpec,
     build_scene,
+    read_yaml,
 )
 
 log = logging.getLogger(__name__)
@@ -198,9 +199,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+        data = read_yaml(path, ConfigError) or {}
         _check_fields(path, "config", data, cls())
+        if data.get("seed", 0) < 0:
+            raise ConfigError(f"{path}: seed must be non-negative, got {data['seed']}")
         if data.get("task", 1) not in TASK_OBJECTS:
             raise ConfigError(f"{path}: unknown task {data['task']!r}")
         if data.get("environment", "easy") not in ENVIRONMENTS:

@@ -33,7 +33,7 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .geometry import disc_hits_rect, disc_hits_rect_batch
+from .geometry import disc_hits_rect_batch
 from .world import OccupancyGrid, SceneState
 
 _SQRT2 = math.sqrt(2.0)
@@ -71,7 +71,13 @@ def inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
 
 def robot_collides(scene: SceneState, x: float, y: float) -> bool:
     """Continuous collision test: robot disc against furniture rectangles."""
-    return any(disc_hits_rect(x, y, scene.robot_radius, r) for r in scene.solid_rects())
+    radius = scene.robot_radius
+    for r in scene.solid_rects():
+        dx = max(r.x_min - x, 0.0, x - r.x_max)
+        dy = max(r.y_min - y, 0.0, y - r.y_max)
+        if math.hypot(dx, dy) <= radius:
+            return True
+    return False
 
 
 def robot_collides_batch(scene: SceneState, points: np.ndarray) -> np.ndarray:
@@ -209,7 +215,9 @@ class Navigator:
             field = np.full(self.grid.shape, np.inf)
         else:
             node = int(self._node_of[source])
-            dist = dijkstra(self._adjacency, directed=False, indices=node)
+            # Every edge is stored both ways, so a directed search finds the
+            # same distances without scipy transposing the matrix per call.
+            dist = dijkstra(self._adjacency, directed=True, indices=node)
             field = np.full(self.grid.occupied.size, np.inf)
             field[self._cell_of_node] = dist
             field = field.reshape(self.grid.shape)

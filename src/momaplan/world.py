@@ -234,18 +234,19 @@ class SceneState:
     robot_radius: float = DEFAULT_ROBOT_RADIUS
 
     def table(self, table_id: str) -> TableSpec:
-        for t in self.tables:
-            if t.id == table_id:
-                return t
-        raise KeyError(f"unknown table {table_id!r}")
+        if (found := self._tables.get(table_id)) is None:  # type: ignore[attr-defined]
+            raise KeyError(f"unknown table {table_id!r}")
+        return found
 
     def object(self, object_id: str) -> ObjectSpec:
-        for o in self.objects:
-            if o.id == object_id:
-                return o
-        raise KeyError(f"unknown object {object_id!r}")
+        if (found := self._objects.get(object_id)) is None:  # type: ignore[attr-defined]
+            raise KeyError(f"unknown object {object_id!r}")
+        return found
 
     def __post_init__(self) -> None:
+        # Lookups by id; reversed so that the first of duplicate ids wins.
+        object.__setattr__(self, "_tables", {t.id: t for t in reversed(self.tables)})
+        object.__setattr__(self, "_objects", {o.id: o for o in reversed(self.objects)})
         solid = tuple(t.rect for t in self.tables) + tuple(o.rect for o in self.obstacles)
         object.__setattr__(self, "_solid", solid)
         # Reaching over the target table itself is what unloading means;
@@ -590,10 +591,17 @@ def scene_from_dict(data: dict) -> SceneState:
         raise SceneError(f"malformed scene entry: {exc}") from exc
 
 
+def read_yaml(path: str | Path, error: type[Exception]) -> object:
+    """Parse a YAML file; ``error`` on text PyYAML rejects or nests past its recursion."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except (yaml.YAMLError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from exc
+
+
 def load_scene(path: str | Path) -> SceneState:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    return scene_from_dict(data)
+    return scene_from_dict(read_yaml(path, SceneError))
 
 
 def save_scene(scene: SceneState, path: str | Path) -> None:

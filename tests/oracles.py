@@ -11,8 +11,9 @@ kept to referee the faster forms that replaced them bit for bit: the
 per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
 unload option with its own seeded generators and ``rng.choice`` draws,
 the plan search that walks every candidate, the one-point nearest-stand
-query, and the distance parser that tries a range match at every position
-of a digit run.
+query, the distance parser that tries a range match at every position
+of a digit run, and the noisy execution rollout with its generator-based
+collision test and two ``normal`` calls per arrival.
 """
 from __future__ import annotations
 
@@ -23,11 +24,18 @@ import re
 
 import numpy as np
 
-from momaplan.feasibility import _entropy_words, compute_feasibility_map, standing_pose
-from momaplan.geometry import segments_hit_rect
+from momaplan.execution import MANIPULATION, NAVIGATION, ExecutionResult, StepTrace
+from momaplan.feasibility import (
+    FeasibilityParams,
+    _entropy_words,
+    compute_feasibility_map,
+    standing_pose,
+)
+from momaplan.geometry import segment_hits_rect, segments_hit_rect
 from momaplan.goalgen import MAX_DISTANCE_CM, MIN_DISTANCE_CM, LineParseError
 from momaplan.motion import navigator_for, robot_collides_batch
 from momaplan.planning import (
+    MANIPULATION_COST,
     MAX_PLANS,
     PlanningError,
     PlanningParams,
@@ -36,7 +44,7 @@ from momaplan.planning import (
     UnloadOption,
     enumerate_candidates,
 )
-from momaplan.world import symbolic_locations
+from momaplan.world import Pose2D, symbolic_locations
 
 SQRT2 = math.sqrt(2.0)
 
@@ -583,3 +591,95 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
         candidates_evaluated=evaluated,
     )
     return plan, skipped
+
+
+def disc_hits_rect(x: float, y: float, radius: float, rect) -> bool:
+    """True when a disc of the given radius centered at (x, y) touches the
+    rect: the scalar test ``motion.robot_collides`` inlines, and the
+    reference for the batched ``disc_hits_rect_batch``."""
+    return rect.distance_to(x, y) <= radius
+
+
+def _generator_robot_collides(scene, x: float, y: float) -> bool:
+    return any(disc_hits_rect(x, y, scene.robot_radius, r) for r in scene.solid_rects())
+
+
+def _two_call_noisy_arrival(pose, params, rng) -> Pose2D:
+    dx, dy = rng.normal(0.0, params.nav_sigma_xy, size=2)
+    dtheta = rng.normal(0.0, params.nav_sigma_theta)
+    return Pose2D(pose.x + dx, pose.y + dy, pose.theta + dtheta)
+
+
+def _reach_clear(scene, arrival, target, target_table, params) -> bool:
+    if math.hypot(arrival.x - target[0], arrival.y - target[1]) > params.reach_radius:
+        return False
+    for rect in scene.reach_blockers(target_table):
+        if segment_hits_rect((arrival.x, arrival.y), target, rect):
+            return False
+    return True
+
+
+def execute_plan_two_calls(scene, plan, rng, params=None) -> ExecutionResult:
+    """The execution module's former ``execute_plan``: a collision test
+    that builds a generator over ``disc_hits_rect`` per arrival, and two
+    ``normal`` calls per arrival. The one-call rollout must reproduce its
+    results and leave the generator in the same state."""
+    params = params or FeasibilityParams()
+    positions = {
+        o.id: scene.table(o.initial_location).to_world(*o.initial_position)
+        for o in scene.objects
+    }
+    layers = {o.id: 0 for o in scene.objects}
+    trace: list[StepTrace] = []
+    cost = 0.0
+    delivered = 0
+
+    def fail(step, stage: str, kind: str, arrival: Pose2D) -> ExecutionResult:
+        trace.append(StepTrace(step.object_id, stage, _commanded(step, stage), arrival, False, kind))
+        return ExecutionResult(
+            success=False,
+            failure_kind=kind,
+            failed_object=step.object_id,
+            failed_stage=stage,
+            objects_delivered=delivered,
+            executed_cost=cost,
+            final_positions=positions,
+            final_layers=layers,
+            trace=trace,
+        )
+
+    def _commanded(step, stage: str) -> Pose2D:
+        return step.load_pose if stage == "load" else step.unload_pose
+
+    for step in plan.steps:
+        cost += step.leg_to_load
+        arrival = _two_call_noisy_arrival(step.load_pose, params, rng)
+        if _generator_robot_collides(scene, arrival.x, arrival.y):
+            return fail(step, "load", NAVIGATION, arrival)
+        cost += MANIPULATION_COST
+        trace.append(StepTrace(step.object_id, "load", step.load_pose, arrival, True))
+
+        cost += step.leg_to_unload
+        arrival = _two_call_noisy_arrival(step.unload_pose, params, rng)
+        if _generator_robot_collides(scene, arrival.x, arrival.y):
+            return fail(step, "unload", NAVIGATION, arrival)
+        target_table = step.unload_location.split("/")[0]
+        if not _reach_clear(scene, arrival, step.target_world, target_table, params):
+            return fail(step, "unload", MANIPULATION, arrival)
+        cost += MANIPULATION_COST
+        positions[step.object_id] = step.target_world
+        layers[step.object_id] = step.target_layer
+        delivered += 1
+        trace.append(StepTrace(step.object_id, "unload", step.unload_pose, arrival, True))
+
+    return ExecutionResult(
+        success=True,
+        failure_kind=None,
+        failed_object=None,
+        failed_stage=None,
+        objects_delivered=delivered,
+        executed_cost=cost,
+        final_positions=positions,
+        final_layers=layers,
+        trace=trace,
+    )

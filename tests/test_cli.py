@@ -1,11 +1,15 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from momaplan.cli import main, write_heatmap_pgm
 from momaplan.feasibility import FeasibilityMap, FeasibilityParams
-from momaplan.harness import make_scene
-from momaplan.world import load_scene, scene_to_dict
+from momaplan.harness import ConfigError, ExperimentConfig, make_scene
+from momaplan.world import SceneError, load_scene, scene_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -227,3 +231,95 @@ def test_run_rejects_out_of_range_feasibility(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--config", str(config))
     _rejected_in_one_line(code, err, "config")
     assert "trials_per_cell must be at least 1, got 0" in err
+
+
+# Keys of both loaders' documents, so generated mappings reach their checks.
+_KEYS = st.sampled_from([
+    "task", "environment", "systems", "trials", "seed", "configurations", "feasibility",
+    "trials_per_cell", "nav_sigma_xy", "nav_sigma_theta", "reach_radius", "task_draws",
+    "format_version", "robot", "x", "y", "theta", "radius", "grid", "resolution", "origin",
+    "shape", "tables", "obstacles", "objects", "id", "center", "half_extents", "kind",
+    "footprint_radius", "initial_location", "supports_stacking", "initial_position",
+])
+# Numbers stay small: a scene's grid spans its furniture at the given
+# resolution, and a generated scene must not ask for a large one.
+_NUMBERS = st.one_of(
+    st.integers(-3, 12),
+    st.floats(-6.0, 6.0).filter(lambda v: v == 0.0 or abs(v) >= 0.05),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=6), _KEYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_KEYS | st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_BASE_CONFIG = {"task": 1, "environment": "easy", "systems": ["llm_grop"], "trials": 1,
+                "seed": 3, "configurations": 1,
+                "feasibility": {"trials_per_cell": 2, "nav_sigma_xy": 0.02}}
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with one entry at a drawn path replaced by a drawn value, or
+    deleted."""
+    doc = copy.deepcopy(base)
+    node = doc
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            return doc
+        key = draw(st.sampled_from(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and draw(st.integers(0, 4)) == 0:
+            del node[key]
+        else:
+            node[key] = draw(_VALUES)
+        return doc
+
+
+_YAML_TEXTS = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.sampled_from(["a: ", "- ", "[", "]", "{", "}", ": ", ", ", "\n", "  ", "&x ",
+                              "*x", "!!", "'", '"', "1e400", ".nan", "task", "tables"]),
+             max_size=12).map("".join),
+    _VALUES.map(yaml.safe_dump),
+    _mutated(_BASE_CONFIG).map(yaml.safe_dump),
+    _mutated(scene_to_dict(make_scene(1, "easy", 42))).map(yaml.safe_dump),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(text="[" * 2000 + "]" * 2000)
+@example(text="seed: -1\n")
+@example(text="feasibility: {reach_radius: .inf}\n")
+@given(text=_YAML_TEXTS)
+def test_yaml_text_loads_or_exits_2_in_one_line(tmp_path, capsys, text):
+    """Any YAML text loads as an experiment config or a scene, or raises
+    that loader's error, on which the CLI exits 2 with one line."""
+    path = tmp_path / "doc.yaml"
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(ExperimentConfig.from_yaml(path), ExperimentConfig)
+    except ConfigError:
+        code, _, err = run_cli(capsys, "run", "--config", str(path))
+        _rejected_in_one_line(code, err, "config")
+    try:
+        load_scene(path)
+    except SceneError:
+        code, _, err = run_cli(capsys, "validate", str(path))
+        _rejected_in_one_line(code, err, "scene")
+    else:
+        assert run_cli(capsys, "validate", str(path))[0] == 0
+
+
+def test_loaders_reject_undecodable_bytes(tmp_path, capsys):
+    path = tmp_path / "doc.yaml"
+    path.write_bytes(b"task: \xff\xfe\n")
+    _rejected_in_one_line(*run_cli(capsys, "run", "--config", str(path))[::2], "config")
+    _rejected_in_one_line(*run_cli(capsys, "validate", str(path))[::2], "scene")

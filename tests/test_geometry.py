@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from momaplan.geometry import (
     Rect,
-    disc_hits_rect,
     disc_hits_rect_batch,
     segment_hits_rect,
     segments_hit_rect,
     wrap_angle,
 )
+from oracles import disc_hits_rect
 
 finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 
@@ -46,6 +47,21 @@ def test_rect_contains_and_distance():
     assert r.distance_to(1.0, 2.0) == 0.0
     assert r.distance_to(2.5, 2.0) == pytest.approx(1.0)
     assert r.distance_to(1.5 + 3.0, 2.25 + 4.0) == pytest.approx(5.0)
+
+
+@given(finite, finite, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_rect_stores_its_bounds(cx, cy, hx, hy):
+    """Bounds are computed once, with the same arithmetic as ``cx ± hx``;
+    ``replace`` recomputes them, and equality, hashing and repr still see
+    only the four defining fields."""
+    r = Rect(cx, cy, hx, hy)
+    assert (r.x_min, r.x_max, r.y_min, r.y_max) == (cx - hx, cx + hx, cy - hy, cy + hy)
+    moved = dataclasses.replace(r, cx=cx + 1.0, hy=hy * 2.0)
+    assert (moved.x_min, moved.x_max) == ((cx + 1.0) - hx, (cx + 1.0) + hx)
+    assert (moved.y_min, moved.y_max) == (cy - hy * 2.0, cy + hy * 2.0)
+    assert r == Rect(cx, cy, hx, hy) and r != moved
+    assert hash(r) == hash((cx, cy, hx, hy))
+    assert repr(r) == f"Rect(cx={cx!r}, cy={cy!r}, hx={hx!r}, hy={hy!r})"
 
 
 def test_rect_overlaps_open_interiors():

@@ -4,9 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from momaplan.feasibility import FeasibilityParams, compute_feasibility_map
-from momaplan.harness import make_scene
+from momaplan.harness import ENVIRONMENTS, make_scene
 from momaplan.motion import (
     MotionError,
     Navigator,
@@ -18,7 +19,7 @@ from momaplan.motion import (
 from momaplan.planning import Router
 from momaplan.world import OccupancyGrid, symbolic_locations
 
-from oracles import dijkstra_counts
+from oracles import dijkstra_counts, disc_hits_rect
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,6 +165,38 @@ def test_cost_field_matches_oracle_costs():
     assert math.isinf(field[tuple(np.argwhere(nav.blocked)[0])])
 
 
+def _undirected_field(nav: Navigator, source) -> np.ndarray:
+    dist = dijkstra(nav._adjacency, directed=False, indices=int(nav._node_of[source]))
+    field = np.full(nav.grid.occupied.size, np.inf)
+    field[nav._cell_of_node] = dist
+    return field.reshape(nav.grid.shape)
+
+
+def test_adjacency_is_symmetric_so_directed_fields_are_exact():
+    """Every edge is added in both directions, so the adjacency equals its
+    transpose and ``cost_field``'s directed search gives the undirected
+    distances bit for bit, on acceptance 4's 50 grids (same draws) and the
+    four benchmark environments."""
+    rng = np.random.default_rng(99)
+    cases = []
+    while len(cases) < 50:
+        nav = Navigator.from_grid(random_grid(rng))
+        free_cells = [tuple(c) for c in np.argwhere(nav.free)]
+        if len(free_cells) < 2:
+            continue
+        cases.append((nav, [free_cells[int(rng.integers(len(free_cells)))]]))
+    sample = np.random.default_rng(7)
+    for environment in ENVIRONMENTS:
+        nav = Navigator(make_scene(1, environment, 42))
+        free_cells = np.argwhere(nav.free)
+        picks = sample.choice(len(free_cells), size=5, replace=False)
+        cases.append((nav, [nav.start_cell] + [tuple(free_cells[i]) for i in picks]))
+    for nav, sources in cases:
+        assert (nav._adjacency != nav._adjacency.T).nnz == 0
+        for source in sources:
+            assert np.array_equal(nav.cost_field(source), _undirected_field(nav, source))
+
+
 def test_cost_field_cached_and_readonly():
     nav = Navigator.from_grid(grid_from(np.zeros((6, 6), dtype=bool)))
     field = nav.cost_field((0, 0))
@@ -296,3 +329,20 @@ def test_robot_collision_continuous(scene1):
     assert not robot_collides(scene1, pose.x, pose.y)
     table = next(t for t in scene1.tables if t.id == "dining")
     assert robot_collides(scene1, table.center[0], table.center[1])
+
+
+def test_robot_collides_matches_the_disc_test(scene1_chair_top):
+    """The inlined loop agrees with ``disc_hits_rect`` over every solid
+    rect, at random points and at points exactly one radius off each edge."""
+    scene = scene1_chair_top
+    radius = scene.robot_radius
+    points = [tuple(p) for p in np.random.default_rng(3).uniform(-1.0, 6.0, (2000, 2))]
+    for r in scene.solid_rects():
+        points += [(r.x_min - radius, r.cy), (r.x_max + radius, r.cy),
+                   (r.cx, r.y_min - radius), (r.cx, r.y_max + radius)]
+    hits = 0
+    for x, y in points:
+        expected = any(disc_hits_rect(x, y, radius, r) for r in scene.solid_rects())
+        assert robot_collides(scene, x, y) == expected
+        hits += expected
+    assert 0 < hits < len(points)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,20 @@ def test_reach_blockers_are_the_other_solid_rects(scene1_chair_top):
         assert table.rect not in blockers
         assert len(blockers) == len(scene.solid_rects()) - 1
         assert set(blockers) | {table.rect} == set(scene.solid_rects())
+
+
+def test_lookups_by_id_keep_the_first_match(scene1):
+    extra = TableSpec("dining", (9.0, 9.0), (0.5, 0.5))
+    doubled = dataclasses.replace(
+        scene1, tables=scene1.tables + (extra,), objects=scene1.objects * 2
+    )
+    assert doubled.table("dining") is scene1.table("dining")
+    for obj in scene1.objects:
+        assert doubled.object(obj.id) is obj
+    with pytest.raises(KeyError, match="unknown table 'attic'"):
+        scene1.table("attic")
+    with pytest.raises(KeyError, match="unknown object 'anvil'"):
+        scene1.object("anvil")
 
 
 def test_auto_spread_keeps_objects_apart():
