@@ -58,10 +58,17 @@ from .world import SceneError, load_scene, location_by_id, save_scene, symbolic_
 LOG_LEVELS = ("WARNING", "INFO", "DEBUG")
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds generators only from non-negative ints."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", type=int, default=1, choices=sorted(TASK_OBJECTS))
     parser.add_argument("--environment", default="easy", choices=ENVIRONMENTS)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_seed, default=42)
 
 
 def _build_parser() -> argparse.ArgumentParser:

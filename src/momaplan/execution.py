@@ -96,10 +96,7 @@ def execute_plan(
     planned cost.
     """
     params = params or FeasibilityParams()
-    positions = {
-        o.id: scene.table(o.initial_location).to_world(*o.initial_position)  # type: ignore[misc]
-        for o in scene.objects
-    }
+    positions = dict(scene.start_positions)
     layers = {o.id: 0 for o in scene.objects}
     trace: list[StepTrace] = []
     cost = 0.0

@@ -16,9 +16,11 @@ seed, the location, the unload point and the trial parameters, with one
 child stream per cell. Recomputing a map for the same inputs therefore
 reproduces it bit for bit, cells are statistically independent, and maps
 are cached with the scene's navigator (``motion.navigator_for``), under its
-bound of eight scenes. Only the draws are made cell by cell: the
-collision, reach and reach-line tests run once per map over the arrivals
-of every reachable cell.
+bound of eight scenes. Each navigator keeps the ``motion.MAX_MAPS`` (256)
+most recently used maps; an evicted map is recomputed equal bit for bit
+when asked again. Only the draws are made cell by cell: the collision,
+reach and reach-line tests run once per map over the arrivals of every
+reachable cell.
 
 Two summary quantities feed planning: the per-cell probability itself for
 a concrete standing cell, and the expected probability under
@@ -41,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import segments_hit_rect
-from .motion import navigator_for, robot_collides_batch
+from .motion import MAX_MAPS, navigator_for, robot_collides_batch
 from .world import Pose2D, SceneState, SymbolicLocation
 
 log = logging.getLogger(__name__)
@@ -271,23 +273,24 @@ def compute_feasibility_map(
     """Per-cell success probabilities for one location and unload point.
 
     Deterministic in (scene seed, location, target, params) and cached in
-    the scene's navigator.
+    the scene's navigator, which keeps the ``MAX_MAPS`` most recently used.
     """
     params = params or FeasibilityParams()
     key = (location.id, round(target[0], 6), round(target[1], 6), params)
     per_scene = navigator_for(scene).maps
-    cached = per_scene.get(key)
-    if cached is not None:
-        return cached
-    outcomes = trial_outcomes(scene, location, target, params)
-    values = outcomes.mean(axis=2)
-    values.setflags(write=False)
-    fmap = FeasibilityMap(location.id, (float(target[0]), float(target[1])), values, params)
+    fmap = per_scene.pop(key, None)
+    if fmap is None:
+        outcomes = trial_outcomes(scene, location, target, params)
+        values = outcomes.mean(axis=2)
+        values.setflags(write=False)
+        fmap = FeasibilityMap(location.id, (float(target[0]), float(target[1])), values, params)
+        log.debug(
+            "feasibility map %s target (%.2f, %.2f): mean %.3f max %.3f",
+            location.id, target[0], target[1], values.mean(), values.max(),
+        )
     per_scene[key] = fmap
-    log.debug(
-        "feasibility map %s target (%.2f, %.2f): mean %.3f max %.3f",
-        location.id, target[0], target[1], values.mean(), values.max(),
-    )
+    if len(per_scene) > MAX_MAPS:
+        del per_scene[next(iter(per_scene))]
     return fmap
 
 

@@ -103,6 +103,8 @@ class Navigator:
     A scene's navigator is also its one per-scene store: it records the
     robot's start cell and component, and holds the feasibility ``maps`` and
     standing-band indices (``bands``) other modules memoise for the scene.
+    ``maps`` keeps the ``MAX_MAPS`` most recently used maps; cost fields
+    and band indices are not bounded within a scene.
     """
 
     def __init__(self, scene: SceneState):
@@ -333,6 +335,14 @@ class Navigator:
 # and band indices, so the bound caps memory for callers keeping many scenes.
 _NAVIGATORS: "WeakKeyDictionary[SceneState, Navigator]" = WeakKeyDictionary()
 _MAX_NAVIGATORS = 8
+# Feasibility maps kept per navigator, least recently used first. A map is
+# recomputed bit for bit after eviction, so the bound only trades time for
+# memory (about 3 KB a map); it covers the 200 maps a 10-configuration
+# re-plan of five objects reads per call. Cost fields stay unbounded: each
+# is a loading cell's, so the source tables' band cells cap their count
+# (78 to 113 on the benchmark workloads), and dropping a field a plan search
+# still reads repeats a whole-grid Dijkstra pass.
+MAX_MAPS = 256
 
 
 def navigator_for(scene: SceneState) -> Navigator:

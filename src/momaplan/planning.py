@@ -251,9 +251,8 @@ class Router:
 
     def load_pose(self, obj: str, point: tuple[float, float]) -> Pose2D:
         """Pose at a loading stand point, facing ``obj``."""
-        spec = self.scene.object(obj)
         x, y = point
-        ox, oy = self.scene.table(spec.initial_location).to_world(*spec.initial_position)  # type: ignore[misc]
+        ox, oy = self.scene.start_positions[obj]
         return Pose2D(x, y, math.atan2(oy - y, ox - x))
 
     def legs(

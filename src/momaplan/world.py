@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -34,6 +36,11 @@ SIDES = ("north", "south", "east", "west")
 
 DEFAULT_GRID_RESOLUTION = 0.05
 _GRID_MARGIN = 0.5
+# Largest grid a scene may ask for: a 50 m square at the default resolution,
+# about 50 times the benchmark scenes' 115 x 162. Navigation keeps several
+# whole-grid arrays per scene, so a larger grid is refused before any is
+# allocated.
+MAX_GRID_CELLS = 1_000_000
 
 
 class SceneError(ValueError):
@@ -255,6 +262,15 @@ class SceneState:
             t.id: solid[:i] + solid[i + 1:] for i, t in enumerate(self.tables)
         })
 
+    @cached_property
+    def start_positions(self) -> MappingProxyType[str, tuple[float, float]]:
+        """World-frame start position of every object, by id, in object
+        order; read-only, so a rollout copies it into its own dict."""
+        return MappingProxyType({
+            o.id: self.table(o.initial_location).to_world(*o.initial_position)  # type: ignore[misc]
+            for o in self.objects
+        })
+
     def solid_rects(self) -> tuple[Rect, ...]:
         """Every table and obstacle rectangle, tables first."""
         return self._solid  # type: ignore[attr-defined]
@@ -354,7 +370,8 @@ def rasterize(
 
     A cell counts as occupied when its center lies inside any table or
     obstacle rectangle (closed boundaries). Pure function of the geometry:
-    rasterizing the same scene twice yields identical arrays.
+    rasterizing the same scene twice yields identical arrays. A grid of
+    more than ``MAX_GRID_CELLS`` cells raises ``SceneError``.
     """
     if origin is None or shape is None:
         x0, y0, x1, y1 = _auto_bounds(tables, obstacles, robot_pose)
@@ -364,6 +381,8 @@ def rasterize(
             int(math.ceil((x1 - x0) / resolution)),
         )
     rows, cols = shape
+    if rows * cols > MAX_GRID_CELLS:
+        raise SceneError(f"grid of {rows} x {cols} cells exceeds the limit of {MAX_GRID_CELLS}")
     xs = origin[0] + (np.arange(cols) + 0.5) * resolution
     ys = origin[1] + (np.arange(rows) + 0.5) * resolution
     gx, gy = np.meshgrid(xs, ys)

@@ -67,6 +67,17 @@ def test_log_level_rejects_unknown_levels(capsys):
     assert "--log-level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["plan", "heatmap", "run", "export-scene"])
+@pytest.mark.parametrize("seed", ["-1", "4.5"])
+def test_seed_flag_must_be_a_non_negative_int(capsys, verb, seed):
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb, "--seed", seed, "--out", "unused"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: must be a non-negative integer, got '{seed}'\n")
+    assert "Traceback" not in err
+
+
 def test_write_heatmap_pgm_bytes(tmp_path):
     values = np.array([[0.0, 0.5, 1.0]])
     fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
@@ -282,6 +293,7 @@ def _mutated(draw, base):
         return doc
 
 
+_SCENE_DATA = scene_to_dict(make_scene(1, "easy", 42))
 _YAML_TEXTS = st.one_of(
     st.text(max_size=40),
     st.lists(st.sampled_from(["a: ", "- ", "[", "]", "{", "}", ": ", ", ", "\n", "  ", "&x ",
@@ -289,7 +301,7 @@ _YAML_TEXTS = st.one_of(
              max_size=12).map("".join),
     _VALUES.map(yaml.safe_dump),
     _mutated(_BASE_CONFIG).map(yaml.safe_dump),
-    _mutated(scene_to_dict(make_scene(1, "easy", 42))).map(yaml.safe_dump),
+    _mutated(_SCENE_DATA).map(yaml.safe_dump),
 )
 
 
@@ -298,6 +310,8 @@ _YAML_TEXTS = st.one_of(
 @example(text="[" * 2000 + "]" * 2000)
 @example(text="seed: -1\n")
 @example(text="feasibility: {reach_radius: .inf}\n")
+@example(text=yaml.safe_dump(
+    {**_SCENE_DATA, "grid": {**_SCENE_DATA["grid"], "shape": [10_000_000, 10_000_000]}}))
 @given(text=_YAML_TEXTS)
 def test_yaml_text_loads_or_exits_2_in_one_line(tmp_path, capsys, text):
     """Any YAML text loads as an experiment config or a scene, or raises

@@ -15,8 +15,9 @@ from momaplan.feasibility import (
     task_feasibility,
     trial_outcomes,
 )
+from momaplan import feasibility
 from momaplan.harness import ENVIRONMENTS, make_scene
-from momaplan.motion import navigator_for
+from momaplan.motion import MAX_MAPS, navigator_for
 from momaplan.planning import Router
 from momaplan.world import ObstacleSpec, build_scene, location_by_id, symbolic_locations
 
@@ -64,6 +65,61 @@ def test_map_is_deterministic_and_cached(scene1):
     assert np.array_equal(a.values, raw)
     with pytest.raises(ValueError):
         a.values[0, 0] = 0.5
+
+
+def _store_requests(scene, count):
+    """``count`` distinct map requests on a scene's bands, cheap ones:
+    one trial per cell, unload points 1 mm apart on the dining table."""
+    params = FeasibilityParams(trials_per_cell=1)
+    locations = [loc for t in scene.tables for loc in symbolic_locations(scene, t.id)]
+    cx, cy = scene.table("dining").center
+    return [(locations[i % len(locations)], (cx + 0.001 * i, cy), params) for i in range(count)]
+
+
+def test_map_store_never_exceeds_its_bound():
+    scene = make_scene(1, "easy", 42)  # a fresh scene, so a fresh store
+    store = navigator_for(scene).maps
+    requests = _store_requests(scene, MAX_MAPS + 8)
+    for request in requests:
+        compute_feasibility_map(scene, *request)
+        assert len(store) <= MAX_MAPS
+    assert len(store) == MAX_MAPS
+    # The eight oldest went; the newest are the ones kept.
+    kept = {(fmap.location_id, fmap.target) for fmap in store.values()}
+    assert kept == {(loc.id, target) for loc, target, _ in requests[8:]}
+
+
+def test_map_store_hit_refreshes_recency(monkeypatch):
+    monkeypatch.setattr(feasibility, "MAX_MAPS", 3)
+    scene = make_scene(1, "easy", 42)
+    a, b, c, d = _store_requests(scene, 4)
+    first = compute_feasibility_map(scene, *a)
+    compute_feasibility_map(scene, *b)
+    compute_feasibility_map(scene, *c)
+    assert compute_feasibility_map(scene, *a) is first  # a hit, now the newest
+    compute_feasibility_map(scene, *d)  # evicts b, the least recently used
+    targets = [fmap.target for fmap in navigator_for(scene).maps.values()]
+    assert targets == [c[1], a[1], d[1]]
+    assert compute_feasibility_map(scene, *a) is first
+
+
+def test_evicted_map_recomputes_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(feasibility, "MAX_MAPS", 2)
+    scene = make_scene(1, "easy", 42)
+    location = location_by_id(scene, "dining/south")
+    params = FeasibilityParams(trials_per_cell=3)
+    target = _dining_target(scene)
+    first = compute_feasibility_map(scene, location, target, params)
+    for request in _store_requests(scene, 2):
+        compute_feasibility_map(scene, *request)
+    assert all(fmap is not first for fmap in navigator_for(scene).maps.values())
+    again = compute_feasibility_map(scene, location, target, params)
+    assert again is not first
+    assert (again.location_id, again.target, again.params) == (
+        first.location_id, first.target, first.params)
+    assert again.values.dtype == first.values.dtype
+    assert again.values.tobytes() == first.values.tobytes()
+    assert 0.0 < first.values.mean() < 1.0
 
 
 def test_cells_are_independent_of_each_other(scene1):

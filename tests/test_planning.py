@@ -15,7 +15,7 @@ from momaplan.feasibility import (
 )
 from momaplan.goalgen import generate_goal
 from momaplan.grounding import GroundingParams, sample_configurations
-from momaplan import harness
+from momaplan import feasibility, harness, planning
 from momaplan.harness import (
     ENVIRONMENTS,
     OBJECT_CATALOG,
@@ -26,7 +26,7 @@ from momaplan.harness import (
     run_trial,
     scripted_backend_for_task,
 )
-from momaplan.motion import Navigator, navigator_for
+from momaplan.motion import MAX_MAPS, Navigator, navigator_for
 from momaplan.planning import (
     MANIPULATION_COST,
     REWARD,
@@ -300,6 +300,31 @@ def test_plan_task_calls_on_one_scene_share_band_indices(goal1, monkeypatch):
     assert len(built) == len(bands)
     assert all(navigator_for(scene).bands[t] is band for t, band in bands.items())
     assert Router(scene).band("dining") is bands["dining"]
+
+
+def test_replan_reads_every_map_from_the_store(monkeypatch):
+    """A 10-configuration re-plan of task 8 asks for 200 maps per call, all
+    within the store's bound, so a second call computes none."""
+    requests, computed = [], []
+
+    def counting(calls, function):
+        def counted(*args):
+            calls.append(args)
+            return function(*args)
+        return counted
+
+    monkeypatch.setattr(planning, "compute_feasibility_map",
+                        counting(requests, compute_feasibility_map))
+    monkeypatch.setattr(feasibility, "trial_outcomes",
+                        counting(computed, feasibility.trial_outcomes))
+    scene = make_scene(8, "chair_top", seed=42)
+    goal = task_goal(8)
+    configs = grounded(scene, goal, m=10)
+    plan_task(scene, "dining", configs, goal.atoms, fast_params(stand_seed=0))
+    assert len(requests) == 200 and 0 < len(computed) <= MAX_MAPS
+    del requests[:], computed[:]
+    plan_task(scene, "dining", configs, goal.atoms, fast_params(stand_seed=1))
+    assert len(requests) == 200 and computed == []
 
 
 def test_loading_stand_does_not_depend_on_walk_history():

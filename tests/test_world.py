@@ -219,6 +219,7 @@ def test_scene_from_dict_rejects_bad_version():
         ("tables", "half_extents", [0.6, "wide"], "half_extents must be two floats"),
         ("tables", "half_extents", [0.0, 0.15], "half extents must be positive"),
         ("grid", "shape", [115.0, 162.0], "shape must be two ints"),
+        ("grid", "shape", [10_000_000, 10_000_000], "exceeds the limit of 1000000"),
         ("robot", "x", "left", "malformed scene entry"),
     ],
 )
@@ -230,6 +231,13 @@ def test_scene_from_dict_rejects_malformed_entries(scene1, section, key, value, 
         scene_from_dict(data)
     data[section] = ["not", "a", "mapping"]
     with pytest.raises(SceneError, match="malformed scene entry"):
+        scene_from_dict(data)
+
+
+def test_auto_sized_grid_over_the_cell_limit_is_refused(scene1):
+    data = scene_to_dict(scene1)
+    data["grid"] = {"resolution": 1e-4}  # the same room at 0.1 mm
+    with pytest.raises(SceneError, match="57500 x 81000 cells exceeds the limit"):
         scene_from_dict(data)
 
 
