@@ -24,6 +24,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import yaml
@@ -58,6 +59,14 @@ from .world import SceneError, load_scene, location_by_id, save_scene, symbolic_
 LOG_LEVELS = ("WARNING", "INFO", "DEBUG")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag on one line, as ``_invalid`` reports a bad file;
+    ``add_subparsers`` gives each verb's parser this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
+
+
 def _seed(text: str) -> int:
     """A ``--seed`` value: numpy seeds generators only from non-negative ints."""
     if not text.isdecimal():
@@ -72,7 +81,7 @@ def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="momaplan",
         description="Desk-scale mobile manipulation planning benchmark.",
     )
@@ -178,6 +187,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     scene = make_scene(args.task, args.environment, args.seed)
     location = location_by_id(scene, f"{TARGET_TABLE}/{args.side}")
     target = (args.target_x, args.target_y)
+    if not scene.table(TARGET_TABLE).rect.contains(*target):
+        print(f"error: target {target} is not on the {TARGET_TABLE} table", file=sys.stderr)
+        return 2
     params = FeasibilityParams()
     fmap = compute_feasibility_map(scene, location, target, params)
 

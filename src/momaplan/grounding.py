@@ -34,6 +34,11 @@ from .relations import (
 log = logging.getLogger(__name__)
 
 DEFAULT_SEPARATION_M = 0.10
+# Std dev of the Gaussian draw around an object's nominal spot.
+NOISE_SIGMA_M = 0.02
+ATTEMPTS_PER_OBJECT = 1000
+# Spacing between anchors of disconnected relation components.
+COMPONENT_SPACING_M = 0.15
 
 
 class GroundingError(RuntimeError):
@@ -43,11 +48,6 @@ class GroundingError(RuntimeError):
 @dataclass
 class GroundingParams:
     configurations: int = 10
-    noise_sigma: float = 0.02
-    tolerance: float = ALIGNMENT_TOL
-    attempts_per_object: int = 1000
-    # Spacing between anchors of disconnected relation components.
-    component_spacing: float = 0.15
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _atom_offset(atom: PlacementAtom, separation: float) -> tuple[float, float]:
     return (dx * separation, dy * separation)
 
 
-def nominal_layout(goal: GeneratedGoal, params: GroundingParams | None = None) -> Configuration:
+def nominal_layout(goal: GeneratedGoal) -> Configuration:
     """Derive nominal table-frame positions and stacking layers.
 
     Placement walks the relation graph to a fixpoint, seeding each connected
@@ -80,7 +80,6 @@ def nominal_layout(goal: GeneratedGoal, params: GroundingParams | None = None) -
     otherwise the first object mentioned. Later anchors shift sideways so
     disconnected groups never coincide.
     """
-    params = params or GroundingParams()
     atoms = goal.atoms
     order = goal_objects(atoms)
     positions: dict[str, tuple[float, float]] = {}
@@ -89,7 +88,7 @@ def nominal_layout(goal: GeneratedGoal, params: GroundingParams | None = None) -
 
     def place_anchor(obj: str) -> None:
         nonlocal anchors
-        positions[obj] = (anchors * params.component_spacing, 0.0)
+        positions[obj] = (anchors * COMPONENT_SPACING_M, 0.0)
         layers.setdefault(obj, 0)
         anchors += 1
 
@@ -195,7 +194,7 @@ def sample_configurations(
     this table top.
     """
     params = params or GroundingParams()
-    nominal = nominal_layout(goal, params)
+    nominal = nominal_layout(goal)
     order = _placement_order(goal_objects(goal.atoms), goal.atoms)
     missing = [o for o in order if o not in radii]
     if missing:
@@ -205,7 +204,7 @@ def sample_configurations(
     result = GroundingResult(nominal=nominal, atoms=list(goal.atoms))
     for index in range(params.configurations):
         config = _sample_one(
-            goal, nominal, order, stack_support, radii, table_half_extents, rng, params, index
+            goal, nominal, order, stack_support, radii, table_half_extents, rng, index
         )
         result.configurations.append(config)
     return result
@@ -219,7 +218,6 @@ def _sample_one(
     radii: dict[str, float],
     half_extents: tuple[float, float],
     rng: np.random.Generator,
-    params: GroundingParams,
     config_index: int,
 ) -> Configuration:
     positions: dict[str, tuple[float, float]] = {}
@@ -229,7 +227,7 @@ def _sample_one(
         if support is not None and support in positions:
             candidate = positions[support]
             layer = layers[support] + 1
-            if _accept(goal, obj, candidate, layer, positions, layers, radii, half_extents, params):
+            if _accept(goal, obj, candidate, layer, positions, layers, radii, half_extents):
                 positions[obj] = candidate
                 layers[obj] = layer
                 continue
@@ -239,17 +237,17 @@ def _sample_one(
             )
         nx, ny = nominal.positions[obj]
         layer = nominal.layers[obj]
-        for _ in range(params.attempts_per_object):
-            dx, dy = rng.normal(0.0, params.noise_sigma, size=2)
+        for _ in range(ATTEMPTS_PER_OBJECT):
+            dx, dy = rng.normal(0.0, NOISE_SIGMA_M, size=2)
             candidate = (nx + dx, ny + dy)
-            if _accept(goal, obj, candidate, layer, positions, layers, radii, half_extents, params):
+            if _accept(goal, obj, candidate, layer, positions, layers, radii, half_extents):
                 positions[obj] = candidate
                 layers[obj] = layer
                 break
         else:
             raise GroundingError(
                 f"configuration {config_index}: no valid sample for {obj!r} after "
-                f"{params.attempts_per_object} attempts"
+                f"{ATTEMPTS_PER_OBJECT} attempts"
             )
     return Configuration(positions, layers)
 
@@ -263,7 +261,6 @@ def _accept(
     layers: dict[str, int],
     radii: dict[str, float],
     half_extents: tuple[float, float],
-    params: GroundingParams,
 ) -> bool:
     if not _fits_on_table(candidate, radii[obj], half_extents):
         return False
@@ -276,7 +273,7 @@ def _accept(
             continue
         if any(o not in trial_pos for o in atom.objects()):
             continue
-        if not atom_holds(atom, trial_pos, trial_layers, params.tolerance):
+        if not atom_holds(atom, trial_pos, trial_layers, ALIGNMENT_TOL):
             return False
     return True
 

@@ -17,8 +17,8 @@ size. Four systems are compared:
 
 All four systems load from the same stands and pay for the same legs:
 ``planning.Router`` picks each loading stand (the free pickup-band cell
-nearest the previous stand, facing the object), prices the legs and
-builds the paths. A baseline leg that does not connect cuts the plan to
+nearest the previous stand, facing the object), builds the paths and
+prices the plan. A baseline leg that does not connect cuts the plan to
 its routed prefix, which then ends in a navigation failure.
 
 Every trial simulates execution under arrival noise, verifies the final
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,6 @@ from .grounding import (
 )
 from .motion import MotionError
 from .planning import (
-    MANIPULATION_COST,
     PlanningError,
     PlanningParams,
     Router,
@@ -221,21 +220,7 @@ class ExperimentConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "environment": self.environment,
-            "systems": list(self.systems),
-            "trials": self.trials,
-            "seed": self.seed,
-            "configurations": self.configurations,
-            "feasibility": {
-                "trials_per_cell": self.feasibility.trials_per_cell,
-                "nav_sigma_xy": self.feasibility.nav_sigma_xy,
-                "nav_sigma_theta": self.feasibility.nav_sigma_theta,
-                "reach_radius": self.feasibility.reach_radius,
-                "task_draws": self.feasibility.task_draws,
-            },
-        }
+        return {**asdict(self), "systems": list(self.systems)}
 
 
 @dataclass
@@ -255,27 +240,12 @@ class TrialRecord:
     goal_attempts: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "trial": self.trial,
-            "completed": self.completed,
-            "verified": self.verified,
-            "success": self.success,
-            "satisfaction": _round(self.satisfaction),
-            "executed_cost": _round(self.executed_cost),
-            "planned_cost": _round(self.planned_cost),
-            "planned_feasibility": _round(self.planned_feasibility),
-            "planned_utility": _round(self.planned_utility),
-            "objects_delivered": self.objects_delivered,
-            "failure_kind": self.failure_kind,
-            "goal_attempts": self.goal_attempts,
-        }
+        """Every field, floats rounded to six decimals."""
+        return {k: _round(v) if isinstance(v, float) else v for k, v in asdict(self).items()}
 
 
-def _round(value: float | None, digits: int = 6) -> float | None:
-    if value is None:
-        return None
-    return round(float(value), digits)
+def _round(value: float) -> float:
+    return round(float(value), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +333,7 @@ def _baseline_plan(
     execution time rather than as a refusal to plan."""
     router = Router(scene)
     pairs = _uniform_inreach_options(router, config, order, rng, params)
-    steps, connected = router.walk(pairs)
-    cost = router.paths(steps) + MANIPULATION_COST * 2 * len(steps)
+    steps, connected, cost = router.route(pairs)
     return SelectedPlan(
         config_index=0,
         plan_index=0,
@@ -382,16 +351,9 @@ def _baseline_plan(
     )
 
 
-@dataclass
-class _TrialPlan:
-    plan: SelectedPlan | None
-    goal_attempts: int | None
-    failure: str | None = None
-
-
 def _plan_llm_grop(
     scene: SceneState, goal: GeneratedGoal, config: ExperimentConfig, trial: int
-) -> _TrialPlan:
+) -> tuple[SelectedPlan, int | None]:
     radii = _radii(scene)
     table = scene.table(TARGET_TABLE)
     grng = _trial_rng(config, "llm_grop", trial, 0)
@@ -404,34 +366,38 @@ def _plan_llm_grop(
     )
     params = PlanningParams(feasibility=config.feasibility, stand_seed=trial)
     plan = plan_task(scene, TARGET_TABLE, grounding.configurations, goal.atoms, params)
-    return _TrialPlan(plan, goal.attempts)
+    return plan, goal.attempts
 
 
 def _plan_latp(
     scene: SceneState, goal: GeneratedGoal, config: ExperimentConfig, trial: int
-) -> _TrialPlan:
+) -> tuple[SelectedPlan, int | None]:
     nominal = nominal_layout(goal)
     order = goal_objects(goal.atoms)
     rng = _trial_rng(config, "latp", trial, 2)
     plan = _baseline_plan(scene, nominal, order, rng, config.feasibility)
-    return _TrialPlan(plan, goal.attempts)
+    return plan, goal.attempts
 
 
-def _plan_tpra(scene: SceneState, config: ExperimentConfig, trial: int) -> _TrialPlan:
+def _plan_tpra(
+    scene: SceneState, config: ExperimentConfig, trial: int
+) -> tuple[SelectedPlan, int | None]:
     order = [o.id for o in scene.objects]
     rng = _trial_rng(config, "tpra", trial, 2)
     placement = _random_configuration(scene, order, rng)
     plan = _baseline_plan(scene, placement, order, rng, config.feasibility)
-    return _TrialPlan(plan, None)
+    return plan, None
 
 
-def _plan_grop(scene: SceneState, config: ExperimentConfig, trial: int) -> _TrialPlan:
+def _plan_grop(
+    scene: SceneState, config: ExperimentConfig, trial: int
+) -> tuple[SelectedPlan, int | None]:
     order = [o.id for o in scene.objects]
     rng = _trial_rng(config, "grop", trial, 2)
     placement = _random_configuration(scene, order, rng)
     params = PlanningParams(feasibility=config.feasibility, stand_seed=trial)
     plan = plan_task(scene, TARGET_TABLE, [placement], [], params)
-    return _TrialPlan(plan, None)
+    return plan, None
 
 
 def run_trial(
@@ -444,13 +410,13 @@ def run_trial(
     """One planning + execution episode for one system."""
     try:
         if system == "llm_grop":
-            tp = _plan_llm_grop(scene, goal, config, trial)
+            plan, goal_attempts = _plan_llm_grop(scene, goal, config, trial)
         elif system == "latp":
-            tp = _plan_latp(scene, goal, config, trial)
+            plan, goal_attempts = _plan_latp(scene, goal, config, trial)
         elif system == "tpra":
-            tp = _plan_tpra(scene, config, trial)
+            plan, goal_attempts = _plan_tpra(scene, config, trial)
         elif system == "grop":
-            tp = _plan_grop(scene, config, trial)
+            plan, goal_attempts = _plan_grop(scene, config, trial)
         else:
             raise ValueError(f"unknown system {system!r}")
     except (PlanningError, GroundingError, MotionError) as exc:
@@ -470,8 +436,6 @@ def run_trial(
             failure_kind="planning",
             goal_attempts=None,
         )
-    plan = tp.plan
-    assert plan is not None
     xrng = _trial_rng(config, system, trial, 1)
     result: ExecutionResult = execute_plan(scene, plan, xrng, config.feasibility)
     completed = result.success and not plan.truncated
@@ -501,7 +465,7 @@ def run_trial(
         planned_utility=plan.utility if system in ("llm_grop", "grop") else None,
         objects_delivered=result.objects_delivered,
         failure_kind=failure,
-        goal_attempts=tp.goal_attempts,
+        goal_attempts=goal_attempts,
     )
 
 
@@ -579,8 +543,7 @@ def build_report(
 
 
 def dump_report(report: dict, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(report, fh, sort_keys=True, default_flow_style=False)
+    Path(path).write_bytes(report_bytes(report))
 
 
 def report_bytes(report: dict) -> bytes:

@@ -15,19 +15,19 @@ feasibility, minus its cost. Feasibility averages one term per manipulation
 that side and unload point). Cost adds optimal navigation distances between
 consecutive stands and a fixed charge per manipulation.
 
-``Router`` holds the loading-stand and leg-routing rule, shared with the
-baseline planners in ``harness``: ``legs`` picks one step's loading stand
-and prices both of its legs with cached single-source cost fields, ``walk``
-chains steps into a plan, and ``paths`` reads the legs of a chosen plan
-off those same fields as explicit grid paths (``Navigator.field_path``),
-so no A* runs while planning; A* is the reference acceptance 4 checks.
-The planner prices every candidate of a configuration from one leg table
-over (previous stand, unload option) pairs, filled only for the pairs some
-candidate reaches, and skips candidates with a leg that does not connect.
-The table first finds the loading stands after every stand of the
-configuration in one distance pass per source table. Only the winning plan
-is walked into steps and given explicit paths, and its cost and utility
-are recomputed from them.
+``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
+with the baseline planners in ``harness``: ``legs`` picks one step's
+loading stand and prices both of its legs with cached single-source cost
+fields, and ``route`` turns a chosen plan into steps in one pass, reading
+each leg off those same fields as an explicit grid path
+(``Navigator.field_path``) and pricing the plan, so no A* runs while
+planning; A* is the reference acceptance 4 checks. The planner prices
+every candidate of a configuration from one leg table over (previous
+stand, unload option) pairs, filled only for the pairs some candidate
+reaches, and skips candidates with a leg that does not connect. The table
+first finds the loading stands after every stand of the configuration in
+one distance pass per source table. Only the winning plan is routed, and
+its cost and utility are recomputed from its paths.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -37,7 +37,7 @@ Each unload option has two ``SeedSequence``-spawned ``PCG64`` streams, one
 for its feasibility estimate and one for its stand draw; a planning call
 derives all of them in one array pass (``feasibility.pcg64_states``) and
 loads each in turn into one shared generator. Pricing a step reads only
-the memoised loading cell; the loading pose is built for walked steps.
+the memoised loading cell; the loading pose is built for routed steps.
 """
 from __future__ import annotations
 
@@ -77,15 +77,13 @@ class PlanningError(RuntimeError):
 
 @dataclass
 class PlanningParams:
-    reward: float = REWARD
-    manipulation_cost: float = MANIPULATION_COST
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
     # Entropy word mixed into standing-draw seeds so repeated planning calls
     # on one scene can be made independent when desired.
     stand_seed: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanStep:
     object_id: str
     source_table: str
@@ -100,8 +98,8 @@ class PlanStep:
     fea_stand: float
     leg_to_load: float
     leg_to_unload: float
-    path_to_load: MotionPlan | None = None
-    path_to_unload: MotionPlan | None = None
+    path_to_load: MotionPlan | None  # None when the robot already stands there
+    path_to_unload: MotionPlan
 
 
 @dataclass
@@ -115,8 +113,8 @@ class SelectedPlan:
     feasibility: float
     cost: float
     utility: float
-    # Values seen during search, before the winning plan's legs were rebuilt
-    # from explicit paths.
+    # Values seen during search, before the winning plan was routed along
+    # explicit paths.
     search_cost: float
     search_utility: float
     candidates_evaluated: int
@@ -206,10 +204,11 @@ class Router:
     nearest the previous stand, in the robot's start component, facing the
     object. Both legs of a step are priced off the loading cell's cached
     cost field, so a search pricing thousands of candidates computes at
-    most one field per distinct loading stand; ``paths`` then reads the
-    priced legs of the chosen steps off the same fields as explicit grid
-    paths, with no search of their own. Cost fields and band indices live
-    in the scene's navigator, so every router of a scene shares them.
+    most one field per distinct loading stand; ``route`` then reads the
+    legs of a chosen plan off the same fields as explicit grid paths, with
+    no search of their own, and prices the plan. Cost fields and band
+    indices live in the scene's navigator, so every router of a scene
+    shares them.
     """
 
     def __init__(self, scene: SceneState):
@@ -261,8 +260,8 @@ class Router:
         """Loading stand point, load cell and both leg costs of one step:
         move ``obj`` to ``option`` after standing at ``prev_point`` in
         ``prev_cell``. None when there is no loading stand or a leg does
-        not connect. Pricing builds no pose; ``walk`` turns the point of a
-        kept step into one."""
+        not connect. Pricing builds no pose; ``route`` turns the point of a
+        routed step into one."""
         found = self.load_stand(obj, prev_point)
         if found is None:
             return None
@@ -274,22 +273,28 @@ class Router:
             return None
         return load_point, load_cell, leg1, leg2
 
-    def walk(
+    def route(
         self, pairs: Iterable[tuple[str, UnloadOption]]
-    ) -> tuple[list[PlanStep], bool]:
-        """Route (object, unload option) pairs in order.
+    ) -> tuple[list[PlanStep], bool, float]:
+        """Route (object, unload option) pairs in order, each leg read off
+        its loading cell's cached cost field as an explicit grid path.
 
         Returns the steps routed before the first leg that does not connect,
-        and whether every leg connected.
+        whether every leg connected, and the cost of the routed steps: their
+        path lengths plus ``MANIPULATION_COST`` per load and per unload.
         """
         prev_cell = self.nav.start_cell
         prev_point = self.scene.robot_pose.xy
         steps: list[PlanStep] = []
+        connected = True
         for obj, option in pairs:
             legs = self.legs(prev_cell, prev_point, obj, option)
             if legs is None:
-                return steps, False
-            load_point, load_cell, leg1, leg2 = legs
+                connected = False
+                break
+            load_point, load_cell = legs[:2]
+            to_load = self.nav.field_path(prev_cell, load_cell) if prev_cell != load_cell else None
+            to_unload = self.nav.field_path(option.cell, load_cell)
             steps.append(
                 PlanStep(
                     object_id=obj,
@@ -303,29 +308,16 @@ class Router:
                     target_layer=option.layer,
                     fea_task=option.fea_task,
                     fea_stand=option.fea_stand,
-                    leg_to_load=leg1,
-                    leg_to_unload=leg2,
+                    leg_to_load=to_load.cost if to_load else 0.0,
+                    leg_to_unload=to_unload.cost,
+                    path_to_load=to_load,
+                    path_to_unload=replace(to_unload, cells=to_unload.cells[::-1]),
                 )
             )
             prev_cell = option.cell
             prev_point = option.pose.xy
-        return steps, True
-
-    def paths(self, steps: list[PlanStep]) -> float:
-        """Give walked steps explicit optimal paths, read off the loading
-        cells' cached cost fields, re-price their legs by the paths' step
-        counts and return the total navigation cost."""
-        prev = self.nav.start_cell
-        for step in steps:
-            p1 = self.nav.field_path(prev, step.load_cell) if prev != step.load_cell else None
-            p2 = self.nav.field_path(step.unload_cell, step.load_cell)
-            p2 = replace(p2, cells=p2.cells[::-1])
-            step.path_to_load = p1
-            step.path_to_unload = p2
-            step.leg_to_load = p1.cost if p1 else 0.0
-            step.leg_to_unload = p2.cost
-            prev = step.unload_cell
-        return sum(s.leg_to_load + s.leg_to_unload for s in steps)
+        cost = sum(step.leg_to_load + step.leg_to_unload for step in steps)
+        return steps, connected, cost + MANIPULATION_COST * 2 * len(steps)
 
 
 def _unload_option(
@@ -429,7 +421,7 @@ def plan_task(
         raise PlanningError("robot start cell is blocked on the inflated grid")
 
     n = len(objects)
-    manip_total = params.manipulation_cost * 2 * n
+    manip_total = MANIPULATION_COST * 2 * n
     # Step k of candidate c unloads choice codes[c, k] = object * sides + side,
     # after standing at the start or at the previous step's choice.
     object_index = {obj: oi for oi, obj in enumerate(objects)}
@@ -469,7 +461,7 @@ def plan_task(
         nav_cost, fea_sum, connected = _price_candidates(router, choices, pairs)
         fea = (n * 1.0 + fea_sum) / (2 * n)
         cost = nav_cost + manip_total
-        utility = params.reward * fea - cost
+        utility = REWARD * fea - cost
         # Visit candidates in plan order, so the first of near-ties wins;
         # one that cannot beat the best so far is never visited.
         if best is not None:
@@ -485,9 +477,8 @@ def plan_task(
 
     utility, m, pi = best
     order, sides_combo = candidates[pi]
-    steps, _ = router.walk(best_choices[code] for code in codes[pi].tolist())
-    final_cost = router.paths(steps) + manip_total
-    final_utility = params.reward * best_f - final_cost
+    steps, _, final_cost = router.route(best_choices[code] for code in codes[pi].tolist())
+    final_utility = REWARD * best_f - final_cost
     log.info(
         "selected config %d plan %d order=%s sides=%s F=%.3f C=%.2f U=%.2f",
         m, pi, order, sides_combo, best_f, final_cost, final_utility,

@@ -169,53 +169,28 @@ class SymbolicLocation:
     outward: tuple[float, float] = (0.0, 1.0)
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
+        """Center of band cell (row, col), from the ``cell_centers`` table."""
         rows, cols = self.dims
         if not (0 <= row < rows and 0 <= col < cols):
             raise IndexError(f"band cell ({row}, {col}) outside {rows}x{cols} region")
-        ox, oy = self.outward
-        # Lateral axis is the outward normal rotated +90 degrees.
-        lx, ly = -oy, ox
-        near = (row + 0.5) * self.cell_size
-        lateral = (col + 0.5) * self.cell_size - (cols * self.cell_size) / 2.0
-        # Anchor at the band edge closest to the table.
-        ax = self.rect.cx - ox * self._depth_half()
-        ay = self.rect.cy - oy * self._depth_half()
-        return (ax + ox * near + lx * lateral, ay + oy * near + ly * lateral)
-
-    def _depth_half(self) -> float:
-        return (self.dims[0] * self.cell_size) / 2.0
-
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        """Map a point to (row, col); raises when outside the band."""
-        ox, oy = self.outward
-        lx, ly = -oy, ox
-        ax = self.rect.cx - ox * self._depth_half()
-        ay = self.rect.cy - oy * self._depth_half()
-        dx, dy = x - ax, y - ay
-        near = dx * ox + dy * oy
-        lateral = dx * lx + dy * ly + (self.dims[1] * self.cell_size) / 2.0
-        row = int(math.floor(near / self.cell_size))
-        col = int(math.floor(lateral / self.cell_size))
-        rows, cols = self.dims
-        if not (0 <= row < rows and 0 <= col < cols):
-            raise ValueError(f"point ({x:.3f}, {y:.3f}) outside band {self.id}")
-        return (row, col)
+        x, y = self.cell_centers()[row, col].tolist()
+        return (x, y)
 
     def cell_centers(self) -> np.ndarray:
-        """All cell centers as a read-only array of shape (rows, cols, 2).
-
-        The arithmetic is ``cell_center``'s, term for term, so every entry
-        equals it bit for bit. Computed once per location instance.
-        """
+        """All cell centers as a read-only array of shape (rows, cols, 2),
+        computed once per location instance; ``cell_center`` reads it."""
         centers = self.__dict__.get("_centers")
         if centers is None:
             rows, cols = self.dims
             ox, oy = self.outward
+            # Lateral axis is the outward normal rotated +90 degrees.
             lx, ly = -oy, ox
             near = ((np.arange(rows) + 0.5) * self.cell_size)[:, None]
             lateral = (np.arange(cols) + 0.5) * self.cell_size - (cols * self.cell_size) / 2.0
-            ax = self.rect.cx - ox * self._depth_half()
-            ay = self.rect.cy - oy * self._depth_half()
+            # Anchor at the band edge closest to the table.
+            depth_half = (rows * self.cell_size) / 2.0
+            ax = self.rect.cx - ox * depth_half
+            ay = self.rect.cy - oy * depth_half
             centers = np.stack(
                 (ax + ox * near + lx * lateral, ay + oy * near + ly * lateral), axis=-1
             )

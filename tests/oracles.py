@@ -10,10 +10,11 @@ same definition. The exceptions are the package's former implementations,
 kept to referee the faster forms that replaced them bit for bit: the
 per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
 unload option with its own seeded generators and ``rng.choice`` draws,
-the plan search that walks every candidate, the one-point nearest-stand
-query, the distance parser that tries a range match at every position
-of a digit run, and the noisy execution rollout with its generator-based
-collision test and two ``normal`` calls per arrival.
+the plan search that walks every candidate, the scalar band-cell center,
+the one-point nearest-stand query, the distance parser that tries a
+range match at every position of a digit run, and the noisy execution
+rollout with its generator-based collision test and two ``normal`` calls
+per arrival.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from momaplan.motion import navigator_for, robot_collides_batch
 from momaplan.planning import (
     MANIPULATION_COST,
     MAX_PLANS,
+    REWARD,
     PlanningError,
     PlanningParams,
     Router,
@@ -512,16 +514,35 @@ def nearest_usable_center(band, point) -> tuple[float, float] | None:
     return (float(x), float(y))
 
 
+def field_priced_walk(router, pairs):
+    """The former ``Router.walk`` pricing: (object, unload option) pairs
+    chained from the robot's start through ``Router.legs``, each step's
+    leg costs read off its loading cell's cost field and added to the
+    previous steps' one step at a time, left to right, with the step's
+    ``fea_task``. Returns the summed leg costs and feasibility terms, or
+    None at the first leg that does not connect."""
+    prev_cell, prev_point = router.nav.start_cell, router.scene.robot_pose.xy
+    nav_cost = 0.0
+    fea_sum = 0.0
+    for obj, option in pairs:
+        legs = router.legs(prev_cell, prev_point, obj, option)
+        if legs is None:
+            return None
+        nav_cost += legs[2] + legs[3]
+        fea_sum += option.fea_task
+        prev_cell, prev_point = option.cell, option.pose.xy
+    return nav_cost, fea_sum
+
+
 def walk_every_candidate(scene, target_table, configurations, atoms, params=None):
     """The former ``plan_task`` search: every configuration's unload options
     come from ``seeded_unload_option``, every candidate of every
-    configuration is walked into steps through ``Router.walk`` and scored
-    one at a time, a later candidate wins only by more than 1e-12, and
-    the winner's legs are rebuilt as paths by ``Router.paths``.
+    configuration is priced by ``field_priced_walk`` and scored one at a
+    time, a later candidate wins only by more than 1e-12, and the winner is
+    routed along explicit paths by ``Router.route``.
 
     Returns the selected plan and the number of candidates skipped because
-    a leg did not connect. Leg costs and feasibility terms add step by
-    step, left to right, as the former walk and its ``sum`` did.
+    a leg did not connect.
     """
     params = params or PlanningParams()
     objects = list(configurations[0].positions)
@@ -532,10 +553,10 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
     candidates = enumerate_candidates(objects, atoms, side_ids, MAX_PLANS)
     router = Router(scene)
     n = len(objects)
-    manip_total = params.manipulation_cost * 2 * n
+    manip_total = MANIPULATION_COST * 2 * n
 
     best = None
-    best_walk = None
+    best_pairs = None
     best_f = 0.0
     best_c = math.inf
     evaluated = 0
@@ -551,23 +572,18 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
                 )
         for pi, (order, sides_combo) in enumerate(candidates):
             evaluated += 1
-            steps, connected = router.walk(
-                (obj, options[(obj, side)]) for obj, side in zip(order, sides_combo)
-            )
-            if not connected:
+            pairs = [(obj, options[(obj, side)]) for obj, side in zip(order, sides_combo)]
+            priced = field_priced_walk(router, pairs)
+            if priced is None:
                 skipped += 1
                 continue
-            nav_cost = 0.0
-            fea_sum = 0.0
-            for step in steps:
-                nav_cost += step.leg_to_load + step.leg_to_unload
-                fea_sum += step.fea_task
+            nav_cost, fea_sum = priced
             fea = (n * 1.0 + fea_sum) / (2 * n)
             cost = nav_cost + manip_total
-            utility = params.reward * fea - cost
+            utility = REWARD * fea - cost
             if best is None or utility > best[0] + 1e-12:
                 best = (utility, m, pi)
-                best_walk = steps
+                best_pairs = pairs
                 best_f = fea
                 best_c = cost
     if best is None:
@@ -575,22 +591,39 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
 
     utility, m, pi = best
     order, sides_combo = candidates[pi]
-    final_cost = router.paths(best_walk) + manip_total
+    steps, _, final_cost = router.route(best_pairs)
     plan = SelectedPlan(
         config_index=m,
         plan_index=pi,
         order=order,
         sides=sides_combo,
         configuration=configurations[m],
-        steps=best_walk,
+        steps=steps,
         feasibility=best_f,
         cost=final_cost,
-        utility=params.reward * best_f - final_cost,
+        utility=REWARD * best_f - final_cost,
         search_cost=best_c,
         search_utility=utility,
         candidates_evaluated=evaluated,
     )
     return plan, skipped
+
+
+def band_cell_center(location, row: int, col: int) -> tuple[float, float]:
+    """The former ``SymbolicLocation.cell_center``: one band cell's center
+    in scalar arithmetic, half a cell into its row (outward from the band
+    edge nearest the table) and its column (along the outward normal
+    rotated +90 degrees, centered on the band). The cached
+    ``cell_centers`` table must equal it bit for bit."""
+    rows, cols = location.dims
+    ox, oy = location.outward
+    lx, ly = -oy, ox
+    near = (row + 0.5) * location.cell_size
+    lateral = (col + 0.5) * location.cell_size - (cols * location.cell_size) / 2.0
+    depth_half = (rows * location.cell_size) / 2.0
+    ax = location.rect.cx - ox * depth_half
+    ay = location.rect.cy - oy * depth_half
+    return (ax + ox * near + lx * lateral, ay + oy * near + ly * lateral)
 
 
 def disc_hits_rect(x: float, y: float, radius: float, rect) -> bool:

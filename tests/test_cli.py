@@ -64,7 +64,9 @@ def test_log_level_rejects_unknown_levels(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--log-level", "CHATTY", "scenarios"])
     assert excinfo.value.code == 2
-    assert "--log-level" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("momaplan: error: argument --log-level: invalid choice: 'CHATTY'")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("verb", ["plan", "heatmap", "run", "export-scene"])
@@ -74,8 +76,19 @@ def test_seed_flag_must_be_a_non_negative_int(capsys, verb, seed):
         main([verb, "--seed", seed, "--out", "unused"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert err.endswith(f"error: argument --seed: must be a non-negative integer, got '{seed}'\n")
-    assert "Traceback" not in err
+    assert err == (
+        f"momaplan {verb}: error: argument --seed: must be a non-negative integer, got '{seed}'\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["plan", "heatmap", "run", "export-scene"])
+def test_unknown_task_is_refused_on_one_line(capsys, verb):
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb, "--task", "10", "--out", "unused"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"momaplan {verb}: error: argument --task: invalid choice: 10")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_write_heatmap_pgm_bytes(tmp_path):
@@ -103,6 +116,27 @@ def test_heatmap_writes_image_and_sidecar(tmp_path, capsys):
     assert sidecar["pgm"] == "south.pgm"
     assert 0.0 <= sidecar["expected_task_feasibility"] <= 1.0
     assert "expected fea_t" in out
+
+
+@pytest.mark.parametrize("x, y", [("nan", "0"), ("inf", "0"), ("1e308", "0"), ("0.61", "0"),
+                                  ("0", "-0.2")])
+def test_heatmap_refuses_a_target_off_the_table(tmp_path, capsys, x, y):
+    prefix = tmp_path / "map"
+    code, out, err = run_cli(capsys, "heatmap", "--target-x", x, "--target-y", y,
+                             "--out", str(prefix))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: target (") and err.endswith(") is not on the dining table\n")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_heatmap_accepts_a_target_on_the_table_edge(tmp_path, capsys):
+    # The dining table spans x in [-0.6, 0.6] and y in [-0.15, 0.15].
+    code, out, err = run_cli(capsys, "heatmap", "--target-x", "0.6", "--target-y", "-0.15",
+                             "--out", str(tmp_path / "edge"))
+    assert code == 0 and err == ""
+    assert (tmp_path / "edge.pgm").exists()
 
 
 def test_run_with_flags_to_stdout(capsys):

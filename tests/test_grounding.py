@@ -5,6 +5,7 @@ import pytest
 
 from momaplan.goalgen import GeneratedGoal
 from momaplan.grounding import (
+    COMPONENT_SPACING_M,
     GroundingError,
     GroundingParams,
     configuration_valid,
@@ -78,7 +79,7 @@ def test_nominal_disconnected_components_spread_out():
     )
     layout = nominal_layout(goal)
     assert layout.positions["a"] == (0.0, 0.0)
-    assert layout.positions["c"] == (GroundingParams().component_spacing, 0.0)
+    assert layout.positions["c"] == (COMPONENT_SPACING_M, 0.0)
     assert layout.positions["b"] != layout.positions["d"]
 
 

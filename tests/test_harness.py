@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 import yaml
 
+from momaplan import harness
 from momaplan.feasibility import FeasibilityParams
+from momaplan.goalgen import generate_goal
 from momaplan.harness import (
     ENVIRONMENTS,
     SYSTEMS,
@@ -174,6 +177,47 @@ def test_unreachable_baseline_stand_becomes_navigation_failure(goal1):
     assert truncated, "some uniform draws should land behind the chair"
     for r in truncated:
         assert not r.completed and not r.success
+
+
+def test_truncated_baseline_costs_its_routed_prefix(goal1):
+    """A baseline plan cut at a leg behind the chair costs exactly its
+    routed steps' path lengths plus 1.0 per step (one load and one unload
+    charge), and every routed step carries its path to the unload stand."""
+    config = fast_config(environment="chair_top", trials=8)
+    scene = make_scene(config.task, config.environment, config.seed)
+    plans = [harness._plan_latp(scene, goal1, config, t)[0] for t in range(config.trials)]
+    truncated = [plan for plan in plans if plan.truncated and plan.steps]
+    assert truncated, "some uniform draws should land behind the chair after a routed step"
+    for plan in truncated:
+        assert len(plan.steps) < len(TASK_OBJECTS[config.task])
+        cost = 0.0
+        for step in plan.steps:
+            assert step.path_to_unload.cells[-1] == step.unload_cell
+            cost += (step.path_to_load.cost if step.path_to_load else 0.0) + step.path_to_unload.cost
+        assert plan.cost == cost + 1.0 * len(plan.steps)
+
+
+def test_report_config_section_loads_back_as_an_equal_config(tmp_path):
+    """The config section of a report, written out as a config file, loads
+    into the config that produced it, with no field at its default."""
+    config = ExperimentConfig(
+        task=3,
+        environment="chair_bottom",
+        systems=("tpra", "latp"),
+        trials=4,
+        seed=7,
+        configurations=5,
+        feasibility=FeasibilityParams(trials_per_cell=4, nav_sigma_xy=0.02, nav_sigma_theta=0.05,
+                                      reach_radius=0.7, task_draws=12),
+    )
+    for ours, default in ((config, ExperimentConfig()), (config.feasibility, FeasibilityParams())):
+        for f in dataclasses.fields(ours):
+            assert getattr(ours, f.name) != getattr(default, f.name), f.name
+    goal = generate_goal(list(TASK_OBJECTS[3]), scripted_backend_for_task(3))
+    report = yaml.safe_load(report_bytes(build_report(config, goal, [])))
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(report["config"]))
+    assert ExperimentConfig.from_yaml(path) == config
 
 
 def test_run_experiment_report_layout(tmp_path):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rasterize_by_point_test
+from oracles import band_cell_center, rasterize_by_point_test
 from momaplan.world import (
     BAND_CELL_SIZE,
     BAND_COLS,
@@ -76,22 +76,14 @@ def test_bands_sit_at_declared_offsets(scene1):
         )
 
 
-def test_band_cell_of_inverts_cell_center(scene1):
-    for loc in symbolic_locations(scene1, "dining"):
-        for row in range(BAND_ROWS):
-            for col in range(0, BAND_COLS, 5):
-                assert loc.cell_of(*loc.cell_center(row, col)) == (row, col)
-        with pytest.raises(ValueError):
-            loc.cell_of(*scene1.table("dining").center)
-
-
 def test_band_cell_centers_array_matches_scalar(scene1):
     for loc in symbolic_locations(scene1, "dining"):
         centers = loc.cell_centers()
         assert centers.shape == (BAND_ROWS, BAND_COLS, 2)
         for row in range(BAND_ROWS):
             for col in range(BAND_COLS):
-                assert tuple(centers[row, col]) == loc.cell_center(row, col)
+                assert tuple(centers[row, col]) == band_cell_center(loc, row, col)
+                assert loc.cell_center(row, col) == band_cell_center(loc, row, col)
         assert loc.cell_centers() is centers
         with pytest.raises(ValueError):
             centers[0, 0, 0] = 0.0
