@@ -74,6 +74,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """A ``--trials`` or ``--configurations`` value: a positive integer."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--task", type=int, default=1, choices=sorted(TASK_OBJECTS))
     parser.add_argument("--environment", default="easy", choices=ENVIRONMENTS)
@@ -95,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan one task and print the result")
     _add_scene_flags(p)
-    p.add_argument("--configurations", type=int, default=10, metavar="M",
+    p.add_argument("--configurations", type=_count, default=10, metavar="M",
                    help="metric configurations to sample (default 10)")
 
     p = sub.add_parser("heatmap", help="export a feasibility map as PGM + YAML")
@@ -111,9 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment and write the report")
     p.add_argument("--config", metavar="FILE", help="experiment config YAML")
     _add_scene_flags(p)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--systems", nargs="+", default=list(SYSTEMS), choices=SYSTEMS)
-    p.add_argument("--configurations", type=int, default=10, metavar="M")
+    p.add_argument("--configurations", type=_count, default=10, metavar="M")
     p.add_argument("--out", metavar="FILE", help="report path (default: stdout)")
     p.add_argument("--log", metavar="FILE", help="per-trial JSONL log path")
 

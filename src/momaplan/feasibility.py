@@ -92,10 +92,6 @@ class FeasibilityMap:
     def value_at(self, cell: Cell) -> float:
         return float(self.values[cell])
 
-    @property
-    def all_zero(self) -> bool:
-        return not self.values.any()
-
     @cached_property
     def cdf(self) -> np.ndarray | None:
         """Normalised cumulative table of the weighted standing draw, built
@@ -276,6 +272,8 @@ def compute_feasibility_map(
     the scene's navigator, which keeps the ``MAX_MAPS`` most recently used.
     """
     params = params or FeasibilityParams()
+    # Python floats round about ten times faster than numpy scalars.
+    target = (float(target[0]), float(target[1]))
     key = (location.id, round(target[0], 6), round(target[1], 6), params)
     per_scene = navigator_for(scene).maps
     fmap = per_scene.pop(key, None)
@@ -283,7 +281,7 @@ def compute_feasibility_map(
         outcomes = trial_outcomes(scene, location, target, params)
         values = outcomes.mean(axis=2)
         values.setflags(write=False)
-        fmap = FeasibilityMap(location.id, (float(target[0]), float(target[1])), values, params)
+        fmap = FeasibilityMap(location.id, target, values, params)
         log.debug(
             "feasibility map %s target (%.2f, %.2f): mean %.3f max %.3f",
             location.id, target[0], target[1], values.mean(), values.max(),

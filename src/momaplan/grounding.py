@@ -276,28 +276,3 @@ def _accept(
         if not atom_holds(atom, trial_pos, trial_layers, ALIGNMENT_TOL):
             return False
     return True
-
-
-def configuration_valid(
-    config: Configuration,
-    atoms: list[PlacementAtom],
-    radii: dict[str, float],
-    half_extents: tuple[float, float],
-    tol: float = ALIGNMENT_TOL,
-) -> bool:
-    """Full validity re-check for a finished configuration."""
-    for atom in atoms:
-        if not atom_holds(atom, config.positions, config.layers, tol):
-            return False
-    objs = list(config.positions)
-    for i, a in enumerate(objs):
-        if not _fits_on_table(config.positions[a], radii[a], half_extents):
-            return False
-        for b in objs[i + 1 :]:
-            if config.layers[a] != config.layers[b]:
-                continue
-            ax, ay = config.positions[a]
-            bx, by = config.positions[b]
-            if math.hypot(ax - bx, ay - by) < radii[a] + radii[b]:
-                return False
-    return True

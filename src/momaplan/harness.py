@@ -202,6 +202,9 @@ class ExperimentConfig:
         _check_fields(path, "config", data, cls())
         if data.get("seed", 0) < 0:
             raise ConfigError(f"{path}: seed must be non-negative, got {data['seed']}")
+        for key in ("trials", "configurations"):
+            if data.get(key, 1) < 1:
+                raise ConfigError(f"{path}: {key} must be positive, got {data[key]}")
         if data.get("task", 1) not in TASK_OBJECTS:
             raise ConfigError(f"{path}: unknown task {data['task']!r}")
         if data.get("environment", "easy") not in ENVIRONMENTS:
@@ -313,6 +316,7 @@ def _uniform_inreach_options(
             location=band.locations[band.owner[idx]],
             pose=pose,
             cell=router.nav.cell_of(pose.x, pose.y),
+            band_index=int(idx),
             target_world=target,
             layer=config.layers[obj],
         )

@@ -101,10 +101,11 @@ class Navigator:
     price thousands of candidate legs that share endpoints.
 
     A scene's navigator is also its one per-scene store: it records the
-    robot's start cell and component, and holds the feasibility ``maps`` and
-    standing-band indices (``bands``) other modules memoise for the scene.
-    ``maps`` keeps the ``MAX_MAPS`` most recently used maps; cost fields
-    and band indices are not bounded within a scene.
+    robot's start cell and component, and holds the feasibility ``maps``,
+    standing-band indices (``bands``) and loading-stand tables (``stands``)
+    other modules memoise for the scene. ``maps`` keeps the ``MAX_MAPS``
+    most recently used maps; cost fields, band indices and stand tables are
+    not bounded within a scene (a stand table holds one int per band cell).
     """
 
     def __init__(self, scene: SceneState):
@@ -140,6 +141,7 @@ class Navigator:
         self._cells: dict[Cell, Cell] = {}
         self.maps: dict = {}
         self.bands: dict = {}
+        self.stands: dict = {}
 
     # -- graph construction
 
@@ -190,14 +192,18 @@ class Navigator:
         ca, cb = self.component(a), self.component(b)
         return ca >= 0 and ca == cb
 
-    def components_at(self, points: np.ndarray) -> np.ndarray:
+    def flat_cells(self, points: np.ndarray) -> np.ndarray:
+        """Flat grid index of the cell each metric point, shape (n, 2), lies
+        in (``cell_of``'s arithmetic); -1 for a point off the grid."""
         ix = np.floor((points[:, 0] - self.grid.origin[0]) / self.grid.resolution).astype(int)
         iy = np.floor((points[:, 1] - self.grid.origin[1]) / self.grid.resolution).astype(int)
         nr, nc = self.grid.shape
         inside = (iy >= 0) & (iy < nr) & (ix >= 0) & (ix < nc)
-        out = np.full(len(points), -1, dtype=np.int64)
-        out[inside] = self._labels[iy[inside], ix[inside]]
-        return out
+        return np.where(inside, iy * nc + ix, -1)
+
+    def components_at(self, points: np.ndarray) -> np.ndarray:
+        flat = self.flat_cells(points)
+        return np.where(flat >= 0, self._labels.ravel()[flat], -1)
 
     def reachable_at(self, points: np.ndarray) -> np.ndarray:
         """Whether each metric point, shape (n, 2), lies in a free cell of
@@ -331,8 +337,9 @@ class Navigator:
         )
 
 
-# Least recently used first. A navigator holds its scene's cost fields, maps
-# and band indices, so the bound caps memory for callers keeping many scenes.
+# Least recently used first. A navigator holds its scene's cost fields, maps,
+# band indices and stand tables, so the bound caps memory for callers keeping
+# many scenes.
 _NAVIGATORS: "WeakKeyDictionary[SceneState, Navigator]" = WeakKeyDictionary()
 _MAX_NAVIGATORS = 8
 # Feasibility maps kept per navigator, least recently used first. A map is

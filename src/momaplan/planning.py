@@ -16,18 +16,20 @@ that side and unload point). Cost adds optimal navigation distances between
 consecutive stands and a fixed charge per manipulation.
 
 ``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
-with the baseline planners in ``harness``: ``legs`` picks one step's
-loading stand and prices both of its legs with cached single-source cost
-fields, and ``route`` turns a chosen plan into steps in one pass, reading
-each leg off those same fields as an explicit grid path
-(``Navigator.field_path``) and pricing the plan, so no A* runs while
-planning; A* is the reference acceptance 4 checks. The planner prices
-every candidate of a configuration from one leg table over (previous
-stand, unload option) pairs, filled only for the pairs some candidate
-reaches, and skips candidates with a leg that does not connect. The table
-first finds the loading stands after every stand of the configuration in
-one distance pass per source table. Only the winning plan is routed, and
-its cost and utility are recomputed from its paths.
+with the baseline planners in ``harness``. Every stand a leg starts from
+is the robot's start or the center of a target-table band cell, so the
+loading stand after it is kept per scene by band index
+(``Router.loading_stands``). ``legs`` prices both legs of one step with the
+loading cell's cached single-source cost field, and ``route`` turns a
+chosen plan into steps in one pass, reading each leg off those same fields
+as an explicit grid path (``Navigator.field_path``) and pricing the plan,
+so no A* runs while planning; A* is the reference acceptance 4 checks. The
+planner prices every candidate of a configuration from one leg table over
+(previous stand, unload option) pairs: it gathers each pair's loading cell
+from the stand tables, prices only the pairs some candidate reaches with
+its earlier legs connected, one cost field per distinct loading cell, and
+skips candidates with a leg that does not connect. Only the winning plan
+is routed, and its cost and utility are recomputed from its paths.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -37,7 +39,7 @@ Each unload option has two ``SeedSequence``-spawned ``PCG64`` streams, one
 for its feasibility estimate and one for its stand draw; a planning call
 derives all of them in one array pass (``feasibility.pcg64_states``) and
 loads each in turn into one shared generator. Pricing a step reads only
-the memoised loading cell; the loading pose is built for routed steps.
+the loading cell; the loading pose is built for routed steps.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ from .feasibility import (
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for
 from .relations import ON_TOP_OF, PlacementAtom
-from .world import Pose2D, SceneState, SymbolicLocation, symbolic_locations
+from .world import Pose2D, SceneState, SymbolicLocation, stacked_cell_centers, symbolic_locations
 
 log = logging.getLogger(__name__)
 
@@ -161,25 +163,33 @@ def enumerate_candidates(
 
 class BandIndex:
     """Flat arrays over every band cell of one table, location by location
-    in row-major cell order, for nearest-usable-cell and in-reach queries.
-    A cell is usable when ``Navigator.reachable_at`` holds at its center."""
+    in row-major cell order, for nearest-usable-cell and in-reach queries; a
+    cell's position in them is its band index. ``centers`` is the one copy
+    of the centers the locations read, ``cells`` the flat grid index of
+    each center, and a cell is usable when ``Navigator.reachable_at`` holds
+    at its center."""
 
     def __init__(self, nav: Navigator, locations: list[SymbolicLocation]):
         self.locations = locations
-        grids = [loc.cell_centers().reshape(-1, 2) for loc in locations]
-        self.centers = np.concatenate(grids)
-        self.owner = np.repeat(np.arange(len(grids)), [len(grid) for grid in grids])
+        sizes = [loc.dims[0] * loc.dims[1] for loc in locations]
+        self._offset = dict(zip((loc.id for loc in locations), np.cumsum([0] + sizes).tolist()))
+        self.centers = stacked_cell_centers(locations)
+        self.owner = np.repeat(np.arange(len(locations)), sizes)
+        self.cells = nav.flat_cells(self.centers)
         self.usable = nav.reachable_at(self.centers)
 
-    def nearest_free(self, points: np.ndarray) -> list[tuple[float, float] | None]:
-        """Center of the usable cell nearest each of ``points``, shape
-        (m, 2) (the first of ties), or None when no cell is usable; one
+    def index(self, location: SymbolicLocation, cell: Cell) -> int:
+        """Band index of ``cell`` of ``location``, one of this band's."""
+        return self._offset[location.id] + cell[0] * location.dims[1] + cell[1]
+
+    def nearest_free(self, points: np.ndarray) -> np.ndarray:
+        """Band index of the usable cell nearest each of ``points``, shape
+        (m, 2) (the first of ties), or -1 when no cell is usable; one
         distance pass for all of them."""
         if not self.usable.any():
-            return [None] * len(points)
+            return np.full(len(points), -1)
         d2 = (self.centers[:, 0] - points[:, :1]) ** 2 + (self.centers[:, 1] - points[:, 1:]) ** 2
-        nearest = np.argmin(np.where(self.usable, d2, np.inf), axis=1)
-        return [(x, y) for x, y in self.centers[nearest].tolist()]
+        return np.argmin(np.where(self.usable, d2, np.inf), axis=1)
 
 
 @dataclass
@@ -191,33 +201,38 @@ class UnloadOption:
     location: SymbolicLocation
     pose: Pose2D
     cell: Cell  # navigation grid cell of the standing pose
+    band_index: int  # the stand's cell in its table's ``BandIndex``
     target_world: tuple[float, float]
     layer: int
     fea_task: float = 0.0
     fea_stand: float = 0.0
 
 
+_UNSET = -2  # a stand-table entry not looked up yet
+
+
 class Router:
     """The loading-stand and leg-routing rule every system shares.
 
-    A loading stand is the free band cell of the object's source table
-    nearest the previous stand, in the robot's start component, facing the
-    object. Both legs of a step are priced off the loading cell's cached
-    cost field, so a search pricing thousands of candidates computes at
-    most one field per distinct loading stand; ``route`` then reads the
-    legs of a chosen plan off the same fields as explicit grid paths, with
-    no search of their own, and prices the plan. Cost fields and band
-    indices live in the scene's navigator, so every router of a scene
-    shares them.
+    A loading stand is the usable band cell of the object's source table
+    whose center is nearest the previous stand (the first of ties): a free
+    cell in the robot's start component, faced toward the object. A
+    previous stand is the robot's start or the center of a band cell, so
+    the navigator keeps the rule's answers in per-scene tables by band
+    index, one per (stand table, source table) with a last entry for the
+    start, filled only for the stands some query asks for. Both legs of a
+    step are priced off the loading cell's cached cost field, so a search
+    pricing thousands of candidates computes at most one field per
+    distinct loading stand; ``route`` then reads the legs of a chosen plan
+    off the same fields as explicit grid paths, with no search of their
+    own, and prices the plan. Cost fields, band indices and stand tables
+    live in the scene's navigator, so every router of a scene shares them.
     """
 
     def __init__(self, scene: SceneState):
         self.scene = scene
         self.nav = navigator_for(scene)
-        self._source = {o.id: o.initial_location for o in scene.objects}
-        # The nearest-free rule reads the previous stand's point, so the
-        # memo is keyed by that point, not by the grid cell it falls in.
-        self._nearest: dict[tuple[str, tuple[float, float]], tuple[tuple[float, float], Cell] | None] = {}
+        self.source = {o.id: o.initial_location for o in scene.objects}
 
     def band(self, table_id: str) -> BandIndex:
         """The band index of ``table_id``, built once per scene."""
@@ -225,28 +240,24 @@ class Router:
             self.nav.bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
         return self.nav.bands[table_id]
 
-    def load_stands(self, objects: Iterable[str], points: list[tuple[float, float]]) -> None:
-        """Memoise the loading stand after each of ``points`` for every
-        source table of ``objects``: one distance pass per table."""
-        for table_id in dict.fromkeys(self._source[obj] for obj in objects):
-            missing = [p for p in points if (table_id, p) not in self._nearest]
-            if missing:
-                found = self.band(table_id).nearest_free(np.array(missing))
-                for prev_point, point in zip(missing, found):
-                    self._nearest[(table_id, prev_point)] = (
-                        None if point is None else (point, self.nav.cell_of(*point))
-                    )
-
-    def load_stand(
-        self, obj: str, prev_point: tuple[float, float]
-    ) -> tuple[tuple[float, float], Cell] | None:
-        """Loading stand point and its grid cell for ``obj`` after standing
-        at ``prev_point``; None when no band cell of its source table is
-        reachable."""
-        key = (self._source[obj], prev_point)
-        if key not in self._nearest:
-            self.load_stands([obj], [prev_point])
-        return self._nearest[key]
+    def loading_stands(self, source: str, table: str, stands: np.ndarray) -> np.ndarray:
+        """Band index in ``source``'s band of the loading stand after each
+        of ``stands``: a band cell of ``table``'s band, or -1 for the
+        robot's start. -1 where no cell of the band is usable. Stands not
+        asked for before are looked up in one distance pass and kept in the
+        scene's table for (``table``, ``source``), whose last entry is the
+        start's."""
+        known = self.nav.stands.get((table, source))
+        if known is None:
+            size = len(self.band(table).centers) + 1
+            known = self.nav.stands[(table, source)] = np.full(size, _UNSET, dtype=np.int32)
+        missing = np.unique(stands[known[stands] == _UNSET])
+        if len(missing):
+            points = self.band(table).centers[missing]
+            if missing[0] < 0:
+                points[0] = self.scene.robot_pose.xy
+            known[missing] = self.band(source).nearest_free(points)
+        return known[stands]
 
     def load_pose(self, obj: str, point: tuple[float, float]) -> Pose2D:
         """Pose at a loading stand point, facing ``obj``."""
@@ -255,23 +266,27 @@ class Router:
         return Pose2D(x, y, math.atan2(oy - y, ox - x))
 
     def legs(
-        self, prev_cell: Cell, prev_point: tuple[float, float], obj: str, option: UnloadOption
+        self, prev: UnloadOption | None, obj: str, option: UnloadOption
     ) -> tuple[tuple[float, float], Cell, float, float] | None:
         """Loading stand point, load cell and both leg costs of one step:
-        move ``obj`` to ``option`` after standing at ``prev_point`` in
-        ``prev_cell``. None when there is no loading stand or a leg does
-        not connect. Pricing builds no pose; ``route`` turns the point of a
-        routed step into one."""
-        found = self.load_stand(obj, prev_point)
-        if found is None:
+        move ``obj`` to ``option`` after standing at ``prev``, or at the
+        robot's start when ``prev`` is None, with the stand read from the
+        scene's stand tables. None when there is no loading stand or a leg
+        does not connect."""
+        source = self.source[obj]
+        prev_cell, at = (self.nav.start_cell, -1) if prev is None else (prev.cell, prev.band_index)
+        stand = self.loading_stands(source, (prev or option).location.table_id, np.array([at]))[0]
+        if stand < 0:
             return None
-        load_point, load_cell = found
+        band = self.band(source)
+        load_cell = divmod(int(band.cells[stand]), self.nav.grid.shape[1])
         load_field = self.nav.cost_field(load_cell)
-        leg1 = 0.0 if prev_cell == load_cell else float(load_field[prev_cell])
+        leg1 = float(load_field[prev_cell])
         leg2 = float(load_field[option.cell])
         if math.isinf(leg1) or math.isinf(leg2):
             return None
-        return load_point, load_cell, leg1, leg2
+        x, y = band.centers[stand].tolist()
+        return (x, y), load_cell, leg1, leg2
 
     def route(
         self, pairs: Iterable[tuple[str, UnloadOption]]
@@ -283,12 +298,12 @@ class Router:
         whether every leg connected, and the cost of the routed steps: their
         path lengths plus ``MANIPULATION_COST`` per load and per unload.
         """
+        prev: UnloadOption | None = None
         prev_cell = self.nav.start_cell
-        prev_point = self.scene.robot_pose.xy
         steps: list[PlanStep] = []
         connected = True
         for obj, option in pairs:
-            legs = self.legs(prev_cell, prev_point, obj, option)
+            legs = self.legs(prev, obj, option)
             if legs is None:
                 connected = False
                 break
@@ -298,7 +313,7 @@ class Router:
             steps.append(
                 PlanStep(
                     object_id=obj,
-                    source_table=self._source[obj],
+                    source_table=self.source[obj],
                     load_pose=self.load_pose(obj, load_point),
                     load_cell=load_cell,
                     unload_location=option.location.id,
@@ -314,8 +329,7 @@ class Router:
                     path_to_unload=replace(to_unload, cells=to_unload.cells[::-1]),
                 )
             )
-            prev_cell = option.cell
-            prev_point = option.pose.xy
+            prev, prev_cell = option, option.cell
         cost = sum(step.leg_to_load + step.leg_to_unload for step in steps)
         return steps, connected, cost + MANIPULATION_COST * 2 * len(steps)
 
@@ -323,6 +337,7 @@ class Router:
 def _unload_option(
     scene: SceneState,
     nav: Navigator,
+    band: BandIndex,
     location: SymbolicLocation,
     target_world: tuple[float, float],
     layer: int,
@@ -341,6 +356,7 @@ def _unload_option(
         location=location,
         pose=pose,
         cell=nav.cell_of(pose.x, pose.y),
+        band_index=band.index(location, cell),
         target_world=target_world,
         layer=layer,
         fea_task=fea_task,
@@ -360,37 +376,68 @@ def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Genera
 
 
 def _price_candidates(
-    router: Router, choices: list[tuple[str, UnloadOption]], pairs: np.ndarray
+    router: Router, band: BandIndex, choices: list[tuple[str, UnloadOption]], pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Navigation cost, summed unload feasibility and connectedness of every
     candidate of one configuration, priced from one leg table.
 
     ``pairs[c, k]`` codes step k of candidate c as ``prev * len(choices) +
     choice``, where ``prev`` is 0 at the robot's start and ``1 + j`` after
-    unloading ``choices[j]``. Step k's pairs are priced once each, and only
-    for candidates whose earlier steps connected, so the table asks for the
-    cost fields that walking every candidate would. Both sums add column by
-    column, so each candidate's equal its steps added one at a time.
+    unloading ``choices[j]``, whose stands are cells of ``band``. A code's
+    loading cell is gathered from the scene's stand tables, and its legs
+    connect when it has one and both other ends are usable cells, since a
+    cost field is finite exactly on its source's component. Only codes of
+    candidates whose earlier steps connect are priced, each once, with one
+    cost field per distinct loading cell among them: the fields walking
+    every candidate asks for. Both sums add column by column, so each
+    candidate's equal its steps added one at a time.
     """
-    stands = [(router.nav.start_cell, router.scene.robot_pose.xy)]
-    stands += [(option.cell, option.pose.xy) for _, option in choices]
-    router.load_stands((obj for obj, _ in choices), [point for _, point in stands])
-    fea_task = np.array([option.fea_task for _, option in choices])
-    step_cost = np.full(len(stands) * len(choices), np.nan)  # nan: not priced
-    connected = np.ones(len(pairs), dtype=bool)
+    nav, size = router.nav, len(choices)
+    table = choices[0][1].location.table_id
+    stands = np.array([-1] + [option.band_index for _, option in choices])
+    sources = [router.source[obj] for obj, _ in choices]
+    # Flat grid index of the loading cell after each previous stand, one
+    # row per source table; -1 where there is none.
+    source_row = {source: row for row, source in enumerate(dict.fromkeys(sources))}
+    after = np.empty((len(source_row), len(stands)), dtype=np.int64)
+    for source, row in source_row.items():
+        found = router.loading_stands(source, table, stands)
+        after[row] = np.where(found >= 0, router.band(source).cells[found], -1)
+    load = after[[source_row[source] for source in sources]].T.ravel()
+    usable = band.usable[stands]
+    usable[0] = True  # the robot's start
+    connects = (load >= 0) & (usable[:, None] & usable[1:]).ravel()
+
+    prefix = np.logical_and.accumulate(connects[pairs], axis=1)
+    asked = np.zeros(len(load), dtype=bool)
+    asked[pairs[:, 0]] = True
+    asked[pairs[:, 1:][prefix[:, :-1]]] = True
+    asked = np.flatnonzero(asked & (load >= 0))
+    cells = load[asked]
+    order = np.argsort(cells, kind="stable")
+    asked, cells = asked[order], cells[order]
+    # Flat grid index of each previous stand: the start, then every choice.
+    grid_cols = nav.grid.shape[1]
+    stand_cells = band.cells[stands]
+    stand_cells[0] = nav.start_cell[0] * grid_cols + nav.start_cell[1]
+    prev_at, option_at = stand_cells[asked // size], stand_cells[1 + asked % size]
+    costs = np.empty(len(asked))
+    # Codes sharing a loading cell are priced off its one cost field.
+    starts = np.flatnonzero(np.diff(cells, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(cells)]):
+        field = nav.cost_field(divmod(int(cells[lo]), grid_cols)).ravel()
+        costs[lo:hi] = field[prev_at[lo:hi]] + field[option_at[lo:hi]]
+    step_cost = np.full(len(load), math.inf)
+    step_cost[asked] = np.where(connects[asked], costs, math.inf)
+
+    step_cost = step_cost[pairs]
+    fea_task = np.array([option.fea_task for _, option in choices])[pairs % size]
     nav_cost = np.zeros(len(pairs))
     fea_sum = np.zeros(len(pairs))
-    for column in pairs.T:
-        wanted = column[connected]
-        for code in np.unique(wanted[np.isnan(step_cost[wanted])]).tolist():
-            prev, choice = divmod(code, len(choices))
-            legs = router.legs(*stands[prev], *choices[choice])
-            step_cost[code] = math.inf if legs is None else legs[2] + legs[3]
-        costs = step_cost[column]
-        connected &= costs < math.inf
-        nav_cost = nav_cost + costs
-        fea_sum = fea_sum + fea_task[column % len(choices)]
-    return nav_cost, fea_sum, connected
+    for k in range(pairs.shape[1]):
+        nav_cost = nav_cost + step_cost[:, k]
+        fea_sum = fea_sum + fea_task[:, k]
+    return nav_cost, fea_sum, prefix[:, -1]
 
 
 def plan_task(
@@ -410,7 +457,8 @@ def plan_task(
     objects = list(configurations[0].positions)
     table = scene.table(target_table)
     router = Router(scene)
-    target_locations = router.band(target_table).locations
+    band = router.band(target_table)
+    target_locations = band.locations
     side_ids = tuple(loc.side for loc in target_locations)
     loc_by_side = {loc.side: loc for loc in target_locations}
 
@@ -451,14 +499,14 @@ def plan_task(
     for m, config in enumerate(configurations):
         choices = [
             (obj, _unload_option(
-                scene, router.nav, loc_by_side[side], table.to_world(*config.positions[obj]),
+                scene, router.nav, band, loc_by_side[side], table.to_world(*config.positions[obj]),
                 config.layers[obj], params, gen,
                 option_streams[(m * n + oi) * len(side_ids) + si],
             ))
             for oi, obj in enumerate(objects)
             for si, side in enumerate(side_ids)
         ]
-        nav_cost, fea_sum, connected = _price_candidates(router, choices, pairs)
+        nav_cost, fea_sum, connected = _price_candidates(router, band, choices, pairs)
         fea = (n * 1.0 + fea_sum) / (2 * n)
         cost = nav_cost + manip_total
         utility = REWARD * fea - cost

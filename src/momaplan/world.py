@@ -135,13 +135,6 @@ class OccupancyGrid:
         iy = int(math.floor((y - self.origin[1]) / self.resolution))
         return (iy, ix)
 
-    def center_of(self, cell: tuple[int, int]) -> tuple[float, float]:
-        iy, ix = cell
-        return (
-            self.origin[0] + (ix + 0.5) * self.resolution,
-            self.origin[1] + (iy + 0.5) * self.resolution,
-        )
-
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         iy, ix = cell
         return 0 <= iy < self.occupied.shape[0] and 0 <= ix < self.occupied.shape[1]
@@ -253,6 +246,22 @@ class SceneState:
     def reach_blockers(self, table_id: str) -> tuple[Rect, ...]:
         """The solid rectangles a reach line onto ``table_id`` must not cross."""
         return self._blockers[table_id]  # type: ignore[attr-defined]
+
+
+def stacked_cell_centers(locations: list[SymbolicLocation]) -> np.ndarray:
+    """Every cell center of ``locations``, location by location in row-major
+    cell order, as one read-only (n, 2) array. Each location's
+    ``cell_centers`` then reads its slice of it, so the centers are held
+    once."""
+    centers = np.concatenate([loc.cell_centers().reshape(-1, 2) for loc in locations])
+    centers.setflags(write=False)
+    start = 0
+    for loc in locations:
+        rows, cols = loc.dims
+        view = centers[start:start + rows * cols].reshape(rows, cols, 2)
+        object.__setattr__(loc, "_centers", view)
+        start += rows * cols
+    return centers
 
 
 def symbolic_locations(scene: SceneState, table_id: str) -> list[SymbolicLocation]:

@@ -7,11 +7,12 @@ neighbor loops instead of sparse-matrix graph algorithms, plain Python
 arithmetic instead of vectorized slicing. If an oracle and the package
 agree, the agreement is between two separately written encodings of the
 same definition. The exceptions are the package's former implementations,
-kept to referee the faster forms that replaced them bit for bit: the
-per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
+kept to referee the faster forms that replaced them bit for bit (or, for
+the configuration re-check and the grid cell center, kept because only
+the tests read them): the per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
 unload option with its own seeded generators and ``rng.choice`` draws,
 the plan search that walks every candidate, the scalar band-cell center,
-the one-point nearest-stand query, the distance parser that tries a
+the one-point loading-stand rule, the distance parser that tries a
 range match at every position of a digit run, and the noisy execution
 rollout with its generator-based collision test and two ``normal`` calls
 per arrival.
@@ -34,6 +35,7 @@ from momaplan.feasibility import (
 )
 from momaplan.geometry import segment_hits_rect, segments_hit_rect
 from momaplan.goalgen import MAX_DISTANCE_CM, MIN_DISTANCE_CM, LineParseError
+from momaplan.grounding import _fits_on_table
 from momaplan.motion import navigator_for, robot_collides_batch
 from momaplan.planning import (
     MANIPULATION_COST,
@@ -46,7 +48,8 @@ from momaplan.planning import (
     UnloadOption,
     enumerate_candidates,
 )
-from momaplan.world import Pose2D, symbolic_locations
+from momaplan.relations import ALIGNMENT_TOL, atom_holds
+from momaplan.world import Pose2D
 
 SQRT2 = math.sqrt(2.0)
 
@@ -329,6 +332,37 @@ def configuration_is_valid(config, atoms, radii, half_extents, tol: float = 0.03
     )
 
 
+def configuration_valid(config, atoms, radii, half_extents, tol: float = ALIGNMENT_TOL) -> bool:
+    """The former ``grounding.configuration_valid``: the package's own atom
+    predicate, table fit and same-layer clearance, re-checked on a finished
+    configuration."""
+    for atom in atoms:
+        if not atom_holds(atom, config.positions, config.layers, tol):
+            return False
+    objs = list(config.positions)
+    for i, a in enumerate(objs):
+        if not _fits_on_table(config.positions[a], radii[a], half_extents):
+            return False
+        for b in objs[i + 1 :]:
+            if config.layers[a] != config.layers[b]:
+                continue
+            ax, ay = config.positions[a]
+            bx, by = config.positions[b]
+            if math.hypot(ax - bx, ay - by) < radii[a] + radii[b]:
+                return False
+    return True
+
+
+def grid_cell_center(grid, cell) -> tuple[float, float]:
+    """The former ``OccupancyGrid.center_of``: the metric center of a grid
+    cell (row, col)."""
+    iy, ix = cell
+    return (
+        grid.origin[0] + (ix + 0.5) * grid.resolution,
+        grid.origin[1] + (iy + 0.5) * grid.resolution,
+    )
+
+
 def noise_success_probability(
     center,
     target,
@@ -475,7 +509,7 @@ def scalar_task_feasibility(fmap, rng, draws=None) -> float:
     return float(np.mean(vals))
 
 
-def seeded_unload_option(scene, nav, location, target_world, layer, params, seed_key):
+def seeded_unload_option(scene, nav, band, location, target_world, layer, params, seed_key):
     """The former ``planning._unload_option``: two ``SeedSequence`` /
     ``PCG64`` / ``Generator`` triples per option, spawned from the scene
     seed and ``params.stand_seed`` with keys ``(*seed_key, 0)`` (feasibility
@@ -496,6 +530,7 @@ def seeded_unload_option(scene, nav, location, target_world, layer, params, seed
         location=location,
         pose=pose,
         cell=nav.cell_of(pose.x, pose.y),
+        band_index=band.index(location, cell),
         target_world=target_world,
         layer=layer,
         fea_task=fea_task,
@@ -504,7 +539,7 @@ def seeded_unload_option(scene, nav, location, target_world, layer, params, seed
 
 
 def nearest_usable_center(band, point) -> tuple[float, float] | None:
-    """The former ``BandIndex.nearest_free``: one distance pass for one
+    """The former one-point loading-stand rule: one distance pass for one
     point, the first usable center of least squared distance, or None when
     no cell of the band is usable."""
     if not band.usable.any():
@@ -516,19 +551,28 @@ def nearest_usable_center(band, point) -> tuple[float, float] | None:
 
 def field_priced_walk(router, pairs):
     """The former ``Router.walk`` pricing: (object, unload option) pairs
-    chained from the robot's start through ``Router.legs``, each step's
-    leg costs read off its loading cell's cost field and added to the
-    previous steps' one step at a time, left to right, with the step's
-    ``fea_task``. Returns the summed leg costs and feasibility terms, or
-    None at the first leg that does not connect."""
-    prev_cell, prev_point = router.nav.start_cell, router.scene.robot_pose.xy
+    chained from the robot's start, each step's loading stand found by
+    ``nearest_usable_center`` from the previous stand point (the former
+    per-point rule), its leg costs read off ``nav.cost_field`` of the
+    loading cell and added to the previous steps' one step at a time, left
+    to right, with the step's ``fea_task``. Returns the summed leg costs and
+    feasibility terms, or None at the first leg that does not connect."""
+    nav = router.nav
+    prev_cell, prev_point = nav.start_cell, router.scene.robot_pose.xy
     nav_cost = 0.0
     fea_sum = 0.0
     for obj, option in pairs:
-        legs = router.legs(prev_cell, prev_point, obj, option)
-        if legs is None:
+        band = router.band(router.scene.object(obj).initial_location)
+        load_point = nearest_usable_center(band, prev_point)
+        if load_point is None:
             return None
-        nav_cost += legs[2] + legs[3]
+        load_cell = nav.cell_of(*load_point)
+        field = nav.cost_field(load_cell)
+        leg1 = 0.0 if prev_cell == load_cell else float(field[prev_cell])
+        leg2 = float(field[option.cell])
+        if math.isinf(leg1) or math.isinf(leg2):
+            return None
+        nav_cost += leg1 + leg2
         fea_sum += option.fea_task
         prev_cell, prev_point = option.cell, option.pose.xy
     return nav_cost, fea_sum
@@ -547,11 +591,12 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
     params = params or PlanningParams()
     objects = list(configurations[0].positions)
     table = scene.table(target_table)
-    target_locations = symbolic_locations(scene, target_table)
+    router = Router(scene)
+    band = router.band(target_table)
+    target_locations = band.locations
     side_ids = tuple(loc.side for loc in target_locations)
     loc_by_side = {loc.side: loc for loc in target_locations}
     candidates = enumerate_candidates(objects, atoms, side_ids, MAX_PLANS)
-    router = Router(scene)
     n = len(objects)
     manip_total = MANIPULATION_COST * 2 * n
 
@@ -567,7 +612,7 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
             target_world = table.to_world(*config.positions[obj])
             for si, side in enumerate(side_ids):
                 options[(obj, side)] = seeded_unload_option(
-                    scene, router.nav, loc_by_side[side], target_world,
+                    scene, router.nav, band, loc_by_side[side], target_world,
                     config.layers[obj], params, seed_key=(m, oi, si),
                 )
         for pi, (order, sides_combo) in enumerate(candidates):

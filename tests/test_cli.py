@@ -81,6 +81,33 @@ def test_seed_flag_must_be_a_non_negative_int(capsys, verb, seed):
     )
 
 
+@pytest.mark.parametrize("verb, flag, value", [
+    ("run", "--trials", "-3"),
+    ("run", "--trials", "0"),
+    ("run", "--configurations", "0"),
+    ("run", "--configurations", "2.5"),
+    ("plan", "--configurations", "0"),
+    ("plan", "--configurations", "-1"),
+])
+def test_count_flags_must_be_positive_ints(capsys, verb, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main([verb, flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"momaplan {verb}: error: argument {flag}: must be a positive integer, got '{value}'\n"
+    )
+
+
+@pytest.mark.parametrize("key, value", [("trials", -3), ("configurations", 0)])
+def test_run_rejects_non_positive_counts_in_config(tmp_path, capsys, key, value):
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"task: 1\nsystems: [tpra]\n{key}: {value}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert f"{key} must be positive, got {value}" in err
+
+
 @pytest.mark.parametrize("verb", ["plan", "heatmap", "run", "export-scene"])
 def test_unknown_task_is_refused_on_one_line(capsys, verb):
     with pytest.raises(SystemExit) as excinfo:

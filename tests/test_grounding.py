@@ -8,14 +8,13 @@ from momaplan.grounding import (
     COMPONENT_SPACING_M,
     GroundingError,
     GroundingParams,
-    configuration_valid,
     nominal_layout,
     sample_configurations,
 )
 from momaplan.harness import OBJECT_CATALOG
 from momaplan.relations import PlacementAtom
 
-from oracles import configuration_is_valid
+from oracles import configuration_is_valid, configuration_valid
 
 TABLE_HE = (0.6, 0.15)
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}

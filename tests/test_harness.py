@@ -102,6 +102,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("task: 99\n", "unknown task 99"),
         ("environment: zero_g\n", "unknown environment"),
         ("seed: true\n", "seed must be int"),
+        ("trials: -3\n", "trials must be positive, got -3"),
+        ("trials: 0\n", "trials must be positive, got 0"),
+        ("configurations: 0\n", "configurations must be positive, got 0"),
         ("systems: llm_grop\n", "systems must be a list"),
         ("systems: [llm_grop, oracle]\n", "systems must be a list"),
         ("feasibility: 3\n", "feasibility must be a mapping"),

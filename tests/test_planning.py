@@ -40,11 +40,13 @@ from momaplan.planning import (
     stacking_orders,
 )
 from momaplan.relations import PlacementAtom
-from momaplan.world import symbolic_locations
+from momaplan.world import Pose2D, symbolic_locations
 
 from oracles import (
     dijkstra_counts,
+    field_priced_walk,
     nearest_usable_center,
+    seeded_unload_option,
     walk_every_candidate,
     weighted_mean_feasibility,
 )
@@ -267,6 +269,47 @@ def test_disconnected_candidates_are_skipped_alike():
     assert_same_plan(plan, reference)
 
 
+def test_leg_table_prices_every_candidate_as_the_walk():
+    """Candidate by candidate, not only the winner: the leg table's
+    connectedness is whether the walk connects, and a connected
+    candidate's navigation cost and feasibility sum equal the walk's bit
+    for bit. On task 8 / chair_top the chair walls off some drawn stands."""
+    scene = make_scene(8, "chair_top", seed=42)
+    goal = task_goal(8)
+    params = fast_params()
+    router = Router(scene)
+    band = router.band("dining")
+    table = scene.table("dining")
+    sides = [loc.side for loc in band.locations]
+    configs = grounded(scene, goal, m=2)
+    objects = list(configs[0].positions)
+    codes = np.array([
+        [objects.index(obj) * len(sides) + sides.index(side) for obj, side in zip(*candidate)]
+        for candidate in enumerate_candidates(objects, goal.atoms, tuple(sides), 500)
+    ])
+    prev = np.zeros_like(codes)
+    prev[:, 1:] = codes[:, :-1] + 1
+    pairs = prev * (len(objects) * len(sides)) + codes
+    disconnected = 0
+    for m, config in enumerate(configs):
+        choices = [
+            (obj, seeded_unload_option(
+                scene, router.nav, band, loc, table.to_world(*config.positions[obj]),
+                config.layers[obj], params, seed_key=(m, oi, si)))
+            for oi, obj in enumerate(objects)
+            for si, loc in enumerate(band.locations)
+        ]
+        nav_cost, fea_sum, connected = planning._price_candidates(router, band, choices, pairs)
+        for c, row in enumerate(codes.tolist()):
+            walked = field_priced_walk(router, [choices[k] for k in row])
+            assert connected[c] == (walked is not None), c
+            if walked is None:
+                disconnected += 1
+            else:
+                assert (nav_cost[c], fea_sum[c]) == walked, c
+    assert disconnected > 0
+
+
 def test_leg_table_asks_for_the_walked_cost_fields():
     """The table prices a step only where some candidate reaches it
     connected, so it computes the cost fields of exactly the loading cells
@@ -328,26 +371,34 @@ def test_replan_reads_every_map_from_the_store(monkeypatch):
 
 
 def test_loading_stand_does_not_depend_on_walk_history():
-    """At each dining band corner, two stand points 5 cm apart share one
+    """At each dining band corner, two band cells 5 cm apart share one
     grid cell and can have different loading stands. The stand after one
-    point must be the same whether or not the other was walked first."""
+    cell must be the same whether or not the other was looked up first."""
     scene = make_scene(8, "easy", seed=42)
     nav = navigator_for(scene)
+    router = Router(scene)
     by_cell = defaultdict(list)
-    for x, y in Router(scene).band("dining").centers:
-        by_cell[nav.cell_of(x, y)].append((float(x), float(y)))
-    pairs = [points for points in by_cell.values() if len(points) == 2]
+    for index, (x, y) in enumerate(router.band("dining").centers):
+        by_cell[nav.cell_of(x, y)].append(index)
+    pairs = [indices for indices in by_cell.values() if len(indices) == 2]
     assert len(pairs) == 24
     objects = [scene.objects[0].id, scene.objects[1].id]  # one per pickup table
     assert scene.object(objects[0]).initial_location != scene.object(objects[1]).initial_location
+
+    def cold_stand(source, index):
+        nav.stands.clear()
+        return router.loading_stands(source, "dining", np.array([index]))[0]
+
     differing = 0
     for obj in objects:
+        source = scene.object(obj).initial_location
         for p, q in pairs:
-            differing += Router(scene).load_stand(obj, p) != Router(scene).load_stand(obj, q)
+            differing += cold_stand(source, p) != cold_stand(source, q)
             for first, second in ((p, q), (q, p)):
-                warm = Router(scene)
-                warm.load_stand(obj, first)
-                assert warm.load_stand(obj, second) == Router(scene).load_stand(obj, second)
+                expected = cold_stand(source, second)
+                nav.stands.clear()
+                router.loading_stands(source, "dining", np.array([first]))
+                assert router.loading_stands(source, "dining", np.array([second]))[0] == expected
     assert differing > 0
 
 
@@ -419,9 +470,45 @@ def test_batched_nearest_free_equals_one_point_rule(environment):
     ])
     for band in bands:
         assert band.usable.any()
-        assert band.nearest_free(points) == [nearest_usable_center(band, p) for p in points]
+        assert centers_at(band, band.nearest_free(points)) == [
+            nearest_usable_center(band, p) for p in points
+        ]
     unusable = BandIndex(Navigator.from_grid(scene.grid), bands[0].locations)
-    assert unusable.nearest_free(points[:3]) == [None] * 3
+    assert centers_at(unusable, unusable.nearest_free(points[:3])) == [None] * 3
+
+
+def centers_at(band, indices):
+    """The center of each band index as a tuple of floats, None for -1."""
+    return [None if i < 0 else tuple(band.centers[i].tolist()) for i in indices]
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_stand_tables_equal_the_one_point_rule(environment):
+    """The scene's stand tables answer, for every dining band cell and for
+    the robot's start, on every table's band, the center the one-point rule
+    picks from that cell's center or the start; on a scene whose start cell
+    is blocked no band cell is usable, and every answer is -1 (None)."""
+    scene = make_scene(8, environment, seed=42)
+    blocked = dataclasses.replace(
+        scene, robot_pose=Pose2D(*scene.table("dining").center, 0.0)
+    )
+    for each, usable in ((scene, True), (blocked, False)):
+        router = Router(each)
+        dining = router.band("dining")
+        every = np.arange(len(dining.centers))
+        for table in each.tables:
+            band = router.band(table.id)
+            assert band.usable.any() == usable
+            after_cells = router.loading_stands(table.id, "dining", every)
+            assert centers_at(band, after_cells) == [
+                nearest_usable_center(band, p) for p in dining.centers
+            ]
+            after_start = router.loading_stands(table.id, "dining", np.array([-1]))
+            assert centers_at(band, after_start) == [
+                nearest_usable_center(band, each.robot_pose.xy)
+            ]
+            # A second lookup reads the filled table.
+            assert np.array_equal(router.loading_stands(table.id, "dining", every), after_cells)
 
 
 def test_selected_plan_survives_exhaustive_rescoring(goal1):
@@ -539,3 +626,39 @@ def test_selected_plan_survives_exhaustive_rescoring(goal1):
         plan.search_cost, abs=1e-9
     )
     assert selected[0] >= best - 0.05 * REWARD
+
+
+def test_band_index_addresses_every_cell_once():
+    """A band index names one location's cell: its center is that cell's
+    center, read from the one buffer the locations share, and its grid cell
+    is the one ``cell_of`` gives for that center."""
+    scene = make_scene(8, "chair_top", seed=42)
+    nav = navigator_for(scene)
+    band = Router(scene).band("dining")
+    seen = []
+    for loc in band.locations:
+        assert np.shares_memory(loc.cell_centers(), band.centers)
+        rows, cols = loc.dims
+        for cell in itertools.product(range(rows), range(cols)):
+            index = band.index(loc, cell)
+            seen.append(index)
+            assert band.locations[band.owner[index]] is loc
+            assert tuple(band.centers[index].tolist()) == loc.cell_center(*cell)
+            assert divmod(int(band.cells[index]), scene.grid.shape[1]) == nav.cell_of(
+                *loc.cell_center(*cell))
+    assert seen == list(range(len(band.centers)))
+
+
+def test_no_loading_stand_anywhere_leaves_no_candidate(goal1):
+    """When the stand tables hold no loading stand for any previous stand,
+    no leg connects and no cost field is asked for: the search refuses to
+    plan instead of pricing an empty leg table."""
+    scene = make_scene(1, "easy", seed=42)
+    nav = navigator_for(scene)
+    router = Router(scene)
+    size = len(router.band("dining").centers) + 1
+    for source in {scene.object(obj).initial_location for obj in router.source}:
+        nav.stands[("dining", source)] = np.full(size, -1, dtype=np.int32)
+    with pytest.raises(PlanningError, match="every candidate plan was disconnected"):
+        plan_task(scene, "dining", grounded(scene, goal1, m=1), goal1.atoms, fast_params())
+    assert not nav._fields
