@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -197,6 +198,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     if not scene.table(TARGET_TABLE).rect.contains(*target):
         print(f"error: target {target} is not on the {TARGET_TABLE} table", file=sys.stderr)
         return 2
+    if _unwritable(f"{args.out}.pgm", f"{args.out}.yaml"):
+        return 2
     params = FeasibilityParams()
     fmap = compute_feasibility_map(scene, location, target, params)
 
@@ -219,6 +222,24 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     print(f"wrote {pgm_path} and {yaml_path} "
           f"(expected fea_t {sidecar['expected_task_feasibility']:.4f})")
     return 0
+
+
+def _unwritable(*paths: str | None) -> bool:
+    """Report on one line the first of ``paths`` (None skipped) no file can
+    be written at, before any work starts; False when every one can be."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            reason = "it is a directory"
+        elif not target.parent.is_dir():
+            reason = f"no directory {target.parent}"
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            reason = "permission denied"
+        else:
+            continue
+        print(f"error: cannot write {path}: {reason}", file=sys.stderr)
+        return True
+    return False
 
 
 def _invalid(what: str, exc: Exception) -> int:
@@ -249,6 +270,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             configurations=args.configurations,
         )
+    if _unwritable(args.out, args.log):
+        return 2
     report = run_experiment(config, log_path=args.log)
     if args.out:
         dump_report(report, args.out)
@@ -259,6 +282,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_scene(args: argparse.Namespace) -> int:
+    if _unwritable(args.out):
+        return 2
     scene = make_scene(args.task, args.environment, args.seed)
     save_scene(scene, args.out)
     print(f"wrote {args.out}")

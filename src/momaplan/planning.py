@@ -16,20 +16,19 @@ that side and unload point). Cost adds optimal navigation distances between
 consecutive stands and a fixed charge per manipulation.
 
 ``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
-with the baseline planners in ``harness``. Every stand a leg starts from
-is the robot's start or the center of a target-table band cell, so the
-loading stand after it is kept per scene by band index
-(``Router.loading_stands``). ``legs`` prices both legs of one step with the
-loading cell's cached single-source cost field, and ``route`` turns a
-chosen plan into steps in one pass, reading each leg off those same fields
-as an explicit grid path (``Navigator.field_path``) and pricing the plan,
-so no A* runs while planning; A* is the reference acceptance 4 checks. The
-planner prices every candidate of a configuration from one leg table over
-(previous stand, unload option) pairs: it gathers each pair's loading cell
-from the stand tables, prices only the pairs some candidate reaches with
-its earlier legs connected, one cost field per distinct loading cell, and
-skips candidates with a leg that does not connect. Only the winning plan
-is routed, and its cost and utility are recomputed from its paths.
+with the baseline planners in ``harness``. A leg starts at the robot's
+start or at a target-table band cell, so the loading stand after it is
+kept per scene by band index (``Router.loading_stands``). ``plan_task``
+builds the candidate table once per goal, keeps unload options as arrays
+(each stand's band index and feasibility) and prices all configurations
+from one leg table over (previous stand, unload option) pairs: only pairs
+some candidate reaches with its earlier legs connected, one cost field per
+distinct loading cell, skipping candidates with a leg that does not
+connect. ``UnloadOption``s and poses are built only for the winner, which
+alone is routed: ``route`` reads each leg off the loading cell's cached
+cost field as an explicit grid path (``Navigator.field_path``), so no A*
+runs while planning (A* is the reference acceptance 4 checks), and the
+winner's cost and utility are recomputed from its paths.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -38,11 +37,11 @@ the same plan and execution replays the exact stands the planner scored.
 Each unload option has two ``SeedSequence``-spawned ``PCG64`` streams, one
 for its feasibility estimate and one for its stand draw; a planning call
 derives all of them in one array pass (``feasibility.pcg64_states``) and
-loads each in turn into one shared generator. Pricing a step reads only
-the loading cell; the loading pose is built for routed steps.
+loads each in turn into one shared generator.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -221,12 +220,13 @@ class Router:
     the navigator keeps the rule's answers in per-scene tables by band
     index, one per (stand table, source table) with a last entry for the
     start, filled only for the stands some query asks for. Both legs of a
-    step are priced off the loading cell's cached cost field, so a search
-    pricing thousands of candidates computes at most one field per
-    distinct loading stand; ``route`` then reads the legs of a chosen plan
-    off the same fields as explicit grid paths, with no search of their
-    own, and prices the plan. Cost fields, band indices and stand tables
-    live in the scene's navigator, so every router of a scene shares them.
+    step are priced off the loading cell's cached cost field, so the
+    search, pricing every configuration's candidates from one leg table,
+    computes at most one field per distinct loading stand; ``route`` then
+    reads the legs of the chosen plan off the same fields as explicit grid
+    paths, with no search of their own, and prices the plan. Cost fields,
+    band indices and stand tables live in the scene's navigator, so every
+    router of a scene shares them.
     """
 
     def __init__(self, scene: SceneState):
@@ -259,62 +259,43 @@ class Router:
             known[missing] = self.band(source).nearest_free(points)
         return known[stands]
 
-    def load_pose(self, obj: str, point: tuple[float, float]) -> Pose2D:
-        """Pose at a loading stand point, facing ``obj``."""
-        x, y = point
-        ox, oy = self.scene.start_positions[obj]
-        return Pose2D(x, y, math.atan2(oy - y, ox - x))
-
-    def legs(
-        self, prev: UnloadOption | None, obj: str, option: UnloadOption
-    ) -> tuple[tuple[float, float], Cell, float, float] | None:
-        """Loading stand point, load cell and both leg costs of one step:
-        move ``obj`` to ``option`` after standing at ``prev``, or at the
-        robot's start when ``prev`` is None, with the stand read from the
-        scene's stand tables. None when there is no loading stand or a leg
-        does not connect."""
-        source = self.source[obj]
-        prev_cell, at = (self.nav.start_cell, -1) if prev is None else (prev.cell, prev.band_index)
-        stand = self.loading_stands(source, (prev or option).location.table_id, np.array([at]))[0]
-        if stand < 0:
-            return None
-        band = self.band(source)
-        load_cell = divmod(int(band.cells[stand]), self.nav.grid.shape[1])
-        load_field = self.nav.cost_field(load_cell)
-        leg1 = float(load_field[prev_cell])
-        leg2 = float(load_field[option.cell])
-        if math.isinf(leg1) or math.isinf(leg2):
-            return None
-        x, y = band.centers[stand].tolist()
-        return (x, y), load_cell, leg1, leg2
-
     def route(
         self, pairs: Iterable[tuple[str, UnloadOption]]
     ) -> tuple[list[PlanStep], bool, float]:
-        """Route (object, unload option) pairs in order, each leg read off
-        its loading cell's cached cost field as an explicit grid path.
+        """Route (object, unload option) pairs in order, each step loading at
+        the stand the scene's stand tables give after the previous one (the
+        robot's start first), facing the object, and each leg read off its
+        loading cell's cached cost field as an explicit grid path.
 
-        Returns the steps routed before the first leg that does not connect,
-        whether every leg connected, and the cost of the routed steps: their
-        path lengths plus ``MANIPULATION_COST`` per load and per unload.
+        Returns the steps routed before the first step with no loading stand
+        or a leg that does not connect, whether every leg connected, and the
+        cost of the routed steps: their path lengths plus
+        ``MANIPULATION_COST`` per load and per unload.
         """
         prev: UnloadOption | None = None
         prev_cell = self.nav.start_cell
         steps: list[PlanStep] = []
         connected = True
         for obj, option in pairs:
-            legs = self.legs(prev, obj, option)
-            if legs is None:
+            source = self.source[obj]
+            band = self.band(source)
+            at = np.array([-1 if prev is None else prev.band_index])
+            stand = self.loading_stands(source, (prev or option).location.table_id, at)[0]
+            if stand >= 0:
+                load_cell = divmod(int(band.cells[stand]), self.nav.grid.shape[1])
+                field = self.nav.cost_field(load_cell)
+            if stand < 0 or math.isinf(field[prev_cell]) or math.isinf(field[option.cell]):
                 connected = False
                 break
-            load_point, load_cell = legs[:2]
+            x, y = band.centers[stand].tolist()
+            ox, oy = self.scene.start_positions[obj]
             to_load = self.nav.field_path(prev_cell, load_cell) if prev_cell != load_cell else None
             to_unload = self.nav.field_path(option.cell, load_cell)
             steps.append(
                 PlanStep(
                     object_id=obj,
-                    source_table=self.source[obj],
-                    load_pose=self.load_pose(obj, load_point),
+                    source_table=source,
+                    load_pose=Pose2D(x, y, math.atan2(oy - y, ox - x)),
                     load_cell=load_cell,
                     unload_location=option.location.id,
                     unload_pose=option.pose,
@@ -334,36 +315,6 @@ class Router:
         return steps, connected, cost + MANIPULATION_COST * 2 * len(steps)
 
 
-def _unload_option(
-    scene: SceneState,
-    nav: Navigator,
-    band: BandIndex,
-    location: SymbolicLocation,
-    target_world: tuple[float, float],
-    layer: int,
-    params: PlanningParams,
-    gen: np.random.Generator,
-    streams: tuple[tuple[int, int], tuple[int, int]],
-) -> UnloadOption:
-    """Score one unload option and freeze its stand: ``gen`` is loaded with
-    the feasibility stream, then with the stand-draw stream, of
-    ``streams`` (``PCG64`` ``(state, inc)`` pairs)."""
-    fmap = compute_feasibility_map(scene, location, target_world, params.feasibility)
-    fea_task = task_feasibility(fmap, _load(gen, streams[0]))
-    cell = sample_standing_cell(fmap, _load(gen, streams[1]))
-    pose = standing_pose(location, cell, target_world)
-    return UnloadOption(
-        location=location,
-        pose=pose,
-        cell=nav.cell_of(pose.x, pose.y),
-        band_index=band.index(location, cell),
-        target_world=target_world,
-        layer=layer,
-        fea_task=fea_task,
-        fea_stand=fmap.value_at(cell),
-    )
-
-
 def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
     """``gen`` set to the start of the PCG64 stream ``(state, inc)``."""
     gen.bit_generator.state = {
@@ -375,52 +326,80 @@ def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Genera
     return gen
 
 
+@functools.lru_cache(maxsize=16)
+def _candidate_table(
+    objects: tuple[str, ...], atoms: tuple[PlacementAtom, ...], sides: tuple[str, ...]
+) -> tuple[tuple[tuple[tuple[str, ...], tuple[str, ...]], ...], np.ndarray, np.ndarray]:
+    """The capped candidates of one goal and their read-only step codes,
+    built once per (objects, atoms, sides). ``codes[c, k] = object * S +
+    side`` is the unload option of step k of candidate c, S = len(sides);
+    ``pairs[c, k] = prev * len(objects) * S + codes[c, k]``, where ``prev``
+    is 0 at the robot's start and ``1 + codes[c, k - 1]`` after it."""
+    candidates = tuple(enumerate_candidates(list(objects), list(atoms), sides, MAX_PLANS))
+    codes = np.array([
+        [objects.index(obj) * len(sides) + sides.index(side) for obj, side in zip(*candidate)]
+        for candidate in candidates
+    ], dtype=np.int64).reshape(len(candidates), len(objects))
+    prev = np.zeros_like(codes)
+    prev[:, 1:] = codes[:, :-1] + 1
+    pairs = prev * (len(objects) * len(sides)) + codes
+    codes.setflags(write=False)
+    pairs.setflags(write=False)
+    return candidates, codes, pairs
+
+
 def _price_candidates(
-    router: Router, band: BandIndex, choices: list[tuple[str, UnloadOption]], pairs: np.ndarray
+    router: Router, band: BandIndex, objects: tuple[str, ...],
+    stands: np.ndarray, fea_task: np.ndarray, pairs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Navigation cost, summed unload feasibility and connectedness of every
-    candidate of one configuration, priced from one leg table.
-
-    ``pairs[c, k]`` codes step k of candidate c as ``prev * len(choices) +
-    choice``, where ``prev`` is 0 at the robot's start and ``1 + j`` after
-    unloading ``choices[j]``, whose stands are cells of ``band``. A code's
-    loading cell is gathered from the scene's stand tables, and its legs
-    connect when it has one and both other ends are usable cells, since a
-    cost field is finite exactly on its source's component. Only codes of
-    candidates whose earlier steps connect are priced, each once, with one
-    cost field per distinct loading cell among them: the fields walking
-    every candidate asks for. Both sums add column by column, so each
-    candidate's equal its steps added one at a time.
+    """Navigation cost, summed unload feasibility and connectedness, shape
+    (M, C), of every candidate of every configuration, priced from one leg
+    table. ``stands[m, k]`` is the band index of the frozen stand of unload
+    option k of configuration m, ``fea_task[m, k]`` its scored feasibility;
+    ``pairs`` codes steps as ``_candidate_table`` does. A code's loading
+    cell is gathered from the stand tables, one gather per source table,
+    and its legs connect when it has one and both other ends are usable
+    cells, since a cost field is finite exactly on its source's component.
+    Only codes some candidate reaches with its earlier steps connected are
+    priced, each once, with one cost field per distinct loading cell: the
+    fields walking every candidate asks for. Both sums add column by
+    column, so each candidate's equal its steps added one at a time.
     """
-    nav, size = router.nav, len(choices)
-    table = choices[0][1].location.table_id
-    stands = np.array([-1] + [option.band_index for _, option in choices])
-    sources = [router.source[obj] for obj, _ in choices]
-    # Flat grid index of the loading cell after each previous stand, one
-    # row per source table; -1 where there is none.
+    nav = router.nav
+    configs, size = stands.shape
+    # Each configuration's previous stands: the robot's start, then every option's.
+    prev = np.concatenate([np.full((configs, 1), -1), stands], axis=1)
+    sources = [router.source[obj] for obj in objects]
     source_row = {source: row for row, source in enumerate(dict.fromkeys(sources))}
-    after = np.empty((len(source_row), len(stands)), dtype=np.int64)
+    # Flat grid index of the loading cell after each previous stand, one
+    # layer per source table; -1 where there is none.
+    after = np.empty((len(source_row), configs, size + 1), dtype=np.int64)
     for source, row in source_row.items():
-        found = router.loading_stands(source, table, stands)
-        after[row] = np.where(found >= 0, router.band(source).cells[found], -1)
-    load = after[[source_row[source] for source in sources]].T.ravel()
-    usable = band.usable[stands]
-    usable[0] = True  # the robot's start
-    connects = (load >= 0) & (usable[:, None] & usable[1:]).ravel()
+        found = router.loading_stands(source, band.locations[0].table_id, prev.ravel())
+        after[row] = np.where(found >= 0, router.band(source).cells[found], -1).reshape(prev.shape)
+    # load[m, p * size + k]: loading cell of option k after previous stand p.
+    option_rows = np.repeat([source_row[source] for source in sources], size // len(objects))
+    load = after[option_rows].transpose(1, 2, 0).ravel()
+    usable = band.usable[prev]
+    usable[:, 0] = True  # the robot's start
+    connects = (load >= 0) & (usable[:, :, None] & usable[:, None, 1:]).ravel()
 
-    prefix = np.logical_and.accumulate(connects[pairs], axis=1)
+    width = (size + 1) * size
+    flat_pairs = pairs + width * np.arange(configs)[:, None, None]
+    prefix = np.logical_and.accumulate(connects[flat_pairs], axis=2)
     asked = np.zeros(len(load), dtype=bool)
-    asked[pairs[:, 0]] = True
-    asked[pairs[:, 1:][prefix[:, :-1]]] = True
+    asked[flat_pairs[:, :, 0]] = True
+    asked[flat_pairs[:, :, 1:][prefix[:, :, :-1]]] = True
     asked = np.flatnonzero(asked & (load >= 0))
     cells = load[asked]
     order = np.argsort(cells, kind="stable")
     asked, cells = asked[order], cells[order]
-    # Flat grid index of each previous stand: the start, then every choice.
+    # Flat grid index of each previous stand: the start, then every option's.
     grid_cols = nav.grid.shape[1]
-    stand_cells = band.cells[stands]
-    stand_cells[0] = nav.start_cell[0] * grid_cols + nav.start_cell[1]
-    prev_at, option_at = stand_cells[asked // size], stand_cells[1 + asked % size]
+    stand_cells = band.cells[prev]
+    stand_cells[:, 0] = nav.start_cell[0] * grid_cols + nav.start_cell[1]
+    m, code = np.divmod(asked, width)
+    prev_at, option_at = stand_cells[m, code // size], stand_cells[m, 1 + code % size]
     costs = np.empty(len(asked))
     # Codes sharing a loading cell are priced off its one cost field.
     starts = np.flatnonzero(np.diff(cells, prepend=-1)).tolist()
@@ -430,14 +409,14 @@ def _price_candidates(
     step_cost = np.full(len(load), math.inf)
     step_cost[asked] = np.where(connects[asked], costs, math.inf)
 
-    step_cost = step_cost[pairs]
-    fea_task = np.array([option.fea_task for _, option in choices])[pairs % size]
-    nav_cost = np.zeros(len(pairs))
-    fea_sum = np.zeros(len(pairs))
+    step_cost = step_cost[flat_pairs]
+    fea_step = fea_task[:, pairs % size]
+    nav_cost = np.zeros(prefix.shape[:2])
+    fea_sum = np.zeros(prefix.shape[:2])
     for k in range(pairs.shape[1]):
-        nav_cost = nav_cost + step_cost[:, k]
-        fea_sum = fea_sum + fea_task[:, k]
-    return nav_cost, fea_sum, prefix[:, -1]
+        nav_cost = nav_cost + step_cost[:, :, k]
+        fea_sum = fea_sum + fea_step[:, :, k]
+    return nav_cost, fea_sum, prefix[:, :, -1]
 
 
 def plan_task(
@@ -454,78 +433,72 @@ def plan_task(
     params = params or PlanningParams()
     if not configurations:
         raise PlanningError("no grounded configurations to plan for")
-    objects = list(configurations[0].positions)
+    objects = tuple(configurations[0].positions)
     table = scene.table(target_table)
     router = Router(scene)
     band = router.band(target_table)
-    target_locations = band.locations
-    side_ids = tuple(loc.side for loc in target_locations)
-    loc_by_side = {loc.side: loc for loc in target_locations}
-
-    candidates = enumerate_candidates(objects, atoms, side_ids, MAX_PLANS)
+    locations = band.locations
+    side_ids = tuple(loc.side for loc in locations)
+    candidates, codes, pairs = _candidate_table(objects, tuple(atoms), side_ids)
     if not candidates:
         raise PlanningError("no admissible object orders")
     if router.nav.start_component < 0:
         raise PlanningError("robot start cell is blocked on the inflated grid")
 
     n = len(objects)
-    manip_total = MANIPULATION_COST * 2 * n
-    # Step k of candidate c unloads choice codes[c, k] = object * sides + side,
-    # after standing at the start or at the previous step's choice.
-    object_index = {obj: oi for oi, obj in enumerate(objects)}
-    side_index = {side: si for si, side in enumerate(side_ids)}
-    codes = np.array([
-        [object_index[obj] * len(side_ids) + side_index[side] for obj, side in zip(*candidate)]
-        for candidate in candidates
-    ])
-    prev = np.zeros_like(codes)
-    prev[:, 1:] = codes[:, :-1] + 1
-    pairs = prev * (n * len(side_ids)) + codes
-
     # Spawn key (m, oi, si, t) seeds unload option (object oi, side si) of
     # configuration m: t = 0 scores its feasibility, t = 1 draws its stand.
     streams = pcg64_states(
         (scene.rng_seed, params.stand_seed),
         np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T,
     )
-    option_streams = list(zip(streams[0::2], streams[1::2]))
     gen = np.random.Generator(np.random.PCG64(0))
+    # Per option, in (configuration, object, side) order: the drawn band
+    # cell, its band index, the scored and the drawn stand's feasibility.
+    options: list[tuple[Cell, int, float, float]] = []
+    for config in configurations:
+        for obj in objects:
+            target = table.to_world(*config.positions[obj])
+            for location in locations:
+                fmap = compute_feasibility_map(scene, location, target, params.feasibility)
+                k = 2 * len(options)
+                fea = task_feasibility(fmap, _load(gen, streams[k]))
+                cell = sample_standing_cell(fmap, _load(gen, streams[k + 1]))
+                options.append((cell, band.index(location, cell), fea, fmap.value_at(cell)))
+    drawn, stands, fea_task, fea_stand = zip(*options)
+    shape = (len(configurations), n * len(side_ids))
+    nav_cost, fea_sum, connected = _price_candidates(
+        router, band, objects, np.reshape(stands, shape), np.reshape(fea_task, shape), pairs
+    )
+    fea = (n * 1.0 + fea_sum) / (2 * n)
+    cost = nav_cost + MANIPULATION_COST * 2 * n
+    utility = REWARD * fea - cost
 
     best: tuple[float, int, int] | None = None  # (utility, config_idx, plan_idx)
-    best_choices: list[tuple[str, UnloadOption]] = []
-    best_f = 0.0
-    best_c = math.inf
-
-    for m, config in enumerate(configurations):
-        choices = [
-            (obj, _unload_option(
-                scene, router.nav, band, loc_by_side[side], table.to_world(*config.positions[obj]),
-                config.layers[obj], params, gen,
-                option_streams[(m * n + oi) * len(side_ids) + si],
-            ))
-            for oi, obj in enumerate(objects)
-            for si, side in enumerate(side_ids)
-        ]
-        nav_cost, fea_sum, connected = _price_candidates(router, band, choices, pairs)
-        fea = (n * 1.0 + fea_sum) / (2 * n)
-        cost = nav_cost + manip_total
-        utility = REWARD * fea - cost
+    for m in range(len(configurations)):
         # Visit candidates in plan order, so the first of near-ties wins;
         # one that cannot beat the best so far is never visited.
-        if best is not None:
-            connected &= utility > best[0] + 1e-12
-        for pi in np.flatnonzero(connected).tolist():
-            if best is None or utility[pi] > best[0] + 1e-12:
-                best = (float(utility[pi]), m, pi)
-                best_choices = choices
-                best_f = float(fea[pi])
-                best_c = float(cost[pi])
+        row = connected[m] if best is None else connected[m] & (utility[m] > best[0] + 1e-12)
+        for pi in np.flatnonzero(row).tolist():
+            if best is None or utility[m, pi] > best[0] + 1e-12:
+                best = (float(utility[m, pi]), m, pi)
     if best is None:
         raise PlanningError("every candidate plan was disconnected or infeasible")
 
-    utility, m, pi = best
+    search_utility, m, pi = best
     order, sides_combo = candidates[pi]
-    steps, _, final_cost = router.route(best_choices[code] for code in codes[pi].tolist())
+    config = configurations[m]
+    routed: list[tuple[str, UnloadOption]] = []
+    for code in codes[pi].tolist():
+        obj, location = objects[code // len(side_ids)], locations[code % len(side_ids)]
+        k = m * shape[1] + code
+        target = table.to_world(*config.positions[obj])
+        pose = standing_pose(location, drawn[k], target)
+        cell = router.nav.cell_of(pose.x, pose.y)
+        routed.append((obj, UnloadOption(location, pose, cell, stands[k], target,
+                                         config.layers[obj], fea_task[k], fea_stand[k])))
+    steps, _, final_cost = router.route(routed)
+    best_f = float(fea[m, pi])
     final_utility = REWARD * best_f - final_cost
     log.info(
         "selected config %d plan %d order=%s sides=%s F=%.3f C=%.2f U=%.2f",
@@ -536,12 +509,12 @@ def plan_task(
         plan_index=pi,
         order=order,
         sides=sides_combo,
-        configuration=configurations[m],
+        configuration=config,
         steps=steps,
         feasibility=best_f,
         cost=final_cost,
         utility=final_utility,
-        search_cost=best_c,
-        search_utility=utility,
+        search_cost=float(cost[m, pi]),
+        search_utility=search_utility,
         candidates_evaluated=len(candidates) * len(configurations),
     )

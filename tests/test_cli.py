@@ -6,6 +6,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from momaplan import cli
 from momaplan.cli import main, write_heatmap_pgm
 from momaplan.feasibility import FeasibilityMap, FeasibilityParams
 from momaplan.harness import ConfigError, ExperimentConfig, make_scene
@@ -190,6 +191,36 @@ def test_run_writes_report_and_log(tmp_path, capsys):
     report = yaml.safe_load(out_path.read_text())
     assert len(report["trials"]) == 2
     assert len(log_path.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("verb, flag, written", [
+    ("heatmap", "--out", "missing/h.pgm"),
+    ("export-scene", "--out", "missing/scene.yaml"),
+    ("run", "--out", "missing/report.yaml"),
+    ("run", "--log", "missing/trials.jsonl"),
+])
+def test_unwritable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                        verb, flag, written):
+    """An output path in a directory that does not exist is refused on one
+    line with exit 2, before a map is computed or a trial runs."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    monkeypatch.setattr(cli, "compute_feasibility_map", refuse)
+    monkeypatch.setattr(cli, "save_scene", refuse)
+    value = str(tmp_path / written).removesuffix(".pgm")
+    trials = ["--trials", "1"] if verb == "run" else []
+    code, out, err = run_cli(capsys, verb, *trials, flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {tmp_path / written}: no directory {tmp_path / 'missing'}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_output_path_naming_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", "--trials", "1", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 
 def test_run_rejects_config_plus_flags(tmp_path, capsys):

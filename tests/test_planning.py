@@ -270,57 +270,97 @@ def test_disconnected_candidates_are_skipped_alike():
 
 
 def test_leg_table_prices_every_candidate_as_the_walk():
-    """Candidate by candidate, not only the winner: the leg table's
-    connectedness is whether the walk connects, and a connected
-    candidate's navigation cost and feasibility sum equal the walk's bit
-    for bit. On task 8 / chair_top the chair walls off some drawn stands."""
+    """Candidate by candidate of every configuration, not only the winner:
+    the one leg table's connectedness is whether the walk connects, and a
+    connected candidate's navigation cost and feasibility sum equal the
+    walk's bit for bit. On task 8 / chair_top the chair walls off some
+    drawn stands."""
     scene = make_scene(8, "chair_top", seed=42)
     goal = task_goal(8)
     params = fast_params()
     router = Router(scene)
     band = router.band("dining")
     table = scene.table("dining")
-    sides = [loc.side for loc in band.locations]
-    configs = grounded(scene, goal, m=2)
-    objects = list(configs[0].positions)
-    codes = np.array([
-        [objects.index(obj) * len(sides) + sides.index(side) for obj, side in zip(*candidate)]
-        for candidate in enumerate_candidates(objects, goal.atoms, tuple(sides), 500)
-    ])
-    prev = np.zeros_like(codes)
-    prev[:, 1:] = codes[:, :-1] + 1
-    pairs = prev * (len(objects) * len(sides)) + codes
+    sides = tuple(loc.side for loc in band.locations)
+    configs = grounded(scene, goal, m=3)
+    objects = tuple(configs[0].positions)
+    _, codes, pairs = planning._candidate_table(objects, tuple(goal.atoms), sides)
+    choices = [
+        [(obj, seeded_unload_option(
+            scene, router.nav, band, loc, table.to_world(*config.positions[obj]),
+            config.layers[obj], params, seed_key=(m, oi, si)))
+         for oi, obj in enumerate(objects)
+         for si, loc in enumerate(band.locations)]
+        for m, config in enumerate(configs)
+    ]
+    stands = np.array([[option.band_index for _, option in row] for row in choices])
+    fea_task = np.array([[option.fea_task for _, option in row] for row in choices])
+    nav_cost, fea_sum, connected = planning._price_candidates(
+        router, band, objects, stands, fea_task, pairs)
+    assert nav_cost.shape == fea_sum.shape == connected.shape == (len(configs), len(codes))
     disconnected = 0
-    for m, config in enumerate(configs):
-        choices = [
-            (obj, seeded_unload_option(
-                scene, router.nav, band, loc, table.to_world(*config.positions[obj]),
-                config.layers[obj], params, seed_key=(m, oi, si)))
-            for oi, obj in enumerate(objects)
-            for si, loc in enumerate(band.locations)
-        ]
-        nav_cost, fea_sum, connected = planning._price_candidates(router, band, choices, pairs)
+    for m, row_choices in enumerate(choices):
         for c, row in enumerate(codes.tolist()):
-            walked = field_priced_walk(router, [choices[k] for k in row])
-            assert connected[c] == (walked is not None), c
+            walked = field_priced_walk(router, [row_choices[k] for k in row])
+            assert connected[m, c] == (walked is not None), (m, c)
             if walked is None:
                 disconnected += 1
             else:
-                assert (nav_cost[c], fea_sum[c]) == walked, c
+                assert (nav_cost[m, c], fea_sum[m, c]) == walked, (m, c)
     assert disconnected > 0
 
 
 def test_leg_table_asks_for_the_walked_cost_fields():
-    """The table prices a step only where some candidate reaches it
-    connected, so it computes the cost fields of exactly the loading cells
-    that walking every candidate computes, none beyond."""
+    """The table prices a step only where some candidate of some
+    configuration reaches it connected, so it computes the cost fields of
+    exactly the loading cells that walking every candidate computes, none
+    beyond."""
     table_scene = make_scene(8, "chair_top", seed=42)
     walk_scene = make_scene(8, "chair_top", seed=42)
     goal = task_goal(8)
-    configs = grounded(table_scene, goal, m=2)
+    configs = grounded(table_scene, goal, m=3)
     plan_task(table_scene, "dining", configs, goal.atoms, fast_params())
     walk_every_candidate(walk_scene, "dining", configs, goal.atoms, fast_params())
     assert set(navigator_for(table_scene)._fields) == set(navigator_for(walk_scene)._fields)
+
+
+@pytest.mark.parametrize("task, environment", [(8, "chair_top"), (9, "chair_bottom")])
+def test_ten_configuration_replan_equals_walk_every_candidate(task, environment):
+    """In the benchmark re-plan's shape, 10 configurations of five objects,
+    the one-pass search selects, scores and routes the walked search's
+    plan bit for bit."""
+    scene = make_scene(task, environment, seed=42)
+    goal = task_goal(task)
+    configs = grounded(scene, goal, m=10)
+    for stand_seed in (0, 1):
+        params = fast_params(stand_seed=stand_seed)
+        plan = plan_task(scene, "dining", configs, goal.atoms, params)
+        reference, _ = walk_every_candidate(scene, "dining", configs, goal.atoms, params)
+        assert_same_plan(plan, reference)
+
+
+def test_candidate_table_is_built_once_per_goal(goal1):
+    """The table is memoised by value: read-only arrays, one entry for
+    equal atoms passed as new objects, a new order set once a stacking atom
+    is added, and back-to-back plans that agree."""
+    objects = ("lid", "mug", "mat")
+    atoms = (PlacementAtom("left_of", "mug", "mat"),)
+    candidates, codes, pairs = planning._candidate_table(objects, atoms, SIDES)
+    assert not codes.flags.writeable and not pairs.flags.writeable
+    with pytest.raises(ValueError):
+        pairs[0, 0] = 0
+    again = planning._candidate_table(objects, tuple(dataclasses.replace(a) for a in atoms), SIDES)
+    assert again is planning._candidate_table(objects, atoms, SIDES)
+    assert again[1] is codes
+    stacked = atoms + (PlacementAtom("on_top_of", "lid", "mug"),)
+    stacked_orders = {order for order, _ in planning._candidate_table(objects, stacked, SIDES)[0]}
+    assert stacked_orders == set(stacking_orders(list(objects), list(stacked)))
+    assert stacked_orders < {order for order, _ in candidates}
+
+    scene = make_scene(1, "easy", seed=42)
+    configs = grounded(scene, goal1, m=2)
+    first = plan_task(scene, "dining", configs, goal1.atoms, fast_params())
+    assert_same_plan(plan_task(scene, "dining", configs, list(goal1.atoms), fast_params()), first)
 
 
 def test_plan_task_calls_on_one_scene_share_band_indices(goal1, monkeypatch):
