@@ -27,10 +27,12 @@ a concrete standing cell, and the expected probability under
 probability-weighted standing-cell sampling for a whole unload task,
 estimated from a fixed number of draws. Weighted draws read a normalised
 cumulative table each map builds once, and make the same draws as
-``Generator.choice`` with the map's probabilities. ``pcg64_states``
-derives many seeded ``PCG64`` streams in one array pass, so a caller that
-needs hundreds of them (the planner needs two per unload option) loads
-each into one shared generator instead of building one per stream.
+``Generator.choice`` with the map's probabilities; an all-zero map
+scores 0.0 without drawing, leaving the generator as it was.
+``pcg64_states`` derives many seeded ``PCG64`` streams in one array pass,
+so a caller that needs hundreds of them (the planner needs one per unload
+option, plus one per option whose map has a feasible cell) loads each
+into one shared generator instead of building one per stream.
 """
 from __future__ import annotations
 
@@ -328,7 +330,8 @@ def task_feasibility(
     cdf = fmap.cdf
     if cdf is None:
         return 0.0
-    return float(np.mean(fmap.values.ravel()[cdf.searchsorted(rng.random(draws), side="right")]))
+    # A sum over the count is np.mean bit for bit, without its dispatch.
+    return float(fmap.values.ravel()[cdf.searchsorted(rng.random(draws), side="right")].sum() / draws)
 
 
 def expected_task_feasibility(fmap: FeasibilityMap) -> float:

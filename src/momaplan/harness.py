@@ -241,10 +241,14 @@ class TrialRecord:
     objects_delivered: int
     failure_kind: str | None
     goal_attempts: int | None
+    # ``failed_object`` and ``failed_stage`` of a failed run (None when it
+    # did not fail there), written to the per-trial JSONL only.
+    trace: dict = field(default_factory=lambda: dict.fromkeys(("failed_object", "failed_stage")))
 
     def to_dict(self) -> dict:
-        """Every field, floats rounded to six decimals."""
-        return {k: _round(v) if isinstance(v, float) else v for k, v in asdict(self).items()}
+        """Every report field (all but ``trace``), floats rounded to six decimals."""
+        return {k: _round(v) if isinstance(v, float) else v
+                for k, v in asdict(self).items() if k != "trace"}
 
 
 def _round(value: float) -> float:
@@ -451,9 +455,11 @@ def run_trial(
         table, goal.atoms, result.final_positions, result.final_layers
     )
     failure = result.failure_kind
+    trace = {"failed_object": result.failed_object, "failed_stage": result.failed_stage}
     if result.success and plan.truncated:
-        # The routable prefix ran clean but the next leg had no path.
+        # The routable prefix ran clean but the next object's legs had no path.
         failure = NAVIGATION
+        trace["failed_object"] = plan.order[len(plan.steps)]
     elif completed and not verified:
         failure = "verification"
     return TrialRecord(
@@ -470,6 +476,7 @@ def run_trial(
         objects_delivered=result.objects_delivered,
         failure_kind=failure,
         goal_attempts=goal_attempts,
+        trace=trace,
     )
 
 
@@ -498,7 +505,8 @@ def run_experiment(
                 record = run_trial(scene, system, goal, config, trial)
                 records.append(record)
                 if log_fh:
-                    log_fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                    line = {**record.to_dict(), "trace": record.trace}
+                    log_fh.write(json.dumps(line, sort_keys=True) + "\n")
     finally:
         if log_fh:
             log_fh.close()

@@ -14,11 +14,11 @@ steps separately and report cost as
 exactly comparable across independent implementations: optimal step
 counts are unique because sqrt(2) is irrational.
 
-The package routes with ``Navigator.field_path``, which walks down a
-cached cost field and so needs no search beyond the Dijkstra call that
-priced the leg. ``Navigator.astar`` is the reference: acceptance 4 checks
-it against an independent Dijkstra, and the tests check ``field_path``'s
-step counts against both.
+The package routes with ``Navigator.field_path``, which follows a
+per-cell descent table down a cost field, both cached per source, and so
+needs no search beyond the Dijkstra call that priced the leg. ``Navigator.astar`` is the
+reference: acceptance 4 checks it against an independent Dijkstra, and
+the tests check ``field_path``'s step counts against both.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 import numpy as np
 from scipy import ndimage
@@ -104,8 +104,9 @@ class Navigator:
     robot's start cell and component, and holds the feasibility ``maps``,
     standing-band indices (``bands``) and loading-stand tables (``stands``)
     other modules memoise for the scene. ``maps`` keeps the ``MAX_MAPS``
-    most recently used maps; cost fields, band indices and stand tables are
-    not bounded within a scene (a stand table holds one int per band cell).
+    most recently used maps; cost fields, descent tables, band indices and
+    stand tables are not bounded within a scene (a stand table holds one
+    int per band cell, a descent table one byte per grid cell).
     """
 
     def __init__(self, scene: SceneState):
@@ -136,6 +137,7 @@ class Navigator:
         self._labels = np.full(self.grid.shape, -1, dtype=np.int32)
         self._labels.ravel()[free_idx] = labels
         self._fields: dict[Cell, np.ndarray] = {}
+        self._descents: dict[Cell, np.ndarray] = {}
         # One tuple per path cell, shared by every path this navigator
         # builds, so plans kept alive do not each hold their own copies.
         self._cells: dict[Cell, Cell] = {}
@@ -145,28 +147,30 @@ class Navigator:
 
     # -- graph construction
 
+    def _moves(self):
+        """Per offset, in ``_OFFSETS`` order: the source and destination
+        slices of its in-grid moves, the mask of those the adjacency admits
+        (both straight detours free for a diagonal) and the step cost."""
+        free = self.free
+        res = self.grid.resolution
+        nr, nc = self.grid.shape
+        for dy, dx in _OFFSETS:
+            src = (slice(max(0, -dy), nr - max(0, dy)), slice(max(0, -dx), nc - max(0, dx)))
+            dst = (slice(max(0, dy), nr - max(0, -dy)), slice(max(0, dx), nc - max(0, -dx)))
+            ok = free[src] & free[dst]
+            if dy != 0 and dx != 0:
+                ok &= free[src[0], dst[1]] & free[dst[0], src[1]]
+            yield src, dst, ok, res * _SQRT2 if (dy != 0 and dx != 0) else res
+
     def _build_adjacency(self) -> csr_matrix:
         rows_i: list[np.ndarray] = []
         cols_i: list[np.ndarray] = []
         data: list[np.ndarray] = []
-        free = self.free
         node = self._node_of
-        res = self.grid.resolution
-        nr, nc = self.grid.shape
-        for dy, dx in _OFFSETS:
-            src_r = slice(max(0, -dy), nr - max(0, dy))
-            src_c = slice(max(0, -dx), nc - max(0, dx))
-            dst_r = slice(max(0, dy), nr - max(0, -dy))
-            dst_c = slice(max(0, dx), nc - max(0, -dx))
-            ok = free[src_r, src_c] & free[dst_r, dst_c]
-            if dy != 0 and dx != 0:
-                # Both straight detours around the corner must be free.
-                ok &= free[src_r, dst_c] & free[dst_r, src_c]
-            src_nodes = node[src_r, src_c][ok]
-            dst_nodes = node[dst_r, dst_c][ok]
+        for src, dst, ok, weight in self._moves():
+            src_nodes = node[src][ok]
             rows_i.append(src_nodes)
-            cols_i.append(dst_nodes)
-            weight = res * _SQRT2 if (dy != 0 and dx != 0) else res
+            cols_i.append(node[dst][ok])
             data.append(np.full(len(src_nodes), weight))
         n = len(self._cell_of_node)
         return csr_matrix(
@@ -234,38 +238,37 @@ class Navigator:
         return field
 
     def field_path(self, far: Cell, source: Cell) -> MotionPlan:
-        """Optimal path from ``far`` to ``source`` read off
-        ``cost_field(source)``: each step goes to the admissible neighbour
-        (the adjacency's offsets and corner rule) with the smallest field
-        value plus step cost, the first in ``_OFFSETS`` order among values
-        within 1e-12. Each field value is its best neighbour's plus one
-        step, so every step descends and the path costs the field value."""
+        """Optimal path from ``far`` to ``source`` down ``cost_field(source)``,
+        read off the field's descent table: per cell, the ``_OFFSETS`` index
+        of its step (-1 for none), built once per source in one grid pass per
+        offset, in order, where an admissible neighbour's field value plus
+        step cost replaces the best so far only when lower by more than
+        1e-12. Each field value is its best neighbour's plus one step, so
+        every step descends and the path costs the field value."""
         field = self.cost_field(source)
         if not self.grid.in_bounds(far) or math.isinf(field[far]):
             raise MotionError(f"no path from {far} to {source}")
-        res = self.grid.resolution
-        free = self.free
-        nr, nc = self.grid.shape
+        table = self._descents.get(source)
+        if table is None:
+            best = np.full(self.grid.shape, np.inf)
+            table = np.full(self.grid.shape, -1, dtype=np.int8)
+            for i, (src, dst, ok, weight) in enumerate(self._moves()):
+                value = field[dst] + weight
+                ok &= value < best[src] - 1e-12
+                np.copyto(best[src], value, where=ok)
+                np.copyto(table[src], i, where=ok)
+            table.setflags(write=False)
+            self._descents[source] = table
         intern = self._cells.setdefault
         cells = [intern(far, far)]
-        counts = [0, 0]  # straight, diagonal
+        diagonal = 0
         cy, cx = far
         while (cy, cx) != source:
-            best = math.inf
-            for dy, dx in _OFFSETS:
-                ny, nx = cy + dy, cx + dx
-                if not (0 <= ny < nr and 0 <= nx < nc) or not free[ny, nx]:
-                    continue
-                diagonal = dy != 0 and dx != 0
-                if diagonal and not (free[cy, nx] and free[ny, cx]):
-                    continue
-                value = field[ny, nx] + (res * _SQRT2 if diagonal else res)
-                if value < best - 1e-12:
-                    best, step, step_diagonal = value, (ny, nx), diagonal
-            cy, cx = step
-            cells.append(intern(step, step))
-            counts[step_diagonal] += 1
-        return MotionPlan(tuple(cells), counts[0], counts[1], res)
+            dy, dx = _OFFSETS[table[cy, cx]]
+            cy, cx = cy + dy, cx + dx
+            cells.append(intern((cy, cx), (cy, cx)))
+            diagonal += dy != 0 and dx != 0
+        return MotionPlan(tuple(cells), len(cells) - 1 - diagonal, diagonal, self.grid.resolution)
 
     def astar(self, start: Cell, goal: Cell) -> MotionPlan:
         """Optimal grid path with an octile-distance heuristic. The package
@@ -350,16 +353,24 @@ _MAX_NAVIGATORS = 8
 # (78 to 113 on the benchmark workloads), and dropping a field a plan search
 # still reads repeats a whole-grid Dijkstra pass.
 MAX_MAPS = 256
+# Weak references to the most recently used scene and its navigator, so a
+# repeated lookup skips the dictionary without keeping either alive.
+_recent: tuple[ref, ref] = (lambda: None, lambda: None)
 
 
 def navigator_for(scene: SceneState) -> Navigator:
     """Shared navigator per scene instance (scenes hash by identity). It and
     all it caches are dropped with the scene, or when it is the least
-    recently used of more than eight."""
+    recently used of more than eight. Asking again for the most recently
+    used scene returns its navigator without touching the order."""
+    global _recent
+    if _recent[0]() is scene and (nav := _recent[1]()) is not None:
+        return nav  # already the most recently used: the order stands
     nav = _NAVIGATORS.pop(scene, None)
     if nav is None:
         nav = Navigator(scene)
     _NAVIGATORS[scene] = nav
     if len(_NAVIGATORS) > _MAX_NAVIGATORS:
         del _NAVIGATORS[next(iter(_NAVIGATORS))]
+    _recent = (ref(scene), ref(nav))
     return nav

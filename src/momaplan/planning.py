@@ -26,18 +26,22 @@ some candidate reaches with its earlier legs connected, one cost field per
 distinct loading cell, skipping candidates with a leg that does not
 connect. ``UnloadOption``s and poses are built only for the winner, which
 alone is routed: ``route`` reads each leg off the loading cell's cached
-cost field as an explicit grid path (``Navigator.field_path``), so no A*
-runs while planning (A* is the reference acceptance 4 checks), and the
-winner's cost and utility are recomputed from its paths.
+cost field as an explicit grid path (``Navigator.field_path``, which
+follows the field's cached descent table), so no A* runs while planning
+(A* is the reference acceptance 4 checks), and the winner's cost and
+utility are recomputed from its paths.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
 the feasibility map, seeded from the scene seed, so re-planning reproduces
 the same plan and execution replays the exact stands the planner scored.
 Each unload option has two ``SeedSequence``-spawned ``PCG64`` streams, one
-for its feasibility estimate and one for its stand draw; a planning call
-derives all of them in one array pass (``feasibility.pcg64_states``) and
-loads each in turn into one shared generator.
+for its feasibility estimate and one for its stand draw. A planning call
+looks up every option's map first, then derives in one array pass
+(``feasibility.pcg64_states``) only the streams that draw: every stand
+stream, and the feasibility streams of options whose map has a feasible
+cell, since an all-zero map scores 0.0 without drawing. Each is loaded in
+turn into one shared generator.
 """
 from __future__ import annotations
 
@@ -446,30 +450,35 @@ def plan_task(
         raise PlanningError("robot start cell is blocked on the inflated grid")
 
     n = len(objects)
-    # Spawn key (m, oi, si, t) seeds unload option (object oi, side si) of
-    # configuration m: t = 0 scores its feasibility, t = 1 draws its stand.
-    streams = pcg64_states(
-        (scene.rng_seed, params.stand_seed),
-        np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T,
-    )
-    gen = np.random.Generator(np.random.PCG64(0))
-    # Per option, in (configuration, object, side) order: the drawn band
-    # cell, its band index, the scored and the drawn stand's feasibility.
-    options: list[tuple[Cell, int, float, float]] = []
+    shape = (len(configurations), n * len(side_ids))
+    fmaps = []
     for config in configurations:
         for obj in objects:
             target = table.to_world(*config.positions[obj])
-            for location in locations:
-                fmap = compute_feasibility_map(scene, location, target, params.feasibility)
-                k = 2 * len(options)
-                fea = task_feasibility(fmap, _load(gen, streams[k]))
-                cell = sample_standing_cell(fmap, _load(gen, streams[k + 1]))
-                options.append((cell, band.index(location, cell), fea, fmap.value_at(cell)))
-    drawn, stands, fea_task, fea_stand = zip(*options)
-    shape = (len(configurations), n * len(side_ids))
-    nav_cost, fea_sum, connected = _price_candidates(
-        router, band, objects, np.reshape(stands, shape), np.reshape(fea_task, shape), pairs
-    )
+            fmaps.extend(compute_feasibility_map(scene, location, target, params.feasibility)
+                         for location in locations)
+    # Spawn key (m, oi, si, t) seeds unload option (object oi, side si) of
+    # configuration m: t = 0 scores its feasibility, t = 1 draws its stand.
+    # An all-zero map scores 0.0 without drawing, so its t = 0 stream is
+    # neither derived nor loaded.
+    scored = [fmap.cdf is not None for fmap in fmaps]
+    keys = np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T
+    keys = keys[(keys[:, 3] == 1) | np.repeat(scored, 2)]
+    streams = iter(pcg64_states((scene.rng_seed, params.stand_seed), keys))
+    gen = np.random.Generator(np.random.PCG64(0))
+    # Per option, in (configuration, object, side) order: the drawn band
+    # cell, its band index, the scored and the drawn stand's feasibility.
+    cells: list[Cell] = []
+    stands = np.empty(shape, dtype=np.int64)
+    fea_task = np.empty(shape)
+    fea_stand = np.empty(shape)
+    for (m, code), fmap, draws in zip(np.ndindex(shape), fmaps, scored):
+        fea_task[m, code] = task_feasibility(fmap, _load(gen, next(streams)) if draws else gen)
+        cell = sample_standing_cell(fmap, _load(gen, next(streams)))
+        cells.append(cell)
+        stands[m, code] = band.index(locations[code % len(side_ids)], cell)
+        fea_stand[m, code] = fmap.value_at(cell)
+    nav_cost, fea_sum, connected = _price_candidates(router, band, objects, stands, fea_task, pairs)
     fea = (n * 1.0 + fea_sum) / (2 * n)
     cost = nav_cost + MANIPULATION_COST * 2 * n
     utility = REWARD * fea - cost
@@ -491,12 +500,12 @@ def plan_task(
     routed: list[tuple[str, UnloadOption]] = []
     for code in codes[pi].tolist():
         obj, location = objects[code // len(side_ids)], locations[code % len(side_ids)]
-        k = m * shape[1] + code
         target = table.to_world(*config.positions[obj])
-        pose = standing_pose(location, drawn[k], target)
+        pose = standing_pose(location, cells[m * shape[1] + code], target)
         cell = router.nav.cell_of(pose.x, pose.y)
-        routed.append((obj, UnloadOption(location, pose, cell, stands[k], target,
-                                         config.layers[obj], fea_task[k], fea_stand[k])))
+        routed.append((obj, UnloadOption(
+            location, pose, cell, int(stands[m, code]), target, config.layers[obj],
+            float(fea_task[m, code]), float(fea_stand[m, code]))))
     steps, _, final_cost = router.route(routed)
     best_f = float(fea[m, pi])
     final_utility = REWARD * best_f - final_cost

@@ -410,6 +410,10 @@ def _spread_objects(objects: list[ObjectSpec], tables: dict[str, TableSpec]) -> 
 
 
 def _validate(scene: SceneState) -> None:
+    if scene.rng_seed < 0:
+        raise SceneError(f"seed must be non-negative, got {scene.rng_seed}")
+    if not 0.0 <= scene.robot_radius < math.inf:
+        raise SceneError(f"robot radius must be non-negative and finite, got {scene.robot_radius}")
     ids: set[str] = set()
     for spec in list(scene.tables) + list(scene.obstacles) + list(scene.objects):
         if spec.id in ids:

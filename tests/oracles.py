@@ -12,7 +12,8 @@ the configuration re-check and the grid cell center, kept because only
 the tests read them): the per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
 unload option with its own seeded generators and ``rng.choice`` draws,
 the plan search that walks every candidate, the scalar band-cell center,
-the one-point loading-stand rule, the distance parser that tries a
+the one-point loading-stand rule, the neighbour-loop walk down a cost
+field, the distance parser that tries a
 range match at every position of a digit run, and the noisy execution
 rollout with its generator-based collision test and two ``normal`` calls
 per arrival.
@@ -36,7 +37,7 @@ from momaplan.feasibility import (
 from momaplan.geometry import segment_hits_rect, segments_hit_rect
 from momaplan.goalgen import MAX_DISTANCE_CM, MIN_DISTANCE_CM, LineParseError
 from momaplan.grounding import _fits_on_table
-from momaplan.motion import navigator_for, robot_collides_batch
+from momaplan.motion import _OFFSETS, MotionError, MotionPlan, navigator_for, robot_collides_batch
 from momaplan.planning import (
     MANIPULATION_COST,
     MAX_PLANS,
@@ -257,6 +258,39 @@ def dijkstra_counts(free: np.ndarray, start: tuple[int, int]):
                     counts[(nr, nc)] = ns
                     heapq.heappush(heap, (nd, nr, nc, ns[0], ns[1]))
     return counts
+
+
+def scalar_field_path(nav, far, source) -> MotionPlan:
+    """The former ``Navigator.field_path``: from ``far``, step by step, scan
+    the 8 neighbours in ``_OFFSETS`` order and move to the admissible one
+    (free, on the grid, no cut corner) with the smallest field value plus
+    step cost, where a later neighbour replaces the best so far only when
+    it is lower by more than 1e-12; stop at ``source``."""
+    field = nav.cost_field(source)
+    if not nav.grid.in_bounds(far) or math.isinf(field[far]):
+        raise MotionError(f"no path from {far} to {source}")
+    res = nav.grid.resolution
+    free = nav.free
+    nr, nc = nav.grid.shape
+    cells = [far]
+    counts = [0, 0]  # straight, diagonal
+    cy, cx = far
+    while (cy, cx) != source:
+        best = math.inf
+        for dy, dx in _OFFSETS:
+            ny, nx = cy + dy, cx + dx
+            if not (0 <= ny < nr and 0 <= nx < nc) or not free[ny, nx]:
+                continue
+            diagonal = dy != 0 and dx != 0
+            if diagonal and not (free[cy, nx] and free[ny, cx]):
+                continue
+            value = field[ny, nx] + (res * SQRT2 if diagonal else res)
+            if value < best - 1e-12:
+                best, step, step_diagonal = value, (ny, nx), diagonal
+        cy, cx = step
+        cells.append(step)
+        counts[step_diagonal] += 1
+    return MotionPlan(tuple(cells), counts[0], counts[1], res)
 
 
 def rasterize_by_point_test(rects, resolution, origin, shape) -> np.ndarray:

@@ -309,6 +309,21 @@ def test_validate_rejects_zero_half_extent(tmp_path, capsys):
     assert "half extents must be positive" in err
 
 
+@pytest.mark.parametrize("entry, text, message", [
+    ("seed", "-1", "seed must be non-negative, got -1"),
+    ("radius", "-0.2", "robot radius must be non-negative and finite, got -0.2"),
+    ("radius", ".nan", "robot radius must be non-negative and finite, got nan"),
+])
+def test_validate_rejects_bad_seed_and_robot_radius(tmp_path, capsys, entry, text, message):
+    data = scene_to_dict(make_scene(1, "easy", 42))
+    (data if entry == "seed" else data["robot"])[entry] = "VALUE"
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data).replace("VALUE", text))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert message in err and out == ""
+
+
 def test_run_rejects_config_of_wrong_type(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     config.write_text('task: 1\ntrials: "many"\n')

@@ -344,6 +344,23 @@ def test_task_feasibility_equals_scalar_draw_oracle(draws):
                             np.random.default_rng(0)) == 0.0
 
 
+def test_all_zero_map_scores_zero_without_drawing(scene1_chair_top):
+    """The planner skips loading a stream for an all-zero map because
+    ``task_feasibility`` scores it 0.0 and leaves the generator's state as
+    it was, whatever that state and the draw count."""
+    loc = location_by_id(scene1_chair_top, "dining/north")
+    blocked = compute_feasibility_map(scene1_chair_top, loc, _dining_target(scene1_chair_top))
+    assert blocked.cdf is None
+    synthetic = FeasibilityMap("loc", (0.0, 0.0), np.zeros((8, 24)), FeasibilityParams())
+    rng = np.random.default_rng(3)
+    rng.random(7)
+    state = rng.bit_generator.state
+    for fmap in (blocked, synthetic):
+        for draws in (None, 1, 25):
+            assert task_feasibility(fmap, rng, draws) == 0.0
+            assert rng.bit_generator.state == state
+
+
 def test_cumulative_table_is_built_once_and_read_only():
     values = np.array([[0.0, 0.4], [0.2, 0.4]])
     fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())

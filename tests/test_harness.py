@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from momaplan.harness import (
     run_trial,
     scripted_backend_for_task,
 )
+
+from oracles import execute_plan_two_calls
 
 FAST = FeasibilityParams(trials_per_cell=3, task_draws=10)
 
@@ -232,11 +235,11 @@ def test_run_experiment_report_layout(tmp_path):
     assert len(report["trials"]) == 2 * config.trials
     for system, agg in report["aggregates"].items():
         assert agg["trials"] == config.trials
-    lines = log_path.read_text().splitlines()
+    lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert len(lines) == len(report["trials"])
-    import json
-
-    assert [json.loads(l) for l in lines] == report["trials"]
+    # A log line is its report record plus the trace, which the report leaves out.
+    assert [{k: v for k, v in l.items() if k != "trace"} for l in lines] == report["trials"]
+    assert all(set(l["trace"]) == {"failed_object", "failed_stage"} for l in lines)
 
 
 def test_report_bytes_reproducible(tmp_path):
@@ -306,3 +309,45 @@ def test_environments_roster():
     assert SYSTEMS == ("llm_grop", "latp", "tpra", "grop")
     backend = scripted_backend_for_task(1)
     assert backend.responses
+
+
+@pytest.mark.parametrize("environment", ["easy", "chair_top"])
+def test_jsonl_trace_names_the_failed_object_and_stage(tmp_path, environment):
+    """Each ``run --log`` line carries a ``trace`` with the object and stage
+    its run failed at. The expected values
+    come from re-planning the trial and replaying it with the former
+    two-call rollout: the last step it traced, or the first unrouted
+    object (no stage) for a plan cut short at routing. Easy at sigma 0.08
+    fails both in navigation and in manipulation; chair_top cuts baseline
+    plans behind the chair."""
+    config = ExperimentConfig(task=1, environment=environment, trials=6, seed=42,
+                              configurations=1, systems=("llm_grop", "latp"),
+                              feasibility=FeasibilityParams(nav_sigma_xy=0.08))
+    log_path = tmp_path / "trials.jsonl"
+    run_experiment(config, log_path=log_path)
+    lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+    scene = make_scene(config.task, config.environment, config.seed)
+    goal = generate_goal(list(TASK_OBJECTS[config.task]), scripted_backend_for_task(config.task))
+    seen = set()
+    for line in lines:
+        trace = line["trace"]
+        if line["failure_kind"] not in ("navigation", "manipulation"):
+            assert trace == {"failed_object": None, "failed_stage": None}
+            continue
+        planner = harness._plan_llm_grop if line["system"] == "llm_grop" else harness._plan_latp
+        plan, _ = planner(scene, goal, config, line["trial"])
+        rng = harness._trial_rng(config, line["system"], line["trial"], 1)
+        result = execute_plan_two_calls(scene, plan, rng, config.feasibility)
+        if result.success:
+            assert plan.truncated and line["failure_kind"] == "navigation"
+            expected = {"failed_object": plan.order[len(plan.steps)], "failed_stage": None}
+        else:
+            failed = result.trace[-1]
+            assert failed.failure_kind == line["failure_kind"]
+            expected = {"failed_object": failed.object_id, "failed_stage": failed.stage}
+        assert trace == expected
+        seen.add((line["failure_kind"], expected["failed_stage"]))
+    if environment == "easy":
+        assert {("navigation", "unload"), ("manipulation", "unload")} <= seen
+    else:
+        assert ("navigation", None) in seen

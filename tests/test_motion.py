@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+from momaplan import motion
 from momaplan.feasibility import FeasibilityParams, compute_feasibility_map
 from momaplan.harness import ENVIRONMENTS, make_scene
 from momaplan.motion import (
@@ -19,7 +20,7 @@ from momaplan.motion import (
 from momaplan.planning import Router
 from momaplan.world import OccupancyGrid, symbolic_locations
 
-from oracles import dijkstra_counts, disc_hits_rect
+from oracles import dijkstra_counts, disc_hits_rect, scalar_field_path
 
 SQRT2 = math.sqrt(2.0)
 
@@ -110,12 +111,9 @@ def test_astar_matches_dijkstra_oracle_on_random_grids():
                 nav.astar(start, unreachable[0])
 
 
-def test_field_path_matches_dijkstra_oracle_on_acceptance_grids():
-    """Acceptance 4's 50 random grids and starts, every reachable goal: the
-    path read off the start's cost field runs from the goal to the start
-    over free 8-adjacent cells, cuts no corner and has the oracle's step
-    counts. A free cell the start cannot reach, a blocked cell and an
-    off-grid cell raise."""
+def _acceptance_grids():
+    """Acceptance 4's 50 random grids (same draws), each with its free
+    cells and its start cell."""
     rng = np.random.default_rng(99)
     grids = 0
     while grids < 50:
@@ -124,7 +122,16 @@ def test_field_path_matches_dijkstra_oracle_on_acceptance_grids():
         if len(free_cells) < 2:
             continue
         grids += 1
-        start = free_cells[int(rng.integers(len(free_cells)))]
+        yield nav, free_cells, free_cells[int(rng.integers(len(free_cells)))]
+
+
+def test_field_path_matches_dijkstra_oracle_on_acceptance_grids():
+    """Acceptance 4's 50 random grids and starts, every reachable goal: the
+    path read off the start's cost field runs from the goal to the start
+    over free 8-adjacent cells, cuts no corner and has the oracle's step
+    counts. A free cell the start cannot reach, a blocked cell and an
+    off-grid cell raise."""
+    for nav, free_cells, start in _acceptance_grids():
         oracle = dijkstra_counts(nav.free, start)
         for goal, counts in oracle.items():
             plan = nav.field_path(goal, start)
@@ -136,6 +143,61 @@ def test_field_path_matches_dijkstra_oracle_on_acceptance_grids():
         for cell in unreachable[:1] + blocked[:1] + [(-1, 0), (20, 3)]:
             with pytest.raises(MotionError, match="no path"):
                 nav.field_path(cell, start)
+
+
+def assert_same_path(plan, reference):
+    assert plan.cells == reference.cells
+    assert (plan.straight_steps, plan.diagonal_steps) == (
+        reference.straight_steps, reference.diagonal_steps)
+    assert plan.resolution == reference.resolution
+
+
+def test_field_path_equals_the_neighbour_loop_on_acceptance_grids():
+    """The descent table steps where the former neighbour loop stepped:
+    equal cells and step counts from every reachable cell of acceptance
+    4's grids, and one read-only table per source."""
+    for nav, _, start in _acceptance_grids():
+        for goal in dijkstra_counts(nav.free, start):
+            assert_same_path(nav.field_path(goal, start), scalar_field_path(nav, goal, start))
+        table = nav._descents[start]
+        nav.field_path(start, start)
+        assert nav._descents[start] is table and not table.flags.writeable
+
+
+def test_descent_keeps_the_running_best_rule_on_near_ties():
+    """A crafted field on an open 3 x 3 grid, walked from (1, 2) to (1, 0).
+    First step: (0, 2), (2, 2) and (1, 1) are offsets 0, 1 and 2, each
+    0.8e-12 below the one before, so the running best moves only to
+    (1, 1), while "first within 1e-12 of the minimum" would take (2, 2).
+    Second step: the diagonal (0, 0), offset 4, comes 0.5e-12 below the
+    straight step into (1, 0), offset 2, so the running best keeps the
+    straight step, while an argmin would take the diagonal."""
+    nav = Navigator.from_grid(grid_from(np.zeros((3, 3), dtype=bool)))
+    field = np.full((3, 3), 5.0)
+    field[1, 2] = 3.0
+    field[0, 2], field[2, 2], field[1, 1] = 2.0, 2.0 - 0.8e-12, 2.0 - 1.6e-12
+    field[1, 0] = 1.0
+    field[0, 0] = 1.0 + 0.1 - 0.1 * SQRT2 - 0.5e-12
+    field.setflags(write=False)
+    nav._fields[(1, 0)] = field
+
+    def candidates(cell):
+        """(field value plus step cost, neighbour) in offset order."""
+        out = []
+        for dy, dx in motion._OFFSETS:
+            ny, nx = cell[0] + dy, cell[1] + dx
+            if 0 <= ny < 3 and 0 <= nx < 3:
+                out.append((field[ny, nx] + (0.1 * SQRT2 if dy and dx else 0.1), (ny, nx)))
+        return out
+
+    first, second = candidates((1, 2)), candidates((1, 1))
+    least = min(v for v, _ in first)
+    assert next(c for v, c in first if v <= least + 1e-12) == (2, 2)
+    assert min(second)[1] == (0, 0)
+    plan = nav.field_path((1, 2), (1, 0))
+    assert plan.cells == ((1, 2), (1, 1), (1, 0))
+    assert (plan.straight_steps, plan.diagonal_steps) == (2, 0)
+    assert_same_path(plan, scalar_field_path(nav, (1, 2), (1, 0)))
 
 
 def test_field_path_takes_the_first_tied_step_in_offset_order():
@@ -322,6 +384,37 @@ def test_navigators_of_live_scenes_stay_bounded():
     gc.collect()
     alive = [[ref() is not None for ref in store] for store in refs]
     assert alive == [[True] * 3, [False] * 3] + [[True] * 3] * 6
+
+
+def test_dead_most_recent_scene_never_answers_for_a_new_one():
+    """The most recently used scene is held weakly: once it is gone, a new
+    scene (which may reuse its id) gets a navigator of its own grid."""
+    scene = make_scene(1, "easy", seed=4)
+    old = weakref.ref(navigator_for(scene))
+    del scene
+    gc.collect()
+    assert old() is None and motion._recent[0]() is None
+    for seed in (4, 5):
+        fresh = make_scene(1, "chair_top", seed=seed)
+        nav = navigator_for(fresh)
+        assert nav.grid is fresh.grid and navigator_for(fresh) is nav
+        del fresh, nav
+        gc.collect()
+
+
+def test_repeated_hits_leave_the_eviction_order():
+    """Asking again for the most recently used scene, however often, keeps
+    the least recently used order: a ninth scene still evicts the
+    first."""
+    scenes = [make_scene(1, "easy", seed=s) for s in range(9)]
+    navs = [weakref.ref(navigator_for(s)) for s in scenes[:8]]
+    order = list(motion._NAVIGATORS.keys())
+    for _ in range(3):
+        assert navigator_for(scenes[7]) is navs[7]()
+    assert list(motion._NAVIGATORS.keys()) == order
+    navigator_for(scenes[8])
+    gc.collect()
+    assert [ref() is not None for ref in navs] == [False] + [True] * 7
 
 
 def test_robot_collision_continuous(scene1):

@@ -46,6 +46,7 @@ from oracles import (
     dijkstra_counts,
     field_priced_walk,
     nearest_usable_center,
+    scalar_field_path,
     seeded_unload_option,
     walk_every_candidate,
     weighted_mean_feasibility,
@@ -337,6 +338,68 @@ def test_ten_configuration_replan_equals_walk_every_candidate(task, environment)
         plan = plan_task(scene, "dining", configs, goal.atoms, params)
         reference, _ = walk_every_candidate(scene, "dining", configs, goal.atoms, params)
         assert_same_plan(plan, reference)
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+@pytest.mark.parametrize("task", [1, 8, 9])
+def test_routed_legs_equal_the_neighbour_loop(task, environment):
+    """Every leg of the routed winner, read off the loading cell's descent
+    table, has the cells and step counts of the former neighbour-loop walk
+    down the same cost field."""
+    scene = make_scene(task, environment, seed=42)
+    goal = task_goal(task)
+    nav = navigator_for(scene)
+    plan = plan_task(scene, "dining", grounded(scene, goal, m=3), goal.atoms, fast_params())
+    prev = nav.start_cell
+    for step in plan.steps:
+        if step.path_to_load is None:
+            assert prev == step.load_cell
+        else:
+            reference = scalar_field_path(nav, prev, step.load_cell)
+            assert step.path_to_load.cells == reference.cells
+            assert (step.path_to_load.straight_steps, step.path_to_load.diagonal_steps) == (
+                reference.straight_steps, reference.diagonal_steps)
+        reference = scalar_field_path(nav, step.unload_cell, step.load_cell)
+        assert step.path_to_unload.cells == reference.cells[::-1]
+        assert (step.path_to_unload.straight_steps, step.path_to_unload.diagonal_steps) == (
+            reference.straight_steps, reference.diagonal_steps)
+        prev = step.unload_cell
+    assert len(plan.steps) == len(TASK_OBJECTS[task])
+
+
+def test_plan_task_derives_only_the_streams_that_draw(monkeypatch):
+    """One stand stream per unload option, and a feasibility stream only
+    for options whose map has a feasible cell: chair_top's blocked north
+    band gives all-zero maps, whose ``task_feasibility`` draws nothing."""
+    scene = make_scene(8, "chair_top", seed=42)
+    goal = task_goal(8)
+    configs = grounded(scene, goal, m=3)
+    params = fast_params(stand_seed=5)
+    expected = plan_task(scene, "dining", configs, goal.atoms, params)
+    asked = []
+
+    def recording(entropy, keys):
+        asked.append(np.array(keys))
+        return pcg64_states(entropy, keys)
+
+    monkeypatch.setattr(planning, "pcg64_states", recording)
+    assert_same_plan(plan_task(scene, "dining", configs, goal.atoms, params), expected)
+    [keys] = asked
+    table = scene.table("dining")
+    locations = Router(scene).band("dining").locations
+    options, feasible = [], []
+    for m, config in enumerate(configs):
+        for oi, obj in enumerate(config.positions):
+            target = table.to_world(*config.positions[obj])
+            for si, location in enumerate(locations):
+                fmap = compute_feasibility_map(scene, location, target, params.feasibility)
+                options.append((m, oi, si))
+                if fmap.values.any():
+                    feasible.append((m, oi, si))
+    assert 0 < len(feasible) < len(options)
+    assert len(keys) == len(options) + len(feasible)
+    assert sorted(map(tuple, keys.tolist())) == sorted(
+        [(*o, 1) for o in options] + [(*o, 0) for o in feasible])
 
 
 def test_candidate_table_is_built_once_per_goal(goal1):

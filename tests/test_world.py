@@ -213,6 +213,9 @@ def test_scene_from_dict_rejects_bad_version():
         ("grid", "shape", [115.0, 162.0], "shape must be two ints"),
         ("grid", "shape", [10_000_000, 10_000_000], "exceeds the limit of 1000000"),
         ("robot", "x", "left", "malformed scene entry"),
+        ("robot", "radius", -0.1, "robot radius must be non-negative and finite, got -0.1"),
+        ("robot", "radius", float("nan"), "robot radius must be non-negative and finite, got nan"),
+        ("robot", "radius", float("inf"), "robot radius must be non-negative and finite, got inf"),
     ],
 )
 def test_scene_from_dict_rejects_malformed_entries(scene1, section, key, value, message):
@@ -224,6 +227,15 @@ def test_scene_from_dict_rejects_malformed_entries(scene1, section, key, value, 
     data[section] = ["not", "a", "mapping"]
     with pytest.raises(SceneError, match="malformed scene entry"):
         scene_from_dict(data)
+
+
+def test_scene_from_dict_rejects_a_negative_seed(scene1):
+    data = scene_to_dict(scene1)
+    data["seed"] = -3
+    with pytest.raises(SceneError, match="seed must be non-negative, got -3"):
+        scene_from_dict(data)
+    data["seed"] = 0
+    assert scene_from_dict(data).rng_seed == 0
 
 
 def test_auto_sized_grid_over_the_cell_limit_is_refused(scene1):
