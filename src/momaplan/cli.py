@@ -82,10 +82,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# Every experiment flag defaults to its ``ExperimentConfig`` field.
+_DEFAULTS = ExperimentConfig()
+
+
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--task", type=int, default=1, choices=sorted(TASK_OBJECTS))
-    parser.add_argument("--environment", default="easy", choices=ENVIRONMENTS)
-    parser.add_argument("--seed", type=_seed, default=42)
+    parser.add_argument("--task", type=int, default=_DEFAULTS.task, choices=sorted(TASK_OBJECTS))
+    parser.add_argument("--environment", default=_DEFAULTS.environment, choices=ENVIRONMENTS)
+    parser.add_argument("--seed", type=_seed, default=_DEFAULTS.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan one task and print the result")
     _add_scene_flags(p)
-    p.add_argument("--configurations", type=_count, default=10, metavar="M",
-                   help="metric configurations to sample (default 10)")
+    p.add_argument("--configurations", type=_count, default=_DEFAULTS.configurations,
+                   metavar="M", help="metric configurations to sample (default %(default)s)")
 
     p = sub.add_parser("heatmap", help="export a feasibility map as PGM + YAML")
     _add_scene_flags(p)
@@ -119,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment and write the report")
     p.add_argument("--config", metavar="FILE", help="experiment config YAML")
     _add_scene_flags(p)
-    p.add_argument("--trials", type=_count, default=20)
-    p.add_argument("--systems", nargs="+", default=list(SYSTEMS), choices=SYSTEMS)
-    p.add_argument("--configurations", type=_count, default=10, metavar="M")
+    p.add_argument("--trials", type=_count, default=_DEFAULTS.trials)
+    p.add_argument("--systems", nargs="+", default=list(_DEFAULTS.systems), choices=SYSTEMS)
+    p.add_argument("--configurations", type=_count, default=_DEFAULTS.configurations, metavar="M")
     p.add_argument("--out", metavar="FILE", help="report path (default: stdout)")
     p.add_argument("--log", metavar="FILE", help="per-trial JSONL log path")
 
@@ -249,27 +253,18 @@ def _invalid(what: str, exc: Exception) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    flags = ("task", "environment", "trials", "seed", "configurations")
+    config = ExperimentConfig(systems=tuple(args.systems), **{k: getattr(args, k) for k in flags})
     if args.config:
-        flag_defaults = {"task": 1, "environment": "easy", "seed": 42,
-                         "trials": 20, "configurations": 10}
-        overridden = [k for k, v in flag_defaults.items() if getattr(args, k) != v]
-        if overridden or args.systems != list(SYSTEMS):
+        overridden = [k for k, v in vars(config).items() if v != getattr(_DEFAULTS, k)]
+        if overridden:
             print(f"error: --config cannot be combined with experiment flags "
-                  f"({', '.join(overridden) or 'systems'})", file=sys.stderr)
+                  f"({', '.join(overridden)})", file=sys.stderr)
             return 2
         try:
             config = ExperimentConfig.from_yaml(args.config)
         except (ConfigError, OSError) as exc:
             return _invalid("config", exc)
-    else:
-        config = ExperimentConfig(
-            task=args.task,
-            environment=args.environment,
-            systems=tuple(args.systems),
-            trials=args.trials,
-            seed=args.seed,
-            configurations=args.configurations,
-        )
     if _unwritable(args.out, args.log):
         return 2
     report = run_experiment(config, log_path=args.log)

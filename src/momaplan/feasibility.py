@@ -46,7 +46,7 @@ import numpy as np
 
 from .geometry import segments_hit_rect
 from .motion import MAX_MAPS, navigator_for, robot_collides_batch
-from .world import Pose2D, SceneState, SymbolicLocation
+from .world import SceneState, SymbolicLocation
 
 log = logging.getLogger(__name__)
 
@@ -308,14 +308,6 @@ def sample_standing_cell(fmap: FeasibilityMap, rng: np.random.Generator) -> Cell
         idx = int(cdf.searchsorted(rng.random(), side="right"))
     row, col = divmod(idx, fmap.values.shape[1])
     return (row, col)
-
-
-def standing_pose(
-    location: SymbolicLocation, cell: Cell, target: tuple[float, float]
-) -> Pose2D:
-    """Pose at a band cell center, facing the unload point."""
-    x, y = location.cell_center(*cell)
-    return Pose2D(x, y, float(np.arctan2(target[1] - y, target[0] - x)))
 
 
 def task_feasibility(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,11 +58,11 @@ from .grounding import (
 )
 from .motion import MotionError
 from .planning import (
+    BandIndex,
     PlanningError,
     PlanningParams,
     Router,
     SelectedPlan,
-    UnloadOption,
     plan_task,
 )
 from .relations import PlacementAtom, goal_objects
@@ -295,37 +296,22 @@ def _random_configuration(
 
 
 def _uniform_inreach_options(
-    router: Router,
-    config: Configuration,
-    order: list[str],
+    band: BandIndex,
+    targets: list[tuple[float, float]],
     rng: np.random.Generator,
     params: FeasibilityParams,
-) -> list[tuple[str, UnloadOption]]:
-    """Unload stands drawn uniformly over the target table's band cells
-    within arm's reach of each unload point (any side, no feasibility
-    analysis), paired with their objects in order."""
-    table = router.scene.table(TARGET_TABLE)
-    band = router.band(TARGET_TABLE)
-    pairs: list[tuple[str, UnloadOption]] = []
-    for obj in order:
-        target = table.to_world(*config.positions[obj])
+) -> list[int]:
+    """Band index of an unload stand per target, drawn uniformly over the
+    target table's band cells within arm's reach of it (any side, no
+    feasibility analysis)."""
+    stands: list[int] = []
+    for target in targets:
         dist = np.hypot(band.centers[:, 0] - target[0], band.centers[:, 1] - target[1])
         in_reach = np.flatnonzero(dist <= params.reach_radius)
         if not len(in_reach):
-            raise PlanningError(f"no band cell within reach of {obj!r} target")
-        idx = in_reach[int(rng.integers(len(in_reach)))]
-        x, y = band.centers[idx]
-        pose = Pose2D(x, y, math.atan2(target[1] - y, target[0] - x))
-        option = UnloadOption(
-            location=band.locations[band.owner[idx]],
-            pose=pose,
-            cell=router.nav.cell_of(pose.x, pose.y),
-            band_index=int(idx),
-            target_world=target,
-            layer=config.layers[obj],
-        )
-        pairs.append((obj, option))
-    return pairs
+            raise PlanningError(f"no band cell within reach of target {target}")
+        stands.append(int(in_reach[int(rng.integers(len(in_reach)))]))
+    return stands
 
 
 def _baseline_plan(
@@ -337,11 +323,16 @@ def _baseline_plan(
 ) -> SelectedPlan:
     """Route uniform in-reach unload stands in the given order. A leg that
     does not connect cuts the plan to its routed prefix and marks it
-    truncated, so the failure shows up as a navigation breakdown at
-    execution time rather than as a refusal to plan."""
+    truncated at that stage, so the failure shows up as a navigation
+    breakdown at execution time rather than as a refusal to plan."""
     router = Router(scene)
-    pairs = _uniform_inreach_options(router, config, order, rng, params)
-    steps, connected, cost = router.route(pairs)
+    table = scene.table(TARGET_TABLE)
+    targets = [table.to_world(*config.positions[obj]) for obj in order]
+    stands = _uniform_inreach_options(router.band(TARGET_TABLE), targets, rng, params)
+    unscored = [0.0] * len(order)  # baselines do not estimate feasibility
+    steps, truncated, cost = router.route(
+        TARGET_TABLE, order, stands, targets, [config.layers[obj] for obj in order],
+        unscored, unscored)
     return SelectedPlan(
         config_index=0,
         plan_index=0,
@@ -349,13 +340,13 @@ def _baseline_plan(
         sides=tuple(s.unload_location.split("/")[1] for s in steps),
         configuration=config,
         steps=steps,
-        feasibility=0.0,  # baselines do not estimate feasibility
+        feasibility=0.0,
         cost=cost,
         utility=0.0,
         search_cost=cost,
         search_utility=0.0,
         candidates_evaluated=1,
-        truncated=not connected,
+        truncated=truncated,
     )
 
 
@@ -459,7 +450,7 @@ def run_trial(
     if result.success and plan.truncated:
         # The routable prefix ran clean but the next object's legs had no path.
         failure = NAVIGATION
-        trace["failed_object"] = plan.order[len(plan.steps)]
+        trace = {"failed_object": plan.order[len(plan.steps)], "failed_stage": plan.truncated}
     elif completed and not verified:
         failure = "verification"
     return TrialRecord(
@@ -524,10 +515,7 @@ def build_report(
         n = len(rows)
         successes = [r for r in rows if r.success]
         completed = [r for r in rows if r.completed]
-        failure_counts: dict[str, int] = {}
-        for r in rows:
-            if r.failure_kind:
-                failure_counts[r.failure_kind] = failure_counts.get(r.failure_kind, 0) + 1
+        failure_counts = Counter(r.failure_kind for r in rows if r.failure_kind)
         aggregates[system] = {
             "trials": n,
             "success_rate": _round(len(successes) / n) if n else None,

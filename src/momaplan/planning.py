@@ -16,20 +16,21 @@ that side and unload point). Cost adds optimal navigation distances between
 consecutive stands and a fixed charge per manipulation.
 
 ``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
-with the baseline planners in ``harness``. A leg starts at the robot's
-start or at a target-table band cell, so the loading stand after it is
-kept per scene by band index (``Router.loading_stands``). ``plan_task``
-builds the candidate table once per goal, keeps unload options as arrays
-(each stand's band index and feasibility) and prices all configurations
-from one leg table over (previous stand, unload option) pairs: only pairs
-some candidate reaches with its earlier legs connected, one cost field per
-distinct loading cell, skipping candidates with a leg that does not
-connect. ``UnloadOption``s and poses are built only for the winner, which
-alone is routed: ``route`` reads each leg off the loading cell's cached
-cost field as an explicit grid path (``Navigator.field_path``, which
-follows the field's cached descent table), so no A* runs while planning
-(A* is the reference acceptance 4 checks), and the winner's cost and
-utility are recomputed from its paths.
+with the baseline planners in ``harness``. A stand is named by its band
+index: a leg starts at the robot's start or at a target-table band cell,
+so the loading stand after it is kept per scene by band index
+(``Router.loading_stands``), and ``Router.legs`` says whether legs
+connect. ``plan_task`` builds the candidate table once per goal, keeps
+unload options as arrays (each stand's band index and feasibility) and
+prices all configurations from one leg table over (previous stand, unload
+option) pairs: only pairs some candidate reaches with its earlier legs
+connected, one cost field per distinct loading cell, skipping candidates
+with a leg that does not connect. Only the winner is routed: ``route``
+reads each leg off the loading cell's cached cost field as an explicit
+grid path (``Navigator.field_path``, which follows the field's cached
+descent table), so no A* runs while planning (A* is the reference
+acceptance 4 checks), and the winner's cost and utility are recomputed
+from its paths.
 
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
@@ -49,7 +50,7 @@ import functools
 import itertools
 import logging
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -59,7 +60,6 @@ from .feasibility import (
     compute_feasibility_map,
     pcg64_states,
     sample_standing_cell,
-    standing_pose,
     task_feasibility,
 )
 from .grounding import Configuration
@@ -123,10 +123,10 @@ class SelectedPlan:
     search_cost: float
     search_utility: float
     candidates_evaluated: int
-    # True when a leg could not be routed and the step list was cut short
-    # (only baseline planners produce such plans; executing one ends in a
-    # navigation failure at the cut).
-    truncated: bool = False
+    # The stage (``load`` or ``unload``) at which a leg could not be routed
+    # and the step list was cut short, else None (only baseline planners
+    # cut plans; executing one ends in a navigation failure at the cut).
+    truncated: str | None = None
 
 
 def stacking_orders(
@@ -195,22 +195,6 @@ class BandIndex:
         return np.argmin(np.where(self.usable, d2, np.inf), axis=1)
 
 
-@dataclass
-class UnloadOption:
-    """One way to put an object down: a standing pose beside the target
-    table, facing the unload point, with the feasibility the planner scored
-    for it (zero for the baselines, which score none)."""
-
-    location: SymbolicLocation
-    pose: Pose2D
-    cell: Cell  # navigation grid cell of the standing pose
-    band_index: int  # the stand's cell in its table's ``BandIndex``
-    target_world: tuple[float, float]
-    layer: int
-    fea_task: float = 0.0
-    fea_stand: float = 0.0
-
-
 _UNSET = -2  # a stand-table entry not looked up yet
 
 
@@ -223,13 +207,14 @@ class Router:
     previous stand is the robot's start or the center of a band cell, so
     the navigator keeps the rule's answers in per-scene tables by band
     index, one per (stand table, source table) with a last entry for the
-    start, filled only for the stands some query asks for. Both legs of a
-    step are priced off the loading cell's cached cost field, so the
-    search, pricing every configuration's candidates from one leg table,
-    computes at most one field per distinct loading stand; ``route`` then
-    reads the legs of the chosen plan off the same fields as explicit grid
-    paths, with no search of their own, and prices the plan. Cost fields,
-    band indices and stand tables live in the scene's navigator, so every
+    start, filled only for the stands some query asks for. ``legs`` tells
+    which steps connect, for the search's every (previous stand, option)
+    pair and for the steps ``route`` routes. Both legs of a step are priced
+    off the loading cell's cached cost field, so the search computes at
+    most one field per distinct loading stand; ``route`` then reads the
+    legs of the chosen plan off the same fields as explicit grid paths,
+    with no search of their own, and prices the plan. Cost fields, band
+    indices and stand tables live in the scene's navigator, so every
     router of a scene shares them.
     """
 
@@ -263,60 +248,86 @@ class Router:
             known[missing] = self.band(source).nearest_free(points)
         return known[stands]
 
-    def route(
-        self, pairs: Iterable[tuple[str, UnloadOption]]
-    ) -> tuple[list[PlanStep], bool, float]:
-        """Route (object, unload option) pairs in order, each step loading at
-        the stand the scene's stand tables give after the previous one (the
-        robot's start first), facing the object, and each leg read off its
-        loading cell's cached cost field as an explicit grid path.
+    def legs(
+        self, table: str, sources: Sequence[str], prev: np.ndarray, stands: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each step's loading stand (a band index of its source table, -1
+        for none), flat loading cell (-1 for none), and whether both its
+        legs connect: a loading stand exists and both other ends are usable,
+        since a cost field is finite exactly on its source's component.
+        ``prev`` and ``stands`` are band indices of ``table`` (-1 for the
+        robot's start) that broadcast together; ``sources[j]`` is the
+        source table of entry j of the last axis. Stands are looked up per
+        source on ``prev``'s own shape, then picked by column."""
+        sources = np.asarray(sources)
+        stand = np.full(np.broadcast(prev, stands).shape, -1, dtype=np.int64)
+        cell = np.full_like(stand, -1)
+        for source in dict.fromkeys(sources.tolist()):
+            found = self.loading_stands(source, table, prev)
+            column = sources == source
+            np.copyto(stand, found, where=column)
+            np.copyto(cell, np.where(found >= 0, self.band(source).cells[found], -1), where=column)
+        usable = np.concatenate((self.band(table).usable, [True]))  # the start's entry last
+        return stand, cell, (stand >= 0) & usable[prev] & usable[stands]
 
-        Returns the steps routed before the first step with no loading stand
-        or a leg that does not connect, whether every leg connected, and the
-        cost of the routed steps: their path lengths plus
-        ``MANIPULATION_COST`` per load and per unload.
+    def route(
+        self, table: str, objects: Sequence[str], stands: Sequence[int],
+        targets: Sequence[tuple[float, float]], layers: Sequence[int],
+        fea_task: Sequence[float], fea_stand: Sequence[float],
+    ) -> tuple[list[PlanStep], str | None, float]:
+        """Route ``objects`` in order, object k unloading from band index
+        ``stands[k]`` of ``table`` at ``targets[k]``, facing it, on layer
+        ``layers[k]`` with the given feasibilities. Each step loads at the
+        stand ``legs`` gives, facing the object, and each leg is read off
+        its loading cell's cached cost field as an explicit grid path.
+
+        Returns the steps before the first that does not connect, the
+        stage of that cut (``load`` with no loading stand, else ``unload``,
+        as every earlier stand is usable; None without a cut), and the
+        routed steps' path lengths plus ``MANIPULATION_COST`` per load and
+        per unload.
         """
-        prev: UnloadOption | None = None
+        band = self.band(table)
+        stands = np.asarray(stands, dtype=np.int64)
+        prev = np.concatenate(([-1], stands))[:-1]
+        loads, load_cells, connects = self.legs(
+            table, [self.source[obj] for obj in objects], prev, stands)
+        routed = int(np.argmin(np.append(connects, False)))  # the first cut, or len
+        stage = None if routed == len(stands) else "load" if loads[routed] < 0 else "unload"
+        width = self.nav.grid.shape[1]
         prev_cell = self.nav.start_cell
         steps: list[PlanStep] = []
-        connected = True
-        for obj, option in pairs:
-            source = self.source[obj]
-            band = self.band(source)
-            at = np.array([-1 if prev is None else prev.band_index])
-            stand = self.loading_stands(source, (prev or option).location.table_id, at)[0]
-            if stand >= 0:
-                load_cell = divmod(int(band.cells[stand]), self.nav.grid.shape[1])
-                field = self.nav.cost_field(load_cell)
-            if stand < 0 or math.isinf(field[prev_cell]) or math.isinf(field[option.cell]):
-                connected = False
-                break
-            x, y = band.centers[stand].tolist()
+        for k, obj in enumerate(objects[:routed]):
+            source, stand = self.source[obj], int(stands[k])
+            load_cell = divmod(int(load_cells[k]), width)
+            unload_cell = divmod(int(band.cells[stand]), width)
+            x, y = self.band(source).centers[loads[k]].tolist()
             ox, oy = self.scene.start_positions[obj]
+            ux, uy = band.centers[stand].tolist()
             to_load = self.nav.field_path(prev_cell, load_cell) if prev_cell != load_cell else None
-            to_unload = self.nav.field_path(option.cell, load_cell)
+            to_unload = self.nav.field_path(unload_cell, load_cell)
             steps.append(
                 PlanStep(
                     object_id=obj,
                     source_table=source,
                     load_pose=Pose2D(x, y, math.atan2(oy - y, ox - x)),
                     load_cell=load_cell,
-                    unload_location=option.location.id,
-                    unload_pose=option.pose,
-                    unload_cell=option.cell,
-                    target_world=option.target_world,
-                    target_layer=option.layer,
-                    fea_task=option.fea_task,
-                    fea_stand=option.fea_stand,
+                    unload_location=band.locations[band.owner[stand]].id,
+                    unload_pose=Pose2D(ux, uy, math.atan2(targets[k][1] - uy, targets[k][0] - ux)),
+                    unload_cell=unload_cell,
+                    target_world=targets[k],
+                    target_layer=layers[k],
+                    fea_task=float(fea_task[k]),
+                    fea_stand=float(fea_stand[k]),
                     leg_to_load=to_load.cost if to_load else 0.0,
                     leg_to_unload=to_unload.cost,
                     path_to_load=to_load,
                     path_to_unload=replace(to_unload, cells=to_unload.cells[::-1]),
                 )
             )
-            prev, prev_cell = option, option.cell
+            prev_cell = unload_cell
         cost = sum(step.leg_to_load + step.leg_to_unload for step in steps)
-        return steps, connected, cost + MANIPULATION_COST * 2 * len(steps)
+        return steps, stage, cost + MANIPULATION_COST * 2 * len(steps)
 
 
 def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
@@ -360,33 +371,22 @@ def _price_candidates(
     (M, C), of every candidate of every configuration, priced from one leg
     table. ``stands[m, k]`` is the band index of the frozen stand of unload
     option k of configuration m, ``fea_task[m, k]`` its scored feasibility;
-    ``pairs`` codes steps as ``_candidate_table`` does. A code's loading
-    cell is gathered from the stand tables, one gather per source table,
-    and its legs connect when it has one and both other ends are usable
-    cells, since a cost field is finite exactly on its source's component.
-    Only codes some candidate reaches with its earlier steps connected are
-    priced, each once, with one cost field per distinct loading cell: the
-    fields walking every candidate asks for. Both sums add column by
-    column, so each candidate's equal its steps added one at a time.
+    ``pairs`` codes steps as ``_candidate_table`` does, and ``Router.legs``
+    gives every code's loading cell and connectedness. Only codes some
+    candidate reaches with its earlier steps connected are priced, each
+    once, with one cost field per distinct loading cell: the fields walking
+    every candidate asks for. Both sums add column by column, so each
+    candidate's equal its steps added one at a time.
     """
     nav = router.nav
     configs, size = stands.shape
     # Each configuration's previous stands: the robot's start, then every option's.
     prev = np.concatenate([np.full((configs, 1), -1), stands], axis=1)
-    sources = [router.source[obj] for obj in objects]
-    source_row = {source: row for row, source in enumerate(dict.fromkeys(sources))}
-    # Flat grid index of the loading cell after each previous stand, one
-    # layer per source table; -1 where there is none.
-    after = np.empty((len(source_row), configs, size + 1), dtype=np.int64)
-    for source, row in source_row.items():
-        found = router.loading_stands(source, band.locations[0].table_id, prev.ravel())
-        after[row] = np.where(found >= 0, router.band(source).cells[found], -1).reshape(prev.shape)
+    sources = np.repeat([router.source[obj] for obj in objects], size // len(objects))
     # load[m, p * size + k]: loading cell of option k after previous stand p.
-    option_rows = np.repeat([source_row[source] for source in sources], size // len(objects))
-    load = after[option_rows].transpose(1, 2, 0).ravel()
-    usable = band.usable[prev]
-    usable[:, 0] = True  # the robot's start
-    connects = (load >= 0) & (usable[:, :, None] & usable[:, None, 1:]).ravel()
+    _, load, connects = router.legs(
+        band.locations[0].table_id, sources, prev[:, :, None], stands[:, None, :])
+    load, connects = load.ravel(), connects.ravel()
 
     width = (size + 1) * size
     flat_pairs = pairs + width * np.arange(configs)[:, None, None]
@@ -466,16 +466,14 @@ def plan_task(
     keys = keys[(keys[:, 3] == 1) | np.repeat(scored, 2)]
     streams = iter(pcg64_states((scene.rng_seed, params.stand_seed), keys))
     gen = np.random.Generator(np.random.PCG64(0))
-    # Per option, in (configuration, object, side) order: the drawn band
-    # cell, its band index, the scored and the drawn stand's feasibility.
-    cells: list[Cell] = []
+    # Per option, in (configuration, object, side) order: the drawn stand's
+    # band index, its scored and its own feasibility.
     stands = np.empty(shape, dtype=np.int64)
     fea_task = np.empty(shape)
     fea_stand = np.empty(shape)
     for (m, code), fmap, draws in zip(np.ndindex(shape), fmaps, scored):
         fea_task[m, code] = task_feasibility(fmap, _load(gen, next(streams)) if draws else gen)
         cell = sample_standing_cell(fmap, _load(gen, next(streams)))
-        cells.append(cell)
         stands[m, code] = band.index(locations[code % len(side_ids)], cell)
         fea_stand[m, code] = fmap.value_at(cell)
     nav_cost, fea_sum, connected = _price_candidates(router, band, objects, stands, fea_task, pairs)
@@ -497,16 +495,11 @@ def plan_task(
     search_utility, m, pi = best
     order, sides_combo = candidates[pi]
     config = configurations[m]
-    routed: list[tuple[str, UnloadOption]] = []
-    for code in codes[pi].tolist():
-        obj, location = objects[code // len(side_ids)], locations[code % len(side_ids)]
-        target = table.to_world(*config.positions[obj])
-        pose = standing_pose(location, cells[m * shape[1] + code], target)
-        cell = router.nav.cell_of(pose.x, pose.y)
-        routed.append((obj, UnloadOption(
-            location, pose, cell, int(stands[m, code]), target, config.layers[obj],
-            float(fea_task[m, code]), float(fea_stand[m, code]))))
-    steps, _, final_cost = router.route(routed)
+    code = codes[pi]
+    steps, _, final_cost = router.route(
+        target_table, order, stands[m, code],
+        [table.to_world(*config.positions[obj]) for obj in order],
+        [config.layers[obj] for obj in order], fea_task[m, code], fea_stand[m, code])
     best_f = float(fea[m, pi])
     final_utility = REWARD * best_f - final_cost
     log.info(

@@ -161,17 +161,9 @@ class SymbolicLocation:
     # Unit vector pointing from the table toward the band.
     outward: tuple[float, float] = (0.0, 1.0)
 
-    def cell_center(self, row: int, col: int) -> tuple[float, float]:
-        """Center of band cell (row, col), from the ``cell_centers`` table."""
-        rows, cols = self.dims
-        if not (0 <= row < rows and 0 <= col < cols):
-            raise IndexError(f"band cell ({row}, {col}) outside {rows}x{cols} region")
-        x, y = self.cell_centers()[row, col].tolist()
-        return (x, y)
-
     def cell_centers(self) -> np.ndarray:
         """All cell centers as a read-only array of shape (rows, cols, 2),
-        computed once per location instance; ``cell_center`` reads it."""
+        computed once per location instance."""
         centers = self.__dict__.get("_centers")
         if centers is None:
             rows, cols = self.dims
@@ -543,7 +535,16 @@ def _pair(entry: dict, key: str, kind: type = float) -> tuple:
     ):
         owner = f"{entry['id']!r} " if "id" in entry else ""
         raise SceneError(f"{owner}{key} must be two {kind.__name__}s, got {value!r}")
-    return tuple(value)
+    return _finite(entry, key, tuple(value))
+
+
+def _finite(entry: dict, key: str, value):
+    """``value``, read from ``entry[key]``, once none of its numbers is NaN
+    or infinite."""
+    if not np.isfinite(value).all():
+        owner = f"{entry['id']!r} " if "id" in entry else ""
+        raise SceneError(f"{owner}{key} must be finite, got {entry[key]!r}")
+    return value
 
 
 def scene_from_dict(data: dict) -> SceneState:
@@ -554,7 +555,8 @@ def scene_from_dict(data: dict) -> SceneState:
         raise SceneError(f"unsupported scene format_version {version!r}")
     try:
         robot = data["robot"]
-        robot_pose = Pose2D(robot["x"], robot["y"], robot.get("theta", 0.0))
+        robot_pose = Pose2D(_finite(robot, "x", robot["x"]), _finite(robot, "y", robot["y"]),
+                            _finite(robot, "theta", robot.get("theta", 0.0)))
         robot_radius = float(robot.get("radius", DEFAULT_ROBOT_RADIUS))
         tables = [
             TableSpec(t["id"], _pair(t, "center"), _pair(t, "half_extents"))
@@ -569,7 +571,7 @@ def scene_from_dict(data: dict) -> SceneState:
         objects = [
             ObjectSpec(
                 id=o["id"],
-                footprint_radius=float(o["footprint_radius"]),
+                footprint_radius=_finite(o, "footprint_radius", float(o["footprint_radius"])),
                 initial_location=o["initial_location"],
                 supports_stacking=bool(o.get("supports_stacking", False)),
                 initial_position=(
@@ -587,7 +589,7 @@ def scene_from_dict(data: dict) -> SceneState:
             robot_pose,
             rng_seed=seed,
             robot_radius=robot_radius,
-            resolution=float(grid_cfg.get("resolution", DEFAULT_GRID_RESOLUTION)),
+            resolution=_finite(grid_cfg, "resolution", float(grid_cfg.get("resolution", DEFAULT_GRID_RESOLUTION))),
             grid_origin=_pair(grid_cfg, "origin") if "origin" in grid_cfg else None,
             grid_shape=_pair(grid_cfg, "shape", int) if "shape" in grid_cfg else None,
         )

@@ -10,7 +10,8 @@ same definition. The exceptions are the package's former implementations,
 kept to referee the faster forms that replaced them bit for bit (or, for
 the configuration re-check and the grid cell center, kept because only
 the tests read them): the per-cell feasibility loop, the one-draw-at-a-time task feasibility, the
-unload option with its own seeded generators and ``rng.choice`` draws,
+unload option record and its ``np.arctan2`` standing pose, the unload
+option with its own seeded generators and ``rng.choice`` draws,
 the plan search that walks every candidate, the scalar band-cell center,
 the one-point loading-stand rule, the neighbour-loop walk down a cost
 field, the distance parser that tries a
@@ -24,6 +25,7 @@ import heapq
 import itertools
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from momaplan.feasibility import (
     FeasibilityParams,
     _entropy_words,
     compute_feasibility_map,
-    standing_pose,
 )
 from momaplan.geometry import segment_hits_rect, segments_hit_rect
 from momaplan.goalgen import MAX_DISTANCE_CM, MIN_DISTANCE_CM, LineParseError
@@ -46,11 +47,10 @@ from momaplan.planning import (
     PlanningParams,
     Router,
     SelectedPlan,
-    UnloadOption,
     enumerate_candidates,
 )
 from momaplan.relations import ALIGNMENT_TOL, atom_holds
-from momaplan.world import Pose2D
+from momaplan.world import Pose2D, SymbolicLocation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -460,7 +460,7 @@ def cell_trial_outcomes(scene, location, target, params, row: int, col: int) -> 
     """
     nav = navigator_for(scene)
     n = params.trials_per_cell
-    center = np.asarray(location.cell_center(row, col), dtype=float)
+    center = np.asarray(location.cell_centers()[row, col], dtype=float)
     robot_comp = nav.component(nav.cell_of(*scene.robot_pose.xy))
     if nav.components_at(center[None, :])[0] != robot_comp:
         return np.zeros(n, dtype=bool)
@@ -541,6 +541,40 @@ def scalar_task_feasibility(fmap, rng, draws=None) -> float:
         return 0.0
     vals = [flat[int(rng.choice(flat.size, p=flat / total))] for _ in range(draws)]
     return float(np.mean(vals))
+
+
+@dataclass
+class UnloadOption:
+    """The former ``planning.UnloadOption``: one way to put an object down,
+    a standing pose beside the target table, facing the unload point, with
+    its navigation grid cell, its band index and the feasibility the
+    planner scored for it."""
+
+    location: SymbolicLocation
+    pose: Pose2D
+    cell: tuple[int, int]
+    band_index: int
+    target_world: tuple[float, float]
+    layer: int
+    fea_task: float = 0.0
+    fea_stand: float = 0.0
+
+
+def standing_pose(location, cell, target) -> Pose2D:
+    """The former ``feasibility.standing_pose``: the pose at a band cell's
+    center, facing the unload point through ``np.arctan2``."""
+    x, y = location.cell_centers()[cell].tolist()
+    return Pose2D(x, y, float(np.arctan2(target[1] - y, target[0] - x)))
+
+
+def route_options(router, table_id, pairs):
+    """``Router.route`` over (object, ``UnloadOption``) pairs, each option
+    passed as its band index, target, layer and scored feasibilities."""
+    options = [option for _, option in pairs]
+    return router.route(
+        table_id, [obj for obj, _ in pairs], [o.band_index for o in options],
+        [o.target_world for o in options], [o.layer for o in options],
+        [o.fea_task for o in options], [o.fea_stand for o in options])
 
 
 def seeded_unload_option(scene, nav, band, location, target_world, layer, params, seed_key):
@@ -670,7 +704,7 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
 
     utility, m, pi = best
     order, sides_combo = candidates[pi]
-    steps, _, final_cost = router.route(best_pairs)
+    steps, _, final_cost = route_options(router, target_table, best_pairs)
     plan = SelectedPlan(
         config_index=m,
         plan_index=pi,

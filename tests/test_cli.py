@@ -233,6 +233,28 @@ def test_run_rejects_config_plus_flags(tmp_path, capsys):
     assert "--config cannot be combined" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--task", "2"), ("--environment", "chair_top"), ("--seed", "7"),
+    ("--trials", "3"), ("--configurations", "4"), ("--systems", "tpra"),
+])
+def test_run_names_each_flag_combined_with_config(tmp_path, capsys, flag, value):
+    config = tmp_path / "exp.yaml"
+    config.write_text("task: 1\ntrials: 1\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config), flag, value)
+    assert code == 2
+    assert f"--config cannot be combined with experiment flags ({flag[2:]})" in err
+
+
+def test_run_flag_defaults_are_the_config_defaults():
+    """Flags left out build exactly ``ExperimentConfig()``, so only a flag
+    given a value of its own counts as combined with ``--config``."""
+    args = cli._build_parser().parse_args(["run"])
+    defaults = ExperimentConfig()
+    for name in ("task", "environment", "seed", "trials", "configurations"):
+        assert getattr(args, name) == getattr(defaults, name), name
+    assert tuple(args.systems) == defaults.systems
+
+
 def test_run_accepts_config_file(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     config.write_text(
@@ -319,6 +341,37 @@ def test_validate_rejects_bad_seed_and_robot_radius(tmp_path, capsys, entry, tex
     (data if entry == "seed" else data["robot"])[entry] = "VALUE"
     path = tmp_path / "scene.yaml"
     path.write_text(yaml.safe_dump(data).replace("VALUE", text))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize("field, message", [
+    ("footprint_radius", "'dinner_plate' footprint_radius must be finite, got nan"),
+    ("center", "'dining' center must be finite, got [nan, 0.0]"),
+    ("half_extents", "'dining' half_extents must be finite, got [nan, 0.15]"),
+    ("initial_position", "'dinner_plate' initial_position must be finite, got [nan, 0.0]"),
+    ("theta", "theta must be finite, got nan"),
+    ("resolution", "resolution must be finite, got inf"),
+])
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, field, message):
+    """An exported scene with one number set to ``.nan`` (the grid
+    resolution to ``.inf``, since NaN already fails as a grid size) exits 2
+    on one line."""
+    data = scene_to_dict(make_scene(1, "easy", 42))
+    plate, dining = data["objects"][0], data["tables"][0]
+    if field == "footprint_radius":
+        plate[field] = math.nan
+    elif field == "initial_position":
+        plate[field] = [math.nan, plate[field][1]]
+    elif field == "theta":
+        data["robot"][field] = math.nan
+    elif field == "resolution":
+        data["grid"][field] = math.inf
+    else:
+        dining[field] = [math.nan, dining[field][1]]
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data))
     code, out, err = run_cli(capsys, "validate", str(path))
     _rejected_in_one_line(code, err, "scene")
     assert message in err and out == ""

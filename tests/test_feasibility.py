@@ -11,7 +11,6 @@ from momaplan.feasibility import (
     expected_task_feasibility,
     pcg64_states,
     sample_standing_cell,
-    standing_pose,
     task_feasibility,
     trial_outcomes,
 )
@@ -259,7 +258,7 @@ def test_cell_probability_matches_noise_integral(scene1):
 
     for row, col in picks:
         prob = noise_success_probability(
-            loc.cell_center(row, col),
+            loc.cell_centers()[row, col],
             target,
             solid,
             blocking,
@@ -432,15 +431,6 @@ def test_task_feasibility_error_shrinks_with_draws():
         ]
         errors[draws] = float(np.mean(reps))
     assert errors[10000] < errors[100]
-
-
-def test_standing_pose_faces_target(scene1):
-    loc = location_by_id(scene1, "dining/south")
-    target = (0.0, 0.0)
-    pose = standing_pose(loc, (0, 12), target)
-    x, y = loc.cell_center(0, 12)
-    assert (pose.x, pose.y) == (x, y)
-    assert pose.theta == pytest.approx(np.arctan2(-y, -x))
 
 
 def test_dataset_builder(scene1):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from momaplan.harness import (
     scripted_backend_for_task,
 )
 
-from oracles import execute_plan_two_calls
+from momaplan.motion import navigator_for
+from momaplan.planning import Router
+
+from oracles import execute_plan_two_calls, nearest_usable_center
 
 FAST = FeasibilityParams(trials_per_cell=3, task_draws=10)
 
@@ -311,15 +315,41 @@ def test_environments_roster():
     assert backend.responses
 
 
+def cut_stage(scene, config, trial, plan):
+    """The stage at which a latp plan's legs stop connecting, found from
+    the cost fields: the trial's uniform stand draws replayed, the cut
+    step's loading cell found by the one-point rule from the previous
+    stand, and ``load`` when there is none or its field is infinite at the
+    previous stand, ``unload`` when it is infinite at the unload stand."""
+    nav = navigator_for(scene)
+    router = Router(scene)
+    band = router.band(harness.TARGET_TABLE)
+    table = scene.table(harness.TARGET_TABLE)
+    targets = [table.to_world(*plan.configuration.positions[obj]) for obj in plan.order]
+    rng = harness._trial_rng(config, "latp", trial, 2)
+    stands = harness._uniform_inreach_options(band, targets, rng, config.feasibility)
+    k = len(plan.steps)
+    prev_point = scene.robot_pose.xy if k == 0 else tuple(band.centers[stands[k - 1]].tolist())
+    source = router.band(scene.object(plan.order[k]).initial_location)
+    load_point = nearest_usable_center(source, prev_point)
+    if load_point is None:
+        return "load"
+    field = nav.cost_field(nav.cell_of(*load_point))
+    if math.isinf(field[nav.cell_of(*prev_point)]):
+        return "load"
+    assert math.isinf(field[nav.cell_of(*band.centers[stands[k]])]), "the legs connect"
+    return "unload"
+
+
 @pytest.mark.parametrize("environment", ["easy", "chair_top"])
 def test_jsonl_trace_names_the_failed_object_and_stage(tmp_path, environment):
     """Each ``run --log`` line carries a ``trace`` with the object and stage
     its run failed at. The expected values
     come from re-planning the trial and replaying it with the former
-    two-call rollout: the last step it traced, or the first unrouted
-    object (no stage) for a plan cut short at routing. Easy at sigma 0.08
-    fails both in navigation and in manipulation; chair_top cuts baseline
-    plans behind the chair."""
+    two-call rollout: the last step it traced, or, for a plan cut short at
+    routing, the first unrouted object and the stage ``cut_stage`` finds
+    from the cost fields. Easy at sigma 0.08 fails both in navigation and
+    in manipulation; chair_top cuts baseline plans behind the chair."""
     config = ExperimentConfig(task=1, environment=environment, trials=6, seed=42,
                               configurations=1, systems=("llm_grop", "latp"),
                               feasibility=FeasibilityParams(nav_sigma_xy=0.08))
@@ -339,8 +369,10 @@ def test_jsonl_trace_names_the_failed_object_and_stage(tmp_path, environment):
         rng = harness._trial_rng(config, line["system"], line["trial"], 1)
         result = execute_plan_two_calls(scene, plan, rng, config.feasibility)
         if result.success:
-            assert plan.truncated and line["failure_kind"] == "navigation"
-            expected = {"failed_object": plan.order[len(plan.steps)], "failed_stage": None}
+            assert line["system"] == "latp" and line["failure_kind"] == "navigation"
+            expected = {"failed_object": plan.order[len(plan.steps)],
+                        "failed_stage": cut_stage(scene, config, line["trial"], plan)}
+            assert plan.truncated == expected["failed_stage"]
         else:
             failed = result.trace[-1]
             assert failed.failure_kind == line["failure_kind"]
@@ -350,4 +382,4 @@ def test_jsonl_trace_names_the_failed_object_and_stage(tmp_path, environment):
     if environment == "easy":
         assert {("navigation", "unload"), ("manipulation", "unload")} <= seen
     else:
-        assert ("navigation", None) in seen
+        assert ("navigation", "unload") in seen

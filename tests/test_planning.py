@@ -685,7 +685,7 @@ def test_selected_plan_survives_exhaustive_rescoring(goal1):
                     )
                 )
                 cell = sample_standing_cell(fmap, draw_rng)
-                xy = loc_by_side[side].cell_center(*cell)
+                xy = tuple(loc_by_side[side].cell_centers()[cell].tolist())
                 stands[(m, obj, side)] = (
                     nav.cell_of(*xy),
                     xy,
@@ -746,9 +746,9 @@ def test_band_index_addresses_every_cell_once():
             index = band.index(loc, cell)
             seen.append(index)
             assert band.locations[band.owner[index]] is loc
-            assert tuple(band.centers[index].tolist()) == loc.cell_center(*cell)
-            assert divmod(int(band.cells[index]), scene.grid.shape[1]) == nav.cell_of(
-                *loc.cell_center(*cell))
+            center = tuple(loc.cell_centers()[cell].tolist())
+            assert tuple(band.centers[index].tolist()) == center
+            assert divmod(int(band.cells[index]), scene.grid.shape[1]) == nav.cell_of(*center)
     assert seen == list(range(len(band.centers)))
 
 
@@ -765,3 +765,112 @@ def test_no_loading_stand_anywhere_leaves_no_candidate(goal1):
     with pytest.raises(PlanningError, match="every candidate plan was disconnected"):
         plan_task(scene, "dining", grounded(scene, goal1, m=1), goal1.atoms, fast_params())
     assert not nav._fields
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_legs_connect_where_the_loading_field_is_finite(environment):
+    """On task 8, over every (previous stand, stand) pair of the dining
+    band, the robot's start among the previous stands: ``Router.legs``
+    gives the one-point rule's loading stand and cell, and its legs connect
+    exactly where that cell's cost field is finite at both leg ends. The
+    chair scenes wall off some band cells."""
+    scene = make_scene(8, environment, seed=42)
+    nav = navigator_for(scene)
+    router = Router(scene)
+    band = router.band("dining")
+    count = len(band.centers)
+    width = scene.grid.shape[1]
+    points = [scene.robot_pose.xy] + [tuple(c) for c in band.centers.tolist()]
+    ends = np.array([r * width + c for r, c in (nav.cell_of(*p) for p in points)])
+    walled = 0
+    for source in sorted({o.initial_location for o in scene.objects}):
+        source_band = router.band(source)
+        load, load_cell, connects = router.legs(
+            "dining", [source] * count, np.arange(-1, count)[:, None], np.arange(count)[None, :])
+        assert connects.shape == (count + 1, count)
+        for p, point in enumerate(points):
+            load_point = nearest_usable_center(source_band, point)
+            assert load_point is not None
+            assert (load[p] == load[p, 0]).all() and (load_cell[p] == load_cell[p, 0]).all()
+            assert tuple(source_band.centers[load[p, 0]].tolist()) == load_point
+            r, c = nav.cell_of(*load_point)
+            assert load_cell[p, 0] == r * width + c
+            finite = np.isfinite(nav.cost_field((r, c)).ravel()[ends])
+            assert np.array_equal(connects[p], finite[p] & finite[1:]), p
+        walled += int((~connects).sum())
+    assert (walled > 0) == (environment != "easy")
+
+
+def test_route_cuts_name_their_stage(goal1):
+    """``route`` cuts a plan at its first step whose legs do not connect
+    and names the stage: ``load`` where the step has no loading stand (the
+    empty stand tables of ``test_no_loading_stand_anywhere_leaves_no_candidate``),
+    ``unload`` where its stand lies behind the chair on chair_top; None
+    when every leg connects. The cost is the routed prefix's."""
+    def route(scene, stands):
+        n = len(stands)
+        objects = [o.id for o in scene.objects][:n]
+        target = scene.table("dining").to_world(0.0, 0.0)
+        return Router(scene).route("dining", objects, stands, [target] * n, [0] * n,
+                                   [0.0] * n, [0.0] * n)
+
+    scene = make_scene(1, "chair_top", seed=42)
+    band = Router(scene).band("dining")
+    usable = np.flatnonzero(band.usable)
+    behind = [i for i in np.flatnonzero(~band.usable) if band.locations[band.owner[i]].side == "north"]
+    assert behind
+    stands = [usable[0], behind[0], usable[1]]
+    steps, stage, cost = route(scene, stands)
+    assert stage == "unload" and len(steps) == 1
+    assert cost == steps[0].leg_to_load + steps[0].leg_to_unload + 2 * MANIPULATION_COST
+    assert route(scene, stands[1:])[:2] == ([], "unload")
+    steps, stage, _ = route(scene, [usable[0], usable[1], usable[2]])
+    assert stage is None and len(steps) == 3
+
+    scene = make_scene(1, "easy", seed=42)
+    nav = navigator_for(scene)
+    size = len(Router(scene).band("dining").centers) + 1
+    for source in {o.initial_location for o in scene.objects}:
+        nav.stands[("dining", source)] = np.full(size, -1, dtype=np.int32)
+    assert route(scene, [0, 1, 2]) == ([], "load", 0.0)
+    assert not nav._fields
+
+
+def test_every_routed_step_unloads_at_its_stand_facing_the_target(monkeypatch):
+    """For the planner and both baselines, every step ``route`` returns
+    unloads from the center of its stand's band cell, on that cell's grid
+    cell and location, toward its target, facing it through ``math.atan2``
+    as load poses do."""
+    route = Router.route
+    calls = []
+
+    def spy(self, table, objects, stands, targets, *rest):
+        steps, stage, cost = route(self, table, objects, stands, targets, *rest)
+        calls.append((self, self.band(table), list(stands), list(targets), steps))
+        return steps, stage, cost
+
+    monkeypatch.setattr(Router, "route", spy)
+    fea = FeasibilityParams(trials_per_cell=3, task_draws=10)
+    systems = []
+    for environment in ("easy", "chair_top"):
+        config = ExperimentConfig(task=1, environment=environment, trials=3,
+                                  configurations=2, feasibility=fea)
+        scene = make_scene(1, environment, config.seed)
+        for system in ("llm_grop", "latp", "tpra"):
+            for trial in range(config.trials):
+                run_trial(scene, system, task_goal(1), config, trial)
+                systems.append(system)
+    monkeypatch.undo()
+    assert len(calls) == len(systems) == 2 * 3 * 3
+    routed = defaultdict(int)
+    for system, (router, band, stands, targets, steps) in zip(systems, calls):
+        routed[system] += len(steps)
+        for step, stand, target in zip(steps, stands, targets):
+            x, y = band.centers[stand].tolist()
+            assert (step.unload_pose.x, step.unload_pose.y) == (x, y)
+            assert step.unload_pose.theta == math.atan2(target[1] - y, target[0] - x)
+            assert step.target_world == target
+            assert step.unload_cell == router.nav.cell_of(x, y)
+            assert step.unload_cell == divmod(int(band.cells[stand]), router.scene.grid.shape[1])
+            assert step.unload_location == band.locations[band.owner[stand]].id
+    assert routed["llm_grop"] == 2 * 3 * 3 and routed["latp"] > 0 and routed["tpra"] > 0

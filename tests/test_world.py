@@ -66,10 +66,10 @@ def test_bands_sit_at_declared_offsets(scene1):
         assert math.hypot(ox, oy) == pytest.approx(1.0)
         near_edge = {"north": hy, "south": hy, "east": hx, "west": hx}[loc.side]
         # Row 0 centers sit half a cell beyond the band offset.
-        x0, y0 = loc.cell_center(0, BAND_COLS // 2)
+        x0, y0 = loc.cell_centers()[0, BAND_COLS // 2]
         along = (x0 - table.center[0]) * ox + (y0 - table.center[1]) * oy
         assert along == pytest.approx(near_edge + BAND_OFFSET + BAND_CELL_SIZE / 2)
-        x7, y7 = loc.cell_center(BAND_ROWS - 1, 0)
+        x7, y7 = loc.cell_centers()[BAND_ROWS - 1, 0]
         along7 = (x7 - table.center[0]) * ox + (y7 - table.center[1]) * oy
         assert along7 == pytest.approx(
             near_edge + BAND_OFFSET + (BAND_ROWS - 0.5) * BAND_CELL_SIZE
@@ -83,7 +83,6 @@ def test_band_cell_centers_array_matches_scalar(scene1):
         for row in range(BAND_ROWS):
             for col in range(BAND_COLS):
                 assert tuple(centers[row, col]) == band_cell_center(loc, row, col)
-                assert loc.cell_center(row, col) == band_cell_center(loc, row, col)
         assert loc.cell_centers() is centers
         with pytest.raises(ValueError):
             centers[0, 0, 0] = 0.0
