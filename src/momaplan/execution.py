@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 
 NAVIGATION = "navigation"
 MANIPULATION = "manipulation"
+# Alignment tolerance of goal verification: the relation tolerance plus
+# slack for rounding in the conversion into the table frame.
+VERIFY_TOL = ALIGNMENT_TOL + 1e-6
 
 
 @dataclass
@@ -150,7 +153,6 @@ def verify_goal(
     atoms: list[PlacementAtom],
     positions_world: dict[str, tuple[float, float]],
     layers: dict[str, int],
-    tol: float = ALIGNMENT_TOL + 1e-6,
 ) -> bool:
     """Do the final world-frame positions satisfy every goal atom?
 
@@ -158,7 +160,7 @@ def verify_goal(
     never reached the table simply fail their atoms.
     """
     frame = {o: table.to_table_frame(x, y) for o, (x, y) in positions_world.items()}
-    return all(satisfied_atoms(atoms, frame, layers, tol))
+    return all(satisfied_atoms(atoms, frame, layers, VERIFY_TOL))
 
 
 def relation_satisfaction(
@@ -166,11 +168,10 @@ def relation_satisfaction(
     atoms: list[PlacementAtom],
     positions_world: dict[str, tuple[float, float]],
     layers: dict[str, int],
-    tol: float = ALIGNMENT_TOL + 1e-6,
 ) -> float:
     """Fraction of goal atoms holding in the final state."""
     if not atoms:
         return 1.0
     frame = {o: table.to_table_frame(x, y) for o, (x, y) in positions_world.items()}
-    flags = satisfied_atoms(atoms, frame, layers, tol)
+    flags = satisfied_atoms(atoms, frame, layers, VERIFY_TOL)
     return sum(flags) / len(flags)

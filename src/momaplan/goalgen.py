@@ -37,6 +37,9 @@ log = logging.getLogger(__name__)
 
 MAX_GOAL_ATTEMPTS = 5
 MAX_DISTANCE_ATTEMPTS = 3
+# Sampling settings sent with every chat completion request.
+TEMPERATURE = 0.1
+MAX_TOKENS = 512
 MIN_DISTANCE_CM = 1.0
 MAX_DISTANCE_CM = 100.0
 
@@ -175,8 +178,6 @@ class HttpChatBackend:
         base_url: str | None = None,
         api_key: str | None = None,
         model: str | None = None,
-        temperature: float = 0.1,
-        max_tokens: int = 512,
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
@@ -185,8 +186,6 @@ class HttpChatBackend:
             raise ValueError("no API base url; set MOMAPLAN_API_BASE or pass base_url")
         self.api_key = api_key or os.environ.get("MOMAPLAN_API_KEY", "")
         self.model = model or os.environ.get("MOMAPLAN_MODEL", "gpt-3.5-turbo")
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.timeout = timeout
         self.session = session or requests.Session()
 
@@ -197,9 +196,9 @@ class HttpChatBackend:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
             "top_p": 1.0,
-            "max_tokens": self.max_tokens,
+            "max_tokens": MAX_TOKENS,
             "presence_penalty": 0.0,
             "frequency_penalty": 0.0,
         }
@@ -213,9 +212,12 @@ class HttpChatBackend:
             reason = " ".join(str(exc).split())
             raise GoalGenerationError(f"chat completion request to {url} failed: {reason}") from exc
         try:
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GoalGenerationError(f"malformed completion payload: {body!r}") from exc
+        if not isinstance(content, str):
+            raise GoalGenerationError(f"malformed completion payload: {body!r}")
+        return content
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +379,7 @@ def _goal_issues(atoms: list[PlacementAtom], objects: list[str]) -> list[str]:
 # Generation loop
 
 
-def generate_goal(
-    objects: list[str],
-    backend,
-    max_attempts: int = MAX_GOAL_ATTEMPTS,
-    distance_attempts: int = MAX_DISTANCE_ATTEMPTS,
-) -> GeneratedGoal:
+def generate_goal(objects: list[str], backend) -> GeneratedGoal:
     """Ask the backend for placement goals until a parseable, consistent,
     complete set arrives, then ask it for a separation distance per planar
     relation. Raises GoalGenerationError when a budget runs out.
@@ -393,7 +390,7 @@ def generate_goal(
     previous: str | None = None
     issues: list[str] | None = None
     atoms: list[PlacementAtom] | None = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_GOAL_ATTEMPTS):
         prompt = render_goal_prompt(objects, previous, issues)
         response = backend.complete(prompt, attempt)
         transcript.append(Exchange("goal", prompt, response))
@@ -413,7 +410,7 @@ def generate_goal(
         break
     if atoms is None:
         raise GoalGenerationError(
-            f"no usable goal after {max_attempts} attempts; last issues: {issues}",
+            f"no usable goal after {MAX_GOAL_ATTEMPTS} attempts; last issues: {issues}",
             transcript,
         )
 
@@ -421,18 +418,13 @@ def generate_goal(
     for i, atom in enumerate(atoms):
         if atom.relation not in PLANAR_SIGNS:
             continue
-        distances_m[i] = _ask_distance(atom, backend, distance_attempts, transcript)
+        distances_m[i] = _ask_distance(atom, backend, transcript)
     return GeneratedGoal(atoms, distances_m, attempts_used, transcript)
 
 
-def _ask_distance(
-    atom: PlacementAtom,
-    backend,
-    attempts: int,
-    transcript: list[Exchange],
-) -> float:
+def _ask_distance(atom: PlacementAtom, backend, transcript: list[Exchange]) -> float:
     last_error: LineParseError | None = None
-    for attempt in range(attempts):
+    for attempt in range(MAX_DISTANCE_ATTEMPTS):
         prompt = render_distance_prompt(atom, retry=attempt > 0)
         response = backend.complete(prompt, attempt)
         transcript.append(Exchange("distance", prompt, response))
@@ -442,7 +434,7 @@ def _ask_distance(
             last_error = exc
             log.debug("distance attempt %d for %s failed: %s", attempt + 1, atom, exc)
     raise GoalGenerationError(
-        f"no usable distance for {atom} after {attempts} attempts: {last_error}",
+        f"no usable distance for {atom} after {MAX_DISTANCE_ATTEMPTS} attempts: {last_error}",
         transcript,
     )
 

@@ -60,9 +60,7 @@ class Configuration:
 
 @dataclass
 class GroundingResult:
-    nominal: Configuration
     configurations: list[Configuration] = field(default_factory=list)
-    atoms: list[PlacementAtom] = field(default_factory=list)
 
 
 def _atom_offset(atom: PlacementAtom, separation: float) -> tuple[float, float]:
@@ -201,7 +199,7 @@ def sample_configurations(
         raise KeyError(f"no footprint radius for: {missing}")
     stack_support = {a.subject: a.reference for a in goal.atoms if a.relation == ON_TOP_OF}
 
-    result = GroundingResult(nominal=nominal, atoms=list(goal.atoms))
+    result = GroundingResult()
     for index in range(params.configurations):
         config = _sample_one(
             goal, nominal, order, stack_support, radii, table_half_extents, rng, index

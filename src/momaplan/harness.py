@@ -116,6 +116,8 @@ _PICKUP_LEFT = TableSpec("side_left", (-2.0, -2.0), (0.4, 0.3))
 _PICKUP_RIGHT = TableSpec("side_right", (2.0, -2.0), (0.4, 0.3))
 _ROBOT_START = Pose2D(0.0, -2.5, math.pi / 2)
 _CHAIR_HALF = 0.225
+# Uniform draws tried per object before a random placement gives up.
+_RANDOM_PLACEMENT_ATTEMPTS = 2000
 
 
 def _chair(side: str) -> ObstacleSpec:
@@ -272,7 +274,7 @@ def _radii(scene: SceneState) -> dict[str, float]:
 
 
 def _random_configuration(
-    scene: SceneState, objects: list[str], rng: np.random.Generator, attempts: int = 2000
+    scene: SceneState, objects: list[str], rng: np.random.Generator
 ) -> Configuration:
     """Uniform collision-free placements on the target table top."""
     table = scene.table(TARGET_TABLE)
@@ -281,7 +283,7 @@ def _random_configuration(
     positions: dict[str, tuple[float, float]] = {}
     for obj in objects:
         r = radii[obj]
-        for _ in range(attempts):
+        for _ in range(_RANDOM_PLACEMENT_ATTEMPTS):
             x = rng.uniform(-hx + r, hx - r)
             y = rng.uniform(-hy + r, hy - r)
             if all(

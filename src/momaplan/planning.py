@@ -129,9 +129,7 @@ class SelectedPlan:
     truncated: str | None = None
 
 
-def stacking_orders(
-    objects: list[str], atoms: list[PlacementAtom], limit: int | None = None
-) -> list[tuple[str, ...]]:
+def stacking_orders(objects: list[str], atoms: list[PlacementAtom]) -> list[tuple[str, ...]]:
     """Object orders where every support precedes what stacks on it."""
     supports = {a.subject: a.reference for a in atoms if a.relation == ON_TOP_OF}
     orders: list[tuple[str, ...]] = []
@@ -143,8 +141,6 @@ def stacking_orders(
             if sub in pos and sup in pos
         ):
             orders.append(perm)
-            if limit is not None and len(orders) >= limit:
-                break
     return orders
 
 

@@ -5,18 +5,20 @@ or ``centered_on_table(dinner_plate)``. Each planar relation constrains the
 sign of the subject-minus-reference offset per axis; ``on_top_of`` aligns
 both axes and raises the subject one stacking layer above its reference.
 
-Consistency is decided by searching for an assignment of grid cells (and
-one of two stacking layers) to objects on a small qualitative grid. The
-grid has ``n + 1`` cells per axis for ``n`` objects, which is always enough
-to realize any satisfiable combination of strict orderings and equalities.
-``centered_on_table`` is handled by introducing one extra free variable
-that stands for the table center, so that centering never artificially
-pins an object to a particular cell.
+Consistency is decided exactly, one axis at a time, since no atom ties the
+axes together. Equalities merge objects into groups; the goal is consistent
+on an axis when no strict ordering falls inside a group and the strict
+orderings between groups have no cycle (then a topological layering gives
+each group a value). ``centered_on_table`` aligns its subject with one
+extra variable that stands for the table center, so centering never pins
+an object to a particular value. Stacking uses two layers: an object placed
+on another sits at layer one, so a stack cannot rest on a stacked object.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -114,22 +116,20 @@ def goal_objects(atoms: list[PlacementAtom]) -> list[str]:
 
 def _axis_constraints(
     atoms: list[PlacementAtom],
-) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, int]], list[tuple[str, str]], bool]:
+) -> tuple[list[tuple[str, str, int]], list[tuple[str, str, int]], list[tuple[str, str]]]:
     """Split atoms into per-axis sign constraints and stacking pairs.
 
-    Returns (x_constraints, y_constraints, stack_pairs, uses_center) where a
-    sign constraint (a, b, s) reads: coordinate(a) - coordinate(b) has sign
-    s (0 for equality). Stack pairs (s, r) demand layer(s) == layer(r) + 1.
+    Returns (x_constraints, y_constraints, stack_pairs) where a sign
+    constraint (a, b, s) reads: coordinate(a) - coordinate(b) has sign s
+    (0 for equality). Stack pairs (s, r) demand layer(s) == layer(r) + 1.
     """
     xs: list[tuple[str, str, int]] = []
     ys: list[tuple[str, str, int]] = []
     stacks: list[tuple[str, str]] = []
-    uses_center = False
     for atom in atoms:
         if atom.relation == CENTERED:
             xs.append((atom.subject, _CENTER_VAR, 0))
             ys.append((atom.subject, _CENTER_VAR, 0))
-            uses_center = True
         elif atom.relation == ON_TOP_OF:
             xs.append((atom.subject, atom.reference, 0))  # type: ignore[arg-type]
             ys.append((atom.subject, atom.reference, 0))  # type: ignore[arg-type]
@@ -138,72 +138,44 @@ def _axis_constraints(
             sx, sy = PLANAR_SIGNS[atom.relation]
             xs.append((atom.subject, atom.reference, sx))  # type: ignore[arg-type]
             ys.append((atom.subject, atom.reference, sy))  # type: ignore[arg-type]
-    return xs, ys, stacks, uses_center
+    return xs, ys, stacks
 
 
-def _solve_axis(variables: list[str], constraints: list[tuple[str, str, int]], k: int) -> bool:
-    """Backtracking search for one coordinate axis over values 0..k-1."""
-    # Visit constrained variables first so dead ends surface early.
-    degree = {v: 0 for v in variables}
-    for a, b, _ in constraints:
-        degree[a] += 1
-        degree[b] += 1
-    order = sorted(variables, key=lambda v: -degree[v])
-    index = {v: i for i, v in enumerate(order)}
-    # Constraints keyed by the later-assigned endpoint.
-    by_var: list[list[tuple[int, int, int]]] = [[] for _ in order]
+def _axis_consistent(constraints: list[tuple[str, str, int]]) -> bool:
+    """Whether one axis's sign constraints have a solution: the strict
+    orderings between equality groups must be acyclic."""
+    group: dict[str, str] = {}
+
+    def find(v: str) -> str:
+        while group.setdefault(v, v) != v:
+            v = group[v]
+        return v
+
     for a, b, s in constraints:
-        ia, ib = index[a], index[b]
-        if ia >= ib:
-            by_var[ia].append((ib, s, 1))  # value[ia] - value[ib] has sign s
-        else:
-            by_var[ib].append((ia, s, -1))  # sign applies to (a - b); flip lookup
-    values = [0] * len(order)
-
-    def ok(i: int) -> bool:
-        for j, s, direction in by_var[i]:
-            diff = (values[i] - values[j]) * direction
-            if s == 0:
-                if diff != 0:
-                    return False
-            elif s * diff <= 0:
-                return False
-        return True
-
-    def descend(i: int) -> bool:
-        if i == len(order):
-            return True
-        for v in range(k):
-            values[i] = v
-            if ok(i) and descend(i + 1):
-                return True
+        if s == 0:
+            group[find(a)] = find(b)
+    order: TopologicalSorter[str] = TopologicalSorter()
+    for a, b, s in constraints:
+        if s:
+            # Lower group first; a strict ordering inside one group is a
+            # self-loop, which is a cycle too.
+            low, high = (b, a) if s > 0 else (a, b)
+            order.add(find(high), find(low))
+    try:
+        order.prepare()
+    except CycleError:
         return False
-
-    return descend(0)
-
-
-def _solve_layers(objects: list[str], stacks: list[tuple[str, str]]) -> bool:
-    """Two stacking layers: an object placed on another sits at layer one,
-    everything else at layer zero. A stack therefore cannot rest on an
-    object that is itself stacked, and stacking cycles are impossible."""
-    stacked_subjects = {s for s, _ in stacks}
-    return all(r not in stacked_subjects for _, r in stacks)
+    return True
 
 
 def atoms_consistent(atoms: list[PlacementAtom]) -> bool:
-    """True when some qualitative grid-and-layer assignment satisfies every
-    atom simultaneously."""
-    if not atoms:
-        return True
-    objects = goal_objects(atoms)
-    xs, ys, stacks, uses_center = _axis_constraints(atoms)
-    variables = objects + ([_CENTER_VAR] if uses_center else [])
-    k = len(objects) + 1
-    if not _solve_axis(variables, xs, k):
+    """True when some placement on both axes and the two stacking layers
+    satisfies every atom simultaneously."""
+    xs, ys, stacks = _axis_constraints(atoms)
+    stacked_subjects = {s for s, _ in stacks}
+    if any(r in stacked_subjects for _, r in stacks):
         return False
-    if not _solve_axis(variables, ys, k):
-        return False
-    return _solve_layers(objects, stacks)
+    return _axis_consistent(xs) and _axis_consistent(ys)
 
 
 def find_minimal_conflict(atoms: list[PlacementAtom]) -> tuple[int, ...]:

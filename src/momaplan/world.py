@@ -64,9 +64,6 @@ class Pose2D:
     def xy(self) -> tuple[float, float]:
         return (self.x, self.y)
 
-    def distance_to(self, other: "Pose2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
 
 @dataclass(frozen=True)
 class TableSpec:
@@ -138,9 +135,6 @@ class OccupancyGrid:
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         iy, ix = cell
         return 0 <= iy < self.occupied.shape[0] and 0 <= ix < self.occupied.shape[1]
-
-    def is_free(self, cell: tuple[int, int]) -> bool:
-        return self.in_bounds(cell) and not bool(self.occupied[cell])
 
 
 @dataclass(frozen=True)

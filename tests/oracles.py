@@ -2,7 +2,7 @@
 
 Everything in this file is deliberately re-derived from the relation and
 grid definitions without reusing the package's solver machinery: exhaustive
-enumeration instead of backtracking search, heapq Dijkstra with explicit
+enumeration instead of a topological-order check, heapq Dijkstra with explicit
 neighbor loops instead of sparse-matrix graph algorithms, plain Python
 arithmetic instead of vectorized slicing. If an oracle and the package
 agree, the agreement is between two separately written encodings of the
@@ -13,6 +13,7 @@ the tests read them): the per-cell feasibility loop, the one-draw-at-a-time task
 unload option record and its ``np.arctan2`` standing pose, the unload
 option with its own seeded generators and ``rng.choice`` draws,
 the plan search that walks every candidate, the scalar band-cell center,
+the backtracking grid search that decided goal consistency,
 the one-point loading-stand rule, the neighbour-loop walk down a cost
 field, the distance parser that tries a
 range match at every position of a digit run, and the noisy execution
@@ -199,6 +200,77 @@ def consistent_by_axis_enumeration(atoms) -> bool:
         if not feasible.any():
             return False
     return _stack_layers_feasible(atoms, objects)
+
+
+def _former_solve_axis(variables: list[str], constraints, k: int) -> bool:
+    """The former ``relations._solve_axis``: backtracking search for one
+    coordinate axis over values 0..k-1."""
+    # Visit constrained variables first so dead ends surface early.
+    degree = {v: 0 for v in variables}
+    for a, b, _ in constraints:
+        degree[a] += 1
+        degree[b] += 1
+    order = sorted(variables, key=lambda v: -degree[v])
+    index = {v: i for i, v in enumerate(order)}
+    # Constraints keyed by the later-assigned endpoint.
+    by_var: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for a, b, s in constraints:
+        ia, ib = index[a], index[b]
+        if ia >= ib:
+            by_var[ia].append((ib, s, 1))  # value[ia] - value[ib] has sign s
+        else:
+            by_var[ib].append((ia, s, -1))  # sign applies to (a - b); flip lookup
+    values = [0] * len(order)
+
+    def ok(i: int) -> bool:
+        for j, s, direction in by_var[i]:
+            diff = (values[i] - values[j]) * direction
+            if s == 0:
+                if diff != 0:
+                    return False
+            elif s * diff <= 0:
+                return False
+        return True
+
+    def descend(i: int) -> bool:
+        if i == len(order):
+            return True
+        for v in range(k):
+            values[i] = v
+            if ok(i) and descend(i + 1):
+                return True
+        return False
+
+    return descend(0)
+
+
+def former_atoms_consistent(atoms) -> bool:
+    """The former ``relations.atoms_consistent``: a backtracking search per
+    axis over an (n + 1)-value grid for n objects, with one extra variable
+    for the table center, then the two-layer stacking rule. Exponential in
+    the object count on inconsistent goals."""
+    if not atoms:
+        return True
+    objects = _ordered_objects(atoms)
+    axes: tuple[list, list] = ([], [])
+    stacks: list[tuple[str, str]] = []
+    for atom in atoms:
+        rel, sub, ref = _atom_parts(atom)
+        if rel == "centered_on_table":
+            signs, ref = (0, 0), _CENTER
+        else:
+            signs = ORACLE_SIGNS[rel]
+        if rel == "on_top_of":
+            stacks.append((sub, ref))
+        for axis, sign in zip(axes, signs):
+            axis.append((sub, ref, sign))
+    uses_center = any(a.relation == "centered_on_table" for a in atoms)
+    variables = objects + ([_CENTER] if uses_center else [])
+    k = len(objects) + 1
+    if not all(_former_solve_axis(variables, axis, k) for axis in axes):
+        return False
+    stacked_subjects = {s for s, _ in stacks}
+    return all(r not in stacked_subjects for _, r in stacks)
 
 
 def metric_atom_holds(atom, positions, layers=None, tol: float = 0.03) -> bool:

@@ -281,8 +281,8 @@ def test_generate_goal_exhausts_attempts():
         def complete(self, prompt, attempt=0):
             return "I cannot help with furniture."
 
-    with pytest.raises(GoalGenerationError, match="no usable goal"):
-        generate_goal(TASK1_OBJECTS, Unhelpful(), max_attempts=3)
+    with pytest.raises(GoalGenerationError, match="no usable goal after 5 attempts"):
+        generate_goal(TASK1_OBJECTS, Unhelpful())
 
 
 def test_generate_goal_distance_budget():
@@ -356,4 +356,29 @@ def test_cli_reports_http_failure_in_one_line(failure, monkeypatch, capsys):
     assert cli.main(["plan", "--task", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: chat completion request to http://llm.invalid/")
+    assert err.count("\n") == 1
+
+
+NON_STRING_CONTENT = {
+    "null": b'{"choices": [{"message": {"content": null}}]}',
+    "number": b'{"choices": [{"message": {"content": 42}}]}',
+    "list": b'{"choices": [{"message": {"content": ["a"]}}]}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_STRING_CONTENT))
+def test_http_backend_rejects_non_string_content(kind):
+    session = FakeSession(body=NON_STRING_CONTENT[kind])
+    backend = HttpChatBackend(base_url="http://llm.invalid", session=session)
+    with pytest.raises(GoalGenerationError, match="malformed completion payload"):
+        backend.complete("prompt")
+
+
+def test_cli_reports_non_string_content_in_one_line(monkeypatch, capsys):
+    session = FakeSession(body=NON_STRING_CONTENT["null"])
+    backend = HttpChatBackend(base_url="http://llm.invalid", session=session)
+    monkeypatch.setattr(cli, "scripted_backend_for_task", lambda task: backend)
+    assert cli.main(["plan", "--task", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed completion payload")
     assert err.count("\n") == 1

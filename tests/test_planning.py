@@ -103,11 +103,6 @@ def test_stacking_orders_respect_support():
         assert order.index("mug") < order.index("lid")
 
 
-def test_stacking_orders_limit():
-    orders = stacking_orders(["a", "b", "c", "d"], [], limit=5)
-    assert len(orders) == 5
-
-
 def test_enumerate_candidates_cap_and_shape():
     objects = ["a", "b", "c"]
     full = enumerate_candidates(objects, [], SIDES, 10_000)

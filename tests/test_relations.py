@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +9,12 @@ from oracles import (
     ORACLE_SIGNS,
     consistent_by_axis_enumeration,
     consistent_by_joint_enumeration,
+    former_atoms_consistent,
     metric_atom_holds,
     random_relation_set,
 )
+from momaplan import relations
+from momaplan.harness import OBJECT_CATALOG
 from momaplan.relations import (
     ALIGNMENT_TOL,
     PLANAR_SIGNS,
@@ -109,6 +115,42 @@ def test_checker_agrees_with_axis_enumeration_in_volume():
         assert atoms_consistent(atoms) == consistent_by_axis_enumeration(atoms), [
             str(a) for a in atoms
         ]
+
+
+def test_checker_agrees_with_former_grid_search(monkeypatch):
+    """Goals over up to eight objects, against the backtracking grid search
+    the ordering check replaced: the same verdict on every goal, and the
+    same minimal conflict on every inconsistent one."""
+    rng = np.random.default_rng(43)
+    inconsistent = []
+    relations_seen = set()
+    for _ in range(3000):
+        atoms = _atoms_from(random_relation_set(rng, max_objects=8, max_atoms=12))
+        relations_seen.update(a.relation for a in atoms)
+        verdict = atoms_consistent(atoms)
+        assert verdict == former_atoms_consistent(atoms), [str(a) for a in atoms]
+        if not verdict:
+            inconsistent.append(atoms)
+    assert {"centered_on_table", "on_top_of"} <= relations_seen
+    assert len(inconsistent) > 1000
+    conflicts = [find_minimal_conflict(atoms) for atoms in inconsistent]
+    monkeypatch.setattr(relations, "atoms_consistent", former_atoms_consistent)
+    assert [find_minimal_conflict(atoms) for atoms in inconsistent] == conflicts
+
+
+def test_conflict_over_all_catalog_objects_is_fast():
+    """Eleven objects: six in a total above_right order (all 15 pairs) and
+    five in an above_right cycle. The former grid search took about a
+    minute to find this conflict."""
+    names = list(OBJECT_CATALOG)
+    chain, ring = names[:6], names[6:]
+    atoms = [A("above_right", b, a) for a, b in itertools.combinations(chain, 2)]
+    atoms += [A("above_right", ring[(i + 1) % 5], ring[i]) for i in range(5)]
+    start = time.perf_counter()
+    report = check_consistency(atoms)
+    elapsed = time.perf_counter() - start
+    assert report.conflict == (15, 16, 17, 18, 19)
+    assert elapsed < 1.0
 
 
 def test_minimal_conflict_is_minimal_and_inconsistent():
