@@ -6,19 +6,22 @@ treated as always succeeding once the robot stands at the loading spot.
 Unloading succeeds when the arrival position is within arm's reach of the
 placement target and the straight reach line stays clear of furniture other
 than the target table; the object is then placed exactly at its planned
-target. The rollout halts at the first failure.
+target. The rollout halts at the first failure. A baseline plan cut short
+at routing (``plan.truncated``) whose routed prefix runs clean fails in
+navigation at its cut, on the first unrouted object.
 
 The arrival noise parameters are the same FeasibilityParams the planner's
 heatmaps were built with, so feasibility estimates and execution outcomes
-are draws from one distribution. Each arrival is one draw call per pose,
-from the same stream as a ``normal`` call for position and one for heading;
-collision and reach tests are scalar loops over each ``Rect``'s stored bounds.
+are draws from one distribution. Each arrival is one draw call of three
+standard normals, the stream of a ``normal`` call for position and one for
+heading; the heading draw is discarded. Collision and reach tests are
+scalar loops over each ``Rect``'s stored bounds.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +42,6 @@ VERIFY_TOL = ALIGNMENT_TOL + 1e-6
 
 
 @dataclass
-class StepTrace:
-    object_id: str
-    stage: str  # "load" or "unload"
-    commanded: Pose2D
-    arrival: Pose2D
-    ok: bool
-    failure_kind: str | None = None
-
-
-@dataclass
 class ExecutionResult:
     success: bool
     failure_kind: str | None
@@ -60,28 +53,30 @@ class ExecutionResult:
     # objects stay where they started).
     final_positions: dict[str, tuple[float, float]]
     final_layers: dict[str, int]
-    trace: list[StepTrace] = field(default_factory=list)
 
 
-def _noisy_arrival(pose: Pose2D, params: FeasibilityParams, rng: np.random.Generator) -> Pose2D:
+def _noisy_arrival(
+    pose: Pose2D, params: FeasibilityParams, rng: np.random.Generator
+) -> tuple[float, float]:
     # numpy's normal(loc, scale) is loc + scale * standard_normal, so this is
-    # the stream and values of normal(0, sigma_xy, 2) then normal(0, sigma_theta).
-    zx, zy, zt = rng.standard_normal(3).tolist()
-    s, st = params.nav_sigma_xy, params.nav_sigma_theta
-    return Pose2D(pose.x + (0.0 + s * zx), pose.y + (0.0 + s * zy), pose.theta + (0.0 + st * zt))
+    # the stream and values of normal(0, sigma_xy, 2); the third draw is the
+    # discarded heading's.
+    zx, zy, _ = rng.standard_normal(3).tolist()
+    s = params.nav_sigma_xy
+    return pose.x + (0.0 + s * zx), pose.y + (0.0 + s * zy)
 
 
 def _reach_clear(
     scene: SceneState,
-    arrival: Pose2D,
+    arrival: tuple[float, float],
     target: tuple[float, float],
     target_table: str,
     params: FeasibilityParams,
 ) -> bool:
-    if math.hypot(arrival.x - target[0], arrival.y - target[1]) > params.reach_radius:
+    if math.hypot(arrival[0] - target[0], arrival[1] - target[1]) > params.reach_radius:
         return False
     for rect in scene.reach_blockers(target_table):
-        if segment_hits_rect((arrival.x, arrival.y), target, rect):
+        if segment_hits_rect(arrival, target, rect):
             return False
     return True
 
@@ -101,11 +96,12 @@ def execute_plan(
     params = params or FeasibilityParams()
     positions = dict(scene.start_positions)
     layers = {o.id: 0 for o in scene.objects}
-    trace: list[StepTrace] = []
     cost = 0.0
     delivered = 0
 
     def result(kind: str | None = None, failed_object=None, stage=None) -> ExecutionResult:
+        if kind is not None:
+            log.debug("run failed: %s during %s of %s", kind, stage, failed_object)
         return ExecutionResult(
             success=kind is None,
             failure_kind=kind,
@@ -115,36 +111,31 @@ def execute_plan(
             executed_cost=cost,
             final_positions=positions,
             final_layers=layers,
-            trace=trace,
         )
-
-    def fail(step, stage: str, commanded: Pose2D, kind: str, arrival: Pose2D) -> ExecutionResult:
-        trace.append(StepTrace(step.object_id, stage, commanded, arrival, False, kind))
-        log.debug("run failed: %s during %s of %s", kind, stage, step.object_id)
-        return result(kind, step.object_id, stage)
 
     for step in plan.steps:
         # Leg to the loading spot.
         cost += step.leg_to_load
         arrival = _noisy_arrival(step.load_pose, params, rng)
-        if robot_collides(scene, arrival.x, arrival.y):
-            return fail(step, "load", step.load_pose, NAVIGATION, arrival)
+        if robot_collides(scene, *arrival):
+            return result(NAVIGATION, step.object_id, "load")
         # Loading itself is not modeled as failable.
         cost += MANIPULATION_COST
-        trace.append(StepTrace(step.object_id, "load", step.load_pose, arrival, True))
 
         cost += step.leg_to_unload
         arrival = _noisy_arrival(step.unload_pose, params, rng)
-        if robot_collides(scene, arrival.x, arrival.y):
-            return fail(step, "unload", step.unload_pose, NAVIGATION, arrival)
+        if robot_collides(scene, *arrival):
+            return result(NAVIGATION, step.object_id, "unload")
         target_table = step.unload_location.split("/")[0]
         if not _reach_clear(scene, arrival, step.target_world, target_table, params):
-            return fail(step, "unload", step.unload_pose, MANIPULATION, arrival)
+            return result(MANIPULATION, step.object_id, "unload")
         cost += MANIPULATION_COST
         positions[step.object_id] = step.target_world
         layers[step.object_id] = step.target_layer
         delivered += 1
-        trace.append(StepTrace(step.object_id, "unload", step.unload_pose, arrival, True))
+    if plan.truncated:
+        # The routed prefix ran clean; the next object's legs have no path.
+        return result(NAVIGATION, plan.order[len(plan.steps)], plan.truncated)
     return result()
 
 

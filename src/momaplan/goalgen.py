@@ -14,6 +14,7 @@ OpenAI-style chat completion endpoint.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -224,23 +225,14 @@ class HttpChatBackend:
 # Parsing
 
 
-def _load_phrase_table() -> list[tuple[str, str]]:
+@functools.cache
+def phrase_table() -> list[tuple[str, str]]:
     """(phrase, relation) pairs sorted longest phrase first."""
     raw = files("momaplan").joinpath("config/relation_phrases.yaml").read_text("utf-8")
     table = yaml.safe_load(raw)
     pairs = [(phrase, relation) for relation, phrases in table.items() for phrase in phrases]
     pairs.sort(key=lambda p: (-len(p[0]), p[0]))
     return pairs
-
-
-_PHRASE_TABLE: list[tuple[str, str]] | None = None
-
-
-def phrase_table() -> list[tuple[str, str]]:
-    global _PHRASE_TABLE
-    if _PHRASE_TABLE is None:
-        _PHRASE_TABLE = _load_phrase_table()
-    return _PHRASE_TABLE
 
 
 _ENUM_PREFIX = re.compile(r"^\s*(?:\d+\s*[\.\):-]\s*|[-*•]\s*)")

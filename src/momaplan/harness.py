@@ -40,13 +40,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .execution import (
-    NAVIGATION,
-    ExecutionResult,
-    execute_plan,
-    relation_satisfaction,
-    verify_goal,
-)
+from .execution import ExecutionResult, execute_plan, relation_satisfaction, verify_goal
 from .feasibility import FeasibilityParams
 from .goalgen import GeneratedGoal, ScriptedBackend, bundled_script_path, generate_goal
 from .grounding import (
@@ -339,7 +333,6 @@ def _baseline_plan(
         config_index=0,
         plan_index=0,
         order=tuple(order),
-        sides=tuple(s.unload_location.split("/")[1] for s in steps),
         configuration=config,
         steps=steps,
         feasibility=0.0,
@@ -439,7 +432,7 @@ def run_trial(
         )
     xrng = _trial_rng(config, system, trial, 1)
     result: ExecutionResult = execute_plan(scene, plan, xrng, config.feasibility)
-    completed = result.success and not plan.truncated
+    completed = result.success
     table = scene.table(TARGET_TABLE)
     verified = completed and verify_goal(
         table, goal.atoms, result.final_positions, result.final_layers
@@ -448,12 +441,7 @@ def run_trial(
         table, goal.atoms, result.final_positions, result.final_layers
     )
     failure = result.failure_kind
-    trace = {"failed_object": result.failed_object, "failed_stage": result.failed_stage}
-    if result.success and plan.truncated:
-        # The routable prefix ran clean but the next object's legs had no path.
-        failure = NAVIGATION
-        trace = {"failed_object": plan.order[len(plan.steps)], "failed_stage": plan.truncated}
-    elif completed and not verified:
+    if completed and not verified:
         failure = "verification"
     return TrialRecord(
         system=system,
@@ -469,7 +457,7 @@ def run_trial(
         objects_delivered=result.objects_delivered,
         failure_kind=failure,
         goal_attempts=goal_attempts,
-        trace=trace,
+        trace={"failed_object": result.failed_object, "failed_stage": result.failed_stage},
     )
 
 

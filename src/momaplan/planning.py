@@ -65,7 +65,7 @@ from .feasibility import (
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for
 from .relations import ON_TOP_OF, PlacementAtom
-from .world import Pose2D, SceneState, SymbolicLocation, stacked_cell_centers, symbolic_locations
+from .world import Pose2D, SceneState, SymbolicLocation, symbolic_locations
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +112,6 @@ class SelectedPlan:
     config_index: int
     plan_index: int
     order: tuple[str, ...]
-    sides: tuple[str, ...]
     configuration: Configuration
     steps: list[PlanStep]
     feasibility: float
@@ -163,16 +162,17 @@ def enumerate_candidates(
 class BandIndex:
     """Flat arrays over every band cell of one table, location by location
     in row-major cell order, for nearest-usable-cell and in-reach queries; a
-    cell's position in them is its band index. ``centers`` is the one copy
-    of the centers the locations read, ``cells`` the flat grid index of
-    each center, and a cell is usable when ``Navigator.reachable_at`` holds
-    at its center."""
+    cell's position in them is its band index. ``centers`` holds the
+    locations' cell centers, ``cells`` the flat grid index of each center,
+    and a cell is usable when ``Navigator.reachable_at`` holds at its
+    center."""
 
     def __init__(self, nav: Navigator, locations: list[SymbolicLocation]):
         self.locations = locations
         sizes = [loc.dims[0] * loc.dims[1] for loc in locations]
         self._offset = dict(zip((loc.id for loc in locations), np.cumsum([0] + sizes).tolist()))
-        self.centers = stacked_cell_centers(locations)
+        self.centers = np.concatenate([loc.cell_centers().reshape(-1, 2) for loc in locations])
+        self.centers.setflags(write=False)
         self.owner = np.repeat(np.arange(len(locations)), sizes)
         self.cells = nav.flat_cells(self.centers)
         self.usable = nav.reachable_at(self.centers)
@@ -236,8 +236,9 @@ class Router:
         if known is None:
             size = len(self.band(table).centers) + 1
             known = self.nav.stands[(table, source)] = np.full(size, _UNSET, dtype=np.int32)
-        missing = np.unique(stands[known[stands] == _UNSET])
+        missing = stands[known[stands] == _UNSET]
         if len(missing):
+            missing = np.unique(missing)
             points = self.band(table).centers[missing]
             if missing[0] < 0:
                 points[0] = self.scene.robot_pose.xy
@@ -506,7 +507,6 @@ def plan_task(
         config_index=m,
         plan_index=pi,
         order=order,
-        sides=sides_combo,
         configuration=config,
         steps=steps,
         feasibility=best_f,

@@ -234,22 +234,6 @@ class SceneState:
         return self._blockers[table_id]  # type: ignore[attr-defined]
 
 
-def stacked_cell_centers(locations: list[SymbolicLocation]) -> np.ndarray:
-    """Every cell center of ``locations``, location by location in row-major
-    cell order, as one read-only (n, 2) array. Each location's
-    ``cell_centers`` then reads its slice of it, so the centers are held
-    once."""
-    centers = np.concatenate([loc.cell_centers().reshape(-1, 2) for loc in locations])
-    centers.setflags(write=False)
-    start = 0
-    for loc in locations:
-        rows, cols = loc.dims
-        view = centers[start:start + rows * cols].reshape(rows, cols, 2)
-        object.__setattr__(loc, "_centers", view)
-        start += rows * cols
-    return centers
-
-
 def symbolic_locations(scene: SceneState, table_id: str) -> list[SymbolicLocation]:
     """The four standing bands flanking a table, in fixed side order.
 

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from momaplan.goalgen import generate_goal
@@ -7,6 +9,15 @@ from momaplan.harness import TASK_OBJECTS, make_scene, scripted_backend_for_task
 # section because pytest's default fd-level capture would swallow direct
 # writes on passing runs.
 ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_collection_finish(session):
+    """Run one full garbage collection before the first test. Collecting
+    the suite leaves a large backlog of new objects, and the collector's
+    first full pass over it (60-75 ms with every test collected) would
+    otherwise land inside whichever timed test is running when the
+    backlog crosses the collector's threshold."""
+    gc.collect()
 
 
 def pytest_terminal_summary(terminalreporter):

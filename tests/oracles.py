@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from momaplan.execution import MANIPULATION, NAVIGATION, ExecutionResult, StepTrace
+from momaplan.execution import MANIPULATION, NAVIGATION, ExecutionResult
 from momaplan.feasibility import (
     FeasibilityParams,
     _entropy_words,
@@ -781,7 +781,6 @@ def walk_every_candidate(scene, target_table, configurations, atoms, params=None
         config_index=m,
         plan_index=pi,
         order=order,
-        sides=sides_combo,
         configuration=configurations[m],
         steps=steps,
         feasibility=best_f,
@@ -841,19 +840,19 @@ def execute_plan_two_calls(scene, plan, rng, params=None) -> ExecutionResult:
     """The execution module's former ``execute_plan``: a collision test
     that builds a generator over ``disc_hits_rect`` per arrival, and two
     ``normal`` calls per arrival. The one-call rollout must reproduce its
-    results and leave the generator in the same state."""
+    results and leave the generator in the same state. It predates the
+    truncation rule: a truncated plan whose routed prefix runs clean
+    succeeds here, where ``execute_plan`` fails it at its cut."""
     params = params or FeasibilityParams()
     positions = {
         o.id: scene.table(o.initial_location).to_world(*o.initial_position)
         for o in scene.objects
     }
     layers = {o.id: 0 for o in scene.objects}
-    trace: list[StepTrace] = []
     cost = 0.0
     delivered = 0
 
-    def fail(step, stage: str, kind: str, arrival: Pose2D) -> ExecutionResult:
-        trace.append(StepTrace(step.object_id, stage, _commanded(step, stage), arrival, False, kind))
+    def fail(step, stage: str, kind: str) -> ExecutionResult:
         return ExecutionResult(
             success=False,
             failure_kind=kind,
@@ -863,32 +862,26 @@ def execute_plan_two_calls(scene, plan, rng, params=None) -> ExecutionResult:
             executed_cost=cost,
             final_positions=positions,
             final_layers=layers,
-            trace=trace,
         )
-
-    def _commanded(step, stage: str) -> Pose2D:
-        return step.load_pose if stage == "load" else step.unload_pose
 
     for step in plan.steps:
         cost += step.leg_to_load
         arrival = _two_call_noisy_arrival(step.load_pose, params, rng)
         if _generator_robot_collides(scene, arrival.x, arrival.y):
-            return fail(step, "load", NAVIGATION, arrival)
+            return fail(step, "load", NAVIGATION)
         cost += MANIPULATION_COST
-        trace.append(StepTrace(step.object_id, "load", step.load_pose, arrival, True))
 
         cost += step.leg_to_unload
         arrival = _two_call_noisy_arrival(step.unload_pose, params, rng)
         if _generator_robot_collides(scene, arrival.x, arrival.y):
-            return fail(step, "unload", NAVIGATION, arrival)
+            return fail(step, "unload", NAVIGATION)
         target_table = step.unload_location.split("/")[0]
         if not _reach_clear(scene, arrival, step.target_world, target_table, params):
-            return fail(step, "unload", MANIPULATION, arrival)
+            return fail(step, "unload", MANIPULATION)
         cost += MANIPULATION_COST
         positions[step.object_id] = step.target_world
         layers[step.object_id] = step.target_layer
         delivered += 1
-        trace.append(StepTrace(step.object_id, "unload", step.unload_pose, arrival, True))
 
     return ExecutionResult(
         success=True,
@@ -899,5 +892,4 @@ def execute_plan_two_calls(scene, plan, rng, params=None) -> ExecutionResult:
         executed_cost=cost,
         final_positions=positions,
         final_layers=layers,
-        trace=trace,
     )

@@ -49,14 +49,19 @@ def _run_until_success(scene, plan, params=FAST_FEA, tries=50):
 
 def test_successful_run_costs_exactly_the_plan(plan1):
     scene, plan = plan1
-    result = _run_until_success(scene, plan)
+    seed = next(s for s in range(50)
+                if execute_plan(scene, plan, np.random.default_rng(s), FAST_FEA).success)
+    rng = np.random.default_rng(seed)
+    result = execute_plan(scene, plan, rng, FAST_FEA)
     assert result.executed_cost == pytest.approx(plan.cost)
     assert result.objects_delivered == len(plan.steps)
     assert result.failure_kind is None
     assert result.failed_object is None
-    # Two trace entries per step, all marked ok.
-    assert len(result.trace) == 2 * len(plan.steps)
-    assert all(t.ok for t in result.trace)
+    assert result.success and result.failed_stage is None
+    # Three standard normals per arrival, heading included, two arrivals per step.
+    ref = np.random.default_rng(seed)
+    ref.standard_normal(3 * 2 * len(plan.steps))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_delivered_objects_land_exactly_on_target(plan1):
@@ -99,11 +104,7 @@ def test_execution_is_deterministic_per_seed(plan1):
     scene, plan = plan1
     a = execute_plan(scene, plan, np.random.default_rng(5), FAST_FEA)
     b = execute_plan(scene, plan, np.random.default_rng(5), FAST_FEA)
-    assert a.success == b.success
-    assert a.executed_cost == b.executed_cost
-    assert [(t.arrival.x, t.arrival.y) for t in a.trace] == [
-        (t.arrival.x, t.arrival.y) for t in b.trace
-    ]
+    assert a == b
 
 
 def test_huge_arrival_noise_fails_navigation(plan1):
@@ -134,12 +135,16 @@ def test_tiny_reach_fails_manipulation(plan1):
 def test_run_halts_at_first_failure(plan1):
     scene, plan = plan1
     params = FeasibilityParams(reach_radius=0.05)
-    result = execute_plan(scene, plan, np.random.default_rng(1), params)
-    # Nothing after the failing step may appear in the trace.
-    assert not result.trace[-1].ok
-    assert all(t.ok for t in result.trace[:-1])
+    rng = np.random.default_rng(1)
+    result = execute_plan(scene, plan, rng, params)
+    assert not result.success and result.failed_stage == "unload"
     failed_idx = [s.object_id for s in plan.steps].index(result.failed_object)
     assert result.objects_delivered == failed_idx
+    # Three standard normals per attempted arrival and none after the
+    # failing unload.
+    ref = np.random.default_rng(1)
+    ref.standard_normal(3 * (2 * failed_idx + 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
     # Undelivered objects never move off their source tables.
     for step in plan.steps[failed_idx:]:
         src = scene.table(step.source_table)

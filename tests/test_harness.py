@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from momaplan import harness
+from momaplan.execution import NAVIGATION, execute_plan
 from momaplan.feasibility import FeasibilityParams
 from momaplan.goalgen import generate_goal
 from momaplan.harness import (
@@ -26,7 +27,7 @@ from momaplan.harness import (
 )
 
 from momaplan.motion import navigator_for
-from momaplan.planning import Router
+from momaplan.planning import MANIPULATION_COST, Router
 
 from oracles import execute_plan_two_calls, nearest_usable_center
 
@@ -207,6 +208,44 @@ def test_truncated_baseline_costs_its_routed_prefix(goal1):
         assert plan.cost == cost + 1.0 * len(plan.steps)
 
 
+def test_truncated_plan_fails_navigation_at_its_cut(goal1):
+    """A plan cut at routing, run until its routed prefix runs clean, fails
+    in navigation on the first unrouted object at the stage where routing
+    stopped, with the prefix's cost, deliveries and poses; a run that fails
+    inside the prefix is the prefix's own failure. The former rollout gives
+    the prefix's outcome. The cuts are the latp plans behind the chair, and
+    the longest one cut again by hand after its first step at either
+    stage."""
+    config = fast_config(environment="chair_top", trials=8)
+    scene = make_scene(config.task, config.environment, config.seed)
+    plans = [harness._plan_latp(scene, goal1, config, t)[0] for t in range(config.trials)]
+    cuts = [plan for plan in plans if plan.truncated]
+    assert any(plan.steps for plan in cuts), "some cut should follow a routed step"
+    longest = max(plans, key=lambda plan: len(plan.steps))
+    cuts += [dataclasses.replace(longest, steps=longest.steps[:1], truncated=stage)
+             for stage in ("load", "unload")]
+    for plan in cuts:
+        clean = 0
+        for seed in range(20):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            result = execute_plan(scene, plan, rng, FAST)
+            prefix = execute_plan_two_calls(scene, plan, ref_rng, FAST)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            if not prefix.success:
+                assert result == prefix
+                continue
+            clean += 1
+            assert not result.success and result.failure_kind == NAVIGATION
+            assert result.failed_object == plan.order[len(plan.steps)]
+            assert result.failed_stage == plan.truncated
+            assert result.executed_cost == prefix.executed_cost == pytest.approx(
+                sum(s.leg_to_load + s.leg_to_unload + 2 * MANIPULATION_COST for s in plan.steps))
+            assert result.objects_delivered == prefix.objects_delivered == len(plan.steps)
+            assert result.final_positions == prefix.final_positions
+            assert result.final_layers == prefix.final_layers
+        assert clean, "some run of the routed prefix should run clean"
+
+
 def test_report_config_section_loads_back_as_an_equal_config(tmp_path):
     """The config section of a report, written out as a config file, loads
     into the config that produced it, with no field at its default."""
@@ -374,9 +413,8 @@ def test_jsonl_trace_names_the_failed_object_and_stage(tmp_path, environment):
                         "failed_stage": cut_stage(scene, config, line["trial"], plan)}
             assert plan.truncated == expected["failed_stage"]
         else:
-            failed = result.trace[-1]
-            assert failed.failure_kind == line["failure_kind"]
-            expected = {"failed_object": failed.object_id, "failed_stage": failed.stage}
+            assert result.failure_kind == line["failure_kind"]
+            expected = {"failed_object": result.failed_object, "failed_stage": result.failed_stage}
         assert trace == expected
         seen.add((line["failure_kind"], expected["failed_stage"]))
     if environment == "easy":
