@@ -254,7 +254,11 @@ def _invalid(what: str, exc: Exception) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     flags = ("task", "environment", "trials", "seed", "configurations")
-    config = ExperimentConfig(systems=tuple(args.systems), **{k: getattr(args, k) for k in flags})
+    try:
+        config = ExperimentConfig(systems=tuple(args.systems), **{k: getattr(args, k) for k in flags})
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.config:
         overridden = [k for k, v in vars(config).items() if v != getattr(_DEFAULTS, k)]
         if overridden:

@@ -14,13 +14,14 @@ probability estimated by repeated simulated trials. A trial succeeds when
 The per-cell trial noise comes from a seed sequence derived from the scene
 seed, the location, the unload point and the trial parameters, with one
 child stream per cell. Recomputing a map for the same inputs therefore
-reproduces it bit for bit, cells are statistically independent, and maps
-are cached with the scene's navigator (``motion.navigator_for``), under its
-bound of eight scenes. Each navigator keeps the ``motion.MAX_MAPS`` (256)
-most recently used maps; an evicted map is recomputed equal bit for bit
-when asked again. Only the draws are made cell by cell: the collision,
-reach and reach-line tests run once per map over the arrivals of every
-reachable cell.
+reproduces it bit for bit, and cells are statistically independent. Maps
+are kept with the scene's navigator (``motion.navigator_for``), under its
+bound of eight scenes, keyed by location, exact unload point and
+parameters, so two unload points share a map only when they are equal.
+Each navigator keeps the ``motion.MAX_MAPS`` (256) most recently used
+maps; an evicted map is recomputed equal bit for bit when asked again.
+Only the draws are made cell by cell: the collision, reach and reach-line
+tests run once per map over the arrivals of every reachable cell.
 
 Two summary quantities feed planning: the per-cell probability itself for
 a concrete standing cell, and the expected probability under
@@ -270,13 +271,13 @@ def compute_feasibility_map(
 ) -> FeasibilityMap:
     """Per-cell success probabilities for one location and unload point.
 
-    Deterministic in (scene seed, location, target, params) and cached in
-    the scene's navigator, which keeps the ``MAX_MAPS`` most recently used.
+    Deterministic in (scene seed, location, target, params) and kept in
+    the scene's navigator under the exact target, which keeps the
+    ``MAX_MAPS`` most recently used.
     """
     params = params or FeasibilityParams()
-    # Python floats round about ten times faster than numpy scalars.
     target = (float(target[0]), float(target[1]))
-    key = (location.id, round(target[0], 6), round(target[1], 6), params)
+    key = (location.id, target, params)
     per_scene = navigator_for(scene).maps
     fmap = per_scene.pop(key, None)
     if fmap is None:

@@ -193,6 +193,12 @@ class ExperimentConfig:
     configurations: int = 10  # grounded samples per goal
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
 
+    def __post_init__(self) -> None:
+        # A repeated system would run, and count, each of its trials twice.
+        if not self.systems or len(set(self.systems)) < len(self.systems):
+            raise ConfigError(f"systems must name at least one system, each once, "
+                              f"got {list(self.systems)}")
+
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
         data = read_yaml(path, ConfigError) or {}
@@ -213,11 +219,11 @@ class ExperimentConfig:
             data["systems"] = tuple(systems)
         if "feasibility" in data:
             _check_fields(path, "feasibility", data["feasibility"], FeasibilityParams())
-            try:
-                data["feasibility"] = FeasibilityParams(**data["feasibility"])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-        return cls(**data)
+        try:
+            data["feasibility"] = FeasibilityParams(**data.get("feasibility", {}))
+            return cls(**data)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {**asdict(self), "systems": list(self.systems)}

@@ -101,12 +101,14 @@ class Navigator:
     price thousands of candidate legs that share endpoints.
 
     A scene's navigator is also its one per-scene store: it records the
-    robot's start cell and component, and holds the feasibility ``maps``,
-    standing-band indices (``bands``) and loading-stand tables (``stands``)
-    other modules memoise for the scene. ``maps`` keeps the ``MAX_MAPS``
-    most recently used maps; cost fields, descent tables, band indices and
-    stand tables are not bounded within a scene (a stand table holds one
-    int per band cell, a descent table one byte per grid cell).
+    robot's start cell and component, and holds the feasibility ``maps``
+    (keyed by location, exact unload point and trial parameters),
+    standing-band indices (``bands``) and loading-stand tables (``stands``,
+    each built whole on first use) other modules memoise for the scene. No
+    answer depends on what was asked before. ``maps`` keeps the
+    ``MAX_MAPS`` most recently used maps; cost fields, descent tables, band
+    indices and stand tables are not bounded within a scene (a stand table
+    holds one int per band cell, a descent table one byte per grid cell).
     """
 
     def __init__(self, scene: SceneState):

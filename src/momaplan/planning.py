@@ -18,8 +18,8 @@ consecutive stands and a fixed charge per manipulation.
 ``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
 with the baseline planners in ``harness``. A stand is named by its band
 index: a leg starts at the robot's start or at a target-table band cell,
-so the loading stand after it is kept per scene by band index
-(``Router.loading_stands``), and ``Router.legs`` says whether legs
+so the loading stand after each is one entry of a per-scene table built
+whole (``Router.loading_stands``), and ``Router.legs`` says whether legs
 connect. ``plan_task`` builds the candidate table once per goal, keeps
 unload options as arrays (each stand's band index and feasibility) and
 prices all configurations from one leg table over (previous stand, unload
@@ -185,13 +185,12 @@ class BandIndex:
         """Band index of the usable cell nearest each of ``points``, shape
         (m, 2) (the first of ties), or -1 when no cell is usable; one
         distance pass for all of them."""
-        if not self.usable.any():
+        usable = np.flatnonzero(self.usable)
+        if not len(usable):
             return np.full(len(points), -1)
-        d2 = (self.centers[:, 0] - points[:, :1]) ** 2 + (self.centers[:, 1] - points[:, 1:]) ** 2
-        return np.argmin(np.where(self.usable, d2, np.inf), axis=1)
-
-
-_UNSET = -2  # a stand-table entry not looked up yet
+        centers = self.centers[usable]
+        d2 = (centers[:, 0] - points[:, :1]) ** 2 + (centers[:, 1] - points[:, 1:]) ** 2
+        return usable[np.argmin(d2, axis=1)]
 
 
 class Router:
@@ -201,17 +200,17 @@ class Router:
     whose center is nearest the previous stand (the first of ties): a free
     cell in the robot's start component, faced toward the object. A
     previous stand is the robot's start or the center of a band cell, so
-    the navigator keeps the rule's answers in per-scene tables by band
-    index, one per (stand table, source table) with a last entry for the
-    start, filled only for the stands some query asks for. ``legs`` tells
-    which steps connect, for the search's every (previous stand, option)
-    pair and for the steps ``route`` routes. Both legs of a step are priced
-    off the loading cell's cached cost field, so the search computes at
-    most one field per distinct loading stand; ``route`` then reads the
-    legs of the chosen plan off the same fields as explicit grid paths,
-    with no search of their own, and prices the plan. Cost fields, band
-    indices and stand tables live in the scene's navigator, so every
-    router of a scene shares them.
+    the rule's answers fit one table per (stand table, source table),
+    indexed by band index with a last entry for the start, built whole on
+    first use and kept by the scene's navigator. ``legs`` tells which steps
+    connect, for the search's every (previous stand, option) pair and for
+    the steps ``route`` routes. Both legs of a step are priced off the
+    loading cell's cached cost field, so the search computes at most one
+    field per distinct loading stand; ``route`` then reads the legs of the
+    chosen plan off the same fields as explicit grid paths, with no search
+    of their own, and prices the plan. Cost fields, band indices and stand
+    tables live in the scene's navigator, so every router of a scene shares
+    them, and no answer depends on which were asked for before.
     """
 
     def __init__(self, scene: SceneState):
@@ -225,25 +224,20 @@ class Router:
             self.nav.bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
         return self.nav.bands[table_id]
 
-    def loading_stands(self, source: str, table: str, stands: np.ndarray) -> np.ndarray:
-        """Band index in ``source``'s band of the loading stand after each
-        of ``stands``: a band cell of ``table``'s band, or -1 for the
-        robot's start. -1 where no cell of the band is usable. Stands not
-        asked for before are looked up in one distance pass and kept in the
-        scene's table for (``table``, ``source``), whose last entry is the
-        start's."""
-        known = self.nav.stands.get((table, source))
-        if known is None:
-            size = len(self.band(table).centers) + 1
-            known = self.nav.stands[(table, source)] = np.full(size, _UNSET, dtype=np.int32)
-        missing = stands[known[stands] == _UNSET]
-        if len(missing):
-            missing = np.unique(missing)
-            points = self.band(table).centers[missing]
-            if missing[0] < 0:
-                points[0] = self.scene.robot_pose.xy
-            known[missing] = self.band(source).nearest_free(points)
-        return known[stands]
+    def loading_stands(self, source: str, table: str) -> np.ndarray:
+        """The scene's loading-stand table for (``table``, ``source``): the
+        band index in ``source``'s band of the loading stand after each band
+        cell of ``table``, then after the robot's start (the last entry);
+        -1 where no cell of ``source``'s band is usable. Built whole on
+        first use, in distance passes of at most 256 points."""
+        stands = self.nav.stands.get((table, source))
+        if stands is None:
+            points = np.concatenate((self.band(table).centers, [self.scene.robot_pose.xy]))
+            nearest = self.band(source).nearest_free
+            stands = np.concatenate([nearest(points[i:i + 256]) for i in range(0, len(points), 256)])
+            stands.setflags(write=False)
+            self.nav.stands[(table, source)] = stands
+        return stands
 
     def legs(
         self, table: str, sources: Sequence[str], prev: np.ndarray, stands: np.ndarray
@@ -254,18 +248,15 @@ class Router:
         since a cost field is finite exactly on its source's component.
         ``prev`` and ``stands`` are band indices of ``table`` (-1 for the
         robot's start) that broadcast together; ``sources[j]`` is the
-        source table of entry j of the last axis. Stands are looked up per
-        source on ``prev``'s own shape, then picked by column."""
-        sources = np.asarray(sources)
-        stand = np.full(np.broadcast(prev, stands).shape, -1, dtype=np.int64)
-        cell = np.full_like(stand, -1)
-        for source in dict.fromkeys(sources.tolist()):
-            found = self.loading_stands(source, table, prev)
-            column = sources == source
-            np.copyto(stand, found, where=column)
-            np.copyto(cell, np.where(found >= 0, self.band(source).cells[found], -1), where=column)
-        usable = np.concatenate((self.band(table).usable, [True]))  # the start's entry last
-        return stand, cell, (stand >= 0) & usable[prev] & usable[stands]
+        source table of entry j of the last axis. Stands are read with one
+        gather over (source, previous stand), cells over (source, stand)."""
+        names = {source: i for i, source in enumerate(dict.fromkeys(sources))}
+        column = np.array([names[source] for source in sources], dtype=np.intp)
+        stand = np.stack([self.loading_stands(source, table) for source in names])[column, prev]
+        # Every table's band has the same cells per side, so the bands stack.
+        cells = np.stack([self.band(source).cells for source in names])[column, stand]
+        usable = np.append(self.band(table).usable, True)  # the start's entry last
+        return stand, np.where(stand >= 0, cells, -1), (stand >= 0) & usable[prev] & usable[stands]
 
     def route(
         self, table: str, objects: Sequence[str], stands: Sequence[int],
@@ -379,7 +370,7 @@ def _price_candidates(
     configs, size = stands.shape
     # Each configuration's previous stands: the robot's start, then every option's.
     prev = np.concatenate([np.full((configs, 1), -1), stands], axis=1)
-    sources = np.repeat([router.source[obj] for obj in objects], size // len(objects))
+    sources = [router.source[obj] for obj in objects for _ in range(size // len(objects))]
     # load[m, p * size + k]: loading cell of option k after previous stand p.
     _, load, connects = router.legs(
         band.locations[0].table_id, sources, prev[:, :, None], stands[:, None, :])

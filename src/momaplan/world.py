@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 import yaml
@@ -149,9 +150,9 @@ class SymbolicLocation:
     table_id: str
     side: str
     rect: Rect
-    cell_size: float = BAND_CELL_SIZE
+    cell_size: ClassVar[float] = BAND_CELL_SIZE
     # (rows, cols); rows run away from the table, row 0 is nearest the edge.
-    dims: tuple[int, int] = (BAND_ROWS, BAND_COLS)
+    dims: ClassVar[tuple[int, int]] = (BAND_ROWS, BAND_COLS)
     # Unit vector pointing from the table toward the band.
     outward: tuple[float, float] = (0.0, 1.0)
 
@@ -246,30 +247,20 @@ def symbolic_locations(scene: SceneState, table_id: str) -> list[SymbolicLocatio
     depth = BAND_ROWS * BAND_CELL_SIZE
     length = BAND_COLS * BAND_CELL_SIZE
     out: list[SymbolicLocation] = []
-    for side in SIDES:
-        if side == "north":
-            outward = (0.0, 1.0)
-            center = (cx, cy + hy + BAND_OFFSET + depth / 2.0)
-            half = (length / 2.0, depth / 2.0)
-        elif side == "south":
-            outward = (0.0, -1.0)
-            center = (cx, cy - hy - BAND_OFFSET - depth / 2.0)
-            half = (length / 2.0, depth / 2.0)
-        elif side == "east":
-            outward = (1.0, 0.0)
-            center = (cx + hx + BAND_OFFSET + depth / 2.0, cy)
-            half = (depth / 2.0, length / 2.0)
-        else:
-            outward = (-1.0, 0.0)
-            center = (cx - hx - BAND_OFFSET - depth / 2.0, cy)
-            half = (depth / 2.0, length / 2.0)
+    for side, (ox, oy) in zip(SIDES, ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0))):
+        # The band's long axis runs along the table edge.
+        half = (depth / 2.0, length / 2.0) if ox else (length / 2.0, depth / 2.0)
         out.append(
             SymbolicLocation(
                 id=f"{table_id}/{side}",
                 table_id=table_id,
                 side=side,
-                rect=Rect(center[0], center[1], half[0], half[1]),
-                outward=outward,
+                rect=Rect(
+                    cx + ox * hx + ox * BAND_OFFSET + ox * (depth / 2.0),
+                    cy + oy * hy + oy * BAND_OFFSET + oy * (depth / 2.0),
+                    *half,
+                ),
+                outward=(ox, oy),
             )
         )
     return out

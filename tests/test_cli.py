@@ -308,6 +308,24 @@ def _rejected_in_one_line(code, err, what):
     assert err.count("\n") == 1
 
 
+def test_run_refuses_repeated_systems_flag(capsys):
+    """A system named twice would run, and count, each trial twice."""
+    code, out, err = run_cli(capsys, "run", "--task", "1", "--trials", "1",
+                             "--systems", "latp", "tpra", "latp")
+    assert (code, out) == (2, "")
+    assert err == "error: systems must name at least one system, each once, " \
+                  "got ['latp', 'tpra', 'latp']\n"
+
+
+@pytest.mark.parametrize("systems", ["[]", "[latp, latp]"])
+def test_run_refuses_empty_or_repeated_systems_in_config(tmp_path, capsys, systems):
+    config = tmp_path / "exp.yaml"
+    config.write_text(f"task: 1\ntrials: 1\nsystems: {systems}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert out == "" and "systems must name at least one system, each once" in err
+
+
 def _scene_with_dining(tmp_path, key, value):
     data = scene_to_dict(make_scene(1, "easy", 42))
     dining = next(t for t in data["tables"] if t["id"] == "dining")

@@ -102,6 +102,22 @@ def test_map_store_hit_refreshes_recency(monkeypatch):
     assert compute_feasibility_map(scene, *a) is first
 
 
+@pytest.mark.parametrize("side", ["south", "north", "east"])
+def test_map_store_answer_does_not_depend_on_earlier_requests(side):
+    """The targets (0.4390015, 0.05) and (0.439001, 0.05) round alike to
+    six decimals, but their maps are seeded apart (words 439002 and
+    439001). The map for the second is the same whether or not the first
+    was asked for before it."""
+    first, second = (0.4390015, 0.05), (0.439001, 0.05)
+    scene = make_scene(1, "easy", 42)
+    location = location_by_id(scene, f"dining/{side}")
+    compute_feasibility_map(scene, location, first)
+    after = compute_feasibility_map(scene, location, second)
+    alone = compute_feasibility_map(make_scene(1, "easy", 42), location, second)
+    assert after.values.tobytes() == alone.values.tobytes()
+    assert after.target == second
+
+
 def test_evicted_map_recomputes_bit_for_bit(monkeypatch):
     monkeypatch.setattr(feasibility, "MAX_MAPS", 2)
     scene = make_scene(1, "easy", 42)

@@ -115,6 +115,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("configurations: 0\n", "configurations must be positive, got 0"),
         ("systems: llm_grop\n", "systems must be a list"),
         ("systems: [llm_grop, oracle]\n", "systems must be a list"),
+        ("systems: []\n", "systems must name at least one system, each once, got \\[\\]"),
+        ("systems: [tpra, grop, tpra]\n", "each once, got \\['tpra', 'grop', 'tpra'\\]"),
         ("feasibility: 3\n", "feasibility must be a mapping"),
         ("feasibility: {trials: 3}\n", "unknown feasibility keys"),
         ("feasibility: {reach_radius: far}\n", "reach_radius must be float"),
@@ -130,6 +132,13 @@ def test_config_rejects_malformed_values(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig.from_yaml(path)
+
+
+@pytest.mark.parametrize("systems", [(), ("latp", "latp")])
+def test_config_refuses_empty_or_repeated_systems(systems):
+    """The rule both loaders share lives in the config itself."""
+    with pytest.raises(ConfigError, match="systems must name at least one system, each once"):
+        ExperimentConfig(systems=systems)
 
 
 def test_config_accepts_int_for_float(tmp_path):
