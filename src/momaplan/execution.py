@@ -15,7 +15,7 @@ heatmaps were built with, so feasibility estimates and execution outcomes
 are draws from one distribution. Each arrival is one draw call of three
 standard normals, the stream of a ``normal`` call for position and one for
 heading; the heading draw is discarded. Collision and reach tests are
-scalar loops over each ``Rect``'s stored bounds.
+scalar loops over stored ``Rect`` bounds with exact far-rectangle early-outs.
 """
 from __future__ import annotations
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Margin of the exact early-outs: far above the rounding of metre-scale coordinates.
+EARLY_OUT_SLACK = 1e-9
 
 
 def wrap_angle(theta: float) -> float:
@@ -77,7 +79,14 @@ def disc_hits_rect_batch(points: np.ndarray, radius: float, rect: Rect) -> np.nd
 
 
 def segment_hits_rect(p0: tuple[float, float], p1: tuple[float, float], rect: Rect) -> bool:
-    """Slab-clipping test: does the closed segment p0-p1 intersect the rect?"""
+    """Slab-clipping test: does the closed segment p0-p1 intersect the rect?
+    Endpoints both more than ``EARLY_OUT_SLACK`` beyond one edge miss at once:
+    the slab clip rejects that axis with ``t0 > t1`` by far more than rounding."""
+    (x0, y0), (x1, y1) = p0, p1
+    s = EARLY_OUT_SLACK
+    if (x0 < rect.x_min - s > x1 or x0 > rect.x_max + s < x1
+            or y0 < rect.y_min - s > y1 or y0 > rect.y_max + s < y1):
+        return False
     t0, t1 = 0.0, 1.0
     dx = p1[0] - p0[0]
     dy = p1[1] - p0[1]

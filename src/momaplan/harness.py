@@ -194,6 +194,18 @@ class ExperimentConfig:
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
 
     def __post_init__(self) -> None:
+        # The range rules of every loader; ``from_yaml`` prefixes the path.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in ("trials", "configurations"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.task not in TASK_OBJECTS:
+            raise ConfigError(f"unknown task {self.task!r}")
+        if self.environment not in ENVIRONMENTS:
+            raise ConfigError(f"unknown environment {self.environment!r}")
+        if not all(s in SYSTEMS for s in self.systems):
+            raise ConfigError(f"systems must be drawn from {list(SYSTEMS)}, got {list(self.systems)}")
         # A repeated system would run, and count, each of its trials twice.
         if not self.systems or len(set(self.systems)) < len(self.systems):
             raise ConfigError(f"systems must name at least one system, each once, "
@@ -203,20 +215,10 @@ class ExperimentConfig:
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
         data = read_yaml(path, ConfigError) or {}
         _check_fields(path, "config", data, cls())
-        if data.get("seed", 0) < 0:
-            raise ConfigError(f"{path}: seed must be non-negative, got {data['seed']}")
-        for key in ("trials", "configurations"):
-            if data.get(key, 1) < 1:
-                raise ConfigError(f"{path}: {key} must be positive, got {data[key]}")
-        if data.get("task", 1) not in TASK_OBJECTS:
-            raise ConfigError(f"{path}: unknown task {data['task']!r}")
-        if data.get("environment", "easy") not in ENVIRONMENTS:
-            raise ConfigError(f"{path}: unknown environment {data['environment']!r}")
         if "systems" in data:
-            systems = data["systems"]
-            if not isinstance(systems, list) or not all(s in SYSTEMS for s in systems):
+            if not isinstance(data["systems"], list):
                 raise ConfigError(f"{path}: systems must be a list drawn from {list(SYSTEMS)}")
-            data["systems"] = tuple(systems)
+            data["systems"] = tuple(data["systems"])
         if "feasibility" in data:
             _check_fields(path, "feasibility", data["feasibility"], FeasibilityParams())
         try:

@@ -33,7 +33,7 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .geometry import disc_hits_rect_batch
+from .geometry import EARLY_OUT_SLACK, disc_hits_rect_batch
 from .world import OccupancyGrid, SceneState
 
 _SQRT2 = math.sqrt(2.0)
@@ -70,9 +70,15 @@ def inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
 
 
 def robot_collides(scene: SceneState, x: float, y: float) -> bool:
-    """Continuous collision test: robot disc against furniture rectangles."""
+    """Continuous collision test: robot disc against furniture rectangles.
+    A rectangle at least ``radius + EARLY_OUT_SLACK`` beyond one edge is
+    skipped exactly: there ``dx`` or ``dy`` exceeds the radius, and ``hypot``
+    is at least the larger of them."""
     radius = scene.robot_radius
+    far = radius + EARLY_OUT_SLACK
     for r in scene.solid_rects():
+        if r.x_min - x >= far or x - r.x_max >= far or r.y_min - y >= far or y - r.y_max >= far:
+            continue
         dx = max(r.x_min - x, 0.0, x - r.x_max)
         dy = max(r.y_min - y, 0.0, y - r.y_max)
         if math.hypot(dx, dy) <= radius:

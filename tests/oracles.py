@@ -16,7 +16,8 @@ the plan search that walks every candidate, the scalar band-cell center,
 the backtracking grid search that decided goal consistency,
 the one-point loading-stand rule, the neighbour-loop walk down a cost
 field, the distance parser that tries a
-range match at every position of a digit run, and the noisy execution
+range match at every position of a digit run, the reach-line test by slab
+clipping alone, and the noisy execution
 rollout with its generator-based collision test and two ``normal`` calls
 per arrival.
 """
@@ -36,7 +37,7 @@ from momaplan.feasibility import (
     _entropy_words,
     compute_feasibility_map,
 )
-from momaplan.geometry import segment_hits_rect, segments_hit_rect
+from momaplan.geometry import segments_hit_rect
 from momaplan.goalgen import MAX_DISTANCE_CM, MIN_DISTANCE_CM, LineParseError
 from momaplan.grounding import _fits_on_table
 from momaplan.motion import _OFFSETS, MotionError, MotionPlan, navigator_for, robot_collides_batch
@@ -812,9 +813,35 @@ def band_cell_center(location, row: int, col: int) -> tuple[float, float]:
 
 def disc_hits_rect(x: float, y: float, radius: float, rect) -> bool:
     """True when a disc of the given radius centered at (x, y) touches the
-    rect: the scalar test ``motion.robot_collides`` inlines, and the
-    reference for the batched ``disc_hits_rect_batch``."""
+    rect: the test ``motion.robot_collides`` makes, inline, on every rect
+    its early-out does not skip, and the reference for the batched
+    ``disc_hits_rect_batch``."""
     return rect.distance_to(x, y) <= radius
+
+
+def slab_segment_hits_rect(p0: tuple[float, float], p1: tuple[float, float], rect) -> bool:
+    """The former ``geometry.segment_hits_rect``: slab clipping alone, with
+    no early-out for segments that lie beyond one edge."""
+    t0, t1 = 0.0, 1.0
+    dx = p1[0] - p0[0]
+    dy = p1[1] - p0[1]
+    for pos, delta, lo, hi in (
+        (p0[0], dx, rect.x_min, rect.x_max),
+        (p0[1], dy, rect.y_min, rect.y_max),
+    ):
+        if abs(delta) < 1e-12:
+            if pos < lo or pos > hi:
+                return False
+            continue
+        ta = (lo - pos) / delta
+        tb = (hi - pos) / delta
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return False
+    return True
 
 
 def _generator_robot_collides(scene, x: float, y: float) -> bool:
@@ -831,7 +858,7 @@ def _reach_clear(scene, arrival, target, target_table, params) -> bool:
     if math.hypot(arrival.x - target[0], arrival.y - target[1]) > params.reach_radius:
         return False
     for rect in scene.reach_blockers(target_table):
-        if segment_hits_rect((arrival.x, arrival.y), target, rect):
+        if slab_segment_hits_rect((arrival.x, arrival.y), target, rect):
             return False
     return True
 

@@ -210,13 +210,16 @@ def _replay_plan(task: int, environment: str, sigma: float):
     return scene, plan, params
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.05, 0.08])
+@pytest.mark.parametrize("sigma", [0.01, 0.05, 0.08, 0.15])
 @pytest.mark.parametrize("environment", ["easy", "chair_top", "chair_bottom", "random"])
 @pytest.mark.parametrize("task", [1, 8, 9])
 def test_replays_match_the_two_call_rollout(task, environment, sigma):
     """300 replays on one shared generator per side: the one-call rollout
     gives the former rollout's results, arrivals included, exactly, and
-    leaves its generator in the same state after every run."""
+    leaves its generator in the same state after every run. The former
+    rollout makes every collision and reach test in full, so at sigma 0.15,
+    where more arrivals land near furniture edges, this referees the
+    early-outs too."""
     scene, plan, params = _replay_plan(task, environment, sigma)
     seed = (task, round(sigma * 100))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -226,5 +229,5 @@ def test_replays_match_the_two_call_rollout(task, environment, sigma):
         assert result == execute_plan_two_calls(scene, plan, ref_rng, params)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         kinds.add(result.failure_kind)
-    if sigma == 0.08:
+    if sigma >= 0.08:
         assert kinds - {None}, "large noise should fail some replays"

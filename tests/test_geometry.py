@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from momaplan.geometry import (
     segments_hit_rect,
     wrap_angle,
 )
-from oracles import disc_hits_rect
+from momaplan.harness import ENVIRONMENTS, make_scene
+from momaplan.motion import robot_collides
+from oracles import _generator_robot_collides, disc_hits_rect, slab_segment_hits_rect
 
 finite = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 
@@ -145,3 +149,141 @@ def test_segments_hit_rect_matches_scalar():
     batch = segments_hit_rect(starts, end, rect)
     scalar = np.array([segment_hits_rect((sx, sy), end, rect) for sx, sy in starts])
     assert np.array_equal(batch, scalar)
+
+
+# ---------------------------------------------------------------------------
+# The exact early-outs of ``robot_collides`` and ``segment_hits_rect``
+# against their referees, at points within 1e-12..1e-6 of every edge and
+# corner of every solid rectangle and reach blocker of the four benchmark
+# environments, grown by the robot radius (the collision early-out's
+# threshold lies 1e-9 beyond that, the reach line's 1e-9 beyond the
+# rectangle itself).
+
+_SCENES = [make_scene(1, environment, 42) for environment in ENVIRONMENTS]
+_RADIUS = _SCENES[0].robot_radius
+_BLOCKERS = sorted({rect for scene in _SCENES for table in scene.tables
+                    for rect in scene.reach_blockers(table.id)},
+                   key=lambda r: (r.cx, r.cy, r.hx, r.hy))
+# Besides 1e-12..1e-6, steps of about one and two ulps of a coordinate
+# near 2 m, where rounding decides ties.
+_NUDGES = sorted({sign * d for sign in (-1.0, 1.0)
+                  for d in (0.0, 4.4e-16, 8.9e-16, 1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-6)})
+nudge = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(-1e-6, -1e-12))
+
+
+def _edge_points(rect, grow):
+    """Points on each edge of ``rect`` grown by ``grow`` (its ends, the
+    ungrown corners' lines and its middle), keyed by side."""
+    x0, x1, y0, y1 = rect.x_min - grow, rect.x_max + grow, rect.y_min - grow, rect.y_max + grow
+    ys = (y0, rect.y_min, rect.cy, rect.y_max, y1)
+    xs = (x0, rect.x_min, rect.cx, rect.x_max, x1)
+    return {"west": [(x0, y) for y in ys], "east": [(x1, y) for y in ys],
+            "south": [(x, y0) for x in xs], "north": [(x, y1) for x in xs]}
+
+
+def _anchors(rect, grow):
+    """Every edge point, plus points on the rounded corners of the grown
+    rectangle, where the disc test's own boundary runs."""
+    points = sorted({p for side in _edge_points(rect, grow).values() for p in side})
+    for cx, sx in ((rect.x_min, -1.0), (rect.x_max, 1.0)):
+        for cy, sy in ((rect.y_min, -1.0), (rect.y_max, 1.0)):
+            points += [(cx + sx * grow * math.cos(a), cy + sy * grow * math.sin(a))
+                       for a in (0.1, math.pi / 4, 1.4)]
+    return points
+
+
+def test_early_outs_leave_rounding_ties_to_the_full_tests():
+    """Where the full tests decide by a tie or by rounding, the slack hands
+    the case to them: a disc exactly one radius off an edge touches it, and
+    a segment ending 5e-17 short of an edge hits it once its delta rounds
+    to 1.0."""
+    rect = Rect(0.6, 0.0, 0.6, 0.15)  # x_min is exactly 0
+    scene = SimpleNamespace(robot_radius=0.3, solid_rects=lambda: (rect,))
+    assert rect.x_min - -0.3 == scene.robot_radius
+    assert robot_collides(scene, -0.3, 0.0) and _generator_robot_collides(scene, -0.3, 0.0)
+    p0, p1 = (-1.0, 0.0), (-5e-17, 0.1)
+    assert segment_hits_rect(p0, p1, rect) and slab_segment_hits_rect(p0, p1, rect)
+
+
+def test_robot_collides_matches_the_generator_test_near_every_grown_edge():
+    checked = hits = 0
+    for scene in _SCENES:
+        for rect in scene.solid_rects():
+            for ax, ay in _anchors(rect, scene.robot_radius):
+                for dx in _NUDGES:
+                    for dy in _NUDGES:
+                        expected = _generator_robot_collides(scene, ax + dx, ay + dy)
+                        assert robot_collides(scene, ax + dx, ay + dy) == expected, (ax + dx, ay + dy)
+                        checked += 1
+                        hits += expected
+    assert 0 < hits < checked
+
+
+@given(data=st.data())
+def test_robot_collides_matches_the_generator_test_at_drawn_points(data):
+    scene = data.draw(st.sampled_from(_SCENES))
+    rect = data.draw(st.sampled_from(scene.solid_rects()))
+    edge = data.draw(st.sampled_from(list(_edge_points(rect, scene.robot_radius).values())))
+    (ax, ay), (bx, by) = edge[0], edge[-1]
+    u = data.draw(st.floats(0.0, 1.0))
+    anchor = data.draw(st.sampled_from(_anchors(rect, scene.robot_radius) + [
+        (ax + u * (bx - ax), ay + u * (by - ay))]))
+    x, y = anchor[0] + data.draw(nudge), anchor[1] + data.draw(nudge)
+    assert robot_collides(scene, x, y) == _generator_robot_collides(scene, x, y)
+
+
+def test_segment_hits_rect_matches_the_slab_test_beyond_one_side():
+    """Both endpoints just outside (or just inside) the same side: the
+    early-out's own boundary, on the rectangle and on its grown copy."""
+    checked = hits = 0
+    for rect in _BLOCKERS:
+        for grow in (0.0, _RADIUS):
+            for side, points in _edge_points(rect, grow).items():
+                axis = 0 if side in ("west", "east") else 1
+                for p, q in itertools.product(points, repeat=2):
+                    for dp, dq in itertools.product(_NUDGES, repeat=2):
+                        p0, p1 = list(p), list(q)
+                        p0[axis] += dp
+                        p1[axis] += dq
+                        expected = slab_segment_hits_rect(p0, p1, rect)
+                        assert segment_hits_rect(p0, p1, rect) == expected, (p0, p1, rect)
+                        checked += 1
+                        hits += expected
+    assert 0 < hits < checked
+
+
+def test_segment_hits_rect_matches_the_slab_test_when_near_parallel():
+    """Segments within 1e-12 of parallel to an axis take the slab test's
+    parallel branch; just above it, its division by a tiny delta."""
+    checked = hits = 0
+    for rect in _BLOCKERS:
+        for grow in (0.0, _RADIUS):
+            for ax, ay in _anchors(rect, grow):
+                for dx, dy in itertools.product(_NUDGES[::2], repeat=2):
+                    p0 = (ax + dx, ay + dy)
+                    for length, tilt in itertools.product((-1.0, 1.0), (0.0, 5e-13, -9e-13, 2e-12)):
+                        for delta in ((length, tilt), (tilt, length)):
+                            p1 = (p0[0] + delta[0], p0[1] + delta[1])
+                            expected = slab_segment_hits_rect(p0, p1, rect)
+                            assert segment_hits_rect(p0, p1, rect) == expected, (p0, p1, rect)
+                            checked += 1
+                            hits += expected
+    assert 0 < hits < checked
+
+
+@given(data=st.data())
+def test_segment_hits_rect_matches_the_slab_test_at_drawn_segments(data):
+    rect = data.draw(st.sampled_from(_BLOCKERS))
+    anchors = _anchors(rect, data.draw(st.sampled_from((0.0, _RADIUS))))
+    ax, ay = data.draw(st.sampled_from(anchors))
+    p0 = (ax + data.draw(nudge), ay + data.draw(nudge))
+    tilt = st.floats(-1e-12, 1e-12)
+    near_parallel = st.tuples(st.floats(-2.0, 2.0), tilt)
+    p1 = data.draw(st.one_of(
+        st.sampled_from(anchors).flatmap(
+            lambda b: st.tuples(nudge, nudge).map(lambda d: (b[0] + d[0], b[1] + d[1]))),
+        near_parallel.map(lambda d: (p0[0] + d[0], p0[1] + d[1])),
+        near_parallel.map(lambda d: (p0[0] + d[1], p0[1] + d[0])),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    ))
+    assert segment_hits_rect(p0, p1, rect) == slab_segment_hits_rect(p0, p1, rect)

@@ -114,7 +114,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("trials: 0\n", "trials must be positive, got 0"),
         ("configurations: 0\n", "configurations must be positive, got 0"),
         ("systems: llm_grop\n", "systems must be a list"),
-        ("systems: [llm_grop, oracle]\n", "systems must be a list"),
+        ("systems: [llm_grop, oracle]\n", "systems must be drawn from .*, got \\['llm_grop', 'oracle'\\]"),
+        ("systems: [[tpra]]\n", "systems must be drawn from"),
         ("systems: []\n", "systems must name at least one system, each once, got \\[\\]"),
         ("systems: [tpra, grop, tpra]\n", "each once, got \\['tpra', 'grop', 'tpra'\\]"),
         ("feasibility: 3\n", "feasibility must be a mapping"),
@@ -130,8 +131,9 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_config_rejects_malformed_values(tmp_path, text, message):
     path = tmp_path / "exp.yaml"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as excinfo:
         ExperimentConfig.from_yaml(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("systems", [(), ("latp", "latp")])
@@ -139,6 +141,29 @@ def test_config_refuses_empty_or_repeated_systems(systems):
     """The rule both loaders share lives in the config itself."""
     with pytest.raises(ConfigError, match="systems must name at least one system, each once"):
         ExperimentConfig(systems=systems)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"seed": -1}, "^seed must be non-negative, got -1$"),
+    ({"trials": 0, "systems": ("tpra",)}, "^trials must be positive, got 0$"),
+    ({"trials": -3}, "^trials must be positive, got -3$"),
+    ({"configurations": 0}, "^configurations must be positive, got 0$"),
+    ({"task": 99}, "^unknown task 99$"),
+    ({"environment": "zero_g"}, "^unknown environment 'zero_g'$"),
+    ({"seed": -1, "task": 99, "environment": "zero_g"}, "^seed must be non-negative"),
+    ({"systems": ("tpra", "oracle")}, "^systems must be drawn from .*, got \\['tpra', 'oracle'\\]$"),
+])
+def test_config_refuses_out_of_range_values(overrides, message):
+    """Every range rule lives in the config itself, so a library caller
+    gets the message a config file gets, without the path."""
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**overrides)
+
+
+def test_config_accepts_the_edges_of_each_range():
+    config = ExperimentConfig(task=9, environment="random", systems=("grop",), trials=1,
+                              seed=0, configurations=1)
+    assert (config.trials, config.seed, config.configurations) == (1, 0, 1)
 
 
 def test_config_accepts_int_for_float(tmp_path):
