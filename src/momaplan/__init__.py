@@ -14,7 +14,6 @@ from .feasibility import (
     FeasibilityMap,
     FeasibilityParams,
     compute_feasibility_map,
-    expected_task_feasibility,
     sample_standing_cell,
     task_feasibility,
 )

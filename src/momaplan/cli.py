@@ -35,7 +35,7 @@ from .feasibility import (
     FeasibilityMap,
     FeasibilityParams,
     compute_feasibility_map,
-    expected_task_feasibility,
+    task_feasibility,
 )
 from .goalgen import GoalGenerationError, generate_goal
 from .grounding import GroundingError, GroundingParams, sample_configurations
@@ -217,7 +217,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         "cell_size_m": location.cell_size,
         "trials_per_cell": params.trials_per_cell,
         "reach_radius_m": params.reach_radius,
-        "expected_task_feasibility": round(expected_task_feasibility(fmap), 6),
+        "expected_task_feasibility": round(task_feasibility(fmap), 6),
         "pgm": pgm_path.name,
     }
     yaml_path = Path(f"{args.out}.yaml")

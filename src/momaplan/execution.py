@@ -126,8 +126,7 @@ def execute_plan(
         arrival = _noisy_arrival(step.unload_pose, params, rng)
         if robot_collides(scene, *arrival):
             return result(NAVIGATION, step.object_id, "unload")
-        target_table = step.unload_location.split("/")[0]
-        if not _reach_clear(scene, arrival, step.target_world, target_table, params):
+        if not _reach_clear(scene, arrival, step.target_world, step.target_table, params):
             return result(MANIPULATION, step.object_id, "unload")
         cost += MANIPULATION_COST
         positions[step.object_id] = step.target_world

@@ -24,21 +24,20 @@ Only the draws are made cell by cell: the collision, reach and reach-line
 tests run once per map over the arrivals of every reachable cell.
 
 Two summary quantities feed planning: the per-cell probability itself for
-a concrete standing cell, and the expected probability under
-probability-weighted standing-cell sampling for a whole unload task,
-estimated from a fixed number of draws. Weighted draws read a normalised
-cumulative table each map builds once, and make the same draws as
-``Generator.choice`` with the map's probabilities; an all-zero map
-scores 0.0 without drawing, leaving the generator as it was.
-``pcg64_states`` derives many seeded ``PCG64`` streams in one array pass,
-so a caller that needs hundreds of them (the planner needs one per unload
-option, plus one per option whose map has a feasible cell) loads each
-into one shared generator instead of building one per stream.
+a concrete standing cell, and for a whole unload task the expected
+probability under probability-weighted standing-cell sampling, in closed
+form, sum(h^2) / sum(h). The weighted draw reads a normalised cumulative
+table each map builds once, and makes the draw ``Generator.choice`` makes
+with the map's probabilities. ``pcg64_states`` derives many seeded
+``PCG64`` streams in one array pass, so the planner loads its one stand
+stream per unload option into one shared generator instead of building
+one per stream.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,14 +60,10 @@ class FeasibilityParams:
     nav_sigma_xy: float = 0.01
     nav_sigma_theta: float = 0.10
     reach_radius: float = 0.80
-    # Standing-pose draws used to estimate whole-task feasibility.
-    task_draws: int = 25
 
     def __post_init__(self) -> None:
         if self.trials_per_cell < 1:
             raise ValueError(f"trials_per_cell must be at least 1, got {self.trials_per_cell}")
-        if self.task_draws < 1:
-            raise ValueError(f"task_draws must be at least 1, got {self.task_draws}")
         for name in ("nav_sigma_xy", "nav_sigma_theta"):
             if not 0.0 <= (value := getattr(self, name)) < float("inf"):
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
@@ -76,12 +71,13 @@ class FeasibilityParams:
             raise ValueError(f"reach_radius must be positive and finite, got {self.reach_radius}")
 
     def fingerprint(self) -> tuple[int, ...]:
+        # 25, the former standing-draw count, keeps every map's seed as it was.
         return (
             self.trials_per_cell,
             int(round(self.nav_sigma_xy * 1e9)),
             int(round(self.nav_sigma_theta * 1e9)),
             int(round(self.reach_radius * 1e9)),
-            self.task_draws,
+            25,
         )
 
 
@@ -90,7 +86,6 @@ class FeasibilityMap:
     location_id: str
     target: tuple[float, float]  # unload point, world frame
     values: np.ndarray  # (rows, cols) success probabilities
-    params: FeasibilityParams
 
     def value_at(self, cell: Cell) -> float:
         return float(self.values[cell])
@@ -108,6 +103,15 @@ class FeasibilityMap:
         cdf /= cdf[-1]
         cdf.setflags(write=False)
         return cdf
+
+    @cached_property
+    def expected(self) -> float:
+        """Expected cell value under the weighted standing draw, sum(h^2) /
+        sum(h), with both sums correctly rounded (``math.fsum``) so no
+        summation order moves it; 0.0 when no cell is feasible."""
+        flat = self.values.ravel().tolist()
+        total = math.fsum(flat)
+        return math.fsum([h * h for h in flat]) / total if total > 0.0 else 0.0
 
 
 def _entropy_words(scene_seed: int, location_id: str, target: tuple[float, float],
@@ -284,7 +288,7 @@ def compute_feasibility_map(
         outcomes = trial_outcomes(scene, location, target, params)
         values = outcomes.mean(axis=2)
         values.setflags(write=False)
-        fmap = FeasibilityMap(location.id, target, values, params)
+        fmap = FeasibilityMap(location.id, target, values)
         log.debug(
             "feasibility map %s target (%.2f, %.2f): mean %.3f max %.3f",
             location.id, target[0], target[1], values.mean(), values.max(),
@@ -311,30 +315,11 @@ def sample_standing_cell(fmap: FeasibilityMap, rng: np.random.Generator) -> Cell
     return (row, col)
 
 
-def task_feasibility(
-    fmap: FeasibilityMap, rng: np.random.Generator, draws: int | None = None
-) -> float:
-    """Mean cell feasibility over repeated weighted standing draws.
-
-    The draws are the ones ``sample_standing_cell`` would make one at a
-    time, made in one call; an all-zero map scores 0.0 without drawing.
-    """
-    draws = draws or fmap.params.task_draws
-    cdf = fmap.cdf
-    if cdf is None:
-        return 0.0
-    # A sum over the count is np.mean bit for bit, without its dispatch.
-    return float(fmap.values.ravel()[cdf.searchsorted(rng.random(draws), side="right")].sum() / draws)
-
-
-def expected_task_feasibility(fmap: FeasibilityMap) -> float:
-    """Closed form of what task_feasibility estimates: the mean of the cell
-    probability under probability-weighted sampling, sum(h^2) / sum(h)."""
-    flat = fmap.values.ravel()
-    total = flat.sum()
-    if total <= 0.0:
-        return 0.0
-    return float((flat * flat).sum() / total)
+def task_feasibility(fmap: FeasibilityMap) -> float:
+    """Feasibility of a whole unload task with a weighted standing draw from
+    ``fmap``: the draw's expected cell value in closed form
+    (``FeasibilityMap.expected``, computed once per map)."""
+    return fmap.expected
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ in enumeration order.
 Each candidate is scored against each grounded configuration by expected
 utility: a fixed reward scaled by the plan's expected manipulation
 feasibility, minus its cost. Feasibility averages one term per manipulation
-(loading counts as certain; unloading uses the standing-spot analysis for
-that side and unload point). Cost adds optimal navigation distances between
-consecutive stands and a fixed charge per manipulation.
+(loading counts as certain; unloading scores the expected feasibility of
+that side's weighted stand draw for that unload point, in closed form).
+Cost adds optimal navigation distances between consecutive stands and a
+fixed charge per manipulation.
 
 ``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
 with the baseline planners in ``harness``. A stand is named by its band
@@ -36,13 +37,10 @@ Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
 the feasibility map, seeded from the scene seed, so re-planning reproduces
 the same plan and execution replays the exact stands the planner scored.
-Each unload option has two ``SeedSequence``-spawned ``PCG64`` streams, one
-for its feasibility estimate and one for its stand draw. A planning call
-looks up every option's map first, then derives in one array pass
-(``feasibility.pcg64_states``) only the streams that draw: every stand
-stream, and the feasibility streams of options whose map has a feasible
-cell, since an all-zero map scores 0.0 without drawing. Each is loaded in
-turn into one shared generator.
+Each unload option has one ``SeedSequence``-spawned ``PCG64`` stream, for
+its stand draw. A planning call derives them all in one array pass
+(``feasibility.pcg64_states``) and loads each in turn into one shared
+generator.
 """
 from __future__ import annotations
 
@@ -95,6 +93,7 @@ class PlanStep:
     load_pose: Pose2D
     load_cell: Cell
     unload_location: str
+    target_table: str
     unload_pose: Pose2D
     unload_cell: Cell
     target_world: tuple[float, float]
@@ -301,6 +300,7 @@ class Router:
                     load_pose=Pose2D(x, y, math.atan2(oy - y, ox - x)),
                     load_cell=load_cell,
                     unload_location=band.locations[band.owner[stand]].id,
+                    target_table=table,
                     unload_pose=Pose2D(ux, uy, math.atan2(targets[k][1] - uy, targets[k][0] - ux)),
                     unload_cell=unload_cell,
                     target_world=targets[k],
@@ -445,23 +445,19 @@ def plan_task(
             target = table.to_world(*config.positions[obj])
             fmaps.extend(compute_feasibility_map(scene, location, target, params.feasibility)
                          for location in locations)
-    # Spawn key (m, oi, si, t) seeds unload option (object oi, side si) of
-    # configuration m: t = 0 scores its feasibility, t = 1 draws its stand.
-    # An all-zero map scores 0.0 without drawing, so its t = 0 stream is
-    # neither derived nor loaded.
-    scored = [fmap.cdf is not None for fmap in fmaps]
-    keys = np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T
-    keys = keys[(keys[:, 3] == 1) | np.repeat(scored, 2)]
-    streams = iter(pcg64_states((scene.rng_seed, params.stand_seed), keys))
+    # Spawn key (m, oi, si, 1) seeds the stand draw of unload option
+    # (object oi, side si) of configuration m.
+    keys = np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T[1::2]
+    streams = pcg64_states((scene.rng_seed, params.stand_seed), keys)
     gen = np.random.Generator(np.random.PCG64(0))
     # Per option, in (configuration, object, side) order: the drawn stand's
     # band index, its scored and its own feasibility.
     stands = np.empty(shape, dtype=np.int64)
     fea_task = np.empty(shape)
     fea_stand = np.empty(shape)
-    for (m, code), fmap, draws in zip(np.ndindex(shape), fmaps, scored):
-        fea_task[m, code] = task_feasibility(fmap, _load(gen, next(streams)) if draws else gen)
-        cell = sample_standing_cell(fmap, _load(gen, next(streams)))
+    for (m, code), fmap, stream in zip(np.ndindex(shape), fmaps, streams):
+        fea_task[m, code] = task_feasibility(fmap)
+        cell = sample_standing_cell(fmap, _load(gen, stream))
         stands[m, code] = band.index(locations[code % len(side_ids)], cell)
         fea_stand[m, code] = fmap.value_at(cell)
     nav_cost, fea_sum, connected = _price_candidates(router, band, objects, stands, fea_task, pairs)

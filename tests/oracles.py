@@ -412,13 +412,11 @@ def parse_distance_cm_by_retry(text: str) -> float:
 
 
 def weighted_mean_feasibility(values) -> float:
-    """Closed form of the weighted standing-cell draw: sum(h^2) / sum(h)."""
-    total = 0.0
-    weighted = 0.0
-    for h in np.asarray(values, dtype=float).ravel().tolist():
-        total += h
-        weighted += h * h
-    return weighted / total if total > 0.0 else 0.0
+    """Closed form of the weighted standing-cell draw: sum(h^2) / sum(h),
+    each sum correctly rounded, cell by cell."""
+    cells = np.asarray(values, dtype=float).ravel().tolist()
+    total = math.fsum(cells)
+    return math.fsum(h * h for h in cells) / total if total > 0.0 else 0.0
 
 
 def configuration_is_valid(config, atoms, radii, half_extents, tol: float = 0.03) -> bool:
@@ -603,19 +601,6 @@ def choice_standing_cell(fmap, rng) -> tuple[int, int]:
     return (int(row), int(col))
 
 
-def scalar_task_feasibility(fmap, rng, draws=None) -> float:
-    """The former ``task_feasibility``: one weighted ``rng.choice`` standing
-    draw at a time, then the mean cell value. An all-zero map scores 0.0
-    without drawing, as the package does."""
-    draws = draws or fmap.params.task_draws
-    flat = fmap.values.ravel()
-    total = flat.sum()
-    if total <= 0.0:
-        return 0.0
-    vals = [flat[int(rng.choice(flat.size, p=flat / total))] for _ in range(draws)]
-    return float(np.mean(vals))
-
-
 @dataclass
 class UnloadOption:
     """The former ``planning.UnloadOption``: one way to put an object down,
@@ -651,20 +636,13 @@ def route_options(router, table_id, pairs):
 
 
 def seeded_unload_option(scene, nav, band, location, target_world, layer, params, seed_key):
-    """The former ``planning._unload_option``: two ``SeedSequence`` /
-    ``PCG64`` / ``Generator`` triples per option, spawned from the scene
-    seed and ``params.stand_seed`` with keys ``(*seed_key, 0)`` (feasibility
-    draws) and ``(*seed_key, 1)`` (the stand draw), both drawn through
-    ``rng.choice``."""
+    """The former ``planning._unload_option``: a ``SeedSequence`` / ``PCG64``
+    / ``Generator`` triple spawned from the scene seed and
+    ``params.stand_seed`` with key ``(*seed_key, 1)`` draws the stand through
+    ``rng.choice``; the option is scored by ``weighted_mean_feasibility``."""
     fmap = compute_feasibility_map(scene, location, target_world, params.feasibility)
-    entropy = (scene.rng_seed, params.stand_seed)
-    fea_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*seed_key, 0)))
-    )
-    draw_rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(*seed_key, 1)))
-    )
-    fea_task = scalar_task_feasibility(fmap, fea_rng)
+    draw_rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((scene.rng_seed, params.stand_seed), spawn_key=(*seed_key, 1))))
     cell = choice_standing_cell(fmap, draw_rng)
     pose = standing_pose(location, cell, target_world)
     return UnloadOption(
@@ -674,7 +652,7 @@ def seeded_unload_option(scene, nav, band, location, target_world, layer, params
         band_index=band.index(location, cell),
         target_world=target_world,
         layer=layer,
-        fea_task=fea_task,
+        fea_task=weighted_mean_feasibility(fmap.values),
         fea_stand=fmap.value_at(cell),
     )
 

@@ -19,7 +19,7 @@ from momaplan.feasibility import (
     FeasibilityParams,
     build_feasibility_dataset,
     compute_feasibility_map,
-    expected_task_feasibility,
+    sample_standing_cell,
     task_feasibility,
 )
 from momaplan.execution import execute_plan
@@ -162,27 +162,33 @@ def _hand_built_map() -> FeasibilityMap:
     values[:, 8:16] = 0.5
     values[2:6, 16:24] = 0.1
     values[0, 23] = 1.0
-    return FeasibilityMap("hand_built", (0.0, 0.0), values, FeasibilityParams())
+    return FeasibilityMap("hand_built", (0.0, 0.0), values)
+
+
+def _mean_drawn_value(fmap: FeasibilityMap, draws: int, rng: np.random.Generator) -> float:
+    """Mean map value at ``draws`` standing cells drawn one at a time."""
+    return float(np.mean([fmap.values[sample_standing_cell(fmap, rng)] for _ in range(draws)]))
 
 
 def test_criterion_05_weighted_draw_convergence():
     fmap = _hand_built_map()
-    exact = weighted_mean_feasibility(fmap.values)
-    # Same closed form, summed in a different order.
-    assert math.isclose(expected_task_feasibility(fmap), exact, rel_tol=1e-12)
-    big = task_feasibility(fmap, np.random.default_rng(0), draws=10_000)
+    exact = task_feasibility(fmap)
+    # Same closed form, summed cell by cell.
+    assert math.isclose(weighted_mean_feasibility(fmap.values), exact, rel_tol=1e-12)
+    big = _mean_drawn_value(fmap, 10_000, np.random.default_rng(0))
     ok_close = abs(big - exact) <= 0.05
     mean_abs_err = {}
     for draws in (100, 1_000, 10_000):
         errs = [
-            abs(task_feasibility(fmap, np.random.default_rng(500 + rep), draws=draws) - exact)
+            abs(_mean_drawn_value(fmap, draws, np.random.default_rng(500 + rep)) - exact)
             for rep in range(30)
         ]
         mean_abs_err[draws] = float(np.mean(errs))
     ok_monotone = mean_abs_err[100] > mean_abs_err[1_000] > mean_abs_err[10_000]
     _verdict(
         5,
-        "weighted-draw estimate within 0.05 of sum(h^2)/sum(h), error shrinking with draws",
+        "mean value at sample_standing_cell draws within 0.05 of task_feasibility, "
+        "error shrinking with draws",
         ok_close and ok_monotone,
         f"|err|@1e4 {abs(big - exact):.4f}; mean err 1e2/1e3/1e4 = "
         f"{mean_abs_err[100]:.4f}/{mean_abs_err[1_000]:.4f}/{mean_abs_err[10_000]:.4f}",
@@ -202,10 +208,10 @@ def test_criterion_07_blocked_side_avoided(goal1):
     scene0 = make_scene(1, "chair_top", seed=0)
     table = scene0.table("dining")
     target = table.center
-    blocked = expected_task_feasibility(
+    blocked = task_feasibility(
         compute_feasibility_map(scene0, location_by_id(scene0, "dining/north"), target)
     )
-    open_side = expected_task_feasibility(
+    open_side = task_feasibility(
         compute_feasibility_map(scene0, location_by_id(scene0, "dining/south"), target)
     )
     ok_bands = blocked < 0.1 and open_side > 0.8

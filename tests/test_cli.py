@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from momaplan import cli
 from momaplan.cli import main, write_heatmap_pgm
-from momaplan.feasibility import FeasibilityMap, FeasibilityParams
+from momaplan.feasibility import FeasibilityMap
 from momaplan.harness import ConfigError, ExperimentConfig, make_scene
 from momaplan.world import SceneError, load_scene, scene_to_dict
 
@@ -121,7 +121,7 @@ def test_unknown_task_is_refused_on_one_line(capsys, verb):
 
 def test_write_heatmap_pgm_bytes(tmp_path):
     values = np.array([[0.0, 0.5, 1.0]])
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+    fmap = FeasibilityMap("loc", (0.0, 0.0), values)
     path = tmp_path / "map.pgm"
     write_heatmap_pgm(fmap, path)
     raw = path.read_bytes()
@@ -422,10 +422,19 @@ def test_run_rejects_out_of_range_feasibility(tmp_path, capsys):
     assert "trials_per_cell must be at least 1, got 0" in err
 
 
+def test_run_rejects_the_removed_task_draws_key(tmp_path, capsys):
+    """Whole-task feasibility is a closed form, so no draw count is read."""
+    config = tmp_path / "exp.yaml"
+    config.write_text("task: 1\ntrials: 1\nsystems: [llm_grop]\nfeasibility: {task_draws: 25}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert "unknown feasibility keys ['task_draws']" in err
+
+
 # Keys of both loaders' documents, so generated mappings reach their checks.
 _KEYS = st.sampled_from([
     "task", "environment", "systems", "trials", "seed", "configurations", "feasibility",
-    "trials_per_cell", "nav_sigma_xy", "nav_sigma_theta", "reach_radius", "task_draws",
+    "trials_per_cell", "nav_sigma_xy", "nav_sigma_theta", "reach_radius",
     "format_version", "robot", "x", "y", "theta", "radius", "grid", "resolution", "origin",
     "shape", "tables", "obstacles", "objects", "id", "center", "half_extents", "kind",
     "footprint_radius", "initial_location", "supports_stacking", "initial_position",

@@ -21,7 +21,7 @@ from oracles import execute_plan_two_calls
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
 
-FAST_FEA = FeasibilityParams(trials_per_cell=3, task_draws=10)
+FAST_FEA = FeasibilityParams(trials_per_cell=3)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +205,7 @@ def _replay_inputs(task: int, environment: str):
 
 def _replay_plan(task: int, environment: str, sigma: float):
     scene, goal, configs = _replay_inputs(task, environment)
-    params = FeasibilityParams(nav_sigma_xy=sigma, trials_per_cell=3, task_draws=10)
+    params = FeasibilityParams(nav_sigma_xy=sigma, trials_per_cell=3)
     plan = plan_task(scene, "dining", configs, goal.atoms, PlanningParams(feasibility=params))
     return scene, plan, params
 

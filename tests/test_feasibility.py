@@ -8,7 +8,6 @@ from momaplan.feasibility import (
     FeasibilityParams,
     build_feasibility_dataset,
     compute_feasibility_map,
-    expected_task_feasibility,
     pcg64_states,
     sample_standing_cell,
     task_feasibility,
@@ -25,7 +24,6 @@ from oracles import (
     choice_standing_cell,
     noise_success_probability,
     per_cell_trial_outcomes,
-    scalar_task_feasibility,
     weighted_mean_feasibility,
 )
 
@@ -130,8 +128,7 @@ def test_evicted_map_recomputes_bit_for_bit(monkeypatch):
     assert all(fmap is not first for fmap in navigator_for(scene).maps.values())
     again = compute_feasibility_map(scene, location, target, params)
     assert again is not first
-    assert (again.location_id, again.target, again.params) == (
-        first.location_id, first.target, first.params)
+    assert (again.location_id, again.target) == (first.location_id, first.target)
     assert again.values.dtype == first.values.dtype
     assert again.values.tobytes() == first.values.tobytes()
     assert 0.0 < first.values.mean() < 1.0
@@ -226,7 +223,7 @@ def test_blocked_side_is_all_zero(scene1_chair_top):
         scene1_chair_top, loc, (table.center[0], table.center[1])
     )
     assert not fmap.values.any()
-    assert expected_task_feasibility(fmap) == 0.0
+    assert task_feasibility(fmap) == 0.0
 
 
 def test_far_table_out_of_reach(scene1):
@@ -240,9 +237,7 @@ def test_far_table_out_of_reach(scene1):
 def test_expected_matches_oracle(scene1):
     loc = location_by_id(scene1, "dining/south")
     fmap = compute_feasibility_map(scene1, loc, _dining_target(scene1))
-    assert expected_task_feasibility(fmap) == pytest.approx(
-        weighted_mean_feasibility(fmap.values)
-    )
+    assert task_feasibility(fmap) == weighted_mean_feasibility(fmap.values)
 
 
 def test_cell_probability_matches_noise_integral(scene1):
@@ -289,10 +284,11 @@ def test_out_of_reach_cells_are_zero(scene1):
     """Cells whose center is beyond reach plus three sigma never succeed."""
     loc = location_by_id(scene1, "dining/south")
     target = _dining_target(scene1)
-    fmap = compute_feasibility_map(scene1, loc, target)
+    params = FeasibilityParams()
+    fmap = compute_feasibility_map(scene1, loc, target, params)
     centers = loc.cell_centers()
     dist = np.hypot(centers[..., 0] - target[0], centers[..., 1] - target[1])
-    far = dist > fmap.params.reach_radius + 3 * fmap.params.nav_sigma_xy
+    far = dist > params.reach_radius + 3 * params.nav_sigma_xy
     assert far.any()
     assert not fmap.values[far].any()
 
@@ -301,7 +297,7 @@ def test_sample_standing_cell_weighted():
     values = np.zeros((2, 3))
     values[1, 2] = 0.4
     values[0, 1] = 0.0
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+    fmap = FeasibilityMap("loc", (0.0, 0.0), values)
     rng = np.random.default_rng(0)
     cells = {sample_standing_cell(fmap, rng) for _ in range(50)}
     assert cells == {(1, 2)}  # only nonzero-probability cell ever drawn
@@ -310,7 +306,7 @@ def test_sample_standing_cell_weighted():
 
 
 def test_sample_standing_cell_uniform_fallback():
-    fmap = FeasibilityMap("loc", (0.0, 0.0), np.zeros((2, 2)), FeasibilityParams())
+    fmap = FeasibilityMap("loc", (0.0, 0.0), np.zeros((2, 2)))
     rng = np.random.default_rng(1)
     counts = np.zeros(4)
     for _ in range(10_000):
@@ -322,68 +318,98 @@ def test_sample_standing_cell_uniform_fallback():
 
 def test_manipulation_feasibility_reads_cell():
     values = np.array([[0.2, 0.8]])
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+    fmap = FeasibilityMap("loc", (0.0, 0.0), values)
     assert fmap.value_at((0, 1)) == 0.8
 
 
-def test_task_feasibility_estimates_weighted_mean():
-    rng = np.random.default_rng(9)
-    values = rng.uniform(0.0, 1.0, size=(8, 24))
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
-    exact = weighted_mean_feasibility(values)
-    estimate = task_feasibility(fmap, np.random.default_rng(5), draws=20000)
-    assert estimate == pytest.approx(exact, abs=0.01)
-
-
-@pytest.mark.parametrize("draws", [1, 25, 200])
-def test_task_feasibility_equals_scalar_draw_oracle(draws):
-    """Drawing from a map's cumulative table takes the cells, and leaves the
-    stream state, of the former ``rng.choice(p=...)`` draws, call after
-    call: quantized maps like the planner's, continuous maps with zero
-    cells, a one-cell support, and an all-zero map."""
-    rng = np.random.default_rng(draws)
+def _draw_test_maps(seed):
+    """42 maps: all-zero, a one-cell support, and per round a quantized map
+    like the planner's and a continuous one with zero cells."""
+    rng = np.random.default_rng(seed)
     maps = [np.zeros((8, 24)), np.eye(1, 8 * 24, 77).reshape(8, 24) * 0.6]
     for _ in range(20):
         maps.append(rng.integers(0, 6, size=(8, 24)) / 5)
         maps.append(rng.uniform(0.0, 1.0, size=(8, 24)) * (rng.uniform(size=(8, 24)) < 0.3))
-    for k, values in enumerate(maps):
-        fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+    return maps
+
+
+def test_task_feasibility_is_the_weighted_mean_closed_form():
+    """On the same 42 maps the standing-draw oracle uses, the score is the
+    oracle's cell-by-cell sum(h^2) / sum(h), and agrees with a plain numpy
+    evaluation to 1e-12."""
+    maps = _draw_test_maps(1)
+    assert len(maps) == 42
+    for values in maps:
+        fmap = FeasibilityMap("loc", (0.0, 0.0), values)
+        exact = weighted_mean_feasibility(values)
+        assert task_feasibility(fmap) == exact
+        total = values.sum()
+        direct = (values * values).sum() / total if total > 0.0 else 0.0
+        assert abs(task_feasibility(fmap) - direct) <= 1e-12
+        assert fmap.expected is fmap.expected
+
+
+@pytest.mark.parametrize("seed", [1, 25, 200])
+def test_sample_standing_cell_equals_choice_oracle(seed):
+    """Drawing from a map's cumulative table takes the cells, and leaves the
+    stream state, of the former ``rng.choice(p=...)`` draws, call after
+    call: quantized maps like the planner's, continuous maps with zero
+    cells, a one-cell support, and an all-zero map."""
+    for k, values in enumerate(_draw_test_maps(seed)):
+        fmap = FeasibilityMap("loc", (0.0, 0.0), values)
         got_rng, oracle_rng = np.random.default_rng(k), np.random.default_rng(k)
         for _ in range(3):
-            got = task_feasibility(fmap, got_rng, draws=draws)
-            assert got == scalar_task_feasibility(fmap, oracle_rng, draws=draws)
-            assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
             assert sample_standing_cell(fmap, got_rng) == choice_standing_cell(fmap, oracle_rng)
             assert got_rng.bit_generator.state == oracle_rng.bit_generator.state
-    assert task_feasibility(FeasibilityMap("loc", (0.0, 0.0), maps[0], FeasibilityParams()),
-                            np.random.default_rng(0)) == 0.0
 
 
 def test_all_zero_map_scores_zero_without_drawing(scene1_chair_top):
-    """The planner skips loading a stream for an all-zero map because
-    ``task_feasibility`` scores it 0.0 and leaves the generator's state as
-    it was, whatever that state and the draw count."""
+    """A map with no feasible cell, built by the package or by hand, scores
+    0.0; the score takes no generator, so it draws nothing."""
     loc = location_by_id(scene1_chair_top, "dining/north")
     blocked = compute_feasibility_map(scene1_chair_top, loc, _dining_target(scene1_chair_top))
     assert blocked.cdf is None
-    synthetic = FeasibilityMap("loc", (0.0, 0.0), np.zeros((8, 24)), FeasibilityParams())
-    rng = np.random.default_rng(3)
-    rng.random(7)
-    state = rng.bit_generator.state
+    synthetic = FeasibilityMap("loc", (0.0, 0.0), np.zeros((8, 24)))
     for fmap in (blocked, synthetic):
-        for draws in (None, 1, 25):
-            assert task_feasibility(fmap, rng, draws) == 0.0
-            assert rng.bit_generator.state == state
+        assert task_feasibility(fmap) == 0.0
+
+
+# Map values are success fractions k / n of n trials per cell, or any
+# value a hand-built map gives (positive ones far above the subnormals,
+# whose squares underflow to zero).
+_MAP_CELLS = st.one_of(
+    st.integers(1, 100).flatmap(
+        lambda n: st.lists(st.integers(0, n).map(lambda k: k / n), min_size=1, max_size=64)),
+    st.lists(st.just(0.0) | st.floats(1e-6, 1.0), min_size=1, max_size=64),
+)
+
+
+@settings(max_examples=200)
+@given(cells=_MAP_CELLS)
+def test_task_feasibility_lies_within_the_positive_cells(cells):
+    """A weighted mean of the feasible cells' own values lies between the
+    smallest positive value and the largest value of the map, up to the
+    few roundings of its squares, two sums and quotient (one cell of 0.2
+    scores 0.04000000000000001 / 0.2 = 0.20000000000000004)."""
+    values = np.array(cells)
+    fmap = FeasibilityMap("loc", (0.0, 0.0), values.reshape(1, -1))
+    score = task_feasibility(fmap)
+    positive = values[values > 0.0]
+    rounding = 4 * np.finfo(float).eps
+    if not len(positive):
+        assert score == 0.0
+    else:
+        assert positive.min() * (1 - rounding) <= score <= values.max() * (1 + rounding)
 
 
 def test_cumulative_table_is_built_once_and_read_only():
     values = np.array([[0.0, 0.4], [0.2, 0.4]])
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
+    fmap = FeasibilityMap("loc", (0.0, 0.0), values)
     assert fmap.cdf is fmap.cdf
     assert not fmap.cdf.flags.writeable
     assert fmap.cdf.tolist() == pytest.approx([0.0, 0.4, 0.6, 1.0])
     assert fmap.cdf[-1] == 1.0
-    assert FeasibilityMap("loc", (0.0, 0.0), np.zeros((2, 2)), FeasibilityParams()).cdf is None
+    assert FeasibilityMap("loc", (0.0, 0.0), np.zeros((2, 2))).cdf is None
 
 
 def _seed_sequence_stream(entropy, key):
@@ -418,9 +444,9 @@ def test_pcg64_states_equal_seed_sequence_streams(entropy, keys):
 @given(scene_seed=st.integers(0, 2**63), round_index=st.integers(0, 10**6))
 def test_pcg64_states_equal_the_planner_streams(scene_seed, round_index):
     """The planner's entropy (scene seed, stand seed), with the stand seed a
-    re-planning loop would use, and its (m, oi, si, t) keys."""
+    re-planning loop would use, and its (m, oi, si, 1) keys."""
     entropy = (scene_seed, (42 << 20) + round_index)
-    keys = np.indices((3, 5, 4, 2)).reshape(4, -1).T
+    keys = np.indices((3, 5, 4, 2)).reshape(4, -1).T[1::2]
     expected = [_seed_sequence_stream(entropy, tuple(k)) for k in keys.tolist()]
     assert pcg64_states(entropy, keys) == expected
 
@@ -432,21 +458,6 @@ def test_pcg64_states_reject_bad_input():
         pcg64_states(0, [0, 1])
     with pytest.raises(OverflowError):
         pcg64_states(0, [[2**32]])
-
-
-def test_task_feasibility_error_shrinks_with_draws():
-    rng = np.random.default_rng(2)
-    values = rng.uniform(0.0, 1.0, size=(8, 24))
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values, FeasibilityParams())
-    exact = weighted_mean_feasibility(values)
-    errors = {}
-    for draws in (100, 10000):
-        reps = [
-            abs(task_feasibility(fmap, np.random.default_rng(1000 + r), draws=draws) - exact)
-            for r in range(20)
-        ]
-        errors[draws] = float(np.mean(reps))
-    assert errors[10000] < errors[100]
 
 
 def test_dataset_builder(scene1):

@@ -31,7 +31,7 @@ from momaplan.planning import MANIPULATION_COST, Router
 
 from oracles import execute_plan_two_calls, nearest_usable_center
 
-FAST = FeasibilityParams(trials_per_cell=3, task_draws=10)
+FAST = FeasibilityParams(trials_per_cell=3)
 
 
 def fast_config(**overrides):
@@ -122,7 +122,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         ("feasibility: {trials: 3}\n", "unknown feasibility keys"),
         ("feasibility: {reach_radius: far}\n", "reach_radius must be float"),
         ("feasibility: {trials_per_cell: 0}\n", "trials_per_cell must be at least 1"),
-        ("feasibility: {task_draws: 0}\n", "task_draws must be at least 1"),
+        ("feasibility: {task_draws: 25}\n", "unknown feasibility keys \\['task_draws'\\]"),
         ("feasibility: {nav_sigma_xy: -0.01}\n", "nav_sigma_xy must be non-negative"),
         ("feasibility: {nav_sigma_theta: -1}\n", "nav_sigma_theta must be non-negative"),
         ("feasibility: {reach_radius: 0}\n", "reach_radius must be positive"),
@@ -291,7 +291,7 @@ def test_report_config_section_loads_back_as_an_equal_config(tmp_path):
         seed=7,
         configurations=5,
         feasibility=FeasibilityParams(trials_per_cell=4, nav_sigma_xy=0.02, nav_sigma_theta=0.05,
-                                      reach_radius=0.7, task_draws=12),
+                                      reach_radius=0.7),
     )
     for ours, default in ((config, ExperimentConfig()), (config.feasibility, FeasibilityParams())):
         for f in dataclasses.fields(ours):
@@ -337,7 +337,7 @@ def test_report_digest_is_pinned():
     on purpose and record why in CHANGES.md."""
     config = ExperimentConfig(task=8, environment="chair_top", trials=2, configurations=3, seed=42)
     digest = hashlib.sha256(report_bytes(run_experiment(config))).hexdigest()
-    assert digest == "e88cda6d58783da25ea2e84a5df96fb2cb044449e50c44516a733d8a9d3b16ea"
+    assert digest == "0cba59b56dd640138d6df343e1dca2389cb832915b98425a94de93ec9cc96bbe"
 
 
 def test_build_report_aggregates():
