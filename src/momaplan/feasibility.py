@@ -29,9 +29,11 @@ probability under probability-weighted standing-cell sampling, in closed
 form, sum(h^2) / sum(h). The weighted draw reads a normalised cumulative
 table each map builds once, and makes the draw ``Generator.choice`` makes
 with the map's probabilities. ``pcg64_states`` derives many seeded
-``PCG64`` streams in one array pass, so the planner loads its one stand
-stream per unload option into one shared generator instead of building
-one per stream.
+``PCG64`` streams and each one's first output in one array pass, and
+``draw_standing_cells`` turns those outputs into the planner's stand draws,
+one per unload option, in one more, bit for bit the draws a generator on
+each stream makes; a generator is built only for the rare word Lemire's
+bounded draw rejects.
 """
 from __future__ import annotations
 
@@ -62,8 +64,12 @@ class FeasibilityParams:
     reach_radius: float = 0.80
 
     def __post_init__(self) -> None:
-        if self.trials_per_cell < 1:
-            raise ValueError(f"trials_per_cell must be at least 1, got {self.trials_per_cell}")
+        trials = self.trials_per_cell
+        # Checked here, not when a map first draws ``trials`` normals per cell.
+        if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+            raise ValueError(f"trials_per_cell must be an int, got {trials!r}")
+        if trials < 1:
+            raise ValueError(f"trials_per_cell must be at least 1, got {trials}")
         for name in ("nav_sigma_xy", "nav_sigma_theta"):
             if not 0.0 <= (value := getattr(self, name)) < float("inf"):
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
@@ -86,9 +92,6 @@ class FeasibilityMap:
     location_id: str
     target: tuple[float, float]  # unload point, world frame
     values: np.ndarray  # (rows, cols) success probabilities
-
-    def value_at(self, cell: Cell) -> float:
-        return float(self.values[cell])
 
     @cached_property
     def cdf(self) -> np.ndarray | None:
@@ -129,6 +132,7 @@ def _entropy_words(scene_seed: int, location_id: str, target: tuple[float, float
 
 # numpy's SeedSequence hashing and PCG64 seeding constants.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -153,12 +157,22 @@ def _uint32_words(entropy: int | Sequence) -> list[int]:
 
 
 def _hashmix(value, hash_const: int):
-    """SeedSequence's hashmix on a word or a uint32 array of words; returns
-    the mixed value and the next hash constant."""
+    """SeedSequence's hashmix on one word; returns the mixed word and the
+    next hash constant."""
     value = value ^ hash_const
     hash_const = (hash_const * _MULT_A) & _MASK32
     value = (value * hash_const) & _MASK32
     return value ^ (value >> 16), hash_const
+
+
+def _hash_consts(hash_const: int, mult: int, count: int) -> np.ndarray:
+    """``hash_const`` and the ``count`` hash constants after it, a
+    (count + 1, 1) uint32 column: a word hashed with constant i is xor-ed
+    with entry i and multiplied by entry i + 1."""
+    consts = [hash_const]
+    for _ in range(count):
+        consts.append((consts[-1] * mult) & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
 def _mix(x, y):
@@ -166,14 +180,16 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def pcg64_states(entropy: int | Sequence, keys) -> list[tuple[int, int]]:
+def pcg64_states(entropy: int | Sequence, keys) -> tuple[list[tuple[int, int]], np.ndarray]:
     """The ``(state, inc)`` that ``PCG64(SeedSequence(entropy,
     spawn_key=key))`` starts from, for each row ``key`` of the ``(K, L)``
-    array ``keys`` (every key word below 2**32).
+    array ``keys`` (every key word below 2**32), and the uint64 array of each
+    stream's first output, its ``random_raw()``.
 
     The entropy words are pool-mixed once in Python ints; the spawn-key
     words of all K keys are mixed in uint32 array arithmetic; PCG64's
-    two-step seeding of each stream then runs in 128-bit Python ints.
+    two-step seeding of each stream, and the step and XSL-RR output of its
+    first word (O'Neill, "PCG", 2014), then run in 128-bit Python ints.
     Loading a pair into a generator's ``bit_generator.state`` reproduces
     that stream without building a SeedSequence, PCG64 and Generator for it.
     """
@@ -198,29 +214,76 @@ def pcg64_states(entropy: int | Sequence, keys) -> list[tuple[int, int]]:
         for dst in range(_POOL_SIZE):
             word, hash_const = _hashmix(extra, hash_const)
             pool[dst] = _mix(pool[dst], word)
-    pool = [np.full(len(keys), word, dtype=np.uint32) for word in pool]
+    # Each key word is hashed with four successive constants, one per pool
+    # word, so a column mixes into the (4, K) pool in one array pass.
+    pool = np.array(pool, dtype=np.uint32)[:, None].repeat(len(keys), axis=1)
     for column in keys.T:
-        for dst in range(_POOL_SIZE):
-            word, hash_const = _hashmix(column, hash_const)
-            pool[dst] = _mix(pool[dst], word)
+        consts = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
+        hash_const = int(consts[-1, 0])
+        word = (column ^ consts[:-1]) * consts[1:]
+        pool = _mix(pool, word ^ (word >> 16))
     # generate_state(4, np.uint64): eight words, paired little-endian into
     # the 128-bit seed and increment.
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        word = pool[i % _POOL_SIZE] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word = (word * hash_const) & _MASK32
-        words.append((word ^ (word >> 16)).astype(np.uint64))
-    s_hi, s_lo, i_hi, i_lo = (
-        (words[2 * j] | (words[2 * j + 1] << 32)).tolist() for j in range(4)
-    )
-    states = []
+    consts = _hash_consts(_INIT_B, _MULT_B, 8)
+    word = (np.tile(pool, (2, 1)) ^ consts[:-1]) * consts[1:]
+    words = (word ^ (word >> 16)).astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (words[0::2] | (words[1::2] << 32)).tolist()
+    states, first = [], []
     for seed, seq in zip(zip(s_hi, s_lo), zip(i_hi, i_lo)):
         inc = (((seq[0] << 64) | seq[1]) << 1 | 1) & _MASK128
         state = ((inc + ((seed[0] << 64) | seed[1])) * _PCG64_MULT + inc) & _MASK128
         states.append((state, inc))
-    return states
+        # A draw steps the state, then outputs its halves xor-ed, rotated
+        # right by the state's top six bits.
+        step = (state * _PCG64_MULT + inc) & _MASK128
+        word, rot = (step >> 64) ^ (step & _MASK64), step >> 122
+        first.append(((word >> rot) | (word << (64 - rot))) & _MASK64)
+    return states, np.array(first, dtype=np.uint64)
+
+
+def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
+    """``gen`` set to the start of the PCG64 stream ``(state, inc)``."""
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": stream[0], "inc": stream[1]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+def draw_standing_cells(
+    fmaps: Sequence[FeasibilityMap], streams: Sequence[tuple[int, int]], first: np.ndarray,
+) -> np.ndarray:
+    """Flat index of the cell ``sample_standing_cell`` draws from each map
+    on a generator at the start of its PCG64 stream, given the streams and
+    their first outputs as ``pcg64_states`` returns them, in one array pass.
+
+    A live map draws ``Generator.random()``, the first output's top 53 bits
+    times 2**-53, and its cell is the count of its cumulative-table entries
+    at or below that (``searchsorted(side="right")``). An all-zero map
+    draws ``Generator.integers(size)``: Lemire's multiply-shift (ACM
+    TOMACS, 2019) takes the high word of the output's low 32 bits times
+    ``size``. Only a word that method rejects, one whose product's low word
+    is below 2**32 mod ``size`` (about 1.5e-8 of draws at size 192), is
+    redrawn by the stream's own generator.
+    """
+    cdfs = [fmap.cdf for fmap in fmaps]
+    sizes = np.array([fmap.values.size for fmap in fmaps], dtype=np.uint64)
+    product = (first & _MASK32) * sizes
+    cells = (product >> 32).astype(np.intp)
+    live = [k for k, cdf in enumerate(cdfs) if cdf is not None]
+    if live:
+        lengths = sizes[live].astype(np.intp)
+        draws = (first[live] >> 11).astype(np.float64) * 2.0**-53
+        below = np.concatenate([cdfs[k] for k in live]) <= np.repeat(draws, lengths)
+        cells[live] = np.add.reduceat(below, np.cumsum(lengths) - lengths, dtype=np.intp)
+    rejected = (product & _MASK32) < (1 << 32) % sizes
+    rejected[live] = False
+    for k in np.flatnonzero(rejected).tolist():
+        gen = _load(np.random.Generator(np.random.PCG64(0)), streams[k])
+        cells[k] = gen.integers(fmaps[k].values.size)
+    return cells
 
 
 def trial_outcomes(
@@ -289,10 +352,11 @@ def compute_feasibility_map(
         values = outcomes.mean(axis=2)
         values.setflags(write=False)
         fmap = FeasibilityMap(location.id, target, values)
-        log.debug(
-            "feasibility map %s target (%.2f, %.2f): mean %.3f max %.3f",
-            location.id, target[0], target[1], values.mean(), values.max(),
-        )
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug(
+                "feasibility map %s target (%.2f, %.2f): mean %.3f max %.3f",
+                location.id, target[0], target[1], values.mean(), values.max(),
+            )
     per_scene[key] = fmap
     if len(per_scene) > MAX_MAPS:
         del per_scene[next(iter(per_scene))]

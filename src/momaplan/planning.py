@@ -38,9 +38,10 @@ Standing spots are frozen deterministically: the unloading spot for a given
 the feasibility map, seeded from the scene seed, so re-planning reproduces
 the same plan and execution replays the exact stands the planner scored.
 Each unload option has one ``SeedSequence``-spawned ``PCG64`` stream, for
-its stand draw. A planning call derives them all in one array pass
-(``feasibility.pcg64_states``) and loads each in turn into one shared
-generator.
+its stand draw. A planning call derives them all, with each stream's first
+output, in one array pass (``feasibility.pcg64_states``), and draws every
+option's stand from those outputs in one more
+(``feasibility.draw_standing_cells``), building no generator per option.
 """
 from __future__ import annotations
 
@@ -56,14 +57,14 @@ import numpy as np
 from .feasibility import (
     FeasibilityParams,
     compute_feasibility_map,
+    draw_standing_cells,
     pcg64_states,
-    sample_standing_cell,
     task_feasibility,
 )
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for
 from .relations import ON_TOP_OF, PlacementAtom
-from .world import Pose2D, SceneState, SymbolicLocation, symbolic_locations
+from .world import Pose2D, SceneState, SymbolicLocation, TableSpec, symbolic_locations
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +85,12 @@ class PlanningParams:
     # Entropy word mixed into standing-draw seeds so repeated planning calls
     # on one scene can be made independent when desired.
     stand_seed: int = 0
+
+    def __post_init__(self) -> None:
+        # Checked here, not when the seeds are derived after every map.
+        seed = self.stand_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"stand_seed must be a non-negative int, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -318,17 +325,6 @@ class Router:
         return steps, stage, cost + MANIPULATION_COST * 2 * len(steps)
 
 
-def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
-    """``gen`` set to the start of the PCG64 stream ``(state, inc)``."""
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": stream[0], "inc": stream[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
-
-
 @functools.lru_cache(maxsize=16)
 def _candidate_table(
     objects: tuple[str, ...], atoms: tuple[PlacementAtom, ...], sides: tuple[str, ...]
@@ -377,11 +373,16 @@ def _price_candidates(
     load, connects = load.ravel(), connects.ravel()
 
     width = (size + 1) * size
-    flat_pairs = pairs + width * np.arange(configs)[:, None, None]
-    prefix = np.logical_and.accumulate(connects[flat_pairs], axis=2)
+    # Step-major leg-table entries, shape (n, M, C): step k of candidate c
+    # of configuration m, so each step's entries lie together.
+    steps = np.ascontiguousarray(pairs.T)[:, None, :] + width * np.arange(configs)[:, None]
+    # reached[k]: whether steps 0..k all connect.
+    reached = connects[steps]
+    for k in range(1, len(reached)):
+        reached[k] &= reached[k - 1]
     asked = np.zeros(len(load), dtype=bool)
-    asked[flat_pairs[:, :, 0]] = True
-    asked[flat_pairs[:, :, 1:][prefix[:, :, :-1]]] = True
+    asked[steps[0]] = True
+    asked[steps[1:][reached[:-1]]] = True
     asked = np.flatnonzero(asked & (load >= 0))
     cells = load[asked]
     order = np.argsort(cells, kind="stable")
@@ -401,14 +402,45 @@ def _price_candidates(
     step_cost = np.full(len(load), math.inf)
     step_cost[asked] = np.where(connects[asked], costs, math.inf)
 
-    step_cost = step_cost[flat_pairs]
-    fea_step = fea_task[:, pairs % size]
-    nav_cost = np.zeros(prefix.shape[:2])
-    fea_sum = np.zeros(prefix.shape[:2])
-    for k in range(pairs.shape[1]):
-        nav_cost = nav_cost + step_cost[:, :, k]
-        fea_sum = fea_sum + fea_step[:, :, k]
-    return nav_cost, fea_sum, prefix[:, :, -1]
+    step_cost = step_cost[steps]
+    codes = pairs % size
+    nav_cost = np.zeros(reached.shape[1:])
+    fea_sum = np.zeros(reached.shape[1:])
+    for k in range(len(steps)):
+        nav_cost += step_cost[k]
+        fea_sum += fea_task[:, codes[:, k]]
+    return nav_cost, fea_sum, reached[-1]
+
+
+def _unload_options(
+    scene: SceneState, band: BandIndex, table: TableSpec, configurations: list[Configuration],
+    objects: tuple[str, ...], params: PlanningParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The band index of each unload option's drawn stand, the option's
+    scored feasibility and the stand's own, shape (M, n * S) in
+    (configuration, object, side) order. Each option's map is asked for
+    and scored once; the stands are drawn in one array pass over the
+    options' seeded streams."""
+    locations = band.locations
+    fmaps = []
+    for config in configurations:
+        for obj in objects:
+            target = table.to_world(*config.positions[obj])
+            fmaps.extend(compute_feasibility_map(scene, location, target, params.feasibility)
+                         for location in locations)
+    # Spawn key (m, oi, si, 1) seeds the stand draw of unload option
+    # (object oi, side si) of configuration m.
+    keys = np.indices((len(configurations), len(objects), len(locations), 2))
+    keys = keys.reshape(4, -1).T[1::2]
+    drawn = draw_standing_cells(fmaps, *pcg64_states((scene.rng_seed, params.stand_seed), keys))
+    shape = (len(configurations), len(objects) * len(locations))
+    fea_task = np.fromiter(map(task_feasibility, fmaps), float, len(fmaps)).reshape(shape)
+    fea_stand = np.array([fmap.values.item(cell) for fmap, cell in zip(fmaps, drawn.tolist())])
+    fea_stand = fea_stand.reshape(shape)
+    # A side's band indices follow its first cell's in row-major cell order.
+    starts = np.array([band.index(location, (0, 0)) for location in locations])
+    stands = (drawn.reshape(-1, len(locations)) + starts).reshape(shape)
+    return stands, fea_task, fea_stand
 
 
 def plan_task(
@@ -429,8 +461,7 @@ def plan_task(
     table = scene.table(target_table)
     router = Router(scene)
     band = router.band(target_table)
-    locations = band.locations
-    side_ids = tuple(loc.side for loc in locations)
+    side_ids = tuple(loc.side for loc in band.locations)
     candidates, codes, pairs = _candidate_table(objects, tuple(atoms), side_ids)
     if not candidates:
         raise PlanningError("no admissible object orders")
@@ -438,28 +469,8 @@ def plan_task(
         raise PlanningError("robot start cell is blocked on the inflated grid")
 
     n = len(objects)
-    shape = (len(configurations), n * len(side_ids))
-    fmaps = []
-    for config in configurations:
-        for obj in objects:
-            target = table.to_world(*config.positions[obj])
-            fmaps.extend(compute_feasibility_map(scene, location, target, params.feasibility)
-                         for location in locations)
-    # Spawn key (m, oi, si, 1) seeds the stand draw of unload option
-    # (object oi, side si) of configuration m.
-    keys = np.indices((len(configurations), n, len(side_ids), 2)).reshape(4, -1).T[1::2]
-    streams = pcg64_states((scene.rng_seed, params.stand_seed), keys)
-    gen = np.random.Generator(np.random.PCG64(0))
-    # Per option, in (configuration, object, side) order: the drawn stand's
-    # band index, its scored and its own feasibility.
-    stands = np.empty(shape, dtype=np.int64)
-    fea_task = np.empty(shape)
-    fea_stand = np.empty(shape)
-    for (m, code), fmap, stream in zip(np.ndindex(shape), fmaps, streams):
-        fea_task[m, code] = task_feasibility(fmap)
-        cell = sample_standing_cell(fmap, _load(gen, stream))
-        stands[m, code] = band.index(locations[code % len(side_ids)], cell)
-        fea_stand[m, code] = fmap.value_at(cell)
+    stands, fea_task, fea_stand = _unload_options(
+        scene, band, table, configurations, objects, params)
     nav_cost, fea_sum, connected = _price_candidates(router, band, objects, stands, fea_task, pairs)
     fea = (n * 1.0 + fea_sum) / (2 * n)
     cost = nav_cost + MANIPULATION_COST * 2 * n

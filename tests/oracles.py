@@ -653,7 +653,7 @@ def seeded_unload_option(scene, nav, band, location, target_world, layer, params
         target_world=target_world,
         layer=layer,
         fea_task=weighted_mean_feasibility(fmap.values),
-        fea_stand=fmap.value_at(cell),
+        fea_stand=float(fmap.values[cell]),
     )
 
 

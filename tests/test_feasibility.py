@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,12 +318,6 @@ def test_sample_standing_cell_uniform_fallback():
     assert chisquare(counts).pvalue > 0.01
 
 
-def test_manipulation_feasibility_reads_cell():
-    values = np.array([[0.2, 0.8]])
-    fmap = FeasibilityMap("loc", (0.0, 0.0), values)
-    assert fmap.value_at((0, 1)) == 0.8
-
-
 def _draw_test_maps(seed):
     """42 maps: all-zero, a one-cell support, and per round a quantized map
     like the planner's and a continuous one with zero cells."""
@@ -437,7 +433,14 @@ _ENTROPY_INTS = st.one_of(
     ),
 )
 def test_pcg64_states_equal_seed_sequence_streams(entropy, keys):
-    assert pcg64_states(entropy, keys) == [_seed_sequence_stream(entropy, tuple(k)) for k in keys]
+    """Each stream's start and first output, its ``random_raw()``."""
+    states, first = pcg64_states(entropy, keys)
+    assert states == [_seed_sequence_stream(entropy, tuple(k)) for k in keys]
+    assert first.dtype == np.uint64
+    assert first.tolist() == [
+        int(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=tuple(k))).random_raw())
+        for k in keys
+    ]
 
 
 @settings(max_examples=25)
@@ -448,7 +451,7 @@ def test_pcg64_states_equal_the_planner_streams(scene_seed, round_index):
     entropy = (scene_seed, (42 << 20) + round_index)
     keys = np.indices((3, 5, 4, 2)).reshape(4, -1).T[1::2]
     expected = [_seed_sequence_stream(entropy, tuple(k)) for k in keys.tolist()]
-    assert pcg64_states(entropy, keys) == expected
+    assert pcg64_states(entropy, keys)[0] == expected
 
 
 def test_pcg64_states_reject_bad_input():
@@ -458,6 +461,119 @@ def test_pcg64_states_reject_bad_input():
         pcg64_states(0, [0, 1])
     with pytest.raises(OverflowError):
         pcg64_states(0, [[2**32]])
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
+
+
+def _stream_first_drawing(word, inc=0xDA3E39CB94B95BDB):
+    """A PCG64 ``(state, inc)`` whose first output is ``word``: the state one
+    step back from one whose halves xor to ``word`` and whose top six bits,
+    the output's rotation, are zero."""
+    high = 0x0123456789ABCDEF
+    after = (high << 64) | (high ^ word)
+    return ((after - inc) * pow(_PCG64_MULT, -1, 1 << 128)) % (1 << 128), inc
+
+
+def _hand_maps():
+    """All-zero maps, one positive cell first or last, equal cells, random
+    maps, and maps of other sizes than a band's."""
+    first, last = np.zeros((8, 24)), np.zeros((8, 24))
+    first[0, 0], last[-1, -1] = 0.2, 1.0
+    rng = np.random.default_rng(7)
+    return [
+        np.zeros((8, 24)), first, last, np.full((8, 24), 0.4), np.full((3, 5), 1.0),
+        *_draw_test_maps(3)[1:6], rng.uniform(size=(2, 3)), np.zeros((1, 1)), np.ones((1, 1)),
+        np.zeros((3, 5)),
+    ]
+
+
+@settings(max_examples=40)
+@given(entropy=_ENTROPY_INTS, draws=st.integers(1, 3))
+def test_array_draw_equals_choice_oracle_stream_by_stream(entropy, draws):
+    """Each map drawn on ``draws`` streams: the array draw's cell is the one
+    the former ``rng.choice`` draw makes on a generator built from that
+    stream's own SeedSequence."""
+    maps = [FeasibilityMap("loc", (0.0, 0.0), values) for values in _hand_maps()] * draws
+    keys = [(k, 1) for k in range(len(maps))]
+    drawn = feasibility.draw_standing_cells(maps, *pcg64_states(entropy, keys))
+    assert drawn.shape == (len(maps),)
+    for fmap, key, flat in zip(maps, keys, drawn.tolist()):
+        own = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)))
+        row, col = choice_standing_cell(fmap, own)
+        assert flat == row * fmap.values.shape[1] + col
+
+
+@pytest.mark.parametrize("values, word, draw", [
+    # 2**63 draws exactly 0.5.
+    ([0.7, 0.7], 1 << 63, 0.5),
+    # The lowest of the 53 bits counts: 0.5 + 2**-53 is the first entry.
+    ([0.5 + 2.0**-53, 0.5 - 2.0**-53], (2**52 + 1) << 11, 0.5 + 2.0**-53),
+])
+def test_array_draw_on_a_cumulative_entry_counts_it(values, word, draw):
+    """A draw equal to a cumulative-table entry lands past that cell, as
+    ``searchsorted(side="right")`` does."""
+    fmap = FeasibilityMap("loc", (0.0, 0.0), np.array([values]))
+    stream = _stream_first_drawing(word)
+    own = feasibility._load(np.random.Generator(np.random.PCG64(0)), stream)
+    assert own.random() == draw == fmap.cdf[0]
+    own = feasibility._load(own, stream)
+    assert choice_standing_cell(fmap, own) == (0, 1)
+    drawn = feasibility.draw_standing_cells([fmap], [stream], np.array([word], np.uint64))
+    assert drawn.tolist() == [1]
+
+
+def test_array_draw_redraws_a_word_lemire_rejects():
+    """An all-zero map of 192 cells draws ``integers(192)``. A first word
+    whose low half is 0 leaves a product of 0, below 2**32 mod 192 = 64, so
+    Lemire's method rejects it and draws again from the word's high half:
+    the array draw must take the generator's cell, not the rejected word's."""
+    word = 0x80000001 << 32
+    stream = _stream_first_drawing(word)
+    own = feasibility._load(np.random.Generator(np.random.PCG64(0)), stream)
+    assert int(own.bit_generator.random_raw()) == word
+    expected = int(feasibility._load(own, stream).integers(192))
+    assert expected == 96  # (0x80000001 * 192) >> 32, not the rejected word's cell 0
+    zero = FeasibilityMap("loc", (0.0, 0.0), np.zeros((8, 24)))
+    live = FeasibilityMap("loc", (0.0, 0.0), np.full((8, 24), 0.5))
+    drawn = feasibility.draw_standing_cells(
+        [zero, live], [stream, stream], np.array([word, word], np.uint64))
+    assert drawn.tolist() == [expected, int(np.searchsorted(live.cdf, 0.5, side="right"))]
+    assert choice_standing_cell(zero, feasibility._load(own, stream)) == divmod(expected, 24)
+
+
+@pytest.mark.parametrize("trials", [2.5, "3", True, None])
+def test_feasibility_params_reject_non_int_trials(trials):
+    with pytest.raises(ValueError, match=f"^trials_per_cell must be an int, got {trials!r}$"):
+        FeasibilityParams(trials_per_cell=trials)
+
+
+def test_feasibility_params_accept_numpy_int_trials():
+    assert FeasibilityParams(trials_per_cell=np.int64(3)) == FeasibilityParams(trials_per_cell=3)
+
+
+def test_disabled_debug_line_reads_nothing(monkeypatch, caplog):
+    """A computed map's debug line, with the map's mean and max, is built
+    only when DEBUG is on for the module's logger."""
+    scene = make_scene(1, "easy", 42)
+    loc = location_by_id(scene, "dining/south")
+    params = FeasibilityParams(trials_per_cell=1)
+    caplog.set_level(logging.DEBUG, logger="momaplan.feasibility")
+    compute_feasibility_map(scene, loc, _dining_target(scene), params)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "feasibility map dining/south target (0.00, 0.05)"]
+    built = []
+
+    class Quiet:
+        def isEnabledFor(self, level):
+            return False
+
+        def debug(self, *args):
+            built.append(args)
+
+    monkeypatch.setattr(feasibility, "log", Quiet())
+    compute_feasibility_map(scene, loc, (0.1, 0.1), params)
+    assert built == []
 
 
 def test_dataset_builder(scene1):

@@ -9,6 +9,7 @@ import pytest
 
 from momaplan.feasibility import (
     FeasibilityParams,
+    _load,
     compute_feasibility_map,
     pcg64_states,
     sample_standing_cell,
@@ -34,7 +35,6 @@ from momaplan.planning import (
     PlanningError,
     PlanningParams,
     Router,
-    _load,
     enumerate_candidates,
     plan_task,
     stacking_orders,
@@ -181,6 +181,19 @@ def test_stand_seed_changes_draws(goal1):
     assert [s.unload_cell for s in a.steps] != [s.unload_cell for s in b.steps]
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_planning_params_reject_bad_stand_seed(seed):
+    """A stand seed that cannot seed the draws fails when the parameters
+    are built, before any map is asked for."""
+    with pytest.raises(ValueError, match=f"^stand_seed must be a non-negative int, got {seed!r}$"):
+        PlanningParams(stand_seed=seed)
+
+
+def test_planning_params_accept_any_non_negative_int_seed():
+    for seed in (0, np.int64(3), 2**70):
+        assert PlanningParams(stand_seed=seed).stand_seed == seed
+
+
 def test_unload_targets_lie_in_configuration(goal1):
     scene = make_scene(1, "easy", seed=42)
     table = scene.table("dining")
@@ -243,7 +256,7 @@ def test_loaded_stream_draws_like_its_own_generator():
     """A stream loaded into a used generator draws, and ends in, what the
     generator built from its own SeedSequence would."""
     entropy, key = (42, 7), (3, 1, 2, 1)
-    (stream,) = pcg64_states(entropy, [key])
+    (stream,), _ = pcg64_states(entropy, [key])
     gen = np.random.Generator(np.random.PCG64(0))
     gen.random(3)
     own = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)))
@@ -318,6 +331,43 @@ def test_leg_table_asks_for_the_walked_cost_fields():
     plan_task(table_scene, "dining", configs, goal.atoms, fast_params())
     walk_every_candidate(walk_scene, "dining", configs, goal.atoms, fast_params())
     assert set(navigator_for(table_scene)._fields) == set(navigator_for(walk_scene)._fields)
+
+
+def test_a_step_without_loading_stand_ends_its_candidate():
+    """With every band cell of the fork's source table unusable, no step
+    loading the fork connects, and no later step of its candidate counts,
+    even one that would connect on its own (fork, then plate, then knife):
+    every candidate is disconnected, as every walk is, and the table
+    computes the cost fields of exactly the loading cells the walks do."""
+    objects = ("dinner_fork", "dinner_plate", "dinner_knife")  # side_right, then side_left
+    table_scene, walk_scene = make_scene(8, "easy", seed=42), make_scene(8, "easy", seed=42)
+    for scene in (table_scene, walk_scene):
+        Router(scene).band("side_right").usable[:] = False
+    configs = grounded(table_scene, task_goal(8), m=2)
+    params = fast_params()
+    router = Router(table_scene)
+    band = router.band("dining")
+    _, codes, pairs = planning._candidate_table(
+        objects, (), tuple(loc.side for loc in band.locations))
+    stands, fea_task, _ = planning._unload_options(
+        table_scene, band, table_scene.table("dining"), configs, objects, params)
+    _, _, connected = planning._price_candidates(router, band, objects, stands, fea_task, pairs)
+    assert not connected.any()
+    walk_router = Router(walk_scene)
+    walk_band = walk_router.band("dining")
+    table = walk_scene.table("dining")
+    for m, config in enumerate(configs):
+        options = [
+            (obj, seeded_unload_option(
+                walk_scene, walk_router.nav, walk_band, location,
+                table.to_world(*config.positions[obj]), config.layers[obj], params,
+                seed_key=(m, oi, si)))
+            for oi, obj in enumerate(objects) for si, location in enumerate(walk_band.locations)
+        ]
+        for row in codes.tolist():
+            assert field_priced_walk(walk_router, [options[k] for k in row]) is None
+    fields = set(navigator_for(table_scene)._fields)
+    assert fields and fields == set(navigator_for(walk_scene)._fields)
 
 
 @pytest.mark.parametrize("task, environment", [(8, "chair_top"), (9, "chair_bottom")])
@@ -396,33 +446,57 @@ def test_plan_task_derives_only_the_streams_that_draw(monkeypatch):
 
 
 def test_plan_task_scores_every_option_by_the_closed_form(monkeypatch):
-    """Every unload option of every configuration, not only the winner's,
-    is scored by the closed form of its map's weighted standing draw, the
-    oracle's cell-by-cell sum(h^2) / sum(h); chair_top's blocked north
-    band scores 0.0."""
-    scene = make_scene(8, "chair_top", seed=42)
-    goal = task_goal(8)
-    configs = grounded(scene, goal, m=3)
-    params = fast_params()
+    """Every unload option of every configuration, not only the winner's:
+    its stand's band index and feasibility are those of the former
+    per-option generator's ``rng.choice`` draw, and the option is scored by
+    the closed form of its map's weighted standing draw, the oracle's
+    cell-by-cell sum(h^2) / sum(h). Both scenes have all-zero maps (on
+    chair_top, the blocked north band), which score 0.0 and draw their
+    stand uniformly."""
+    made = []
+    options = planning._unload_options
     price = planning._price_candidates
-    scored = []
+    priced = []
 
-    def spy(router, band, objects, stands, fea_task, pairs):
-        scored.append(fea_task.copy())
+    def spy_options(*args):
+        made.append(options(*args))
+        return made[-1]
+
+    def spy_price(router, band, objects, stands, fea_task, pairs):
+        priced.append((stands, fea_task))
         return price(router, band, objects, stands, fea_task, pairs)
 
-    monkeypatch.setattr(planning, "_price_candidates", spy)
-    plan_task(scene, "dining", configs, goal.atoms, params)
-    [fea_task] = scored
-    table = scene.table("dining")
-    locations = Router(scene).band("dining").locations
-    expected = [
-        weighted_mean_feasibility(compute_feasibility_map(
-            scene, location, table.to_world(*config.positions[obj]), params.feasibility).values)
-        for config in configs for obj in config.positions for location in locations
-    ]
-    assert fea_task.ravel().tolist() == expected
-    assert 0.0 in expected and max(expected) > 0.9
+    monkeypatch.setattr(planning, "_unload_options", spy_options)
+    monkeypatch.setattr(planning, "_price_candidates", spy_price)
+    goal = task_goal(8)
+    for environment, stand_seed in (("chair_top", 0), ("chair_bottom", 7)):
+        scene = make_scene(8, environment, seed=42)
+        configs = grounded(scene, goal, m=3)
+        params = fast_params(stand_seed=stand_seed)
+        made.clear()
+        priced.clear()
+        plan_task(scene, "dining", configs, goal.atoms, params)
+        [(stands, fea_task, fea_stand)] = made
+        assert [(s is stands, f is fea_task) for s, f in priced] == [(True, True)]
+        table = scene.table("dining")
+        router = Router(scene)
+        band = router.band("dining")
+        expected = [
+            seeded_unload_option(
+                scene, router.nav, band, location, table.to_world(*config.positions[obj]),
+                config.layers[obj], params, seed_key=(m, oi, si))
+            for m, config in enumerate(configs)
+            for oi, obj in enumerate(config.positions)
+            for si, location in enumerate(band.locations)
+        ]
+        assert stands.shape == fea_task.shape == fea_stand.shape == (3, 20)
+        assert stands.ravel().tolist() == [option.band_index for option in expected]
+        assert fea_stand.ravel().tolist() == [option.fea_stand for option in expected]
+        assert fea_task.ravel().tolist() == [option.fea_task for option in expected]
+        assert max(fea_task.ravel()) > 0.9
+        # Blocked options' stands are uniform draws, not each side's first cell.
+        blocked = fea_task.ravel() == 0.0
+        assert len(set(stands.ravel()[blocked].tolist())) > 1
 
 
 def test_candidate_table_is_built_once_per_goal(goal1):
