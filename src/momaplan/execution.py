@@ -12,10 +12,16 @@ navigation at its cut, on the first unrouted object.
 
 The arrival noise parameters are the same FeasibilityParams the planner's
 heatmaps were built with, so feasibility estimates and execution outcomes
-are draws from one distribution. Each arrival is one draw call of three
-standard normals, the stream of a ``normal`` call for position and one for
-heading; the heading draw is discarded. Collision and reach tests are
-scalar loops over stored ``Rect`` bounds with exact far-rectangle early-outs.
+are draws from one distribution. Each arrival takes three standard
+normals, the stream of a ``normal`` call for position and one for heading;
+the heading draw is discarded. A run draws the normals of all its arrivals
+in one call. numpy draws normals one after another with nothing carried
+between calls, so that call's values, and the state it leaves, are those of
+one call per arrival. A run that stops early restores the state saved
+before the call and redraws the normals of the arrivals it reached, so
+every outcome and generator state stays exactly that of per-arrival draws.
+Collision and reach tests are scalar loops over stored ``Rect`` bounds with
+exact far-rectangle early-outs.
 """
 from __future__ import annotations
 
@@ -55,17 +61,6 @@ class ExecutionResult:
     final_layers: dict[str, int]
 
 
-def _noisy_arrival(
-    pose: Pose2D, params: FeasibilityParams, rng: np.random.Generator
-) -> tuple[float, float]:
-    # numpy's normal(loc, scale) is loc + scale * standard_normal, so this is
-    # the stream and values of normal(0, sigma_xy, 2); the third draw is the
-    # discarded heading's.
-    zx, zy, _ = rng.standard_normal(3).tolist()
-    s = params.nav_sigma_xy
-    return pose.x + (0.0 + s * zx), pose.y + (0.0 + s * zy)
-
-
 def _reach_clear(
     scene: SceneState,
     arrival: tuple[float, float],
@@ -94,48 +89,67 @@ def execute_plan(
     planned cost.
     """
     params = params or FeasibilityParams()
-    positions = dict(scene.start_positions)
-    layers = {o.id: 0 for o in scene.objects}
+    steps = plan.steps
+    s = params.nav_sigma_xy
+    saved = rng.bit_generator.state
+    # Read six at a time: x, y and heading of the load arrival, then of the
+    # unload arrival.
+    noise = iter(rng.standard_normal(6 * len(steps)).tolist())
     cost = 0.0
     delivered = 0
-
-    def result(kind: str | None = None, failed_object=None, stage=None) -> ExecutionResult:
-        if kind is not None:
-            log.debug("run failed: %s during %s of %s", kind, stage, failed_object)
-        return ExecutionResult(
-            success=kind is None,
-            failure_kind=kind,
-            failed_object=failed_object,
-            failed_stage=stage,
-            objects_delivered=delivered,
-            executed_cost=cost,
-            final_positions=positions,
-            final_layers=layers,
-        )
-
-    for step in plan.steps:
-        # Leg to the loading spot.
+    kind: str | None = None
+    stage: str | None = None
+    for step, lx, ly, _, ux, uy, _ in zip(steps, *[noise] * 6):
+        # Leg to the loading spot. numpy's normal(loc, scale) is
+        # loc + scale * standard_normal, hence the 0.0 + s * z offsets.
         cost += step.leg_to_load
-        arrival = _noisy_arrival(step.load_pose, params, rng)
-        if robot_collides(scene, *arrival):
-            return result(NAVIGATION, step.object_id, "load")
+        pose = step.load_pose
+        if robot_collides(scene, pose.x + (0.0 + s * lx), pose.y + (0.0 + s * ly)):
+            kind, stage = NAVIGATION, "load"
+            break
         # Loading itself is not modeled as failable.
         cost += MANIPULATION_COST
 
         cost += step.leg_to_unload
-        arrival = _noisy_arrival(step.unload_pose, params, rng)
+        pose = step.unload_pose
+        arrival = pose.x + (0.0 + s * ux), pose.y + (0.0 + s * uy)
         if robot_collides(scene, *arrival):
-            return result(NAVIGATION, step.object_id, "unload")
+            kind, stage = NAVIGATION, "unload"
+            break
         if not _reach_clear(scene, arrival, step.target_world, step.target_table, params):
-            return result(MANIPULATION, step.object_id, "unload")
+            kind, stage = MANIPULATION, "unload"
+            break
         cost += MANIPULATION_COST
+        delivered += 1
+
+    failed_object = None
+    if kind is not None:
+        # Leave the generator where per-arrival draws would: rewind, then
+        # redraw the three normals of every arrival the run reached.
+        rng.bit_generator.state = saved
+        rng.standard_normal(6 * delivered + (3 if stage == "load" else 6))
+        failed_object = steps[delivered].object_id
+    elif plan.truncated:
+        # The routed prefix ran clean; the next object's legs have no path.
+        kind, stage = NAVIGATION, plan.truncated
+        failed_object = plan.order[len(steps)]
+    if kind is not None:
+        log.debug("run failed: %s during %s of %s", kind, stage, failed_object)
+    positions = scene.start_positions.copy()
+    layers = dict.fromkeys(positions, 0)
+    for step in steps[:delivered]:
         positions[step.object_id] = step.target_world
         layers[step.object_id] = step.target_layer
-        delivered += 1
-    if plan.truncated:
-        # The routed prefix ran clean; the next object's legs have no path.
-        return result(NAVIGATION, plan.order[len(plan.steps)], plan.truncated)
-    return result()
+    return ExecutionResult(
+        success=kind is None,
+        failure_kind=kind,
+        failed_object=failed_object,
+        failed_stage=stage,
+        objects_delivered=delivered,
+        executed_cost=cost,
+        final_positions=positions,
+        final_layers=layers,
+    )
 
 
 def verify_goal(

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -167,6 +168,25 @@ def test_failed_run_cost_counts_only_traveled_legs(plan1):
     )
 
 
+def test_result_dicts_belong_to_their_run(plan1):
+    """Mutating one run's final positions and layers touches neither the
+    scene's start positions nor the next run's result."""
+    scene, plan = plan1
+    start = dict(scene.start_positions)
+    first = execute_plan(scene, plan, np.random.default_rng(7), FAST_FEA)
+    again = execute_plan(scene, plan, np.random.default_rng(7), FAST_FEA)
+    expected = dataclasses.replace(again, final_positions=dict(again.final_positions),
+                                   final_layers=dict(again.final_layers))
+    for object_id in first.final_positions:
+        first.final_positions[object_id] = (99.0, 99.0)
+        first.final_layers[object_id] = 99
+    first.final_positions["ghost"] = (0.0, 0.0)
+    first.final_layers["ghost"] = 0
+    assert dict(scene.start_positions) == start
+    assert again == expected
+    assert execute_plan(scene, plan, np.random.default_rng(7), FAST_FEA) == expected
+
+
 def test_verify_goal_tolerance():
     table = make_scene(1, "easy", seed=0).table("dining")
     atoms = [PlacementAtom("left_of", "a", "b")]
@@ -203,6 +223,7 @@ def _replay_inputs(task: int, environment: str):
     return scene, goal, configs
 
 
+@functools.cache
 def _replay_plan(task: int, environment: str, sigma: float):
     scene, goal, configs = _replay_inputs(task, environment)
     params = FeasibilityParams(nav_sigma_xy=sigma, trials_per_cell=3)
@@ -210,24 +231,75 @@ def _replay_plan(task: int, environment: str, sigma: float):
     return scene, plan, params
 
 
-@pytest.mark.parametrize("sigma", [0.01, 0.05, 0.08, 0.15])
-@pytest.mark.parametrize("environment", ["easy", "chair_top", "chair_bottom", "random"])
-@pytest.mark.parametrize("task", [1, 8, 9])
-def test_replays_match_the_two_call_rollout(task, environment, sigma):
-    """300 replays on one shared generator per side: the one-call rollout
-    gives the former rollout's results, arrivals included, exactly, and
-    leaves its generator in the same state after every run. The former
-    rollout makes every collision and reach test in full, so at sigma 0.15,
-    where more arrivals land near furniture edges, this referees the
-    early-outs too."""
+def _replay_cases():
+    """Every task, environment and sigma on numpy's default PCG64, plus
+    task 8 x chair_bottom on every other bit generator, whose saved states
+    have other layouts."""
+    for task in (1, 8, 9):
+        for environment in ("easy", "chair_top", "chair_bottom", "random"):
+            for sigma in (0.01, 0.05, 0.08, 0.15):
+                yield pytest.param(task, environment, sigma, "PCG64",
+                                   id=f"{task}-{environment}-{sigma}")
+    for bit_generator in ("PCG64DXSM", "MT19937", "Philox", "SFC64"):
+        for sigma in (0.01, 0.08, 0.15):
+            yield pytest.param(8, "chair_bottom", sigma, bit_generator,
+                               id=f"8-chair_bottom-{sigma}-{bit_generator}")
+
+
+def _same_state(a, b) -> bool:
+    """Equality of two ``bit_generator.state`` values; MT19937 and Philox
+    hold arrays in theirs."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _replay_against_oracle(task, environment, sigma, bit_generator, runs=300):
+    """Replay ``runs`` times on one shared generator per side, checking
+    every result and generator state against the two-call rollout; return
+    the ``(failed_stage, failure_kind, failed step index)`` of every stop."""
     scene, plan, params = _replay_plan(task, environment, sigma)
     seed = (task, round(sigma * 100))
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    kinds = set()
-    for _ in range(300):
+    rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                    for _ in range(2))
+    stops = []
+    for _ in range(runs):
         result = execute_plan(scene, plan, rng, params)
         assert result == execute_plan_two_calls(scene, plan, ref_rng, params)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        kinds.add(result.failure_kind)
+        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        if not result.success:
+            stops.append((result.failed_stage, result.failure_kind, result.objects_delivered))
+    return stops
+
+
+@pytest.mark.parametrize("task, environment, sigma, bit_generator", _replay_cases())
+def test_replays_match_the_two_call_rollout(task, environment, sigma, bit_generator):
+    """300 replays on one shared generator per side: the one-call rollout
+    gives the former rollout's results, arrivals included, exactly, and
+    leaves its generator in the same state after every run, also after a
+    run that stops early and rewinds. The former rollout makes every
+    collision and reach test in full, so at sigma 0.15, where more arrivals
+    land near furniture edges, this referees the early-outs too, and some
+    run stops after a delivered step."""
+    stops = _replay_against_oracle(task, environment, sigma, bit_generator)
     if sigma >= 0.08:
-        assert kinds - {None}, "large noise should fail some replays"
+        assert stops, "large noise should fail some replays"
+    if sigma == 0.15:
+        assert any(step > 0 for *_, step in stops), "some run should stop after step 0"
+
+
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"])
+def test_every_stop_point_leaves_the_oracle_state(bit_generator):
+    """Over every task and environment at sigma 0.15, runs stop after step
+    0 at each of the three stop points: load navigation, unload navigation
+    and unload manipulation. Each such run draws its whole noise, rewinds
+    and redraws a partial run's arrivals, and must still leave the
+    generator where the two-call rollout does."""
+    late = {
+        (stage, kind)
+        for task in (1, 8, 9)
+        for environment in ("easy", "chair_top", "chair_bottom", "random")
+        for stage, kind, step in _replay_against_oracle(task, environment, 0.15, bit_generator)
+        if step > 0
+    }
+    assert late == {("load", NAVIGATION), ("unload", NAVIGATION), ("unload", MANIPULATION)}

@@ -247,17 +247,18 @@ def test_truncated_plan_fails_navigation_at_its_cut(goal1):
     in navigation on the first unrouted object at the stage where routing
     stopped, with the prefix's cost, deliveries and poses; a run that fails
     inside the prefix is the prefix's own failure. The former rollout gives
-    the prefix's outcome. The cuts are the latp plans behind the chair, and
-    the longest one cut again by hand after its first step at either
-    stage."""
+    the prefix's outcome and generator state: a clean prefix draws exactly
+    its arrivals, and a cut with no steps draws nothing. The cuts are the
+    latp plans behind the chair, and the longest one cut again by hand
+    before and after its first step at either stage."""
     config = fast_config(environment="chair_top", trials=8)
     scene = make_scene(config.task, config.environment, config.seed)
     plans = [harness._plan_latp(scene, goal1, config, t)[0] for t in range(config.trials)]
     cuts = [plan for plan in plans if plan.truncated]
     assert any(plan.steps for plan in cuts), "some cut should follow a routed step"
     longest = max(plans, key=lambda plan: len(plan.steps))
-    cuts += [dataclasses.replace(longest, steps=longest.steps[:1], truncated=stage)
-             for stage in ("load", "unload")]
+    cuts += [dataclasses.replace(longest, steps=longest.steps[:n], truncated=stage)
+             for n in (0, 1) for stage in ("load", "unload")]
     for plan in cuts:
         clean = 0
         for seed in range(20):
@@ -269,6 +270,11 @@ def test_truncated_plan_fails_navigation_at_its_cut(goal1):
                 assert result == prefix
                 continue
             clean += 1
+            # Three standard normals per arrival, two arrivals per routed
+            # step, and none at all for a cut with no steps.
+            drawn = np.random.default_rng(seed)
+            drawn.standard_normal(6 * len(plan.steps))
+            assert rng.bit_generator.state == drawn.bit_generator.state
             assert not result.success and result.failure_kind == NAVIGATION
             assert result.failed_object == plan.order[len(plan.steps)]
             assert result.failed_stage == plan.truncated
