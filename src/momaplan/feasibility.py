@@ -75,6 +75,11 @@ class FeasibilityParams:
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
         if not 0.0 < self.reach_radius < float("inf"):
             raise ValueError(f"reach_radius must be positive and finite, got {self.reach_radius}")
+        # Every map-store request hashes its key, so hash the fields once.
+        object.__setattr__(self, "_hash", hash(self.fingerprint()))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def fingerprint(self) -> tuple[int, ...]:
         # 25, the former standing-draw count, keeps every map's seed as it was.

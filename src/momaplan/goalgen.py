@@ -145,10 +145,11 @@ class ScriptedBackend:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ScriptedBackend":
+        # Scripts are package data: parse with libyaml where PyYAML has it.
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-        if not isinstance(data, dict) or "responses" not in data:
-            raise ValueError(f"{path}: expected a mapping with a 'responses' key")
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        if not isinstance(data, dict) or not isinstance(data.get("responses"), dict):
+            raise ValueError(f"{path}: expected a mapping with a 'responses' mapping")
         return cls(data["responses"], name=str(path))
 
     def complete(self, prompt: str, attempt: int = 0) -> str:

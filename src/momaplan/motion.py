@@ -6,9 +6,11 @@ and a diagonal step is allowed only when both adjacent straight cells are
 also free (no squeezing through corners). Obstacles are inflated by the
 robot radius before planning.
 
-All movement queries share one adjacency graph per scene, so paths,
-Dijkstra cost fields and connected-component reachability can never
-disagree about which cells communicate. Paths count straight and diagonal
+Paths and Dijkstra cost fields share one adjacency graph per scene.
+Reachability reads components labelled on the free grid with
+4-connectivity, and the two agree on which cells communicate: every
+straight step between free cells is an edge, and a diagonal edge needs
+both straight detours free. Paths count straight and diagonal
 steps separately and report cost as
 ``straight * res + diagonal * res * sqrt(2)``, which makes optimal costs
 exactly comparable across independent implementations: optimal step
@@ -31,7 +33,7 @@ from weakref import WeakKeyDictionary, ref
 import numpy as np
 from scipy import ndimage
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .geometry import EARLY_OUT_SLACK, disc_hits_rect_batch
 from .world import OccupancyGrid, SceneState
@@ -97,6 +99,8 @@ _OFFSETS: tuple[tuple[int, int], ...] = (
     (-1, 0), (1, 0), (0, -1), (0, 1),
     (-1, -1), (-1, 1), (1, -1), (1, 1),
 )
+# Each offset's rank in raster order, the order of its neighbours' nodes.
+_RASTER_SLOT = tuple(sorted(_OFFSETS).index(offset) for offset in _OFFSETS)
 
 
 class Navigator:
@@ -137,13 +141,10 @@ class Navigator:
         self.free = ~self.blocked
         # Node and component labels fit int32, half the int64 grids' memory.
         self._node_of = np.full(self.grid.shape, -1, dtype=np.int32)
-        free_idx = np.flatnonzero(self.free.ravel())
-        self._node_of.ravel()[free_idx] = np.arange(len(free_idx))
-        self._cell_of_node = free_idx  # flat grid index per node
+        self._cell_of_node = np.flatnonzero(self.free)  # flat grid index per node
+        self._node_of.ravel()[self._cell_of_node] = np.arange(len(self._cell_of_node))
         self._adjacency = self._build_adjacency()
-        n_comp, labels = connected_components(self._adjacency, directed=False)
-        self._labels = np.full(self.grid.shape, -1, dtype=np.int32)
-        self._labels.ravel()[free_idx] = labels
+        self._labels = ndimage.label(self.free, output=np.int32)[0] - np.int32(1)
         self._fields: dict[Cell, np.ndarray] = {}
         self._descents: dict[Cell, np.ndarray] = {}
         # One tuple per path cell, shared by every path this navigator
@@ -171,20 +172,22 @@ class Navigator:
             yield src, dst, ok, res * _SQRT2 if (dy != 0 and dx != 0) else res
 
     def _build_adjacency(self) -> csr_matrix:
-        rows_i: list[np.ndarray] = []
-        cols_i: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        node = self._node_of
-        for src, dst, ok, weight in self._moves():
-            src_nodes = node[src][ok]
-            rows_i.append(src_nodes)
-            cols_i.append(node[dst][ok])
-            data.append(np.full(len(src_nodes), weight))
+        """Each free node's admissible neighbours, in increasing node order,
+        written straight into CSR rows: offset ``i`` fills slot
+        ``_RASTER_SLOT[i]`` of a per-cell table of neighbour nodes."""
+        table = np.full(self.grid.shape + (len(_OFFSETS),), -1, dtype=np.int32)
+        counts = np.zeros(self.grid.shape, dtype=np.int32)
+        weights = np.empty(len(_OFFSETS))
+        for slot, (src, dst, ok, weight) in zip(_RASTER_SLOT, self._moves()):
+            np.copyto(table[src + (slot,)], self._node_of[dst], where=ok)
+            counts[src] += ok
+            weights[slot] = weight
+        admitted = table >= 0
         n = len(self._cell_of_node)
-        return csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows_i), np.concatenate(cols_i))),
-            shape=(n, n),
-        )
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts.ravel()[self._cell_of_node], out=indptr[1:])
+        data = np.tile(weights, counts.size)[admitted.ravel()]
+        return csr_matrix((data, table[admitted], indptr), shape=(n, n))
 
     # -- basic queries
 
@@ -310,7 +313,12 @@ class Navigator:
             if current in closed:
                 continue
             if current == goal:
-                return self._reconstruct(start, goal, parent, g_counts[goal])
+                path = [goal]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                intern = self._cells.setdefault
+                cells = tuple(intern(cell, cell) for cell in reversed(path))
+                return MotionPlan(cells, *g_counts[goal], res)
             closed.add(current)
             cy, cx = current
             g_cur = g_best[current]
@@ -332,20 +340,6 @@ class Navigator:
                         open_heap, (tentative + heuristic(neighbor), next(counter), neighbor)
                     )
         raise MotionError(f"open set exhausted between {start} and {goal}")
-
-    def _reconstruct(
-        self, start: Cell, goal: Cell, parent: dict[Cell, Cell], counts: tuple[int, int]
-    ) -> MotionPlan:
-        cells = [goal]
-        while cells[-1] != start:
-            cells.append(parent[cells[-1]])
-        intern = self._cells.setdefault
-        return MotionPlan(
-            cells=tuple(intern(cell, cell) for cell in reversed(cells)),
-            straight_steps=counts[0],
-            diagonal_steps=counts[1],
-            resolution=self.grid.resolution,
-        )
 
 
 # Least recently used first. A navigator holds its scene's cost fields, maps,

@@ -15,7 +15,8 @@ option with its own seeded generators and ``rng.choice`` draws,
 the plan search that walks every candidate, the scalar band-cell center,
 the backtracking grid search that decided goal consistency,
 the one-point loading-stand rule, the neighbour-loop walk down a cost
-field, the distance parser that tries a
+field, the navigation graph built from COO triples with its csgraph
+component labels, the distance parser that tries a
 range match at every position of a digit run, the reach-line test by slab
 clipping alone, and the noisy execution
 rollout with its generator-based collision test and two ``normal`` calls
@@ -30,6 +31,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from momaplan.execution import MANIPULATION, NAVIGATION, ExecutionResult
 from momaplan.feasibility import (
@@ -331,6 +334,29 @@ def dijkstra_counts(free: np.ndarray, start: tuple[int, int]):
                     counts[(nr, nc)] = ns
                     heapq.heappush(heap, (nd, nr, nc, ns[0], ns[1]))
     return counts
+
+
+def coo_adjacency(nav) -> tuple[csr_matrix, np.ndarray]:
+    """The former ``Navigator`` graph build: one COO triple per admissible
+    move, which scipy converts to CSR by sorting each row and summing
+    duplicates, and csgraph's connected components of that graph as an
+    int32 label grid (-1 on blocked cells)."""
+    rows_i, cols_i, data = [], [], []
+    node = nav._node_of
+    for src, dst, ok, weight in nav._moves():
+        src_nodes = node[src][ok]
+        rows_i.append(src_nodes)
+        cols_i.append(node[dst][ok])
+        data.append(np.full(len(src_nodes), weight))
+    n = len(nav._cell_of_node)
+    adjacency = csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows_i), np.concatenate(cols_i))),
+        shape=(n, n),
+    )
+    _, node_labels = connected_components(adjacency, directed=False)
+    labels = np.full(nav.grid.shape, -1, dtype=np.int32)
+    labels.ravel()[nav._cell_of_node] = node_labels
+    return adjacency, labels
 
 
 def scalar_field_path(nav, far, source) -> MotionPlan:

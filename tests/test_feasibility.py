@@ -552,6 +552,19 @@ def test_feasibility_params_accept_numpy_int_trials():
     assert FeasibilityParams(trials_per_cell=np.int64(3)) == FeasibilityParams(trials_per_cell=3)
 
 
+def test_equal_params_share_a_stored_map():
+    """Params hash once, when built, and equal params hash alike, so a
+    fresh but equal params object hits the map stored under another."""
+    scene = make_scene(1, "easy", 42)
+    location = location_by_id(scene, "dining/south")
+    first = FeasibilityParams(trials_per_cell=np.int64(2), nav_sigma_xy=0.05)
+    again = FeasibilityParams(trials_per_cell=2, nav_sigma_xy=0.05)
+    assert hash(first) == hash(again) != hash(FeasibilityParams(trials_per_cell=2))
+    fmap = compute_feasibility_map(scene, location, _dining_target(scene), first)
+    assert compute_feasibility_map(scene, location, _dining_target(scene), again) is fmap
+    assert len(navigator_for(scene).maps) == 1
+
+
 def test_disabled_debug_line_reads_nothing(monkeypatch, caplog):
     """A computed map's debug line, with the map's mean and max, is built
     only when DEBUG is on for the module's logger."""

@@ -1,7 +1,9 @@
+import re
 import time
 
 import pytest
 import requests
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from momaplan import cli
@@ -251,6 +253,49 @@ def test_scripted_backend_replay():
     assert backend.complete("hello", 9) == "second"  # last entry repeats
     with pytest.raises(KeyError, match="no scripted response"):
         backend.complete("unknown prompt")
+
+
+BUNDLED_SCRIPTS = sorted(bundled_script_path(1).parent.glob("task*.yaml"))
+
+
+@pytest.mark.parametrize("path", BUNDLED_SCRIPTS, ids=lambda path: path.stem)
+def test_bundled_script_parses_alike_under_both_loaders(path):
+    text = path.read_text(encoding="utf-8")
+    expected = yaml.safe_load(text)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+    assert ScriptedBackend.from_yaml(path).responses == expected["responses"]
+
+
+def test_every_task_has_a_bundled_script():
+    assert [path.stem for path in BUNDLED_SCRIPTS] == [f"task{n}" for n in range(1, 10)]
+
+
+def test_scripts_load_without_libyaml(monkeypatch):
+    """Where PyYAML was built without libyaml, ``from_yaml`` falls back to
+    the pure-Python safe loader and reads the same script."""
+    path = bundled_script_path(4)
+    expected = ScriptedBackend.from_yaml(path).responses
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    backend = ScriptedBackend.from_yaml(path)
+    assert backend.responses == expected
+    assert generate_goal(["fruit_bowl", "mug", "strawberry"], backend).attempts == 2
+
+
+@pytest.mark.parametrize("text", [
+    "responses: [first, second]\n",
+    "responses: just one reply\n",
+    "responses:\n",
+    "format_version: 1\n",
+    "- responses\n",
+])
+def test_malformed_script_is_rejected_at_load(tmp_path, text):
+    """A script without a ``responses`` mapping fails when it is loaded,
+    with the path in the message, not with a bare TypeError on the first
+    prompt."""
+    path = tmp_path / "script.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected a mapping")):
+        ScriptedBackend.from_yaml(path)
 
 
 def test_generate_goal_task1(goal1):

@@ -20,7 +20,7 @@ from momaplan.motion import (
 from momaplan.planning import Router
 from momaplan.world import OccupancyGrid, symbolic_locations
 
-from oracles import dijkstra_counts, disc_hits_rect, scalar_field_path
+from oracles import coo_adjacency, dijkstra_counts, disc_hits_rect, scalar_field_path
 
 SQRT2 = math.sqrt(2.0)
 
@@ -257,6 +257,48 @@ def test_adjacency_is_symmetric_so_directed_fields_are_exact():
         assert (nav._adjacency != nav._adjacency.T).nnz == 0
         for source in sources:
             assert np.array_equal(nav.cost_field(source), _undirected_field(nav, source))
+
+
+def assert_graph_is_the_coo_build(nav: Navigator) -> None:
+    """The navigator's CSR arrays and component labels equal the COO
+    build's exactly, dtypes included."""
+    adjacency, labels = coo_adjacency(nav)
+    assert nav._adjacency.shape == adjacency.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(nav._adjacency, name), getattr(adjacency, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert nav._labels.dtype == labels.dtype and np.array_equal(nav._labels, labels)
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_graph_is_the_coo_build_on_every_task(environment):
+    for task in range(1, 10):
+        assert_graph_is_the_coo_build(Navigator(make_scene(task, environment, 42)))
+
+
+def test_graph_is_the_coo_build_on_acceptance_grids():
+    """Acceptance 4's 50 grids (same draws), inflated by 0, 0.1 and 0.15."""
+    for nav, _, _ in _acceptance_grids():
+        assert_graph_is_the_coo_build(nav)
+        for radius in (0.1, 0.15):
+            assert_graph_is_the_coo_build(Navigator.from_grid(nav.grid, radius))
+
+
+def test_graph_of_a_grid_with_no_free_cell():
+    nav = Navigator.from_grid(grid_from(np.ones((4, 5), dtype=bool)))
+    assert nav._adjacency.shape == (0, 0)
+    assert (nav._labels == -1).all()
+    assert_graph_is_the_coo_build(nav)
+
+
+def test_cells_touching_only_diagonally_are_separate_components():
+    """(0, 0) and (1, 1) touch at a corner whose two straight detours are
+    blocked: no edge joins them, so grid labelling and the graph agree that
+    they are two components, numbered in raster order."""
+    nav = Navigator.from_grid(grid_from([[False, True, True], [True, False, False]]))
+    assert nav._adjacency.nnz == 2
+    assert nav._labels.tolist() == [[0, -1, -1], [-1, 1, 1]]
+    assert_graph_is_the_coo_build(nav)
 
 
 def test_cost_field_cached_and_readonly():
