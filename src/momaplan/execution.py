@@ -20,8 +20,21 @@ between calls, so that call's values, and the state it leaves, are those of
 one call per arrival. A run that stops early restores the state saved
 before the call and redraws the normals of the arrivals it reached, so
 every outcome and generator state stays exactly that of per-arrival draws.
-Collision and reach tests are scalar loops over stored ``Rect`` bounds with
-exact far-rectangle early-outs.
+
+Most arrivals pass with one comparison. Each ``PlanStep`` carries
+free-space radii fixed when it was routed: the load pose's clearance from
+every solid rectangle, and the unload pose's clearance lowered to its
+nominal reach line's distance from every reach blocker, with the unload
+pose's distance to its target. An arrival offset ``o`` from its stand,
+with ``|o|`` below the stage's radius less ``EARLY_OUT_SLACK`` (for
+unloading, also below the reach radius less that distance), passes the
+stage without a test. The disc centered at the arrival lies within ``|o|``
+of the stand's, and each point of the perturbed reach line lies within
+``|o|`` of the nominal line (point t moves by ``(1 - t) o``), so no test
+could fail there, and the slack absorbs rounding. Every other arrival runs
+the full collision and reach tests, scalar loops over stored ``Rect``
+bounds with exact far-rectangle early-outs. Outcomes and generator states
+are those of the full tests on every arrival.
 """
 from __future__ import annotations
 
@@ -32,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feasibility import FeasibilityParams
-from .geometry import segment_hits_rect
+from .geometry import EARLY_OUT_SLACK, segment_hits_rect
 from .motion import robot_collides
 from .planning import MANIPULATION_COST, SelectedPlan
 from .relations import ALIGNMENT_TOL, PlacementAtom, satisfied_atoms
@@ -86,7 +99,9 @@ def execute_plan(
 
     Costs accrue per traveled leg plus a fixed charge per completed
     manipulation; a run that finishes therefore costs exactly the plan's
-    planned cost.
+    planned cost. A plan is replayed in the scene it was routed in: its
+    leg costs, paths and free-space radii are that scene's, and a radius
+    taken to another scene could pass an arrival that collides there.
     """
     params = params or FeasibilityParams()
     steps = plan.steps
@@ -99,26 +114,36 @@ def execute_plan(
     delivered = 0
     kind: str | None = None
     stage: str | None = None
+    reach, slack = params.reach_radius, EARLY_OUT_SLACK
     for step, lx, ly, _, ux, uy, _ in zip(steps, *[noise] * 6):
         # Leg to the loading spot. numpy's normal(loc, scale) is
         # loc + scale * standard_normal, hence the 0.0 + s * z offsets.
+        # An arrival inside the stage's radius, less the slack, passes its
+        # tests without running them.
         cost += step.leg_to_load
-        pose = step.load_pose
-        if robot_collides(scene, pose.x + (0.0 + s * lx), pose.y + (0.0 + s * ly)):
-            kind, stage = NAVIGATION, "load"
-            break
+        ox, oy = 0.0 + s * lx, 0.0 + s * ly
+        r = step.load_clearance - slack
+        if not (r > 0.0 and ox * ox + oy * oy < r * r):
+            pose = step.load_pose
+            if robot_collides(scene, pose.x + ox, pose.y + oy):
+                kind, stage = NAVIGATION, "load"
+                break
         # Loading itself is not modeled as failable.
         cost += MANIPULATION_COST
 
         cost += step.leg_to_unload
-        pose = step.unload_pose
-        arrival = pose.x + (0.0 + s * ux), pose.y + (0.0 + s * uy)
-        if robot_collides(scene, *arrival):
-            kind, stage = NAVIGATION, "unload"
-            break
-        if not _reach_clear(scene, arrival, step.target_world, step.target_table, params):
-            kind, stage = MANIPULATION, "unload"
-            break
+        ox, oy = 0.0 + s * ux, 0.0 + s * uy
+        r, within = step.unload_clearance, reach - step.reach_distance
+        r = (r if r < within else within) - slack
+        if not (r > 0.0 and ox * ox + oy * oy < r * r):
+            pose = step.unload_pose
+            arrival = pose.x + ox, pose.y + oy
+            if robot_collides(scene, *arrival):
+                kind, stage = NAVIGATION, "unload"
+                break
+            if not _reach_clear(scene, arrival, step.target_world, step.target_table, params):
+                kind, stage = MANIPULATION, "unload"
+                break
         cost += MANIPULATION_COST
         delivered += 1
 

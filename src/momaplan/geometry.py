@@ -109,6 +109,52 @@ def segment_hits_rect(p0: tuple[float, float], p1: tuple[float, float], rect: Re
     return True
 
 
+def segment_rect_distance(p0: tuple[float, float], p1: tuple[float, float], rect: Rect) -> float:
+    """Euclidean distance between the closed segment p0-p1 and the rect:
+    exactly 0.0 when ``segment_hits_rect`` holds. A segment that misses a
+    convex polygon is nearest it at one of its endpoints or at one of the
+    polygon's corners, so the least of those distances is the answer. A
+    corner whose projection onto the line falls outside the segment is
+    nearest an endpoint, which is nearer the rect still, so only corners
+    projecting inside are measured."""
+    if segment_hits_rect(p0, p1, rect):
+        return 0.0
+    (x0, y0), (x1, y1) = p0, p1
+    best = min(rect.distance_to(x0, y0), rect.distance_to(x1, y1))
+    dx, dy = x1 - x0, y1 - y0
+    length2 = dx * dx + dy * dy
+    if length2 > 0.0:
+        for cx in (rect.x_min, rect.x_max):
+            for cy in (rect.y_min, rect.y_max):
+                t = ((cx - x0) * dx + (cy - y0) * dy) / length2
+                if 0.0 < t < 1.0:
+                    d = math.hypot(x0 + t * dx - cx, y0 + t * dy - cy)
+                    if d < best:
+                        best = d
+    return best
+
+
+def segment_clearance(
+    p0: tuple[float, float], p1: tuple[float, float], rects: tuple[Rect, ...], radius: float
+) -> float:
+    """The least of ``radius`` and the segment p0-p1's distance to each of
+    ``rects``. A rect's distance to the segment's bounding box is a lower
+    bound of its distance to the segment, so the exact distance is computed
+    only where that bound is below the least so far."""
+    (x0, y0), (x1, y1) = p0, p1
+    x_lo, x_hi = (x0, x1) if x0 <= x1 else (x1, x0)
+    y_lo, y_hi = (y0, y1) if y0 <= y1 else (y1, y0)
+    for rect in rects:
+        # The box's gap to the rect along each axis, at least 0.0.
+        gx = max(rect.x_min - x_hi, x_lo - rect.x_max, 0.0)
+        gy = max(rect.y_min - y_hi, y_lo - rect.y_max, 0.0)
+        if gx < radius and gy < radius and math.hypot(gx, gy) < radius:
+            d = segment_rect_distance(p0, p1, rect)
+            if d < radius:
+                radius = d
+    return radius
+
+
 def segments_hit_rect(starts: np.ndarray, end: tuple[float, float], rect: Rect) -> np.ndarray:
     """Vectorized variant of segment_hits_rect for (n, 2) start points and a
     shared end point."""

@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass, field
 from importlib.resources import files
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import requests
 import yaml
 
 from .relations import (
@@ -33,6 +33,9 @@ from .relations import (
     PlacementAtom,
     check_consistency,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -183,6 +186,9 @@ class HttpChatBackend:
         timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
+        # Imported here, by the only user, so importing the package does
+        # not load the HTTP stack.
+        import requests
         self.base_url = (base_url or os.environ.get("MOMAPLAN_API_BASE", "")).rstrip("/")
         if not self.base_url:
             raise ValueError("no API base url; set MOMAPLAN_API_BASE or pass base_url")
@@ -205,6 +211,8 @@ class HttpChatBackend:
             "frequency_penalty": 0.0,
         }
         url = f"{self.base_url}/v1/chat/completions"
+        import requests
+
         try:
             resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
             resp.raise_for_status()

@@ -33,6 +33,15 @@ descent table), so no A* runs while planning (A* is the reference
 acceptance 4 checks), and the winner's cost and utility are recomputed
 from its paths.
 
+``route`` also fixes each step's free-space radii, which let execution
+pass an arrival near its stand without a collision or reach test: the
+load and unload poses' clearances from solid furniture, the unload pose's
+lowered to its reach line's distance from each reach blocker, and the
+unload pose's distance to its target. Pose clearances are read off an
+array each ``BandIndex`` computes in one pass when it is built. A reach
+blocker gets an exact ``geometry.segment_rect_distance`` only when the
+reach line's bounding box lies nearer it than the radius so far.
+
 Standing spots are frozen deterministically: the unloading spot for a given
 (configuration, object, side) triple is one probability-weighted draw from
 the feasibility map, seeded from the scene seed, so re-planning reproduces
@@ -61,6 +70,7 @@ from .feasibility import (
     pcg64_states,
     task_feasibility,
 )
+from .geometry import segment_clearance
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for
 from .relations import ON_TOP_OF, PlacementAtom
@@ -111,6 +121,15 @@ class PlanStep:
     leg_to_unload: float
     path_to_load: MotionPlan | None  # None when the robot already stands there
     path_to_unload: MotionPlan
+    # Free-space radii fixed at routing, in the scene the step was routed
+    # in. A robot disc centered within ``load_clearance`` of the load pose
+    # touches no solid rectangle; within ``unload_clearance`` of the unload
+    # pose it touches none either, and its reach line to ``target_world``
+    # crosses no reach blocker. ``reach_distance`` is the unload pose's
+    # distance to ``target_world``. The defaults give no radius at all.
+    load_clearance: float = 0.0
+    unload_clearance: float = 0.0
+    reach_distance: float = math.inf
 
 
 @dataclass
@@ -171,9 +190,14 @@ class BandIndex:
     cell's position in them is its band index. ``centers`` holds the
     locations' cell centers, ``cells`` the flat grid index of each center,
     and a cell is usable when ``Navigator.reachable_at`` holds at its
-    center."""
+    center.
 
-    def __init__(self, nav: Navigator, locations: list[SymbolicLocation]):
+    ``clearance`` holds each center's free-space radius in ``scene``: its
+    distance to the nearest solid rectangle minus the robot radius, so a
+    robot disc centered within it of the center touches no furniture.
+    """
+
+    def __init__(self, nav: Navigator, locations: list[SymbolicLocation], scene: SceneState):
         self.locations = locations
         sizes = [loc.dims[0] * loc.dims[1] for loc in locations]
         self._offset = dict(zip((loc.id for loc in locations), np.cumsum([0] + sizes).tolist()))
@@ -182,6 +206,11 @@ class BandIndex:
         self.owner = np.repeat(np.arange(len(locations)), sizes)
         self.cells = nav.flat_cells(self.centers)
         self.usable = nav.reachable_at(self.centers)
+        bounds = np.array([(r.x_min, r.x_max, r.y_min, r.y_max) for r in scene.solid_rects()])
+        x, y = self.centers[:, :1], self.centers[:, 1:]
+        dx = np.maximum(np.maximum(bounds[:, 0] - x, x - bounds[:, 1]), 0.0)
+        dy = np.maximum(np.maximum(bounds[:, 2] - y, y - bounds[:, 3]), 0.0)
+        self.clearance = np.hypot(dx, dy).min(axis=1) - scene.robot_radius
 
     def index(self, location: SymbolicLocation, cell: Cell) -> int:
         """Band index of ``cell`` of ``location``, one of this band's."""
@@ -227,7 +256,8 @@ class Router:
     def band(self, table_id: str) -> BandIndex:
         """The band index of ``table_id``, built once per scene."""
         if table_id not in self.nav.bands:
-            self.nav.bands[table_id] = BandIndex(self.nav, symbolic_locations(self.scene, table_id))
+            self.nav.bands[table_id] = BandIndex(
+                self.nav, symbolic_locations(self.scene, table_id), self.scene)
         return self.nav.bands[table_id]
 
     def loading_stands(self, source: str, table: str) -> np.ndarray:
@@ -289,15 +319,18 @@ class Router:
         routed = int(np.argmin(np.append(connects, False)))  # the first cut, or len
         stage = None if routed == len(stands) else "load" if loads[routed] < 0 else "unload"
         width = self.nav.grid.shape[1]
+        blockers = self.scene.reach_blockers(table)
         prev_cell = self.nav.start_cell
         steps: list[PlanStep] = []
         for k, obj in enumerate(objects[:routed]):
             source, stand = self.source[obj], int(stands[k])
             load_cell = divmod(int(load_cells[k]), width)
             unload_cell = divmod(int(band.cells[stand]), width)
-            x, y = self.band(source).centers[loads[k]].tolist()
+            load_band = self.band(source)
+            x, y = load_band.centers[loads[k]].tolist()
             ox, oy = self.scene.start_positions[obj]
             ux, uy = band.centers[stand].tolist()
+            tx, ty = map(float, targets[k])  # configurations may hold numpy floats
             to_load = self.nav.field_path(prev_cell, load_cell) if prev_cell != load_cell else None
             to_unload = self.nav.field_path(unload_cell, load_cell)
             steps.append(
@@ -308,7 +341,7 @@ class Router:
                     load_cell=load_cell,
                     unload_location=band.locations[band.owner[stand]].id,
                     target_table=table,
-                    unload_pose=Pose2D(ux, uy, math.atan2(targets[k][1] - uy, targets[k][0] - ux)),
+                    unload_pose=Pose2D(ux, uy, math.atan2(ty - uy, tx - ux)),
                     unload_cell=unload_cell,
                     target_world=targets[k],
                     target_layer=layers[k],
@@ -318,6 +351,10 @@ class Router:
                     leg_to_unload=to_unload.cost,
                     path_to_load=to_load,
                     path_to_unload=replace(to_unload, cells=to_unload.cells[::-1]),
+                    load_clearance=load_band.clearance.item(loads[k]),
+                    unload_clearance=segment_clearance(
+                        (ux, uy), (tx, ty), blockers, band.clearance.item(stand)),
+                    reach_distance=math.hypot(tx - ux, ty - uy),
                 )
             )
             prev_cell = unload_cell

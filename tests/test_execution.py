@@ -1,20 +1,32 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 
+from momaplan import execution, harness
 from momaplan.execution import (
     MANIPULATION,
     NAVIGATION,
+    _reach_clear,
     execute_plan,
     relation_satisfaction,
     verify_goal,
 )
 from momaplan.feasibility import FeasibilityParams
+from momaplan.geometry import segment_rect_distance
 from momaplan.goalgen import generate_goal
 from momaplan.grounding import GroundingParams, sample_configurations
-from momaplan.harness import OBJECT_CATALOG, TASK_OBJECTS, make_scene, scripted_backend_for_task
+from momaplan.harness import (
+    ENVIRONMENTS,
+    OBJECT_CATALOG,
+    TASK_OBJECTS,
+    ExperimentConfig,
+    make_scene,
+    scripted_backend_for_task,
+)
+from momaplan.motion import robot_collides
 from momaplan.planning import PlanningParams, plan_task
 from momaplan.relations import PlacementAtom
 
@@ -303,3 +315,81 @@ def test_every_stop_point_leaves_the_oracle_state(bit_generator):
         if step > 0
     }
     assert late == {("load", NAVIGATION), ("unload", NAVIGATION), ("unload", MANIPULATION)}
+
+
+@functools.cache
+def _system_plans(task: int, environment: str):
+    """The scene and each system's plan of trial 0 (a baseline's may be cut
+    short at routing)."""
+    scene = make_scene(task, environment, seed=42)
+    goal = generate_goal(list(TASK_OBJECTS[task]), scripted_backend_for_task(task))
+    config = ExperimentConfig(task=task, environment=environment, configurations=2,
+                              feasibility=FAST_FEA)
+    return scene, [
+        harness._plan_llm_grop(scene, goal, config, 0)[0],
+        harness._plan_latp(scene, goal, config, 0)[0],
+        harness._plan_tpra(scene, config, 0)[0],
+        harness._plan_grop(scene, config, 0)[0],
+    ]
+
+
+@pytest.mark.parametrize("task", [1, 8, 9])
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_free_space_radii_are_exact_and_conservative(task, environment):
+    """Every step's radii are the exact distances they name, and arrivals
+    at 1e-8 inside a stage's fast-path radius, in 64 directions, pass that
+    stage's full tests: no collision, and for unloading a clear reach line
+    within reach, at reach radius 0.8 and 0.5."""
+    scene, plans = _system_plans(task, environment)
+    directions = [(math.cos(a), math.sin(a)) for a in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)]
+    checked = 0
+    for step in (step for plan in plans for step in plan.steps):
+        load, unload, target = step.load_pose, step.unload_pose, step.target_world
+        assert step.load_clearance == pytest.approx(
+            min(r.distance_to(load.x, load.y) for r in scene.solid_rects()) - scene.robot_radius,
+            abs=1e-12)
+        line = min(segment_rect_distance(unload.xy, target, r)
+                   for r in scene.reach_blockers(step.target_table))
+        assert step.unload_clearance == pytest.approx(min(
+            min(r.distance_to(unload.x, unload.y) for r in scene.solid_rects()) - scene.robot_radius,
+            line), abs=1e-12)
+        assert step.reach_distance == math.dist(unload.xy, target)
+        for reach_radius in (0.8, 0.5):
+            params = FeasibilityParams(reach_radius=reach_radius)
+            for pose, radius, reaches in (
+                (load, step.load_clearance, False),
+                (unload, min(step.unload_clearance, reach_radius - step.reach_distance), True),
+            ):
+                if radius <= 1e-8:
+                    continue
+                d = radius - 1e-8
+                for cx, cy in directions:
+                    arrival = (pose.x + d * cx, pose.y + d * cy)
+                    assert not robot_collides(scene, *arrival), (step, arrival)
+                    if reaches:
+                        assert _reach_clear(scene, arrival, target, step.target_table, params)
+                    checked += 1
+    assert checked >= 64 * len(plans), "too few stages have a positive radius"
+
+
+def test_clear_arrivals_skip_the_collision_test(monkeypatch):
+    """At sigma 0.01 on task 1 / easy, at least 90% of arrivals lie inside
+    their stage's radius and never reach ``robot_collides``."""
+    scene, plan, params = _replay_plan(1, "easy", 0.01)
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return robot_collides(*args)
+
+    monkeypatch.setattr(execution, "robot_collides", counting)
+    rng = np.random.default_rng(0)
+    arrivals = 0
+    for _ in range(500):
+        result = execute_plan(scene, plan, rng, params)
+        if result.success:
+            arrivals += 2 * len(plan.steps)
+        else:
+            arrivals += 2 * result.objects_delivered + (1 if result.failed_stage == "load" else 2)
+    assert calls <= 0.1 * arrivals, (calls, arrivals)

@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from momaplan.geometry import (
     Rect,
     disc_hits_rect_batch,
+    segment_clearance,
     segment_hits_rect,
+    segment_rect_distance,
     segments_hit_rect,
     wrap_angle,
 )
@@ -287,3 +289,73 @@ def test_segment_hits_rect_matches_the_slab_test_at_drawn_segments(data):
         st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
     ))
     assert segment_hits_rect(p0, p1, rect) == slab_segment_hits_rect(p0, p1, rect)
+
+
+# ---------------------------------------------------------------------------
+# Segment-to-rectangle distance against dense sampling along the segment.
+
+coordinate = st.floats(-2.0, 2.0)
+extent = st.floats(0.01, 1.0)
+
+
+@st.composite
+def segments_near(draw, rect):
+    """A segment near ``rect``: free, touching it at an edge point or a
+    corner, zero-length, or parallel to an axis."""
+    point = st.tuples(coordinate, coordinate)
+    on_edge = st.tuples(st.floats(0.0, 1.0), st.sampled_from(("x", "y")), st.booleans()).map(
+        lambda e: (rect.x_min + e[0] * 2 * rect.hx, rect.y_max if e[2] else rect.y_min)
+        if e[1] == "x" else (rect.x_max if e[2] else rect.x_min, rect.y_min + e[0] * 2 * rect.hy))
+    corner = st.sampled_from([(x, y) for x in (rect.x_min, rect.x_max)
+                              for y in (rect.y_min, rect.y_max)])
+    p0 = draw(st.one_of(point, on_edge, corner))
+    length = st.floats(-3.0, 3.0)
+    p1 = draw(st.one_of(
+        point,
+        st.just(p0),
+        length.map(lambda d: (p0[0] + d, p0[1])),
+        length.map(lambda d: (p0[0], p0[1] + d)),
+    ))
+    return p0, p1
+
+
+def test_segment_rect_distance_examples():
+    rect = Rect(0.0, 0.0, 1.0, 1.0)
+    assert segment_rect_distance((-2.0, 0.0), (2.0, 0.0), rect) == 0.0  # through
+    assert segment_rect_distance((-2.0, 1.0), (2.0, 1.0), rect) == 0.0  # along an edge
+    assert segment_rect_distance((2.0, 2.0), (2.0, 2.0), rect) == pytest.approx(math.sqrt(2.0))
+    assert segment_rect_distance((-2.0, 1.5), (2.0, 1.5), rect) == pytest.approx(0.5)
+    # Both endpoints lie sqrt(4.25) away; the corner (-1, 1) lies nearer the middle.
+    assert segment_rect_distance((-3.0, 1.5), (1.5, 3.0), rect) == pytest.approx(0.35 * math.sqrt(10.0))
+
+
+@given(data=st.data())
+def test_segment_rect_distance_matches_dense_sampling(data):
+    """Exactly 0.0 on a hit; otherwise never above the distance of 2001
+    points spaced evenly along the segment (each an upper bound) and
+    within one spacing of it, since distance to a rect is 1-Lipschitz."""
+    rect = Rect(data.draw(coordinate), data.draw(coordinate), data.draw(extent), data.draw(extent))
+    p0, p1 = data.draw(segments_near(rect))
+    exact = segment_rect_distance(p0, p1, rect)
+    if segment_hits_rect(p0, p1, rect):
+        assert exact == 0.0
+    t = np.linspace(0.0, 1.0, 2001)[:, None]
+    points = np.asarray(p0) + t * (np.asarray(p1) - np.asarray(p0))
+    dx = np.maximum(np.maximum(rect.x_min - points[:, 0], points[:, 0] - rect.x_max), 0.0)
+    dy = np.maximum(np.maximum(rect.y_min - points[:, 1], points[:, 1] - rect.y_max), 0.0)
+    sampled = float(np.hypot(dx, dy).min())
+    spacing = math.dist(p0, p1) / 2000
+    assert exact <= sampled + 1e-12
+    assert sampled - exact <= spacing + 1e-12
+
+
+@given(data=st.data())
+def test_segment_clearance_is_the_least_distance(data):
+    """The bounding-box prefilter skips only rects that cannot lower the
+    answer, so it equals the plain minimum bit for bit."""
+    rects = data.draw(st.lists(
+        st.builds(Rect, coordinate, coordinate, extent, extent), max_size=6))
+    p0, p1 = data.draw(segments_near(Rect(0.0, 0.0, 0.5, 0.5)))
+    radius = data.draw(st.floats(-1.0, 4.0) | st.just(math.inf))
+    expected = min([radius, *(segment_rect_distance(p0, p1, rect) for rect in rects)])
+    assert segment_clearance(p0, p1, tuple(rects), radius) == expected

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -379,6 +382,15 @@ FAILING_SESSIONS = {
     "connection": FakeSession(error=requests.ConnectionError("connection refused")),
     "not_json": FakeSession(body=b"<html>gateway</html>"),
 }
+
+
+def test_importing_the_package_does_not_load_requests():
+    """Only ``HttpChatBackend`` uses the HTTP stack, and imports it itself."""
+    code = "import sys, momaplan, momaplan.harness, momaplan.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_http_backend_returns_completion_text():

@@ -693,7 +693,7 @@ def test_batched_nearest_free_equals_one_point_rule(environment):
         assert centers_at(band, band.nearest_free(points)) == [
             nearest_usable_center(band, p) for p in points
         ]
-    unusable = BandIndex(Navigator.from_grid(scene.grid), bands[0].locations)
+    unusable = BandIndex(Navigator.from_grid(scene.grid), bands[0].locations, scene)
     assert centers_at(unusable, unusable.nearest_free(points[:3])) == [None] * 3
 
 
