@@ -11,10 +11,10 @@ probability estimated by repeated simulated trials. A trial succeeds when
   unload point and the straight reach line crosses nothing except the
   table being loaded.
 
-The per-cell trial noise comes from a seed sequence derived from the scene
-seed, the location, the unload point and the trial parameters, with one
-child stream per cell. Recomputing a map for the same inputs therefore
-reproduces it bit for bit, and cells are statistically independent. Maps
+The per-cell trial noise comes from entropy words derived from the scene
+seed, the location, the unload point and the trial parameters, split into
+uint32 words once per map; each cell seeds its own child stream from them.
+The same inputs reproduce a map bit for bit, and cells are independent. Maps
 are kept with the scene's navigator (``motion.navigator_for``), under its
 bound of eight scenes, keyed by location, exact unload point and
 parameters, so two unload points share a map only when they are equal.
@@ -301,7 +301,8 @@ def trial_outcomes(
 
     Cells that are blocked or off the robot's start component
     (``Navigator.reachable_at``) fail every trial and draw nothing; every
-    other cell draws its arrivals from its own (row, col) stream.
+    other cell draws its arrivals from its own (row, col) stream, seeded
+    from the map's entropy words split into uint32 words once per map.
     """
     params = params or FeasibilityParams()
     rows, cols = location.dims
@@ -310,12 +311,11 @@ def trial_outcomes(
     centers = location.cell_centers().reshape(-1, 2)
     cells = np.flatnonzero(navigator_for(scene).reachable_at(centers))
 
-    root = np.random.SeedSequence(
-        _entropy_words(scene.rng_seed, location.id, target, params)
-    )
+    words = np.array(_uint32_words(_entropy_words(scene.rng_seed, location.id, target, params)),
+                     dtype=np.uint32)
     noise = np.empty((len(cells), n, 2))
     for k, index in enumerate(cells):
-        child = np.random.SeedSequence(entropy=root.entropy, spawn_key=divmod(int(index), cols))
+        child = np.random.SeedSequence(entropy=words, spawn_key=divmod(int(index), cols))
         rng = np.random.Generator(np.random.PCG64(child))
         noise[k] = rng.normal(0.0, params.nav_sigma_xy, size=(n, 2))
     arrivals = (centers[cells, None, :] + noise).reshape(-1, 2)

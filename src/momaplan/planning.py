@@ -265,12 +265,12 @@ class Router:
         band index in ``source``'s band of the loading stand after each band
         cell of ``table``, then after the robot's start (the last entry);
         -1 where no cell of ``source``'s band is usable. Built whole on
-        first use, in distance passes of at most 256 points."""
+        first use, in distance passes of at most 64 points."""
         stands = self.nav.stands.get((table, source))
         if stands is None:
             points = np.concatenate((self.band(table).centers, [self.scene.robot_pose.xy]))
             nearest = self.band(source).nearest_free
-            stands = np.concatenate([nearest(points[i:i + 256]) for i in range(0, len(points), 256)])
+            stands = np.concatenate([nearest(points[i:i + 64]) for i in range(0, len(points), 64)])
             stands.setflags(write=False)
             self.nav.stands[(table, source)] = stands
         return stands

@@ -504,15 +504,16 @@ def noise_success_probability(
     sigma: float,
     half_width_sigmas: float = 4.5,
     grid_points: int = 161,
-    segment_samples: int = 129,
 ) -> float:
     """Probability that a Gaussian-perturbed arrival around `center` keeps
     the robot disc clear of every rect, lands within arm's reach of
     `target`, and sees `target` along a line crossing no blocking rect.
 
     Dense tensor-grid integration over the arrival noise. The line-of-reach
-    test samples points along the segment instead of clipping it, so even
-    the geometric predicates are encoded differently from the package.
+    test is exact but encoded differently from the package's slab clip: a
+    segment meets a rectangle when an endpoint lies inside it or the
+    segment meets one of its four edges by orientation tests, touching
+    counted as a hit.
     """
     offsets = np.linspace(-half_width_sigmas * sigma, half_width_sigmas * sigma, grid_points)
     pdf = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -529,20 +530,40 @@ def noise_success_probability(
     ok &= np.sqrt((x - target[0]) ** 2 + (y - target[1]) ** 2) <= reach_radius
     if not ok.any():
         return 0.0
-    if not blocking_rects:
-        return float(weights[ok].sum())
-
-    ts = np.linspace(0.0, 1.0, segment_samples)
-    px = x[ok][:, None] * (1.0 - ts) + target[0] * ts
-    py = y[ok][:, None] * (1.0 - ts) + target[1] * ts
-    clear = np.ones(px.shape[0], dtype=bool)
+    px, py = x[ok], y[ok]
+    clear = np.ones(px.shape, dtype=bool)
     for rect in blocking_rects:
-        inside = (
-            (rect.x_min <= px) & (px <= rect.x_max)
-            & (rect.y_min <= py) & (py <= rect.y_max)
-        )
-        clear &= ~inside.any(axis=1)
+        clear &= ~_segments_meet_rect(px, py, target, rect)
     return float((weights[ok] * clear).sum())
+
+
+def _orientation(ax, ay, bx, by, cx, cy):
+    """Sign of the turn a -> b -> c: 1 left, -1 right, 0 collinear."""
+    return np.sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+
+
+def _segments_meet_rect(px, py, target, rect) -> np.ndarray:
+    """Whether each closed segment (px, py) -> target meets the closed rect."""
+    tx, ty = target
+    hit = np.zeros(px.shape, dtype=bool)
+    for ex, ey in ((px, py), (tx, ty)):
+        hit |= (rect.x_min <= ex) & (ex <= rect.x_max) & (rect.y_min <= ey) & (ey <= rect.y_max)
+    corners = [(rect.x_min, rect.y_min), (rect.x_max, rect.y_min),
+               (rect.x_max, rect.y_max), (rect.x_min, rect.y_max)]
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        # Two closed segments meet when each one's ends do not lie strictly
+        # on one side of the other, and, for collinear ones, their bounding
+        # boxes overlap.
+        straddles = (
+            (_orientation(px, py, tx, ty, ax, ay) * _orientation(px, py, tx, ty, bx, by) <= 0)
+            & (_orientation(ax, ay, bx, by, px, py) * _orientation(ax, ay, bx, by, tx, ty) <= 0)
+        )
+        overlap = (
+            (np.minimum(px, tx) <= max(ax, bx)) & (min(ax, bx) <= np.maximum(px, tx))
+            & (np.minimum(py, ty) <= max(ay, by)) & (min(ay, by) <= np.maximum(py, ty))
+        )
+        hit |= straddles & overlap
+    return hit
 
 
 def cell_trial_outcomes(scene, location, target, params, row: int, col: int) -> np.ndarray:
