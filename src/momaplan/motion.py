@@ -17,10 +17,11 @@ exactly comparable across independent implementations: optimal step
 counts are unique because sqrt(2) is irrational.
 
 The package routes with ``Navigator.field_path``, which follows a
-per-cell descent table down a cost field, both cached per source, and so
-needs no search beyond the Dijkstra call that priced the leg. ``Navigator.astar`` is the
-reference: acceptance 4 checks it against an independent Dijkstra, and
-the tests check ``field_path``'s step counts against both.
+per-source descent table down a cost field its caller holds for one
+planning call, so needs no search beyond the Dijkstra call that priced
+the leg. ``Navigator.astar`` is the reference: acceptance 4 checks it
+against an independent Dijkstra, and the tests check ``field_path``'s
+step counts against both.
 """
 from __future__ import annotations
 
@@ -107,18 +108,17 @@ class Navigator:
     """Per-scene navigation state: inflated grid, adjacency, reachability.
 
     Cost fields (single-source shortest path distances over the whole grid)
-    are computed lazily per source cell and cached, so plan enumeration can
-    price thousands of candidate legs that share endpoints.
+    are computed per call and not kept; a routed source keeps its descent
+    table, one byte per grid cell.
 
     A scene's navigator is also its one per-scene store: it records the
     robot's start cell and component, and holds the feasibility ``maps``
     (keyed by location, exact unload point and trial parameters),
-    standing-band indices (``bands``) and loading-stand tables (``stands``,
-    each built whole on first use) other modules memoise for the scene. No
-    answer depends on what was asked before. ``maps`` keeps the
-    ``MAX_MAPS`` most recently used maps; cost fields, descent tables, band
-    indices and stand tables are not bounded within a scene (a stand table
-    holds one int per band cell, a descent table one byte per grid cell).
+    standing-band indices (``bands``), loading-stand tables (``stands``)
+    and leg costs (``legs``), each built whole on first use, that other
+    modules memoise for the scene. No answer depends on what was asked
+    before. ``maps`` keeps the ``MAX_MAPS`` most recently used maps; the
+    other tables are not bounded within a scene.
     """
 
     def __init__(self, scene: SceneState):
@@ -145,7 +145,6 @@ class Navigator:
         self._node_of.ravel()[self._cell_of_node] = np.arange(len(self._cell_of_node))
         self._adjacency = self._build_adjacency()
         self._labels = ndimage.label(self.free, output=np.int32)[0] - np.int32(1)
-        self._fields: dict[Cell, np.ndarray] = {}
         self._descents: dict[Cell, np.ndarray] = {}
         # One tuple per path cell, shared by every path this navigator
         # builds, so plans kept alive do not each hold their own copies.
@@ -153,6 +152,7 @@ class Navigator:
         self.maps: dict = {}
         self.bands: dict = {}
         self.stands: dict = {}
+        self.legs: dict = {}
 
     # -- graph construction
 
@@ -230,10 +230,7 @@ class Navigator:
 
     def cost_field(self, source: Cell) -> np.ndarray:
         """Shortest-path cost from a source cell to every grid cell (inf when
-        unreachable). Cached per source."""
-        field = self._fields.get(source)
-        if field is not None:
-            return field
+        unreachable), read-only. Computed on every call, not kept."""
         if not self.is_free(source):
             field = np.full(self.grid.shape, np.inf)
         else:
@@ -245,22 +242,22 @@ class Navigator:
             field[self._cell_of_node] = dist
             field = field.reshape(self.grid.shape)
         field.setflags(write=False)
-        self._fields[source] = field
         return field
 
-    def field_path(self, far: Cell, source: Cell) -> MotionPlan:
+    def field_path(self, far: Cell, source: Cell, field: np.ndarray | None = None) -> MotionPlan:
         """Optimal path from ``far`` to ``source`` down ``cost_field(source)``,
         read off the field's descent table: per cell, the ``_OFFSETS`` index
         of its step (-1 for none), built once per source in one grid pass per
         offset, in order, where an admissible neighbour's field value plus
         step cost replaces the best so far only when lower by more than
         1e-12. Each field value is its best neighbour's plus one step, so
-        every step descends and the path costs the field value."""
-        field = self.cost_field(source)
-        if not self.grid.in_bounds(far) or math.isinf(field[far]):
+        every step descends and the path costs the field value. A caller
+        holding the source's ``field`` passes it for the table's build."""
+        if not self.same_component(far, source):
             raise MotionError(f"no path from {far} to {source}")
         table = self._descents.get(source)
         if table is None:
+            field = self.cost_field(source) if field is None else field
             best = np.full(self.grid.shape, np.inf)
             table = np.full(self.grid.shape, -1, dtype=np.int8)
             for i, (src, dst, ok, weight) in enumerate(self._moves()):
@@ -342,18 +339,17 @@ class Navigator:
         raise MotionError(f"open set exhausted between {start} and {goal}")
 
 
-# Least recently used first. A navigator holds its scene's cost fields, maps,
-# band indices and stand tables, so the bound caps memory for callers keeping
-# many scenes.
+# Least recently used first. A navigator holds its scene's maps and tables,
+# so the bound caps memory for callers keeping many scenes.
 _NAVIGATORS: "WeakKeyDictionary[SceneState, Navigator]" = WeakKeyDictionary()
 _MAX_NAVIGATORS = 8
 # Feasibility maps kept per navigator, least recently used first. A map is
 # recomputed bit for bit after eviction, so the bound only trades time for
 # memory (about 3 KB a map); it covers the 200 maps a 10-configuration
-# re-plan of five objects reads per call. Cost fields stay unbounded: each
-# is a loading cell's, so the source tables' band cells cap their count
-# (78 to 113 on the benchmark workloads), and dropping a field a plan search
-# still reads repeats a whole-grid Dijkstra pass.
+# re-plan of five objects reads per call. Leg costs stay unbounded: each
+# (table, loading cell) entry holds one float per band cell of the table
+# (about 6 KB), the source tables' band cells cap their count, and dropping
+# one a plan search still reads repeats a whole-grid Dijkstra pass.
 MAX_MAPS = 256
 # Weak references to the most recently used scene and its navigator, so a
 # repeated lookup skips the dictionary without keeping either alive.

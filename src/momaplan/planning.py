@@ -25,13 +25,13 @@ connect. ``plan_task`` builds the candidate table once per goal, keeps
 unload options as arrays (each stand's band index and feasibility) and
 prices all configurations from one leg table over (previous stand, unload
 option) pairs: only pairs some candidate reaches with its earlier legs
-connected, one cost field per distinct loading cell, skipping candidates
-with a leg that does not connect. Only the winner is routed: ``route``
-reads each leg off the loading cell's cached cost field as an explicit
-grid path (``Navigator.field_path``, which follows the field's cached
-descent table), so no A* runs while planning (A* is the reference
-acceptance 4 checks), and the winner's cost and utility are recomputed
-from its paths.
+connected, read off one leg-cost vector per distinct loading cell
+(``Router.leg_costs``), skipping candidates with a leg that does not
+connect. Only the winner is routed: ``route`` reads each leg off the
+loading cell's cost field as an explicit grid path
+(``Navigator.field_path``, which follows the field's cached descent
+table), so no A* runs while planning (A* is the reference acceptance 4
+checks), and the winner's cost and utility are recomputed from its paths.
 
 ``route`` also fixes each step's free-space radii, which let execution
 pass an arrival near its stand without a collision or reach test: the
@@ -240,10 +240,11 @@ class Router:
     first use and kept by the scene's navigator. ``legs`` tells which steps
     connect, for the search's every (previous stand, option) pair and for
     the steps ``route`` routes. Both legs of a step are priced off the
-    loading cell's cached cost field, so the search computes at most one
+    loading cell's ``leg_costs``, so the search computes at most one cost
     field per distinct loading stand; ``route`` then reads the legs of the
-    chosen plan off the same fields as explicit grid paths, with no search
-    of their own, and prices the plan. Cost fields, band indices and stand
+    chosen plan off the descent tables of the fields this router holds
+    (one call's) as explicit grid paths, with no search of their own, and
+    prices the plan. Band indices, stand tables, leg costs and descent
     tables live in the scene's navigator, so every router of a scene shares
     them, and no answer depends on which were asked for before.
     """
@@ -252,6 +253,7 @@ class Router:
         self.scene = scene
         self.nav = navigator_for(scene)
         self.source = {o.id: o.initial_location for o in scene.objects}
+        self._fields: dict[Cell, np.ndarray] = {}
 
     def band(self, table_id: str) -> BandIndex:
         """The band index of ``table_id``, built once per scene."""
@@ -274,6 +276,20 @@ class Router:
             stands.setflags(write=False)
             self.nav.stands[(table, source)] = stands
         return stands
+
+    def leg_costs(self, table: str, cell: Cell) -> np.ndarray:
+        """The scene's leg costs of loading cell ``cell`` toward ``table``:
+        ``cost_field(cell)`` at the center cell of each band cell of
+        ``table``, then at the robot's start (the last entry), read-only.
+        Built on first use; the whole field stays with this router."""
+        costs = self.nav.legs.get((table, cell))
+        if costs is None:
+            self._fields[cell] = field = self.nav.cost_field(cell)
+            start = self.nav.start_cell[0] * self.nav.grid.shape[1] + self.nav.start_cell[1]
+            costs = field.ravel()[np.append(self.band(table).cells, start)]
+            costs.setflags(write=False)
+            self.nav.legs[(table, cell)] = costs
+        return costs
 
     def legs(
         self, table: str, sources: Sequence[str], prev: np.ndarray, stands: np.ndarray
@@ -303,7 +319,7 @@ class Router:
         ``stands[k]`` of ``table`` at ``targets[k]``, facing it, on layer
         ``layers[k]`` with the given feasibilities. Each step loads at the
         stand ``legs`` gives, facing the object, and each leg is read off
-        its loading cell's cached cost field as an explicit grid path.
+        its loading cell's descent table as an explicit grid path.
 
         Returns the steps before the first that does not connect, the
         stage of that cut (``load`` with no loading stand, else ``unload``,
@@ -331,8 +347,10 @@ class Router:
             ox, oy = self.scene.start_positions[obj]
             ux, uy = band.centers[stand].tolist()
             tx, ty = map(float, targets[k])  # configurations may hold numpy floats
-            to_load = self.nav.field_path(prev_cell, load_cell) if prev_cell != load_cell else None
-            to_unload = self.nav.field_path(unload_cell, load_cell)
+            field = self._fields.get(load_cell)
+            to_load = (self.nav.field_path(prev_cell, load_cell, field)
+                       if prev_cell != load_cell else None)
+            to_unload = self.nav.field_path(unload_cell, load_cell, field)
             steps.append(
                 PlanStep(
                     object_id=obj,
@@ -395,18 +413,17 @@ def _price_candidates(
     ``pairs`` codes steps as ``_candidate_table`` does, and ``Router.legs``
     gives every code's loading cell and connectedness. Only codes some
     candidate reaches with its earlier steps connected are priced, each
-    once, with one cost field per distinct loading cell: the fields walking
-    every candidate asks for. Both sums add column by column, so each
-    candidate's equal its steps added one at a time.
+    once, off one ``Router.leg_costs`` vector per distinct loading cell:
+    the cost fields walking every candidate asks for. Both sums add column
+    by column, so each candidate's equal its steps added one at a time.
     """
-    nav = router.nav
     configs, size = stands.shape
     # Each configuration's previous stands: the robot's start, then every option's.
     prev = np.concatenate([np.full((configs, 1), -1), stands], axis=1)
     sources = [router.source[obj] for obj in objects for _ in range(size // len(objects))]
     # load[m, p * size + k]: loading cell of option k after previous stand p.
-    _, load, connects = router.legs(
-        band.locations[0].table_id, sources, prev[:, :, None], stands[:, None, :])
+    table = band.locations[0].table_id
+    _, load, connects = router.legs(table, sources, prev[:, :, None], stands[:, None, :])
     load, connects = load.ravel(), connects.ravel()
 
     width = (size + 1) * size
@@ -424,18 +441,17 @@ def _price_candidates(
     cells = load[asked]
     order = np.argsort(cells, kind="stable")
     asked, cells = asked[order], cells[order]
-    # Flat grid index of each previous stand: the start, then every option's.
-    grid_cols = nav.grid.shape[1]
-    stand_cells = band.cells[prev]
-    stand_cells[:, 0] = nav.start_cell[0] * grid_cols + nav.start_cell[1]
+    # Band index of each leg's previous stand (-1, the leg costs' last
+    # entry, for the start) and of its option's stand.
     m, code = np.divmod(asked, width)
-    prev_at, option_at = stand_cells[m, code // size], stand_cells[m, 1 + code % size]
+    prev_at, option_at = prev[m, code // size], prev[m, 1 + code % size]
     costs = np.empty(len(asked))
-    # Codes sharing a loading cell are priced off its one cost field.
+    # Codes sharing a loading cell are priced off its one leg-cost vector.
+    grid_cols = router.nav.grid.shape[1]
     starts = np.flatnonzero(np.diff(cells, prepend=-1)).tolist()
     for lo, hi in zip(starts, starts[1:] + [len(cells)]):
-        field = nav.cost_field(divmod(int(cells[lo]), grid_cols)).ravel()
-        costs[lo:hi] = field[prev_at[lo:hi]] + field[option_at[lo:hi]]
+        legs = router.leg_costs(table, divmod(int(cells[lo]), grid_cols))
+        costs[lo:hi] = legs[prev_at[lo:hi]] + legs[option_at[lo:hi]]
     step_cost = np.full(len(load), math.inf)
     step_cost[asked] = np.where(connects[asked], costs, math.inf)
 

@@ -29,6 +29,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -359,13 +360,32 @@ def coo_adjacency(nav) -> tuple[csr_matrix, np.ndarray]:
     return adjacency, labels
 
 
+# Whole cost fields the oracles read, per navigator. The package keeps
+# none past a planning call, and a walk over every candidate asks for each
+# loading cell's field many times.
+_WHOLE_FIELDS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def whole_fields(nav) -> dict:
+    """The fields ``whole_field`` has kept for ``nav``, by source cell."""
+    return _WHOLE_FIELDS.setdefault(nav, {})
+
+
+def whole_field(nav, source):
+    """``nav.cost_field(source)``, computed once per navigator and source."""
+    fields = whole_fields(nav)
+    if source not in fields:
+        fields[source] = nav.cost_field(source)
+    return fields[source]
+
+
 def scalar_field_path(nav, far, source) -> MotionPlan:
     """The former ``Navigator.field_path``: from ``far``, step by step, scan
     the 8 neighbours in ``_OFFSETS`` order and move to the admissible one
     (free, on the grid, no cut corner) with the smallest field value plus
     step cost, where a later neighbour replaces the best so far only when
     it is lower by more than 1e-12; stop at ``source``."""
-    field = nav.cost_field(source)
+    field = whole_field(nav, source)
     if not nav.grid.in_bounds(far) or math.isinf(field[far]):
         raise MotionError(f"no path from {far} to {source}")
     res = nav.grid.resolution
@@ -535,6 +555,29 @@ def noise_success_probability(
     for rect in blocking_rects:
         clear &= ~_segments_meet_rect(px, py, target, rect)
     return float((weights[ok] * clear).sum())
+
+
+def plan_success_probability(scene, plan, params=None) -> float:
+    """Probability that ``execution.execute_plan`` runs ``plan`` to the end.
+    Every arrival draws its own noise, and no test reads where earlier
+    objects were placed, so it is the product over steps of the load
+    arrival's collision-free probability and the unload arrival's
+    collision-free, in-reach and clear-line probability, each integrated
+    by ``noise_success_probability``. A plan cut at routing never ends."""
+    params = params or FeasibilityParams()
+    if plan.truncated:
+        return 0.0
+    solid = scene.solid_rects()
+    probability = 1.0
+    for step in plan.steps:
+        load = step.load_pose.xy
+        probability *= noise_success_probability(
+            load, load, solid, [], scene.robot_radius, math.inf, params.nav_sigma_xy)
+        probability *= noise_success_probability(
+            step.unload_pose.xy, step.target_world, solid,
+            scene.reach_blockers(step.target_table), scene.robot_radius,
+            params.reach_radius, params.nav_sigma_xy)
+    return probability
 
 
 def _orientation(ax, ay, bx, by, cx, cy):
@@ -719,8 +762,8 @@ def field_priced_walk(router, pairs):
     """The former ``Router.walk`` pricing: (object, unload option) pairs
     chained from the robot's start, each step's loading stand found by
     ``nearest_usable_center`` from the previous stand point (the former
-    per-point rule), its leg costs read off ``nav.cost_field`` of the
-    loading cell and added to the previous steps' one step at a time, left
+    per-point rule), its leg costs read off the loading cell's cost field
+    (``whole_field``) and added to the previous steps' one step at a time, left
     to right, with the step's ``fea_task``. Returns the summed leg costs and
     feasibility terms, or None at the first leg that does not connect."""
     nav = router.nav
@@ -733,7 +776,7 @@ def field_priced_walk(router, pairs):
         if load_point is None:
             return None
         load_cell = nav.cell_of(*load_point)
-        field = nav.cost_field(load_cell)
+        field = whole_field(nav, load_cell)
         leg1 = 0.0 if prev_cell == load_cell else float(field[prev_cell])
         leg2 = float(field[option.cell])
         if math.isinf(leg1) or math.isinf(leg2):

@@ -30,7 +30,7 @@ from momaplan.motion import robot_collides
 from momaplan.planning import PlanningParams, plan_task
 from momaplan.relations import PlacementAtom
 
-from oracles import execute_plan_two_calls
+from oracles import execute_plan_two_calls, plan_success_probability
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
 
@@ -298,6 +298,21 @@ def test_replays_match_the_two_call_rollout(task, environment, sigma, bit_genera
         assert stops, "large noise should fail some replays"
     if sigma == 0.15:
         assert any(step > 0 for *_, step in stops), "some run should stop after step 0"
+
+
+@pytest.mark.parametrize("task, environment, sigma",
+                         [(1, "chair_bottom", 0.01), (8, "chair_bottom", 0.01), (1, "easy", 0.08)])
+def test_replays_succeed_at_the_exact_plan_probability(task, environment, sigma):
+    """20,000 replays succeed at the rate ``plan_success_probability``
+    integrates, within 4 binomial standard errors, at a near-certain, an
+    even and a rare point."""
+    scene, plan, params = _replay_plan(task, environment, sigma)
+    probability = plan_success_probability(scene, plan, params)
+    assert 0.0 < probability < 1.0
+    rng = np.random.default_rng(10_000)
+    runs = 20_000
+    rate = sum(execute_plan(scene, plan, rng, params).success for _ in range(runs)) / runs
+    assert abs(rate - probability) <= 4 * math.sqrt(probability * (1 - probability) / runs)
 
 
 @pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"])

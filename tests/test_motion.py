@@ -20,7 +20,13 @@ from momaplan.motion import (
 from momaplan.planning import Router
 from momaplan.world import OccupancyGrid, symbolic_locations
 
-from oracles import coo_adjacency, dijkstra_counts, disc_hits_rect, scalar_field_path
+from oracles import (
+    coo_adjacency,
+    dijkstra_counts,
+    disc_hits_rect,
+    scalar_field_path,
+    whole_fields,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -171,7 +177,8 @@ def test_descent_keeps_the_running_best_rule_on_near_ties():
     (1, 1), while "first within 1e-12 of the minimum" would take (2, 2).
     Second step: the diagonal (0, 0), offset 4, comes 0.5e-12 below the
     straight step into (1, 0), offset 2, so the running best keeps the
-    straight step, while an argmin would take the diagonal."""
+    straight step, while an argmin would take the diagonal. The field is
+    passed to ``field_path`` as a caller holding it would."""
     nav = Navigator.from_grid(grid_from(np.zeros((3, 3), dtype=bool)))
     field = np.full((3, 3), 5.0)
     field[1, 2] = 3.0
@@ -179,7 +186,7 @@ def test_descent_keeps_the_running_best_rule_on_near_ties():
     field[1, 0] = 1.0
     field[0, 0] = 1.0 + 0.1 - 0.1 * SQRT2 - 0.5e-12
     field.setflags(write=False)
-    nav._fields[(1, 0)] = field
+    whole_fields(nav)[(1, 0)] = field  # the neighbour loop reads it too
 
     def candidates(cell):
         """(field value plus step cost, neighbour) in offset order."""
@@ -194,7 +201,7 @@ def test_descent_keeps_the_running_best_rule_on_near_ties():
     least = min(v for v, _ in first)
     assert next(c for v, c in first if v <= least + 1e-12) == (2, 2)
     assert min(second)[1] == (0, 0)
-    plan = nav.field_path((1, 2), (1, 0))
+    plan = nav.field_path((1, 2), (1, 0), field)
     assert plan.cells == ((1, 2), (1, 1), (1, 0))
     assert (plan.straight_steps, plan.diagonal_steps) == (2, 0)
     assert_same_path(plan, scalar_field_path(nav, (1, 2), (1, 0)))
@@ -301,12 +308,23 @@ def test_cells_touching_only_diagonally_are_separate_components():
     assert_graph_is_the_coo_build(nav)
 
 
-def test_cost_field_cached_and_readonly():
+def test_leg_costs_cached_and_readonly():
+    """A cost field is read-only and computed again on each call, not
+    kept; a loading cell's leg costs are built once per (table, cell), kept
+    read-only by the scene's navigator and shared by its routers."""
     nav = Navigator.from_grid(grid_from(np.zeros((6, 6), dtype=bool)))
     field = nav.cost_field((0, 0))
-    assert nav.cost_field((0, 0)) is field
+    again = nav.cost_field((0, 0))
+    assert again is not field and np.array_equal(again, field)
     with pytest.raises(ValueError):
         field[0, 0] = 1.0
+    scene = make_scene(1, "easy", 42)
+    nav = navigator_for(scene)
+    legs = Router(scene).leg_costs("dining", nav.start_cell)
+    assert Router(scene).leg_costs("dining", nav.start_cell) is legs
+    assert nav.legs == {("dining", nav.start_cell): legs}
+    with pytest.raises(ValueError):
+        legs[0] = 1.0
 
 
 def test_leg_cost_agrees_with_astar():

@@ -50,6 +50,8 @@ from oracles import (
     seeded_unload_option,
     walk_every_candidate,
     weighted_mean_feasibility,
+    whole_field,
+    whole_fields,
 )
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
@@ -59,6 +61,21 @@ SIDES = ("north", "south", "east", "west")
 def fast_params(**overrides):
     fea = FeasibilityParams(trials_per_cell=3)
     return PlanningParams(feasibility=fea, **overrides)
+
+
+def record_cost_fields(monkeypatch, nav) -> list:
+    """The sources of the cost fields ``nav`` computes from here on, in
+    call order."""
+    sources = []
+    cost_field = Navigator.cost_field
+
+    def spy(self, source):
+        if self is nav:
+            sources.append(source)
+        return cost_field(self, source)
+
+    monkeypatch.setattr(Navigator, "cost_field", spy)
+    return sources
 
 
 def grounded(scene, goal, m=3, seed=0):
@@ -319,21 +336,26 @@ def test_leg_table_prices_every_candidate_as_the_walk():
     assert disconnected > 0
 
 
-def test_leg_table_asks_for_the_walked_cost_fields():
+def test_leg_table_asks_for_the_walked_cost_fields(monkeypatch):
     """The table prices a step only where some candidate of some
     configuration reaches it connected, so it computes the cost fields of
     exactly the loading cells that walking every candidate computes, none
-    beyond."""
+    beyond, each once, and keeps their leg costs; routing the winner
+    computes no field again."""
     table_scene = make_scene(8, "chair_top", seed=42)
     walk_scene = make_scene(8, "chair_top", seed=42)
     goal = task_goal(8)
     configs = grounded(table_scene, goal, m=3)
+    nav = navigator_for(table_scene)
+    computed = record_cost_fields(monkeypatch, nav)
     plan_task(table_scene, "dining", configs, goal.atoms, fast_params())
     walk_every_candidate(walk_scene, "dining", configs, goal.atoms, fast_params())
-    assert set(navigator_for(table_scene)._fields) == set(navigator_for(walk_scene)._fields)
+    assert len(computed) == len(set(computed))
+    assert set(computed) == set(whole_fields(navigator_for(walk_scene)))
+    assert set(nav.legs) == {("dining", cell) for cell in computed}
 
 
-def test_a_step_without_loading_stand_ends_its_candidate():
+def test_a_step_without_loading_stand_ends_its_candidate(monkeypatch):
     """With every band cell of the fork's source table unusable, no step
     loading the fork connects, and no later step of its candidate counts,
     even one that would connect on its own (fork, then plate, then knife):
@@ -346,6 +368,7 @@ def test_a_step_without_loading_stand_ends_its_candidate():
     configs = grounded(table_scene, task_goal(8), m=2)
     params = fast_params()
     router = Router(table_scene)
+    computed = record_cost_fields(monkeypatch, router.nav)
     band = router.band("dining")
     _, codes, pairs = planning._candidate_table(
         objects, (), tuple(loc.side for loc in band.locations))
@@ -366,8 +389,9 @@ def test_a_step_without_loading_stand_ends_its_candidate():
         ]
         for row in codes.tolist():
             assert field_priced_walk(walk_router, [options[k] for k in row]) is None
-    fields = set(navigator_for(table_scene)._fields)
-    assert fields and fields == set(navigator_for(walk_scene)._fields)
+    fields = set(computed)
+    assert len(fields) == len(computed) and set(router.nav.legs) == {("dining", c) for c in fields}
+    assert fields and fields == set(whole_fields(walk_router.nav))
 
 
 @pytest.mark.parametrize("task, environment", [(8, "chair_top"), (9, "chair_bottom")])
@@ -410,6 +434,77 @@ def test_routed_legs_equal_the_neighbour_loop(task, environment):
             reference.straight_steps, reference.diagonal_steps)
         prev = step.unload_cell
     assert len(plan.steps) == len(TASK_OBJECTS[task])
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+@pytest.mark.parametrize("task", [1, 8, 9])
+def test_leg_costs_are_the_cost_field_at_band_cells_and_start(task, environment):
+    """Every leg-cost vector a plan search fills is its loading cell's cost
+    field, bit for bit, at the grid cell of each band cell's center of the
+    target table in band order, then at the robot's start, read-only."""
+    scene = make_scene(task, environment, seed=42)
+    goal = task_goal(task)
+    nav = navigator_for(scene)
+    plan_task(scene, "dining", grounded(scene, goal, m=3), goal.atoms, fast_params())
+    ends = [nav.cell_of(*center) for center in Router(scene).band("dining").centers.tolist()]
+    ends.append(nav.start_cell)
+    assert nav.legs
+    for (table, cell), legs in nav.legs.items():
+        field = nav.cost_field(cell)
+        assert table == "dining" and not legs.flags.writeable
+        assert np.array_equal(legs, np.array([field[end] for end in ends]))
+
+
+def _grid_fields(nav) -> int:
+    """How many float64 arrays of the grid's size, or arrays viewing one,
+    the navigator's attributes reach through containers and objects."""
+    size = nav.grid.occupied.size
+    seen, found, todo = set(), 0, list(vars(nav).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or callable(obj) or isinstance(obj, (str, bytes, int, float)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found += obj.dtype == np.float64 and obj.size == size
+            todo.append(obj.base)
+        elif isinstance(obj, dict):
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
+
+
+def test_navigator_keeps_no_whole_cost_field():
+    """After every system's trial, planned by ``plan_task`` or routed by a
+    baseline's ``route``, the scene's navigator holds no whole-grid float64
+    field. After 50 warm 10-configuration re-plans of task 8 / chair_top,
+    its leg costs and descent tables total at most 2 MB, less than 14
+    whole fields of 149 KB for the about 100 loading cells priced."""
+    fea = FeasibilityParams(trials_per_cell=3)
+    config = ExperimentConfig(task=1, environment="chair_top", trials=2, configurations=2,
+                              feasibility=fea)
+    scene = make_scene(1, "chair_top", config.seed)
+    nav = navigator_for(scene)
+    for trial in range(config.trials):
+        for system in SYSTEMS:
+            run_trial(scene, system, task_goal(1), config, trial)
+            assert _grid_fields(nav) == 0, system
+    assert nav.legs and nav._descents
+
+    scene = make_scene(8, "chair_top", seed=42)
+    nav = navigator_for(scene)
+    goal = task_goal(8)
+    configs = grounded(scene, goal, m=10)
+    plan_task(scene, "dining", configs, goal.atoms, fast_params())
+    for k in range(50):
+        plan_task(scene, "dining", configs, goal.atoms, fast_params(stand_seed=k + 1))
+    assert _grid_fields(nav) == 0
+    kept = sum(a.nbytes for store in (nav.legs, nav._descents) for a in store.values())
+    assert 0 < kept <= 2 * 2**20
 
 
 def test_plan_task_derives_only_the_streams_that_draw(monkeypatch):
@@ -864,19 +959,20 @@ def test_band_index_addresses_every_cell_once():
     assert seen == list(range(len(band.centers)))
 
 
-def test_no_loading_stand_anywhere_leaves_no_candidate(goal1):
+def test_no_loading_stand_anywhere_leaves_no_candidate(goal1, monkeypatch):
     """When the stand tables hold no loading stand for any previous stand,
-    no leg connects and no cost field is asked for: the search refuses to
+    no leg connects and no cost field is computed: the search refuses to
     plan instead of pricing an empty leg table."""
     scene = make_scene(1, "easy", seed=42)
     nav = navigator_for(scene)
+    computed = record_cost_fields(monkeypatch, nav)
     router = Router(scene)
     size = len(router.band("dining").centers) + 1
     for source in {scene.object(obj).initial_location for obj in router.source}:
         nav.stands[("dining", source)] = np.full(size, -1, dtype=np.int32)
     with pytest.raises(PlanningError, match="every candidate plan was disconnected"):
         plan_task(scene, "dining", grounded(scene, goal1, m=1), goal1.atoms, fast_params())
-    assert not nav._fields
+    assert not computed and not nav.legs
 
 
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
@@ -907,13 +1003,13 @@ def test_legs_connect_where_the_loading_field_is_finite(environment):
             assert tuple(source_band.centers[load[p, 0]].tolist()) == load_point
             r, c = nav.cell_of(*load_point)
             assert load_cell[p, 0] == r * width + c
-            finite = np.isfinite(nav.cost_field((r, c)).ravel()[ends])
+            finite = np.isfinite(whole_field(nav, (r, c)).ravel()[ends])
             assert np.array_equal(connects[p], finite[p] & finite[1:]), p
         walled += int((~connects).sum())
     assert (walled > 0) == (environment != "easy")
 
 
-def test_route_cuts_name_their_stage(goal1):
+def test_route_cuts_name_their_stage(goal1, monkeypatch):
     """``route`` cuts a plan at its first step whose legs do not connect
     and names the stage: ``load`` where the step has no loading stand (the
     empty stand tables of ``test_no_loading_stand_anywhere_leaves_no_candidate``),
@@ -944,8 +1040,9 @@ def test_route_cuts_name_their_stage(goal1):
     size = len(Router(scene).band("dining").centers) + 1
     for source in {o.initial_location for o in scene.objects}:
         nav.stands[("dining", source)] = np.full(size, -1, dtype=np.int32)
+    computed = record_cost_fields(monkeypatch, nav)
     assert route(scene, [0, 1, 2]) == ([], "load", 0.0)
-    assert not nav._fields
+    assert not computed and not nav.legs and not nav._descents
 
 
 def test_every_routed_step_unloads_at_its_stand_facing_the_target(monkeypatch):
