@@ -4,9 +4,9 @@ For one symbolic standing location (a band of 8 x 24 cells of 0.1 m beside
 a table side) and one unload point on the table, every cell gets a success
 probability estimated by repeated simulated trials. A trial succeeds when
 
-* navigation works: the cell is reachable from the robot's start on the
-  inflated grid, and a noisy arrival position keeps the robot's disc clear
-  of all furniture, and
+* navigation works: the cell is reachable from the robot's start over
+  cells whose centre keeps the robot's disc clear of all furniture, and a
+  noisy arrival position keeps the disc clear too, and
 * manipulation works: the arrival position is within arm's reach of the
   unload point and the straight reach line crosses nothing except the
   table being loaded.

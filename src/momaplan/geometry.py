@@ -69,13 +69,13 @@ class Rect:
         )
 
 
-def disc_hits_rect_batch(points: np.ndarray, radius: float, rect: Rect) -> np.ndarray:
-    """Vectorized disc-vs-rect test for an (n, 2) array of disc centers."""
-    dx = np.maximum(rect.x_min - points[:, 0], 0.0)
-    dx = np.maximum(dx, points[:, 0] - rect.x_max)
-    dy = np.maximum(rect.y_min - points[:, 1], 0.0)
-    dy = np.maximum(dy, points[:, 1] - rect.y_max)
-    return np.hypot(dx, dy) <= radius
+def rect_distances(rect: Rect, x: np.ndarray | float, y: np.ndarray | float) -> np.ndarray:
+    """Euclidean distance to the rect (0 inside) of every point whose
+    coordinates ``x`` and ``y`` broadcast together: ``Rect.distance_to``
+    vectorised, the one batched form of the rule."""
+    dx = np.maximum(np.maximum(rect.x_min - x, 0.0), x - rect.x_max)
+    dy = np.maximum(np.maximum(rect.y_min - y, 0.0), y - rect.y_max)
+    return np.hypot(dx, dy)
 
 
 def segment_hits_rect(p0: tuple[float, float], p1: tuple[float, float], rect: Rect) -> bool:

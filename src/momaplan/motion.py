@@ -3,8 +3,8 @@
 The robot moves between cell centers on an 8-connected lattice: straight
 steps cost one grid resolution, diagonal steps cost resolution times sqrt(2),
 and a diagonal step is allowed only when both adjacent straight cells are
-also free (no squeezing through corners). Obstacles are inflated by the
-robot radius before planning.
+also free (no squeezing through corners). A cell is blocked exactly when
+``robot_collides``, the test of every replay and map, holds at its centre.
 
 Paths and Dijkstra cost fields share one adjacency graph per scene.
 Reachability reads components labelled on the free grid with
@@ -36,8 +36,8 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .geometry import EARLY_OUT_SLACK, disc_hits_rect_batch
-from .world import OccupancyGrid, SceneState
+from .geometry import EARLY_OUT_SLACK, rect_distances
+from .world import OccupancyGrid, SceneState, cells_within
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -64,14 +64,6 @@ def step_cost(straight: int, diagonal: int, resolution: float) -> float:
     return resolution * (straight + diagonal * _SQRT2)
 
 
-def inflate(grid: OccupancyGrid, radius: float) -> np.ndarray:
-    """Cells whose centers come within ``radius`` of an occupied cell center."""
-    if not grid.occupied.any():
-        return np.zeros_like(grid.occupied)
-    distances = ndimage.distance_transform_edt(~grid.occupied) * grid.resolution
-    return distances <= radius
-
-
 def robot_collides(scene: SceneState, x: float, y: float) -> bool:
     """Continuous collision test: robot disc against furniture rectangles.
     A rectangle at least ``radius + EARLY_OUT_SLACK`` beyond one edge is
@@ -92,7 +84,7 @@ def robot_collides(scene: SceneState, x: float, y: float) -> bool:
 def robot_collides_batch(scene: SceneState, points: np.ndarray) -> np.ndarray:
     hits = np.zeros(len(points), dtype=bool)
     for rect in scene.solid_rects():
-        hits |= disc_hits_rect_batch(points, scene.robot_radius, rect)
+        hits |= rect_distances(rect, points[:, 0], points[:, 1]) <= scene.robot_radius
     return hits
 
 
@@ -105,7 +97,8 @@ _RASTER_SLOT = tuple(sorted(_OFFSETS).index(offset) for offset in _OFFSETS)
 
 
 class Navigator:
-    """Per-scene navigation state: inflated grid, adjacency, reachability.
+    """Per-scene navigation state: blocked cells (those whose centre
+    ``robot_collides`` rejects), adjacency and reachability.
 
     Cost fields (single-source shortest path distances over the whole grid)
     are computed per call and not kept; a routed source keeps its descent
@@ -122,22 +115,22 @@ class Navigator:
     """
 
     def __init__(self, scene: SceneState):
-        self._setup(scene.grid, scene.robot_radius)
-        self.start_cell: Cell | None = self.cell_of(*scene.robot_pose.xy)
-        self.start_component = self.component(self.start_cell)
+        grid = scene.grid
+        blocked = cells_within(
+            scene.solid_rects(), scene.robot_radius, grid.origin, grid.resolution, grid.shape)
+        self._setup(grid, blocked, grid.cell_of(*scene.robot_pose.xy))
 
     @classmethod
-    def from_grid(cls, grid: OccupancyGrid, robot_radius: float = 0.0) -> "Navigator":
-        """Navigator over a bare occupancy grid (no furniture semantics and
-        no robot start, so no point is ``reachable_at``)."""
+    def from_grid(cls, grid: OccupancyGrid) -> "Navigator":
+        """Navigator over a bare occupancy grid, blocking its occupied cells
+        (no robot start, so no point is ``reachable_at``)."""
         nav = cls.__new__(cls)
-        nav._setup(grid, robot_radius)
-        nav.start_cell, nav.start_component = None, -1
+        nav._setup(grid, grid.occupied, None)
         return nav
 
-    def _setup(self, grid: OccupancyGrid, robot_radius: float) -> None:
+    def _setup(self, grid: OccupancyGrid, blocked: np.ndarray, start_cell: Cell | None) -> None:
         self.grid = grid
-        self.blocked = inflate(grid, robot_radius)
+        self.blocked = blocked
         self.free = ~self.blocked
         # Node and component labels fit int32, half the int64 grids' memory.
         self._node_of = np.full(self.grid.shape, -1, dtype=np.int32)
@@ -145,6 +138,8 @@ class Navigator:
         self._node_of.ravel()[self._cell_of_node] = np.arange(len(self._cell_of_node))
         self._adjacency = self._build_adjacency()
         self._labels = ndimage.label(self.free, output=np.int32)[0] - np.int32(1)
+        self.start_cell = start_cell
+        self.start_component = -1 if start_cell is None else self.component(start_cell)
         self._descents: dict[Cell, np.ndarray] = {}
         # One tuple per path cell, shared by every path this navigator
         # builds, so plans kept alive do not each hold their own copies.

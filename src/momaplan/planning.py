@@ -58,7 +58,7 @@ import functools
 import itertools
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,7 +70,7 @@ from .feasibility import (
     pcg64_states,
     task_feasibility,
 )
-from .geometry import segment_clearance
+from .geometry import rect_distances, segment_clearance
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for
 from .relations import ON_TOP_OF, PlacementAtom
@@ -153,10 +153,9 @@ class SelectedPlan:
     truncated: str | None = None
 
 
-def stacking_orders(objects: list[str], atoms: list[PlacementAtom]) -> list[tuple[str, ...]]:
-    """Object orders where every support precedes what stacks on it."""
+def stacking_orders(objects: list[str], atoms: list[PlacementAtom]) -> Iterator[tuple[str, ...]]:
+    """Object orders where every support precedes what stacks on it, drawn lazily."""
     supports = {a.subject: a.reference for a in atoms if a.relation == ON_TOP_OF}
-    orders: list[tuple[str, ...]] = []
     for perm in itertools.permutations(objects):
         pos = {o: i for i, o in enumerate(perm)}
         if all(
@@ -164,8 +163,7 @@ def stacking_orders(objects: list[str], atoms: list[PlacementAtom]) -> list[tupl
             for sub, sup in supports.items()
             if sub in pos and sup in pos
         ):
-            orders.append(perm)
-    return orders
+            yield perm
 
 
 def enumerate_candidates(
@@ -206,11 +204,9 @@ class BandIndex:
         self.owner = np.repeat(np.arange(len(locations)), sizes)
         self.cells = nav.flat_cells(self.centers)
         self.usable = nav.reachable_at(self.centers)
-        bounds = np.array([(r.x_min, r.x_max, r.y_min, r.y_max) for r in scene.solid_rects()])
-        x, y = self.centers[:, :1], self.centers[:, 1:]
-        dx = np.maximum(np.maximum(bounds[:, 0] - x, x - bounds[:, 1]), 0.0)
-        dy = np.maximum(np.maximum(bounds[:, 2] - y, y - bounds[:, 3]), 0.0)
-        self.clearance = np.hypot(dx, dy).min(axis=1) - scene.robot_radius
+        x, y = self.centers[:, 0], self.centers[:, 1]
+        nearest = np.minimum.reduce([rect_distances(r, x, y) for r in scene.solid_rects()])
+        self.clearance = nearest - scene.robot_radius
 
     def index(self, location: SymbolicLocation, cell: Cell) -> int:
         """Band index of ``cell`` of ``location``, one of this band's."""
@@ -361,7 +357,7 @@ class Router:
                     target_table=table,
                     unload_pose=Pose2D(ux, uy, math.atan2(ty - uy, tx - ux)),
                     unload_cell=unload_cell,
-                    target_world=targets[k],
+                    target_world=(tx, ty),
                     target_layer=layers[k],
                     fea_task=float(fea_task[k]),
                     fea_stand=float(fea_stand[k]),
@@ -519,7 +515,7 @@ def plan_task(
     if not candidates:
         raise PlanningError("no admissible object orders")
     if router.nav.start_component < 0:
-        raise PlanningError("robot start cell is blocked on the inflated grid")
+        raise PlanningError("robot start cell is blocked: the robot collides with furniture there")
 
     n = len(objects)
     stands, fea_task, fea_stand = _unload_options(

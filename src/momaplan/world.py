@@ -17,17 +17,17 @@ from typing import ClassVar
 import numpy as np
 import yaml
 
-from .geometry import Rect, wrap_angle
+from .geometry import Rect, rect_distances, wrap_angle
 
 SCENE_FORMAT_VERSION = 1
 
-# Fetch-class base footprint; the grid inflation and the standing bands are
-# both derived from this radius.
+# Fetch-class base footprint: a grid cell is blocked when a disc of this
+# radius at its centre touches furniture, and the standing bands clear it.
 DEFAULT_ROBOT_RADIUS = 0.3
 
 # Standing band shared by every table side: 24 x 8 cells of 0.1 m, long axis
 # parallel to the table edge, near edge pushed a little past the robot radius
-# so the first row of cells is never inside the inflation ring.
+# so the robot fits at the first row of cells beside a bare table edge.
 BAND_CELL_SIZE = 0.1
 BAND_COLS = 24
 BAND_ROWS = 8
@@ -183,7 +183,7 @@ class SymbolicLocation:
 class SceneState:
     """Immutable snapshot of the workspace.
 
-    ``eq=False`` keeps identity hashing so derived artifacts (inflated grids,
+    ``eq=False`` keeps identity hashing so derived artifacts (blocked cells,
     reachability labels, motion cost fields) can be memoized per instance.
     """
 
@@ -303,6 +303,23 @@ def _auto_bounds(
     )
 
 
+def cells_within(rects: tuple[Rect, ...], radius: float, origin: tuple[float, float],
+                 resolution: float, shape: tuple[int, int]) -> np.ndarray:
+    """The cells of a grid whose centre lies within ``radius`` of one of
+    ``rects`` (radius 0: inside the closed rect). Per rect, only the columns
+    and rows whose own axis gap is within ``radius`` are measured: ``hypot``
+    is at least each of its terms."""
+    xs = origin[0] + (np.arange(shape[1]) + 0.5) * resolution
+    ys = origin[1] + (np.arange(shape[0]) + 0.5) * resolution
+    hits = np.zeros(shape, dtype=bool)
+    for rect in rects:
+        # On the rect's centre lines one gap is 0, so these are the other's.
+        near_x = rect_distances(rect, xs, rect.cy) <= radius
+        near_y = rect_distances(rect, rect.cx, ys) <= radius
+        hits[np.ix_(near_y, near_x)] |= rect_distances(rect, xs[near_x], ys[near_y, None]) <= radius
+    return hits
+
+
 def rasterize(
     tables: tuple[TableSpec, ...],
     obstacles: tuple[ObstacleSpec, ...],
@@ -311,13 +328,10 @@ def rasterize(
     origin: tuple[float, float] | None = None,
     shape: tuple[int, int] | None = None,
 ) -> OccupancyGrid:
-    """Rasterize furniture onto a boolean grid.
-
-    A cell counts as occupied when its center lies inside any table or
-    obstacle rectangle (closed boundaries). Pure function of the geometry:
-    rasterizing the same scene twice yields identical arrays. A grid of
-    more than ``MAX_GRID_CELLS`` cells raises ``SceneError``.
-    """
+    """Rasterize furniture onto a boolean grid: a cell is occupied when its
+    center lies inside a table or obstacle rectangle (``cells_within`` at
+    radius 0). A grid of more than ``MAX_GRID_CELLS`` cells raises
+    ``SceneError``."""
     if origin is None or shape is None:
         x0, y0, x1, y1 = _auto_bounds(tables, obstacles, robot_pose)
         origin = (x0, y0)
@@ -328,14 +342,8 @@ def rasterize(
     rows, cols = shape
     if rows * cols > MAX_GRID_CELLS:
         raise SceneError(f"grid of {rows} x {cols} cells exceeds the limit of {MAX_GRID_CELLS}")
-    xs = origin[0] + (np.arange(cols) + 0.5) * resolution
-    ys = origin[1] + (np.arange(rows) + 0.5) * resolution
-    gx, gy = np.meshgrid(xs, ys)
-    occupied = np.zeros((rows, cols), dtype=bool)
-    for rect in [t.rect for t in tables] + [o.rect for o in obstacles]:
-        occupied |= (
-            (gx >= rect.x_min) & (gx <= rect.x_max) & (gy >= rect.y_min) & (gy <= rect.y_max)
-        )
+    rects = tuple(spec.rect for spec in (*tables, *obstacles))
+    occupied = cells_within(rects, 0.0, origin, resolution, shape)
     occupied.setflags(write=False)
     return OccupancyGrid(resolution=resolution, origin=origin, occupied=occupied)
 

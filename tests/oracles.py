@@ -883,7 +883,7 @@ def disc_hits_rect(x: float, y: float, radius: float, rect) -> bool:
     """True when a disc of the given radius centered at (x, y) touches the
     rect: the test ``motion.robot_collides`` makes, inline, on every rect
     its early-out does not skip, and the reference for the batched
-    ``disc_hits_rect_batch``."""
+    ``geometry.rect_distances`` test."""
     return rect.distance_to(x, y) <= radius
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from momaplan.geometry import (
     Rect,
-    disc_hits_rect_batch,
+    rect_distances,
     segment_clearance,
     segment_hits_rect,
     segment_rect_distance,
@@ -104,7 +104,7 @@ def test_disc_hits_rect_batch_agrees_with_scalar():
     rng = np.random.default_rng(5)
     rect = Rect(0.3, -0.2, 0.4, 0.6)
     pts = rng.uniform(-2, 2, size=(500, 2))
-    batch = disc_hits_rect_batch(pts, 0.3, rect)
+    batch = rect_distances(rect, pts[:, 0], pts[:, 1]) <= 0.3
     scalar = np.array([disc_hits_rect(px, py, 0.3, rect) for px, py in pts])
     assert np.array_equal(batch, scalar)
 

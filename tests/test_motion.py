@@ -12,7 +12,6 @@ from momaplan.harness import ENVIRONMENTS, make_scene
 from momaplan.motion import (
     MotionError,
     Navigator,
-    inflate,
     navigator_for,
     robot_collides,
     step_cost,
@@ -24,6 +23,7 @@ from oracles import (
     coo_adjacency,
     dijkstra_counts,
     disc_hits_rect,
+    grid_cell_center,
     scalar_field_path,
     whole_fields,
 )
@@ -39,23 +39,25 @@ def random_grid(rng, shape=(20, 20), p_blocked=0.25):
     return grid_from(rng.random(shape) < p_blocked)
 
 
-def test_inflate_against_center_distances():
-    rng = np.random.default_rng(5)
-    grid = random_grid(rng, shape=(15, 12), p_blocked=0.2)
-    occ = np.argwhere(grid.occupied)
-    for radius in (0.0, 0.1, 0.15, 0.32):
-        blocked = inflate(grid, radius)
-        for iy in range(grid.shape[0]):
-            for ix in range(grid.shape[1]):
-                d = min(
-                    math.hypot(iy - oy, ix - ox) * grid.resolution for oy, ox in occ
-                )
-                assert blocked[iy, ix] == (d <= radius), (iy, ix, radius)
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_free_cells_are_the_centres_the_disc_test_clears(environment):
+    """Every task's seed-42 scene: a cell is free exactly when the scalar
+    ``robot_collides`` clears the robot's disc at the cell's centre."""
+    for task in range(1, 10):
+        scene = make_scene(task, environment, 42)
+        nav = Navigator(scene)
+        assert nav.blocked.any() and nav.free.any()
+        for cell, free in np.ndenumerate(nav.free):
+            x, y = grid_cell_center(scene.grid, cell)
+            assert free == (not robot_collides(scene, x, y)), (task, cell)
 
 
-def test_inflate_empty_grid():
-    grid = grid_from(np.zeros((4, 6), dtype=bool))
-    assert not inflate(grid, 10.0).any()
+def test_bare_grid_blocks_exactly_its_occupied_cells():
+    for occupied in (np.zeros((4, 6), dtype=bool), np.ones((3, 2), dtype=bool),
+                     random_grid(np.random.default_rng(5), (15, 12), 0.2).occupied):
+        nav = Navigator.from_grid(grid_from(occupied))
+        assert np.array_equal(nav.blocked, occupied)
+        assert np.array_equal(nav.free, ~occupied)
 
 
 def test_corner_cutting_is_forbidden():
@@ -284,11 +286,9 @@ def test_graph_is_the_coo_build_on_every_task(environment):
 
 
 def test_graph_is_the_coo_build_on_acceptance_grids():
-    """Acceptance 4's 50 grids (same draws), inflated by 0, 0.1 and 0.15."""
+    """Acceptance 4's 50 grids (same draws)."""
     for nav, _, _ in _acceptance_grids():
         assert_graph_is_the_coo_build(nav)
-        for radius in (0.1, 0.15):
-            assert_graph_is_the_coo_build(Navigator.from_grid(nav.grid, radius))
 
 
 def test_graph_of_a_grid_with_no_free_cell():

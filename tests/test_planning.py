@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 from collections import defaultdict
 
 import numpy as np
@@ -108,13 +109,13 @@ def assert_same_plan(plan, reference):
 
 
 def test_stacking_orders_unconstrained():
-    orders = stacking_orders(["a", "b", "c"], [])
+    orders = list(stacking_orders(["a", "b", "c"], []))
     assert orders == list(itertools.permutations(["a", "b", "c"]))
 
 
 def test_stacking_orders_respect_support():
     atoms = [PlacementAtom("on_top_of", "lid", "mug")]
-    orders = stacking_orders(["lid", "mug", "mat"], atoms)
+    orders = list(stacking_orders(["lid", "mug", "mat"], atoms))
     assert len(orders) == 3  # half of the six permutations survive
     for order in orders:
         assert order.index("mug") < order.index("lid")
@@ -129,6 +130,52 @@ def test_enumerate_candidates_cap_and_shape():
     capped = enumerate_candidates(["a", "b", "c", "d"], [], SIDES, 500)
     assert len(capped) == 500
     assert capped == wide[:500]
+
+
+def test_candidates_are_the_eager_listing_on_every_task():
+    """Orders drawn lazily give the capped candidates of the eager listing
+    (every stacking-respecting permutation, crossed with sides), in order."""
+    stacked = 0
+    for task in range(1, 10):
+        objects, atoms = list(TASK_OBJECTS[task]), task_goal(task).atoms
+        supports = [(a.subject, a.reference) for a in atoms if a.relation == "on_top_of"]
+        stacked += bool(supports)
+        eager = [perm for perm in itertools.permutations(objects)
+                 if all(perm.index(sub) > perm.index(sup) for sub, sup in supports)]
+        expected = list(itertools.islice(
+            ((order, sides) for order in eager
+             for sides in itertools.product(SIDES, repeat=len(objects))), 500))
+        assert enumerate_candidates(objects, atoms, SIDES, 500) == expected, task
+    assert stacked
+
+
+def test_an_eleven_object_table_draws_only_the_orders_it_uses(monkeypatch):
+    """Eleven objects with stacking chains have 1,663,200 admissible orders,
+    but 4**11 side choices of the first already pass the cap."""
+    objects = [f"o{i}" for i in range(11)]
+    atoms = [PlacementAtom("on_top_of", sub, sup)
+             for sub, sup in (("o4", "o3"), ("o5", "o4"), ("o7", "o6"), ("o10", "o9"))]
+    drawn = []
+    permutations = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations",
+                        lambda items: (drawn.append(p) or p for p in permutations(items)))
+    start = time.perf_counter()
+    candidates, codes, _ = planning._candidate_table(tuple(objects), tuple(atoms), SIDES)
+    assert time.perf_counter() - start < 1.0
+    assert len(candidates) == 500 and codes.shape == (500, 11)
+    assert drawn == [tuple(objects)]
+    assert {order for order, _ in candidates} == {tuple(objects)}
+
+
+def test_routed_targets_are_python_floats():
+    """Execution reads ``target_world`` on every replay, so it holds plain
+    floats, not numpy scalars."""
+    for task in (1, 8):
+        scene, goal = make_scene(task, "chair_top", seed=42), task_goal(task)
+        plan = plan_task(scene, "dining", grounded(scene, goal), goal.atoms, fast_params())
+        for step in plan.steps:
+            assert type(step.target_world) is tuple
+            assert [type(v) for v in step.target_world] == [float, float]
 
 
 def test_plan_task_shape_and_bookkeeping(goal1):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import band_cell_center, grid_cell_center, rasterize_by_point_test
+from oracles import band_cell_center, disc_hits_rect, grid_cell_center, rasterize_by_point_test
+from momaplan.geometry import Rect
 from momaplan.world import (
     BAND_CELL_SIZE,
     BAND_COLS,
@@ -16,8 +17,10 @@ from momaplan.world import (
     SceneError,
     TableSpec,
     build_scene,
+    cells_within,
     load_scene,
     location_by_id,
+    rasterize,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -108,6 +111,28 @@ def test_rasterize_matches_point_in_rect_oracle():
         rects, scene.grid.resolution, scene.grid.origin, scene.grid.shape
     )
     assert np.array_equal(scene.grid.occupied, expected)
+
+
+def test_rasterize_counts_centres_on_an_edge_as_inside():
+    """Edges on cell centres, exact in binary: the closed-boundary rule."""
+    rects = (Rect(1.0, 1.0, 0.25, 0.75), Rect(2.5, 0.5, 0.75, 0.25), Rect(9.0, 9.0, 0.1, 0.1))
+    tables = tuple(TableSpec(f"t{i}", (r.cx, r.cy), (r.hx, r.hy)) for i, r in enumerate(rects))
+    grid = rasterize(tables, (), Pose2D(0.0, 0.0), 0.5, (0.0, 0.0), (8, 8))
+    expected = rasterize_by_point_test(rects, grid.resolution, grid.origin, grid.shape)
+    assert expected.sum() == 16  # 2 x 4 and 4 x 2 centres, edge rows and columns included
+    assert np.array_equal(grid.occupied, expected)
+
+
+def test_cells_within_is_the_scalar_disc_rule():
+    """Every cell against the scalar disc test, at radii whose axis ties
+    are exact in binary, so the per-rect window's edges are exercised."""
+    rects = (Rect(1.0, 1.0, 0.25, 0.75), Rect(2.5, 0.5, 0.75, 0.25), Rect(9.0, 9.0, 0.1, 0.1))
+    grid = rasterize((), (), Pose2D(0.0, 0.0), 0.5, (0.0, 0.0), (8, 8))
+    for radius in (0.0, 0.5, 0.75, 1.1, 6.0):
+        hits = cells_within(rects, radius, grid.origin, grid.resolution, grid.shape)
+        for cell, hit in np.ndenumerate(hits):
+            x, y = grid_cell_center(grid, cell)
+            assert hit == any(disc_hits_rect(x, y, radius, r) for r in rects), (radius, cell)
 
 
 def test_reach_blockers_are_the_other_solid_rects(scene1_chair_top):
