@@ -10,6 +10,12 @@ Verbs:
 * ``export-scene`` - write a benchmark scene to a YAML file.
 * ``validate``     - load a scene file and report its contents.
 
+Every verb but ``scenarios`` and ``validate`` first builds an
+``ExperimentConfig`` from its flags, whose range rules are the only ones;
+argparse only parses types. A refused flag value exits 2 on one line,
+``momaplan <verb>: error: <message>``. ``plan`` prints the plan ``run``
+executes as ``llm_grop`` trial 0.
+
 ``momaplan run`` accepts either ``--config file.yaml`` or individual flags;
 flags override nothing when a config file is given (mixing the two is an
 error so a report never silently diverges from its config file).
@@ -38,7 +44,7 @@ from .feasibility import (
     task_feasibility,
 )
 from .goalgen import GoalGenerationError, generate_goal
-from .grounding import GroundingError, GroundingParams, sample_configurations
+from .grounding import GroundingError
 from .harness import (
     ENVIRONMENTS,
     SYSTEMS,
@@ -48,12 +54,13 @@ from .harness import (
     ExperimentConfig,
     dump_report,
     make_scene,
+    plan_llm_grop,
     report_bytes,
     run_experiment,
     scripted_backend_for_task,
 )
 from .motion import MotionError
-from .planning import PlanningError, PlanningParams, plan_task
+from .planning import PlanningError
 from .world import SceneError, load_scene, location_by_id, save_scene, symbolic_locations
 
 
@@ -61,25 +68,12 @@ LOG_LEVELS = ("WARNING", "INFO", "DEBUG")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a bad flag on one line, as ``_invalid`` reports a bad file;
-    ``add_subparsers`` gives each verb's parser this class too."""
+    """Reports a flag that does not parse on one line, as ``_dispatch``
+    reports a refused value; ``add_subparsers`` gives each verb's parser
+    this class too."""
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"{self.prog}: error: {' '.join(message.split())}\n")
-
-
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy seeds generators only from non-negative ints."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _count(text: str) -> int:
-    """A ``--trials`` or ``--configurations`` value: a positive integer."""
-    if not text.isdecimal() or int(text) == 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
 
 
 # Every experiment flag defaults to its ``ExperimentConfig`` field.
@@ -87,9 +81,9 @@ _DEFAULTS = ExperimentConfig()
 
 
 def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--task", type=int, default=_DEFAULTS.task, choices=sorted(TASK_OBJECTS))
-    parser.add_argument("--environment", default=_DEFAULTS.environment, choices=ENVIRONMENTS)
-    parser.add_argument("--seed", type=_seed, default=_DEFAULTS.seed)
+    parser.add_argument("--task", type=int, default=_DEFAULTS.task)
+    parser.add_argument("--environment", default=_DEFAULTS.environment)
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan one task and print the result")
     _add_scene_flags(p)
-    p.add_argument("--configurations", type=_count, default=_DEFAULTS.configurations,
+    p.add_argument("--configurations", type=int, default=_DEFAULTS.configurations,
                    metavar="M", help="metric configurations to sample (default %(default)s)")
 
     p = sub.add_parser("heatmap", help="export a feasibility map as PGM + YAML")
@@ -123,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment and write the report")
     p.add_argument("--config", metavar="FILE", help="experiment config YAML")
     _add_scene_flags(p)
-    p.add_argument("--trials", type=_count, default=_DEFAULTS.trials)
-    p.add_argument("--systems", nargs="+", default=list(_DEFAULTS.systems), choices=SYSTEMS)
-    p.add_argument("--configurations", type=_count, default=_DEFAULTS.configurations, metavar="M")
+    p.add_argument("--trials", type=int, default=_DEFAULTS.trials)
+    p.add_argument("--systems", nargs="+", default=list(_DEFAULTS.systems))
+    p.add_argument("--configurations", type=int, default=_DEFAULTS.configurations, metavar="M")
     p.add_argument("--out", metavar="FILE", help="report path (default: stdout)")
     p.add_argument("--log", metavar="FILE", help="per-trial JSONL log path")
 
@@ -148,26 +142,17 @@ def _cmd_scenarios() -> int:
     return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
-    scene = make_scene(args.task, args.environment, args.seed)
-    backend = scripted_backend_for_task(args.task)
-    goal = generate_goal(list(TASK_OBJECTS[args.task]), backend)
+def _cmd_plan(config: ExperimentConfig) -> int:
+    scene = make_scene(config.task, config.environment, config.seed)
+    backend = scripted_backend_for_task(config.task)
+    goal = generate_goal(list(TASK_OBJECTS[config.task]), backend)
     print(f"goal ({goal.attempts} attempt{'s' if goal.attempts != 1 else ''}):")
     for i, atom in enumerate(goal.atoms):
         dist = goal.distances_m.get(i)
         suffix = f"  [{dist * 100:.0f} cm]" if dist is not None else ""
         print(f"  {atom}{suffix}")
 
-    table = scene.table(TARGET_TABLE)
-    radii = {o.id: o.footprint_radius for o in scene.objects}
-    rng = np.random.default_rng(args.seed)
-    grounding = sample_configurations(
-        goal, radii, table.half_extents, rng,
-        GroundingParams(configurations=args.configurations),
-    )
-    plan = plan_task(scene, TARGET_TABLE, grounding.configurations, goal.atoms,
-                     PlanningParams())
-
+    plan, _ = plan_llm_grop(scene, goal, config, 0)
     print(f"\nselected plan (config {plan.config_index}, "
           f"{plan.candidates_evaluated} candidates searched):")
     for step in plan.steps:
@@ -195,15 +180,13 @@ def write_heatmap_pgm(fmap: FeasibilityMap, path: str | Path) -> None:
         fh.write(levels.tobytes())
 
 
-def _cmd_heatmap(args: argparse.Namespace) -> int:
-    scene = make_scene(args.task, args.environment, args.seed)
+def _cmd_heatmap(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    scene = make_scene(config.task, config.environment, config.seed)
     location = location_by_id(scene, f"{TARGET_TABLE}/{args.side}")
     target = (args.target_x, args.target_y)
     if not scene.table(TARGET_TABLE).rect.contains(*target):
-        print(f"error: target {target} is not on the {TARGET_TABLE} table", file=sys.stderr)
-        return 2
-    if _unwritable(f"{args.out}.pgm", f"{args.out}.yaml"):
-        return 2
+        raise ConfigError(f"target {target} is not on the {TARGET_TABLE} table")
+    _check_writable(f"{args.out}.pgm", f"{args.out}.yaml")
     params = FeasibilityParams()
     fmap = compute_feasibility_map(scene, location, target, params)
 
@@ -228,9 +211,9 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unwritable(*paths: str | None) -> bool:
-    """Report on one line the first of ``paths`` (None skipped) no file can
-    be written at, before any work starts; False when every one can be."""
+def _check_writable(*paths: str | None) -> None:
+    """Refuse the first of ``paths`` (None skipped) no file can be written
+    at, before any work starts."""
     for path in filter(None, paths):
         target = Path(path)
         if target.is_dir():
@@ -241,9 +224,7 @@ def _unwritable(*paths: str | None) -> bool:
             reason = "permission denied"
         else:
             continue
-        print(f"error: cannot write {path}: {reason}", file=sys.stderr)
-        return True
-    return False
+        raise ConfigError(f"cannot write {path}: {reason}")
 
 
 def _invalid(what: str, exc: Exception) -> int:
@@ -252,25 +233,17 @@ def _invalid(what: str, exc: Exception) -> int:
     return 2
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    flags = ("task", "environment", "trials", "seed", "configurations")
-    try:
-        config = ExperimentConfig(systems=tuple(args.systems), **{k: getattr(args, k) for k in flags})
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_run(args: argparse.Namespace, config: ExperimentConfig) -> int:
     if args.config:
         overridden = [k for k, v in vars(config).items() if v != getattr(_DEFAULTS, k)]
         if overridden:
-            print(f"error: --config cannot be combined with experiment flags "
-                  f"({', '.join(overridden)})", file=sys.stderr)
-            return 2
+            raise ConfigError(f"--config cannot be combined with experiment flags "
+                              f"({', '.join(overridden)})")
         try:
             config = ExperimentConfig.from_yaml(args.config)
         except (ConfigError, OSError) as exc:
             return _invalid("config", exc)
-    if _unwritable(args.out, args.log):
-        return 2
+    _check_writable(args.out, args.log)
     report = run_experiment(config, log_path=args.log)
     if args.out:
         dump_report(report, args.out)
@@ -280,10 +253,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_scene(args: argparse.Namespace) -> int:
-    if _unwritable(args.out):
-        return 2
-    scene = make_scene(args.task, args.environment, args.seed)
+def _cmd_export_scene(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    _check_writable(args.out)
+    scene = make_scene(config.task, config.environment, config.seed)
     save_scene(scene, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -325,16 +297,22 @@ def _dispatch(args: argparse.Namespace) -> int:
     try:
         if args.verb == "scenarios":
             return _cmd_scenarios()
-        if args.verb == "plan":
-            return _cmd_plan(args)
-        if args.verb == "heatmap":
-            return _cmd_heatmap(args)
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "export-scene":
-            return _cmd_export_scene(args)
         if args.verb == "validate":
             return _cmd_validate(args)
+        # A field the verb has no flag for keeps its default.
+        fields = ExperimentConfig.__dataclass_fields__
+        config = ExperimentConfig(**{k: v for k, v in vars(args).items() if k in fields})
+        if args.verb == "plan":
+            return _cmd_plan(config)
+        if args.verb == "heatmap":
+            return _cmd_heatmap(args, config)
+        if args.verb == "run":
+            return _cmd_run(args, config)
+        if args.verb == "export-scene":
+            return _cmd_export_scene(args, config)
+    except ConfigError as exc:
+        print(f"momaplan {args.verb}: error: {exc}", file=sys.stderr)
+        return 2
     except (GoalGenerationError, GroundingError, PlanningError, MotionError,
             SceneError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,13 +125,22 @@ def _chair(side: str) -> ObstacleSpec:
     return ObstacleSpec("chair", centers[side], (_CHAIR_HALF, _CHAIR_HALF))
 
 
+class ConfigError(ValueError):
+    """Raised when an experiment input is refused: a config file, a flag
+    or a library caller's value."""
+
+
+def _check_scene(task: int, environment: str) -> None:
+    if task not in TASK_OBJECTS:
+        raise ConfigError(f"unknown task {task!r}")
+    if environment not in ENVIRONMENTS:
+        raise ConfigError(f"unknown environment {environment!r}")
+
+
 def make_scene(task: int, environment: str = "easy", seed: int = 0) -> SceneState:
     """Benchmark scene for one task: objects alternate between the two
     pickup tables in catalog order."""
-    if task not in TASK_OBJECTS:
-        raise ValueError(f"unknown task {task}; choose from {sorted(TASK_OBJECTS)}")
-    if environment not in ENVIRONMENTS:
-        raise ValueError(f"unknown environment {environment!r}")
+    _check_scene(task, environment)
     objects = []
     for i, name in enumerate(TASK_OBJECTS[task]):
         radius, stackable = OBJECT_CATALOG[name]
@@ -162,10 +171,6 @@ def scripted_backend_for_task(task: int) -> ScriptedBackend:
 # Experiment configuration
 
 
-class ConfigError(ValueError):
-    """Raised when an experiment config file is malformed."""
-
-
 def _check_fields(path: str | Path, section: str, data: object, defaults: object) -> None:
     """Reject a section that is not a mapping, keys its defaults lack, and
     scalars of another type than their default (an int passes for a float)."""
@@ -194,16 +199,14 @@ class ExperimentConfig:
     feasibility: FeasibilityParams = field(default_factory=FeasibilityParams)
 
     def __post_init__(self) -> None:
+        self.systems = tuple(self.systems)
         # The range rules of every loader; ``from_yaml`` prefixes the path.
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for key in ("trials", "configurations"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.task not in TASK_OBJECTS:
-            raise ConfigError(f"unknown task {self.task!r}")
-        if self.environment not in ENVIRONMENTS:
-            raise ConfigError(f"unknown environment {self.environment!r}")
+        _check_scene(self.task, self.environment)
         if not all(s in SYSTEMS for s in self.systems):
             raise ConfigError(f"systems must be drawn from {list(SYSTEMS)}, got {list(self.systems)}")
         # A repeated system would run, and count, each of its trials twice.
@@ -218,7 +221,6 @@ class ExperimentConfig:
         if "systems" in data:
             if not isinstance(data["systems"], list):
                 raise ConfigError(f"{path}: systems must be a list drawn from {list(SYSTEMS)}")
-            data["systems"] = tuple(data["systems"])
         if "feasibility" in data:
             _check_fields(path, "feasibility", data["feasibility"], FeasibilityParams())
         try:
@@ -353,9 +355,10 @@ def _baseline_plan(
     )
 
 
-def _plan_llm_grop(
+def plan_llm_grop(
     scene: SceneState, goal: GeneratedGoal, config: ExperimentConfig, trial: int
 ) -> tuple[SelectedPlan, int | None]:
+    """The full pipeline's plan of one trial; ``momaplan plan`` prints trial 0's."""
     radii = _radii(scene)
     table = scene.table(TARGET_TABLE)
     grng = _trial_rng(config, "llm_grop", trial, 0)
@@ -412,7 +415,7 @@ def run_trial(
     """One planning + execution episode for one system."""
     try:
         if system == "llm_grop":
-            plan, goal_attempts = _plan_llm_grop(scene, goal, config, trial)
+            plan, goal_attempts = plan_llm_grop(scene, goal, config, trial)
         elif system == "latp":
             plan, goal_attempts = _plan_latp(scene, goal, config, trial)
         elif system == "tpra":

@@ -49,6 +49,23 @@ def test_plan_prints_goal_and_quantities(capsys):
     assert out.count("load from") == 3
 
 
+@pytest.mark.parametrize("task, environment", [("8", "chair_top"), ("1", "easy")])
+@pytest.mark.parametrize("seed", ["42", "5"])
+def test_plan_prints_the_plan_run_executes(capsys, task, environment, seed):
+    """``plan`` prints the utility of the plan ``run`` executes as llm_grop
+    trial 0 under the same flags."""
+    flags = ("--task", task, "--environment", environment, "--seed", seed,
+             "--configurations", "3")
+    code, out, err = run_cli(capsys, "plan", *flags)
+    assert code == 0
+    printed = next(line for line in out.splitlines() if line.startswith("utility     U = "))
+    code, report, err = run_cli(capsys, "run", *flags, "--systems", "llm_grop", "--trials", "1")
+    assert code == 0
+    trial = yaml.safe_load(report)["trials"][0]
+    assert (trial["system"], trial["trial"]) == ("llm_grop", 0)
+    assert printed == f"utility     U = {trial['planned_utility']:.4f}"
+
+
 def test_log_level_info_prints_the_planner_selection_on_stderr(capsys):
     argv = ("plan", "--task", "1", "--configurations", "2", "--seed", "7")
     code, out, err = run_cli(capsys, "--log-level", "INFO", *argv)
@@ -70,16 +87,39 @@ def test_log_level_rejects_unknown_levels(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.parametrize("verb", ["plan", "heatmap", "run", "export-scene"])
-@pytest.mark.parametrize("seed", ["-1", "4.5"])
-def test_seed_flag_must_be_a_non_negative_int(capsys, verb, seed):
+# The verbs that build an ``ExperimentConfig`` from their flags, each with
+# the flags it requires besides the one under test.
+_CONFIG_VERBS = {"plan": [], "heatmap": ["--out", "unused"], "run": [],
+                 "export-scene": ["--out", "unused"]}
+
+
+def _refused_as_config(capsys, verb, argv, **bad):
+    """``verb argv`` exits 2 with one stderr line: the verb's prefix and the
+    message ``ExperimentConfig(**bad)`` raises, so the rule is written once."""
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig(**bad)
+    code, out, err = run_cli(capsys, verb, *argv, *_CONFIG_VERBS[verb])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err == f"momaplan {verb}: error: {excinfo.value}\n"
+
+
+def _refused_as_not_int(capsys, verb, flag, value):
+    """argparse's type parse refuses a value that is not an int."""
     with pytest.raises(SystemExit) as excinfo:
-        main([verb, "--seed", seed, "--out", "unused"])
+        main([verb, flag, value, *_CONFIG_VERBS[verb]])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert err == (
-        f"momaplan {verb}: error: argument --seed: must be a non-negative integer, got '{seed}'\n"
-    )
+    assert err == f"momaplan {verb}: error: argument {flag}: invalid int value: '{value}'\n"
+
+
+@pytest.mark.parametrize("verb", list(_CONFIG_VERBS))
+@pytest.mark.parametrize("seed", ["-1", "4.5"])
+def test_seed_flag_must_be_a_non_negative_int(capsys, verb, seed):
+    if seed == "4.5":
+        _refused_as_not_int(capsys, verb, "--seed", seed)
+    else:
+        _refused_as_config(capsys, verb, ["--seed", seed], seed=int(seed))
 
 
 @pytest.mark.parametrize("verb, flag, value", [
@@ -91,13 +131,10 @@ def test_seed_flag_must_be_a_non_negative_int(capsys, verb, seed):
     ("plan", "--configurations", "-1"),
 ])
 def test_count_flags_must_be_positive_ints(capsys, verb, flag, value):
-    with pytest.raises(SystemExit) as excinfo:
-        main([verb, flag, value])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert err == (
-        f"momaplan {verb}: error: argument {flag}: must be a positive integer, got '{value}'\n"
-    )
+    if value == "2.5":
+        _refused_as_not_int(capsys, verb, flag, value)
+    else:
+        _refused_as_config(capsys, verb, [flag, value], **{flag[2:]: int(value)})
 
 
 @pytest.mark.parametrize("key, value", [("trials", -3), ("configurations", 0)])
@@ -109,14 +146,18 @@ def test_run_rejects_non_positive_counts_in_config(tmp_path, capsys, key, value)
     assert f"{key} must be positive, got {value}" in err
 
 
-@pytest.mark.parametrize("verb", ["plan", "heatmap", "run", "export-scene"])
+@pytest.mark.parametrize("verb", list(_CONFIG_VERBS))
 def test_unknown_task_is_refused_on_one_line(capsys, verb):
-    with pytest.raises(SystemExit) as excinfo:
-        main([verb, "--task", "10", "--out", "unused"])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"momaplan {verb}: error: argument --task: invalid choice: 10")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    _refused_as_config(capsys, verb, ["--task", "10"], task=10)
+
+
+@pytest.mark.parametrize("verb", list(_CONFIG_VERBS))
+def test_unknown_environment_is_refused_on_one_line(capsys, verb):
+    _refused_as_config(capsys, verb, ["--environment", "zero_g"], environment="zero_g")
+
+
+def test_unknown_system_is_refused_on_one_line(capsys):
+    _refused_as_config(capsys, "run", ["--systems", "latp", "oracle"], systems=("latp", "oracle"))
 
 
 def test_write_heatmap_pgm_bytes(tmp_path):
@@ -154,7 +195,8 @@ def test_heatmap_refuses_a_target_off_the_table(tmp_path, capsys, x, y):
                              "--out", str(prefix))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: target (") and err.endswith(") is not on the dining table\n")
+    assert err.startswith("momaplan heatmap: error: target (")
+    assert err.endswith(") is not on the dining table\n")
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
@@ -213,14 +255,15 @@ def test_unwritable_output_path_exits_2_before_any_work(tmp_path, capsys, monkey
     trials = ["--trials", "1"] if verb == "run" else []
     code, out, err = run_cli(capsys, verb, *trials, flag, value)
     assert code == 2 and out == ""
-    assert err == f"error: cannot write {tmp_path / written}: no directory {tmp_path / 'missing'}\n"
+    assert err == (f"momaplan {verb}: error: cannot write {tmp_path / written}: "
+                   f"no directory {tmp_path / 'missing'}\n")
     assert not list(tmp_path.iterdir())
 
 
 def test_output_path_naming_a_directory_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--trials", "1", "--out", str(tmp_path))
     assert code == 2 and out == ""
-    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
+    assert err == f"momaplan run: error: cannot write {tmp_path}: it is a directory\n"
 
 
 def test_run_rejects_config_plus_flags(tmp_path, capsys):
@@ -241,8 +284,9 @@ def test_run_names_each_flag_combined_with_config(tmp_path, capsys, flag, value)
     config = tmp_path / "exp.yaml"
     config.write_text("task: 1\ntrials: 1\n")
     code, out, err = run_cli(capsys, "run", "--config", str(config), flag, value)
-    assert code == 2
-    assert f"--config cannot be combined with experiment flags ({flag[2:]})" in err
+    assert (code, out) == (2, "")
+    assert err == f"momaplan run: error: --config cannot be combined with experiment flags " \
+                  f"({flag[2:]})\n"
 
 
 def test_run_flag_defaults_are_the_config_defaults():
@@ -310,11 +354,8 @@ def _rejected_in_one_line(code, err, what):
 
 def test_run_refuses_repeated_systems_flag(capsys):
     """A system named twice would run, and count, each trial twice."""
-    code, out, err = run_cli(capsys, "run", "--task", "1", "--trials", "1",
-                             "--systems", "latp", "tpra", "latp")
-    assert (code, out) == (2, "")
-    assert err == "error: systems must name at least one system, each once, " \
-                  "got ['latp', 'tpra', 'latp']\n"
+    systems = ("latp", "tpra", "latp")
+    _refused_as_config(capsys, "run", ["--trials", "1", "--systems", *systems], systems=systems)
 
 
 @pytest.mark.parametrize("systems", ["[]", "[latp, latp]"])

@@ -341,7 +341,7 @@ def _system_plans(task: int, environment: str):
     config = ExperimentConfig(task=task, environment=environment, configurations=2,
                               feasibility=FAST_FEA)
     return scene, [
-        harness._plan_llm_grop(scene, goal, config, 0)[0],
+        harness.plan_llm_grop(scene, goal, config, 0)[0],
         harness._plan_latp(scene, goal, config, 0)[0],
         harness._plan_tpra(scene, config, 0)[0],
         harness._plan_grop(scene, config, 0)[0],

@@ -41,10 +41,14 @@ def fast_config(**overrides):
 
 
 def test_make_scene_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="unknown task"):
+    """``make_scene`` refuses with the config's own rule; its error stays a
+    ``ValueError`` for library callers."""
+    with pytest.raises(ConfigError, match="^unknown task 99$") as excinfo:
         make_scene(99)
-    with pytest.raises(ValueError, match="unknown environment"):
+    assert isinstance(excinfo.value, ValueError)
+    with pytest.raises(ConfigError, match="^unknown environment 'zero_g'$") as excinfo:
         make_scene(1, "zero_g")
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_scene_composition():
@@ -443,7 +447,7 @@ def test_jsonl_trace_names_the_failed_object_and_stage(tmp_path, environment):
         if line["failure_kind"] not in ("navigation", "manipulation"):
             assert trace == {"failed_object": None, "failed_stage": None}
             continue
-        planner = harness._plan_llm_grop if line["system"] == "llm_grop" else harness._plan_latp
+        planner = harness.plan_llm_grop if line["system"] == "llm_grop" else harness._plan_latp
         plan, _ = planner(scene, goal, config, line["trial"])
         rng = harness._trial_rng(config, line["system"], line["trial"], 1)
         result = execute_plan_two_calls(scene, plan, rng, config.feasibility)
