@@ -59,7 +59,7 @@ from .planning import (
     SelectedPlan,
     plan_task,
 )
-from .relations import PlacementAtom, goal_objects
+from .relations import goal_objects
 from .world import (
     ObjectSpec,
     ObstacleSpec,

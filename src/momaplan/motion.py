@@ -64,6 +64,17 @@ def step_cost(straight: int, diagonal: int, resolution: float) -> float:
     return resolution * (straight + diagonal * _SQRT2)
 
 
+def octile(dy, dx, resolution: float):
+    """Octile distance, for ints or int arrays alike: the cost of the
+    cheapest grid path across ``dy`` rows and ``dx`` columns with no cell
+    blocked, min(|dy|, |dx|) diagonal steps and ||dy| - |dx|| straight
+    ones. A step moves at most one row and one column, so no grid path
+    between two cells costs less."""
+    dy, dx = abs(dy), abs(dx)
+    straight = abs(dy - dx)
+    return resolution * (straight + (dy + dx - straight) // 2 * _SQRT2)
+
+
 def robot_collides(scene: SceneState, x: float, y: float) -> bool:
     """Continuous collision test: robot disc against furniture rectangles.
     A rectangle at least ``radius + EARLY_OUT_SLACK`` beyond one edge is
@@ -288,10 +299,7 @@ class Navigator:
         nr, nc = self.grid.shape
 
         def heuristic(cell: Cell) -> float:
-            dy = abs(cell[0] - goal[0])
-            dx = abs(cell[1] - goal[1])
-            lo, hi = (dy, dx) if dy < dx else (dx, dy)
-            return res * ((hi - lo) + lo * _SQRT2)
+            return octile(cell[0] - goal[0], cell[1] - goal[1], res)
 
         counter = itertools.count()
         # g-scores as (straight, diagonal) step counts; float view for ordering.
@@ -343,7 +351,8 @@ _MAX_NAVIGATORS = 8
 # memory (about 3 KB a map); it covers the 200 maps a 10-configuration
 # re-plan of five objects reads per call. Leg costs stay unbounded: each
 # (table, loading cell) entry holds one float per band cell of the table
-# (about 6 KB), the source tables' band cells cap their count, and dropping
+# (about 6 KB), and a search adds only those of candidates that can still
+# win (a few per cold call), up to the source tables' band cells; dropping
 # one a plan search still reads repeats a whole-grid Dijkstra pass.
 MAX_MAPS = 256
 # Weak references to the most recently used scene and its navigator, so a

@@ -24,11 +24,12 @@ whole (``Router.loading_stands``), and ``Router.legs`` says whether legs
 connect. ``plan_task`` builds the candidate table once per goal, keeps
 unload options as arrays (each stand's band index and feasibility) and
 prices all configurations from one leg table over (previous stand, unload
-option) pairs: only pairs some candidate reaches with its earlier legs
-connected, read off one leg-cost vector per distinct loading cell
-(``Router.leg_costs``), skipping candidates with a leg that does not
-connect. Only the winner is routed: ``route`` reads each leg off the
-loading cell's cost field as an explicit grid path
+option) pairs, bounds first: a pair is read off its loading cell's
+leg-cost vector (``Router.leg_costs``) when the scene holds one, else
+bounded below by the octile distance, and only the loading cells of
+candidates that can still win are priced. Candidates with a leg that does
+not connect are skipped. Only the winner is routed: ``route`` reads each
+leg off the loading cell's cost field as an explicit grid path
 (``Navigator.field_path``, which follows the field's cached descent
 table), so no A* runs while planning (A* is the reference acceptance 4
 checks), and the winner's cost and utility are recomputed from its paths.
@@ -72,7 +73,7 @@ from .feasibility import (
 )
 from .geometry import rect_distances, segment_clearance
 from .grounding import Configuration
-from .motion import MotionPlan, Navigator, navigator_for
+from .motion import MotionPlan, Navigator, navigator_for, octile
 from .relations import ON_TOP_OF, PlacementAtom
 from .world import Pose2D, SceneState, SymbolicLocation, TableSpec, symbolic_locations
 
@@ -237,7 +238,7 @@ class Router:
     connect, for the search's every (previous stand, option) pair and for
     the steps ``route`` routes. Both legs of a step are priced off the
     loading cell's ``leg_costs``, so the search computes at most one cost
-    field per distinct loading stand; ``route`` then reads the legs of the
+    field per loading stand it prices; ``route`` then reads the legs of the
     chosen plan off the descent tables of the fields this router holds
     (one call's) as explicit grid paths, with no search of their own, and
     prices the plan. Band indices, stand tables, leg costs and descent
@@ -402,16 +403,25 @@ def _price_candidates(
     router: Router, band: BandIndex, objects: tuple[str, ...],
     stands: np.ndarray, fea_task: np.ndarray, pairs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Navigation cost, summed unload feasibility and connectedness, shape
-    (M, C), of every candidate of every configuration, priced from one leg
-    table. ``stands[m, k]`` is the band index of the frozen stand of unload
-    option k of configuration m, ``fea_task[m, k]`` its scored feasibility;
+    """Navigation cost, summed unload feasibility and whether the candidate
+    is kept, shape (M, C), of every candidate of every configuration.
+    ``stands[m, k]`` is the band index of the frozen stand of unload option
+    k of configuration m, ``fea_task[m, k]`` its scored feasibility;
     ``pairs`` codes steps as ``_candidate_table`` does, and ``Router.legs``
-    gives every code's loading cell and connectedness. Only codes some
-    candidate reaches with its earlier steps connected are priced, each
-    once, off one ``Router.leg_costs`` vector per distinct loading cell:
-    the cost fields walking every candidate asks for. Both sums add column
-    by column, so each candidate's equal its steps added one at a time.
+    gives every (previous stand, option) pair's loading cell and
+    connectedness.
+
+    Bounds first, then refine: a connected pair whose loading cell already
+    has a leg-cost vector is priced off it, any other by ``res`` times the
+    octile distance from its loading cell to each end, a lower bound. While
+    a candidate within 1e-9 of the best utility so summed holds a bounded
+    pair, the loading cells of all such pairs are priced
+    (``Router.leg_costs``, one field each) and the sums are redone. Kept
+    are the candidates within 1e-9 of the best, all priced exactly; every
+    other one is disconnected or more than 1e-9 below the optimum, so the
+    first-of-ties scan picks among the kept what it would among all. Both
+    sums add column by column, so a kept candidate's equal its steps added
+    one at a time.
     """
     configs, size = stands.shape
     # Each configuration's previous stands: the robot's start, then every option's.
@@ -426,14 +436,9 @@ def _price_candidates(
     # Step-major leg-table entries, shape (n, M, C): step k of candidate c
     # of configuration m, so each step's entries lie together.
     steps = np.ascontiguousarray(pairs.T)[:, None, :] + width * np.arange(configs)[:, None]
-    # reached[k]: whether steps 0..k all connect.
-    reached = connects[steps]
-    for k in range(1, len(reached)):
-        reached[k] &= reached[k - 1]
     asked = np.zeros(len(load), dtype=bool)
-    asked[steps[0]] = True
-    asked[steps[1:][reached[:-1]]] = True
-    asked = np.flatnonzero(asked & (load >= 0))
+    asked[steps] = True
+    asked = np.flatnonzero(asked & connects)
     cells = load[asked]
     order = np.argsort(cells, kind="stable")
     asked, cells = asked[order], cells[order]
@@ -441,24 +446,51 @@ def _price_candidates(
     # entry, for the start) and of its option's stand.
     m, code = np.divmod(asked, width)
     prev_at, option_at = prev[m, code // size], prev[m, 1 + code % size]
-    costs = np.empty(len(asked))
-    # Codes sharing a loading cell are priced off its one leg-cost vector.
-    grid_cols = router.nav.grid.shape[1]
-    starts = np.flatnonzero(np.diff(cells, prepend=-1)).tolist()
-    for lo, hi in zip(starts, starts[1:] + [len(cells)]):
-        legs = router.leg_costs(table, divmod(int(cells[lo]), grid_cols))
-        costs[lo:hi] = legs[prev_at[lo:hi]] + legs[option_at[lo:hi]]
+    # Every pair starts at its lower bound: the octile distances from its
+    # loading cell to the grid cells of its two leg-cost entries.
+    nav = router.nav
+    res, grid_cols = nav.grid.resolution, nav.grid.shape[1]
+    start = nav.start_cell[0] * grid_cols + nav.start_cell[1]
+    end_row, end_col = np.divmod(np.append(band.cells, start), grid_cols)
+    row, col = np.divmod(cells, grid_cols)
     step_cost = np.full(len(load), math.inf)
-    step_cost[asked] = np.where(connects[asked], costs, math.inf)
+    step_cost[asked] = (octile(row - end_row[prev_at], col - end_col[prev_at], res)
+                        + octile(row - end_row[option_at], col - end_col[option_at], res))
+    # Codes sharing a loading cell are priced off its one leg-cost vector;
+    # a cell leaves ``spans`` once they are.
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    stops = [*starts[1:].tolist(), len(cells)]
+    spans = dict(zip(cells[starts].tolist(), zip(starts.tolist(), stops)))
 
-    step_cost = step_cost[steps]
+    def price(cells) -> None:
+        for cell in cells:
+            lo, hi = spans.pop(cell)
+            legs = router.leg_costs(table, divmod(cell, grid_cols))
+            step_cost[asked[lo:hi]] = legs[prev_at[lo:hi]] + legs[option_at[lo:hi]]
+
+    price([cell for cell in spans if (table, divmod(cell, grid_cols)) in nav.legs])
     codes = pairs % size
-    nav_cost = np.zeros(reached.shape[1:])
-    fea_sum = np.zeros(reached.shape[1:])
+    fea_sum = np.zeros(steps.shape[1:])
     for k in range(len(steps)):
-        nav_cost += step_cost[k]
         fea_sum += fea_task[:, codes[:, k]]
-    return nav_cost, fea_sum, reached[-1]
+    while True:
+        leg_sums = step_cost[steps]
+        nav_cost = np.zeros(steps.shape[1:])
+        for k in range(len(steps)):
+            nav_cost += leg_sums[k]
+        utility = _score(len(objects), nav_cost, fea_sum)[2]
+        kept = np.isfinite(utility) & (utility >= utility.max() - 1e-9)
+        bounded = set(load[steps[:, kept]].ravel().tolist()) & spans.keys()
+        if not bounded:
+            return nav_cost, fea_sum, kept
+        price(bounded)
+
+
+def _score(n: int, nav_cost: np.ndarray, fea_sum: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Feasibility, cost and utility of plans of ``n`` objects."""
+    fea = (n * 1.0 + fea_sum) / (2 * n)
+    cost = nav_cost + MANIPULATION_COST * 2 * n
+    return fea, cost, REWARD * fea - cost
 
 
 def _unload_options(
@@ -520,16 +552,14 @@ def plan_task(
     n = len(objects)
     stands, fea_task, fea_stand = _unload_options(
         scene, band, table, configurations, objects, params)
-    nav_cost, fea_sum, connected = _price_candidates(router, band, objects, stands, fea_task, pairs)
-    fea = (n * 1.0 + fea_sum) / (2 * n)
-    cost = nav_cost + MANIPULATION_COST * 2 * n
-    utility = REWARD * fea - cost
+    nav_cost, fea_sum, kept = _price_candidates(router, band, objects, stands, fea_task, pairs)
+    fea, cost, utility = _score(n, nav_cost, fea_sum)
 
     best: tuple[float, int, int] | None = None  # (utility, config_idx, plan_idx)
     for m in range(len(configurations)):
         # Visit candidates in plan order, so the first of near-ties wins;
         # one that cannot beat the best so far is never visited.
-        row = connected[m] if best is None else connected[m] & (utility[m] > best[0] + 1e-12)
+        row = kept[m] if best is None else kept[m] & (utility[m] > best[0] + 1e-12)
         for pi in np.flatnonzero(row).tolist():
             if best is None or utility[m, pi] > best[0] + 1e-12:
                 best = (float(utility[m, pi]), m, pi)
