@@ -10,16 +10,10 @@ target. The rollout halts at the first failure. A baseline plan cut short
 at routing (``plan.truncated``) whose routed prefix runs clean fails in
 navigation at its cut, on the first unrouted object.
 
-The arrival noise parameters are the same FeasibilityParams the planner's
-heatmaps were built with, so feasibility estimates and execution outcomes
-are draws from one distribution. Each arrival takes three standard
-normals, the stream of a ``normal`` call for position and one for heading;
-the heading draw is discarded. A run draws the normals of all its arrivals
-in one call. numpy draws normals one after another with nothing carried
-between calls, so that call's values, and the state it leaves, are those of
-one call per arrival. A run that stops early restores the state saved
-before the call and redraws the normals of the arrivals it reached, so
-every outcome and generator state stays exactly that of per-arrival draws.
+Arrival noise over (x, y) uses the FeasibilityParams the planner's maps were
+built with, so maps and replays draw from one distribution. A run draws it in
+one call, two standard normals per arrival and two arrivals per step, so it
+consumes exactly ``4 * len(plan.steps)`` normals, whatever its outcome.
 
 Most arrivals pass with one comparison. Each ``PlanStep`` carries
 free-space radii fixed when it was routed: the load pose's clearance from
@@ -33,8 +27,7 @@ of the stand's, and each point of the perturbed reach line lies within
 ``|o|`` of the nominal line (point t moves by ``(1 - t) o``), so no test
 could fail there, and the slack absorbs rounding. Every other arrival runs
 the full collision and reach tests, scalar loops over stored ``Rect``
-bounds with exact far-rectangle early-outs. Outcomes and generator states
-are those of the full tests on every arrival.
+bounds with exact far-rectangle early-outs.
 """
 from __future__ import annotations
 
@@ -49,7 +42,7 @@ from .geometry import EARLY_OUT_SLACK, segment_hits_rect
 from .motion import robot_collides
 from .planning import MANIPULATION_COST, SelectedPlan
 from .relations import ALIGNMENT_TOL, PlacementAtom, satisfied_atoms
-from .world import Pose2D, SceneState, TableSpec
+from .world import SceneState, TableSpec
 
 log = logging.getLogger(__name__)
 
@@ -105,23 +98,18 @@ def execute_plan(
     """
     params = params or FeasibilityParams()
     steps = plan.steps
-    s = params.nav_sigma_xy
-    saved = rng.bit_generator.state
-    # Read six at a time: x, y and heading of the load arrival, then of the
+    # Offsets, read four at a time: x and y of the load arrival, then of the
     # unload arrival.
-    noise = iter(rng.standard_normal(6 * len(steps)).tolist())
+    noise = iter((params.nav_sigma_xy * rng.standard_normal(4 * len(steps))).tolist())
     cost = 0.0
     delivered = 0
     kind: str | None = None
     stage: str | None = None
     reach, slack = params.reach_radius, EARLY_OUT_SLACK
-    for step, lx, ly, _, ux, uy, _ in zip(steps, *[noise] * 6):
-        # Leg to the loading spot. numpy's normal(loc, scale) is
-        # loc + scale * standard_normal, hence the 0.0 + s * z offsets.
-        # An arrival inside the stage's radius, less the slack, passes its
-        # tests without running them.
+    for step, ox, oy, ux, uy in zip(steps, *[noise] * 4):
+        # Leg to the loading spot. An arrival inside the stage's radius,
+        # less the slack, passes its tests without running them.
         cost += step.leg_to_load
-        ox, oy = 0.0 + s * lx, 0.0 + s * ly
         r = step.load_clearance - slack
         if not (r > 0.0 and ox * ox + oy * oy < r * r):
             pose = step.load_pose
@@ -132,12 +120,11 @@ def execute_plan(
         cost += MANIPULATION_COST
 
         cost += step.leg_to_unload
-        ox, oy = 0.0 + s * ux, 0.0 + s * uy
         r, within = step.unload_clearance, reach - step.reach_distance
         r = (r if r < within else within) - slack
-        if not (r > 0.0 and ox * ox + oy * oy < r * r):
+        if not (r > 0.0 and ux * ux + uy * uy < r * r):
             pose = step.unload_pose
-            arrival = pose.x + ox, pose.y + oy
+            arrival = pose.x + ux, pose.y + uy
             if robot_collides(scene, *arrival):
                 kind, stage = NAVIGATION, "unload"
                 break
@@ -147,17 +134,11 @@ def execute_plan(
         cost += MANIPULATION_COST
         delivered += 1
 
-    failed_object = None
-    if kind is not None:
-        # Leave the generator where per-arrival draws would: rewind, then
-        # redraw the three normals of every arrival the run reached.
-        rng.bit_generator.state = saved
-        rng.standard_normal(6 * delivered + (3 if stage == "load" else 6))
-        failed_object = steps[delivered].object_id
-    elif plan.truncated:
+    if kind is None and plan.truncated:
         # The routed prefix ran clean; the next object's legs have no path.
         kind, stage = NAVIGATION, plan.truncated
-        failed_object = plan.order[len(steps)]
+    # The first object not delivered (steps route a prefix of the order).
+    failed_object = None if kind is None else plan.order[delivered]
     if kind is not None:
         log.debug("run failed: %s during %s of %s", kind, stage, failed_object)
     positions = scene.start_positions.copy()

@@ -60,7 +60,6 @@ class FeasibilityParams:
     trials_per_cell: int = 5
     # Std dev of the Gaussian arrival error around a commanded standing cell.
     nav_sigma_xy: float = 0.01
-    nav_sigma_theta: float = 0.10
     reach_radius: float = 0.80
 
     def __post_init__(self) -> None:
@@ -70,9 +69,8 @@ class FeasibilityParams:
             raise ValueError(f"trials_per_cell must be an int, got {trials!r}")
         if trials < 1:
             raise ValueError(f"trials_per_cell must be at least 1, got {trials}")
-        for name in ("nav_sigma_xy", "nav_sigma_theta"):
-            if not 0.0 <= (value := getattr(self, name)) < float("inf"):
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        if not 0.0 <= self.nav_sigma_xy < float("inf"):
+            raise ValueError(f"nav_sigma_xy must be non-negative and finite, got {self.nav_sigma_xy}")
         if not 0.0 < self.reach_radius < float("inf"):
             raise ValueError(f"reach_radius must be positive and finite, got {self.reach_radius}")
         # Every map-store request hashes its key, so hash the fields once.
@@ -82,11 +80,12 @@ class FeasibilityParams:
         return self._hash
 
     def fingerprint(self) -> tuple[int, ...]:
-        # 25, the former standing-draw count, keeps every map's seed as it was.
+        # 100_000_000 (the former heading sigma, 0.1, in 1e-9) and 25 (the former stand-draw
+        # count) keep every map seed; both go when maps are computed (ROADMAP item 2).
         return (
             self.trials_per_cell,
             int(round(self.nav_sigma_xy * 1e9)),
-            int(round(self.nav_sigma_theta * 1e9)),
+            100_000_000,
             int(round(self.reach_radius * 1e9)),
             25,
         )

@@ -29,6 +29,7 @@ from .relations import (
     PlacementAtom,
     atom_holds,
     goal_objects,
+    stack_supports,
 )
 
 log = logging.getLogger(__name__)
@@ -137,9 +138,8 @@ def nominal_layout(goal: GeneratedGoal) -> Configuration:
     return Configuration(positions, layers)
 
 
-def _placement_order(order: list[str], atoms: list[PlacementAtom]) -> list[str]:
+def _placement_order(order: list[str], supports: dict[str, str]) -> list[str]:
     """First-mention order adjusted so supports precede what stacks on them."""
-    supports = {a.subject: a.reference for a in atoms if a.relation == ON_TOP_OF}
     placed: list[str] = []
     remaining = list(order)
     while remaining:
@@ -193,11 +193,11 @@ def sample_configurations(
     """
     params = params or GroundingParams()
     nominal = nominal_layout(goal)
-    order = _placement_order(goal_objects(goal.atoms), goal.atoms)
+    stack_support = stack_supports(goal.atoms)
+    order = _placement_order(goal_objects(goal.atoms), stack_support)
     missing = [o for o in order if o not in radii]
     if missing:
         raise KeyError(f"no footprint radius for: {missing}")
-    stack_support = {a.subject: a.reference for a in goal.atoms if a.relation == ON_TOP_OF}
 
     result = GroundingResult()
     for index in range(params.configurations):

@@ -67,6 +67,7 @@ from .world import (
     SceneState,
     TableSpec,
     build_scene,
+    has_type,
     read_yaml,
 )
 
@@ -183,8 +184,7 @@ def _check_fields(path: str | Path, section: str, data: object, defaults: object
         kind = type(getattr(defaults, key))
         if kind not in (int, float, str):
             continue  # nested sections are checked by their own rules
-        kinds = (int, float) if kind is float else (kind,)
-        if not isinstance(value, kinds) or isinstance(value, bool):
+        if not has_type(value, kind):
             raise ConfigError(f"{path}: {key} must be {kind.__name__}, got {value!r}")
 
 

@@ -74,7 +74,7 @@ from .feasibility import (
 from .geometry import rect_distances, segment_clearance
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for, octile
-from .relations import ON_TOP_OF, PlacementAtom
+from .relations import PlacementAtom, stack_supports
 from .world import Pose2D, SceneState, SymbolicLocation, TableSpec, symbolic_locations
 
 log = logging.getLogger(__name__)
@@ -156,7 +156,7 @@ class SelectedPlan:
 
 def stacking_orders(objects: list[str], atoms: list[PlacementAtom]) -> Iterator[tuple[str, ...]]:
     """Object orders where every support precedes what stacks on it, drawn lazily."""
-    supports = {a.subject: a.reference for a in atoms if a.relation == ON_TOP_OF}
+    supports = stack_supports(atoms)
     for perm in itertools.permutations(objects):
         pos = {o: i for i, o in enumerate(perm)}
         if all(

@@ -110,6 +110,11 @@ def goal_objects(atoms: list[PlacementAtom]) -> list[str]:
     return seen
 
 
+def stack_supports(atoms: list[PlacementAtom]) -> dict[str, str]:
+    """Each stacked object's support: subject to reference of every ``on_top_of`` atom."""
+    return {a.subject: a.reference for a in atoms if a.relation == ON_TOP_OF}
+
+
 # ---------------------------------------------------------------------------
 # Qualitative consistency
 

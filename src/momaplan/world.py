@@ -8,7 +8,7 @@ read and tweaked by hand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -381,8 +381,8 @@ def _spread_objects(objects: list[ObjectSpec], tables: dict[str, TableSpec]) -> 
 def _validate(scene: SceneState) -> None:
     if scene.rng_seed < 0:
         raise SceneError(f"seed must be non-negative, got {scene.rng_seed}")
-    if not 0.0 <= scene.robot_radius < math.inf:
-        raise SceneError(f"robot radius must be non-negative and finite, got {scene.robot_radius}")
+    if not (has_type(scene.robot_radius) and 0.0 <= scene.robot_radius < math.inf):
+        raise SceneError(f"robot radius must be non-negative and finite, got {scene.robot_radius!r}")
     ids: set[str] = set()
     for spec in list(scene.tables) + list(scene.obstacles) + list(scene.objects):
         if spec.id in ids:
@@ -501,26 +501,40 @@ def scene_to_dict(scene: SceneState) -> dict:
     }
 
 
+def _owner(entry: dict) -> str:
+    return f"{entry['id']!r} " if "id" in entry else ""
+
+
+def has_type(value, kind: type = float) -> bool:
+    """The type rule of every scene and config file value: ``kind``, where an
+    int passes for a float and a bool only for a bool."""
+    return isinstance(value, (int, float) if kind is float else kind) and isinstance(value, bool) == (kind is bool)
+
+
 def _pair(entry: dict, key: str, kind: type = float) -> tuple:
     """A two-number scene entry such as a center, half extents or grid shape."""
     value = entry[key]
-    kinds = (int,) if kind is int else (int, float)
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)
-    ):
-        owner = f"{entry['id']!r} " if "id" in entry else ""
-        raise SceneError(f"{owner}{key} must be two {kind.__name__}s, got {value!r}")
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(has_type(v, kind) for v in value)):
+        raise TypeError(f"{_owner(entry)}{key} must be two {kind.__name__}s, got {value!r}")
     return _finite(entry, key, tuple(value))
+
+
+def _scalar(entry: dict, key: str, default=None, kind: type = float):
+    """A one-value scene entry, ``default`` when absent if one is given, of
+    type ``kind`` by ``has_type``; a float is also finite. A wrong type is a
+    TypeError, reported as a malformed entry."""
+    value = entry[key] if default is None else entry.get(key, default)
+    if not has_type(value, kind):
+        raise TypeError(f"{_owner(entry)}{key} must be {kind.__name__}, got {value!r}")
+    return _finite(entry, key, float(value)) if kind is float else value
 
 
 def _finite(entry: dict, key: str, value):
     """``value``, read from ``entry[key]``, once none of its numbers is NaN
     or infinite."""
     if not np.isfinite(value).all():
-        owner = f"{entry['id']!r} " if "id" in entry else ""
-        raise SceneError(f"{owner}{key} must be finite, got {entry[key]!r}")
+        raise SceneError(f"{_owner(entry)}{key} must be finite, got {entry[key]!r}")
     return value
 
 
@@ -532,9 +546,9 @@ def scene_from_dict(data: dict) -> SceneState:
         raise SceneError(f"unsupported scene format_version {version!r}")
     try:
         robot = data["robot"]
-        robot_pose = Pose2D(_finite(robot, "x", robot["x"]), _finite(robot, "y", robot["y"]),
-                            _finite(robot, "theta", robot.get("theta", 0.0)))
-        robot_radius = float(robot.get("radius", DEFAULT_ROBOT_RADIUS))
+        robot_pose = Pose2D(_scalar(robot, "x"), _scalar(robot, "y"), _scalar(robot, "theta", 0.0))
+        # Its range, finiteness included, is a rule of every scene (_validate).
+        robot_radius = robot.get("radius", DEFAULT_ROBOT_RADIUS)
         tables = [
             TableSpec(t["id"], _pair(t, "center"), _pair(t, "half_extents"))
             for t in data.get("tables", [])
@@ -548,16 +562,16 @@ def scene_from_dict(data: dict) -> SceneState:
         objects = [
             ObjectSpec(
                 id=o["id"],
-                footprint_radius=_finite(o, "footprint_radius", float(o["footprint_radius"])),
+                footprint_radius=_scalar(o, "footprint_radius"),
                 initial_location=o["initial_location"],
-                supports_stacking=bool(o.get("supports_stacking", False)),
+                supports_stacking=_scalar(o, "supports_stacking", False, bool),
                 initial_position=(
                     _pair(o, "initial_position") if o.get("initial_position") else None
                 ),
             )
             for o in data.get("objects", [])
         ]
-        seed = int(data.get("seed", 0))
+        seed = _scalar(data, "seed", 0, int)
         grid_cfg = data.get("grid") or {}
         return build_scene(
             tables,
@@ -566,7 +580,7 @@ def scene_from_dict(data: dict) -> SceneState:
             robot_pose,
             rng_seed=seed,
             robot_radius=robot_radius,
-            resolution=_finite(grid_cfg, "resolution", float(grid_cfg.get("resolution", DEFAULT_GRID_RESOLUTION))),
+            resolution=_scalar(grid_cfg, "resolution", DEFAULT_GRID_RESOLUTION),
             grid_origin=_pair(grid_cfg, "origin") if "origin" in grid_cfg else None,
             grid_shape=_pair(grid_cfg, "shape", int) if "shape" in grid_cfg else None,
         )

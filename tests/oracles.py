@@ -514,6 +514,16 @@ def grid_cell_center(grid, cell) -> tuple[float, float]:
     )
 
 
+# The noise lattice of ``noise_success_probability`` is turned by this angle
+# (radians) against the scene axes. Furniture sides, and the straight sides
+# of the robot disc's clearance around them, are axis-aligned: an aligned
+# lattice puts each of its rows wholly on one side of such a boundary, so
+# its error is of the order of the lattice step and does not cancel along
+# the boundary. Turned, the rows cross a boundary at spread offsets and the
+# errors average out. The Gaussian is isotropic, so no weight changes.
+LATTICE_TURN = 0.5
+
+
 def noise_success_probability(
     center,
     target,
@@ -529,16 +539,18 @@ def noise_success_probability(
     the robot disc clear of every rect, lands within arm's reach of
     `target`, and sees `target` along a line crossing no blocking rect.
 
-    Dense tensor-grid integration over the arrival noise. The line-of-reach
-    test is exact but encoded differently from the package's slab clip: a
-    segment meets a rectangle when an endpoint lies inside it or the
-    segment meets one of its four edges by orientation tests, touching
-    counted as a hit.
+    Dense tensor-grid integration over the arrival noise, on a lattice
+    turned by ``LATTICE_TURN``. The line-of-reach test is exact but encoded
+    differently from the package's slab clip: a segment meets a rectangle
+    when an endpoint lies inside it or the segment meets one of its four
+    edges by orientation tests, touching counted as a hit.
     """
     offsets = np.linspace(-half_width_sigmas * sigma, half_width_sigmas * sigma, grid_points)
     pdf = np.exp(-0.5 * (offsets / sigma) ** 2)
-    x = np.repeat(center[0] + offsets, grid_points)
-    y = np.tile(center[1] + offsets, grid_points)
+    u, v = np.repeat(offsets, grid_points), np.tile(offsets, grid_points)
+    cos, sin = math.cos(LATTICE_TURN), math.sin(LATTICE_TURN)
+    x = center[0] + cos * u - sin * v
+    y = center[1] + sin * u + cos * v
     weights = np.outer(pdf, pdf).ravel()
     weights /= weights.sum()
 
@@ -916,10 +928,8 @@ def _generator_robot_collides(scene, x: float, y: float) -> bool:
     return any(disc_hits_rect(x, y, scene.robot_radius, r) for r in scene.solid_rects())
 
 
-def _two_call_noisy_arrival(pose, params, rng) -> Pose2D:
-    dx, dy = rng.normal(0.0, params.nav_sigma_xy, size=2)
-    dtheta = rng.normal(0.0, params.nav_sigma_theta)
-    return Pose2D(pose.x + dx, pose.y + dy, pose.theta + dtheta)
+def _offset_pose(pose, dx: float, dy: float) -> Pose2D:
+    return Pose2D(pose.x + dx, pose.y + dy, pose.theta)
 
 
 def _reach_clear(scene, arrival, target, target_table, params) -> bool:
@@ -931,14 +941,18 @@ def _reach_clear(scene, arrival, target, target_table, params) -> bool:
     return True
 
 
-def execute_plan_two_calls(scene, plan, rng, params=None) -> ExecutionResult:
-    """The execution module's former ``execute_plan``: a collision test
-    that builds a generator over ``disc_hits_rect`` per arrival, and two
-    ``normal`` calls per arrival. The one-call rollout must reproduce its
-    results and leave the generator in the same state. It predates the
-    truncation rule: a truncated plan whose routed prefix runs clean
-    succeeds here, where ``execute_plan`` fails it at its cut."""
+def execute_plan_block_draw(scene, plan, rng, params=None) -> ExecutionResult:
+    """The replay referee: draws a run's whole noise up front, ``4 *
+    len(plan.steps)`` standard normals (x and y of the load arrival, then of
+    the unload arrival, step by step), then makes the full collision and
+    reach tests on every arrival it reaches, a generator over
+    ``disc_hits_rect`` and slab clipping, with no free-space early-out.
+    ``execute_plan`` must reproduce its results and leave the generator in
+    the same state. It has no truncation rule: a truncated plan whose
+    routed prefix runs clean succeeds here, where ``execute_plan`` fails it
+    at its cut."""
     params = params or FeasibilityParams()
+    offsets = params.nav_sigma_xy * rng.standard_normal((len(plan.steps), 2, 2))
     positions = {
         o.id: scene.table(o.initial_location).to_world(*o.initial_position)
         for o in scene.objects
@@ -959,15 +973,15 @@ def execute_plan_two_calls(scene, plan, rng, params=None) -> ExecutionResult:
             final_layers=layers,
         )
 
-    for step in plan.steps:
+    for step, (load, unload) in zip(plan.steps, offsets.tolist()):
         cost += step.leg_to_load
-        arrival = _two_call_noisy_arrival(step.load_pose, params, rng)
+        arrival = _offset_pose(step.load_pose, *load)
         if _generator_robot_collides(scene, arrival.x, arrival.y):
             return fail(step, "load", NAVIGATION)
         cost += MANIPULATION_COST
 
         cost += step.leg_to_unload
-        arrival = _two_call_noisy_arrival(step.unload_pose, params, rng)
+        arrival = _offset_pose(step.unload_pose, *unload)
         if _generator_robot_collides(scene, arrival.x, arrival.y):
             return fail(step, "unload", NAVIGATION)
         target_table = step.unload_location.split("/")[0]

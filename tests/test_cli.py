@@ -436,6 +436,30 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, field, message):
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize("where, key, text, message", [
+    ("object", "supports_stacking", '"no"', "'dinner_plate' supports_stacking must be bool, got 'no'"),
+    ("robot", "radius", "true", "robot radius must be non-negative and finite, got True"),
+    ("scene", "seed", "4.7", "seed must be int, got 4.7"),
+    ("scene", "seed", "true", "seed must be int, got True"),
+    ("object", "footprint_radius", '"0.02"', "'dinner_plate' footprint_radius must be float, got '0.02'"),
+    ("grid", "resolution", '"0.05"', "resolution must be float, got '0.05'"),
+    ("robot", "theta", "true", "theta must be float, got True"),
+])
+def test_validate_rejects_mistyped_scalars(tmp_path, capsys, where, key, text, message):
+    """A one-value entry follows the rule of each number of a pair: an int
+    or a float, never a bool or a string (the seed an int), and a flag is
+    a bool. Each of these once loaded as some other value."""
+    data = scene_to_dict(make_scene(1, "easy", 42))
+    entry = {"object": data["objects"][0], "robot": data["robot"], "grid": data["grid"],
+             "scene": data}[where]
+    entry[key] = "VALUE"
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data).replace("VALUE", text))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert message in err and out == ""
+
+
 def test_run_rejects_config_of_wrong_type(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     config.write_text('task: 1\ntrials: "many"\n')
@@ -472,10 +496,19 @@ def test_run_rejects_the_removed_task_draws_key(tmp_path, capsys):
     assert "unknown feasibility keys ['task_draws']" in err
 
 
+def test_run_rejects_the_removed_nav_sigma_theta_key(tmp_path, capsys):
+    """Arrivals are drawn in (x, y) only, so no heading noise is read."""
+    config = tmp_path / "exp.yaml"
+    config.write_text("task: 1\ntrials: 1\nsystems: [llm_grop]\nfeasibility: {nav_sigma_theta: 0.1}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    _rejected_in_one_line(code, err, "config")
+    assert "unknown feasibility keys ['nav_sigma_theta']" in err
+
+
 # Keys of both loaders' documents, so generated mappings reach their checks.
 _KEYS = st.sampled_from([
     "task", "environment", "systems", "trials", "seed", "configurations", "feasibility",
-    "trials_per_cell", "nav_sigma_xy", "nav_sigma_theta", "reach_radius",
+    "trials_per_cell", "nav_sigma_xy", "reach_radius",
     "format_version", "robot", "x", "y", "theta", "radius", "grid", "resolution", "origin",
     "shape", "tables", "obstacles", "objects", "id", "center", "half_extents", "kind",
     "footprint_radius", "initial_location", "supports_stacking", "initial_position",

@@ -30,7 +30,7 @@ from momaplan.motion import robot_collides
 from momaplan.planning import PlanningParams, plan_task
 from momaplan.relations import PlacementAtom
 
-from oracles import execute_plan_two_calls, plan_success_probability
+from oracles import execute_plan_block_draw, plan_success_probability
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
 
@@ -71,9 +71,9 @@ def test_successful_run_costs_exactly_the_plan(plan1):
     assert result.failure_kind is None
     assert result.failed_object is None
     assert result.success and result.failed_stage is None
-    # Three standard normals per arrival, heading included, two arrivals per step.
+    # Two standard normals per arrival, two arrivals per step.
     ref = np.random.default_rng(seed)
-    ref.standard_normal(3 * 2 * len(plan.steps))
+    ref.standard_normal(4 * len(plan.steps))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -153,10 +153,10 @@ def test_run_halts_at_first_failure(plan1):
     assert not result.success and result.failed_stage == "unload"
     failed_idx = [s.object_id for s in plan.steps].index(result.failed_object)
     assert result.objects_delivered == failed_idx
-    # Three standard normals per attempted arrival and none after the
-    # failing unload.
+    # The whole run's noise, the arrivals after the failing unload included.
+    assert failed_idx < len(plan.steps) - 1
     ref = np.random.default_rng(1)
-    ref.standard_normal(3 * (2 * failed_idx + 2))
+    ref.standard_normal(4 * len(plan.steps))
     assert rng.bit_generator.state == ref.bit_generator.state
     # Undelivered objects never move off their source tables.
     for step in plan.steps[failed_idx:]:
@@ -268,17 +268,21 @@ def _same_state(a, b) -> bool:
 
 def _replay_against_oracle(task, environment, sigma, bit_generator, runs=300):
     """Replay ``runs`` times on one shared generator per side, checking
-    every result and generator state against the two-call rollout; return
-    the ``(failed_stage, failure_kind, failed step index)`` of every stop."""
+    every result and generator state against the block-draw referee, and
+    the state against a third generator that only draws ``4 *
+    len(plan.steps)`` standard normals per run; return the
+    ``(failed_stage, failure_kind, failed step index)`` of every stop."""
     scene, plan, params = _replay_plan(task, environment, sigma)
     seed = (task, round(sigma * 100))
-    rng, ref_rng = (np.random.Generator(getattr(np.random, bit_generator)(seed))
-                    for _ in range(2))
+    rng, ref_rng, counted = (np.random.Generator(getattr(np.random, bit_generator)(seed))
+                             for _ in range(3))
     stops = []
     for _ in range(runs):
         result = execute_plan(scene, plan, rng, params)
-        assert result == execute_plan_two_calls(scene, plan, ref_rng, params)
+        assert result == execute_plan_block_draw(scene, plan, ref_rng, params)
         assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        counted.standard_normal(4 * len(plan.steps))
+        assert _same_state(rng.bit_generator.state, counted.bit_generator.state)
         if not result.success:
             stops.append((result.failed_stage, result.failure_kind, result.objects_delivered))
     return stops
@@ -286,13 +290,12 @@ def _replay_against_oracle(task, environment, sigma, bit_generator, runs=300):
 
 @pytest.mark.parametrize("task, environment, sigma, bit_generator", _replay_cases())
 def test_replays_match_the_two_call_rollout(task, environment, sigma, bit_generator):
-    """300 replays on one shared generator per side: the one-call rollout
-    gives the former rollout's results, arrivals included, exactly, and
-    leaves its generator in the same state after every run, also after a
-    run that stops early and rewinds. The former rollout makes every
-    collision and reach test in full, so at sigma 0.15, where more arrivals
-    land near furniture edges, this referees the early-outs too, and some
-    run stops after a delivered step."""
+    """300 replays on one shared generator per side: ``execute_plan`` gives
+    the block-draw referee's results exactly, and leaves its generator in
+    the same state after every run, also after a run that stops early. The
+    referee makes every collision and reach test in full, so at sigma 0.15,
+    where more arrivals land near furniture edges, this referees the
+    early-outs too, and some run stops after a delivered step."""
     stops = _replay_against_oracle(task, environment, sigma, bit_generator)
     if sigma >= 0.08:
         assert stops, "large noise should fail some replays"
@@ -319,9 +322,9 @@ def test_replays_succeed_at_the_exact_plan_probability(task, environment, sigma)
 def test_every_stop_point_leaves_the_oracle_state(bit_generator):
     """Over every task and environment at sigma 0.15, runs stop after step
     0 at each of the three stop points: load navigation, unload navigation
-    and unload manipulation. Each such run draws its whole noise, rewinds
-    and redraws a partial run's arrivals, and must still leave the
-    generator where the two-call rollout does."""
+    and unload manipulation. Each such run must still consume exactly
+    ``4 * len(plan.steps)`` standard normals, its whole noise, and leave the
+    generator where the block-draw referee does."""
     late = {
         (stage, kind)
         for task in (1, 8, 9)
