@@ -12,8 +12,8 @@ probability estimated by repeated simulated trials. A trial succeeds when
   table being loaded.
 
 The per-cell trial noise comes from entropy words derived from the scene
-seed, the location, the unload point and the trial parameters, split into
-uint32 words once per map; each cell seeds its own child stream from them.
+seed, the location, the unload point and the trial parameters; one
+``pcg64_states`` pass derives every reachable cell's (row, col) stream.
 The same inputs reproduce a map bit for bit, and cells are independent. Maps
 are kept with the scene's navigator (``motion.navigator_for``), under its
 bound of eight scenes, keyed by location, exact unload point and
@@ -29,11 +29,11 @@ probability under probability-weighted standing-cell sampling, in closed
 form, sum(h^2) / sum(h). The weighted draw reads a normalised cumulative
 table each map builds once, and makes the draw ``Generator.choice`` makes
 with the map's probabilities. ``pcg64_states`` derives many seeded
-``PCG64`` streams and each one's first output in one array pass, and
-``draw_standing_cells`` turns those outputs into the planner's stand draws,
-one per unload option, in one more, bit for bit the draws a generator on
-each stream makes; a generator is built only for the rare word Lemire's
-bounded draw rejects.
+``PCG64`` streams and each one's first output in one array pass, for the
+map cells and for ``draw_standing_cells``, which turns first outputs into
+the planner's stand draws, one per unload option, in one more, bit for bit
+the draws a generator on each stream makes; a generator is built only for
+the rare word Lemire's bounded draw rejects.
 """
 from __future__ import annotations
 
@@ -194,8 +194,9 @@ def pcg64_states(entropy: int | Sequence, keys) -> tuple[list[tuple[int, int]], 
     words of all K keys are mixed in uint32 array arithmetic; PCG64's
     two-step seeding of each stream, and the step and XSL-RR output of its
     first word (O'Neill, "PCG", 2014), then run in 128-bit Python ints.
-    Loading a pair into a generator's ``bit_generator.state`` reproduces
-    that stream without building a SeedSequence, PCG64 and Generator for it.
+    Loading a pair into a generator's ``bit_generator.state`` (``_load``, as
+    ``trial_outcomes`` does per map cell) reproduces that stream without
+    building a SeedSequence, PCG64 and Generator for it.
     """
     keys = np.asarray(keys, dtype=np.uint32)
     if keys.ndim != 2:
@@ -300,8 +301,8 @@ def trial_outcomes(
 
     Cells that are blocked or off the robot's start component
     (``Navigator.reachable_at``) fail every trial and draw nothing; every
-    other cell draws its arrivals from its own (row, col) stream, seeded
-    from the map's entropy words split into uint32 words once per map.
+    other cell draws its arrivals from its own (row, col) stream; one
+    ``pcg64_states`` call derives them all, and one reloaded generator draws.
     """
     params = params or FeasibilityParams()
     rows, cols = location.dims
@@ -310,13 +311,12 @@ def trial_outcomes(
     centers = location.cell_centers().reshape(-1, 2)
     cells = np.flatnonzero(navigator_for(scene).reachable_at(centers))
 
-    words = np.array(_uint32_words(_entropy_words(scene.rng_seed, location.id, target, params)),
-                     dtype=np.uint32)
+    entropy = _entropy_words(scene.rng_seed, location.id, target, params)
+    streams, _ = pcg64_states(entropy, np.column_stack(np.divmod(cells, cols)))
+    gen = np.random.Generator(np.random.PCG64(0))
     noise = np.empty((len(cells), n, 2))
-    for k, index in enumerate(cells):
-        child = np.random.SeedSequence(entropy=words, spawn_key=divmod(int(index), cols))
-        rng = np.random.Generator(np.random.PCG64(child))
-        noise[k] = rng.normal(0.0, params.nav_sigma_xy, size=(n, 2))
+    for k, stream in enumerate(streams):
+        noise[k] = _load(gen, stream).normal(0.0, params.nav_sigma_xy, (n, 2))
     arrivals = (centers[cells, None, :] + noise).reshape(-1, 2)
 
     target_arr = np.asarray(target, dtype=float)

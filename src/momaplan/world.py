@@ -550,20 +550,21 @@ def scene_from_dict(data: dict) -> SceneState:
         # Its range, finiteness included, is a rule of every scene (_validate).
         robot_radius = robot.get("radius", DEFAULT_ROBOT_RADIUS)
         tables = [
-            TableSpec(t["id"], _pair(t, "center"), _pair(t, "half_extents"))
+            TableSpec(_scalar(t, "id", kind=str), _pair(t, "center"), _pair(t, "half_extents"))
             for t in data.get("tables", [])
         ]
         obstacles = [
             ObstacleSpec(
-                o["id"], _pair(o, "center"), _pair(o, "half_extents"), o.get("kind", "chair")
+                _scalar(o, "id", kind=str), _pair(o, "center"), _pair(o, "half_extents"),
+                _scalar(o, "kind", "chair", str),
             )
             for o in data.get("obstacles", [])
         ]
         objects = [
             ObjectSpec(
-                id=o["id"],
+                id=_scalar(o, "id", kind=str),
                 footprint_radius=_scalar(o, "footprint_radius"),
-                initial_location=o["initial_location"],
+                initial_location=_scalar(o, "initial_location", kind=str),
                 supports_stacking=_scalar(o, "supports_stacking", False, bool),
                 initial_position=(
                     _pair(o, "initial_position") if o.get("initial_position") else None

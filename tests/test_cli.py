@@ -460,6 +460,30 @@ def test_validate_rejects_mistyped_scalars(tmp_path, capsys, where, key, text, m
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize("where, key, text, message", [
+    ("object", "id", "null", "None id must be str, got None"),
+    ("object", "initial_location", "null", "'bread_plate' initial_location must be str, got None"),
+    ("obstacle", "id", "null", "None id must be str, got None"),
+    ("obstacle", "kind", "[1]", "'chair' kind must be str, got [1]"),
+    ("extra table", "id", "7", "7 id must be str, got 7"),
+])
+def test_validate_rejects_ids_and_kinds_that_are_not_strings(tmp_path, capsys, where, key, text,
+                                                             message):
+    """Table, obstacle and object ids, an object's initial location and an
+    obstacle's kind are strings; each of these once validated as a scene."""
+    data = scene_to_dict(make_scene(2, "chair_top", 42))
+    entry = {"object": data["objects"][0], "obstacle": data["obstacles"][0]}.get(where)
+    if where == "extra table":
+        entry = {"id": "spare", "center": [0.0, 2.5], "half_extents": [0.3, 0.2]}
+        data["tables"].append(entry)
+    entry[key] = "VALUE"
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data).replace("VALUE", text))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert f"malformed scene entry: {message}" in err and out == ""
+
+
 def test_run_rejects_config_of_wrong_type(tmp_path, capsys):
     config = tmp_path / "exp.yaml"
     config.write_text('task: 1\ntrials: "many"\n')

@@ -137,6 +137,29 @@ def test_evicted_map_recomputes_bit_for_bit(monkeypatch):
     assert 0.0 < first.values.mean() < 1.0
 
 
+def test_a_cold_map_seeds_its_cells_in_one_pass(monkeypatch):
+    """A cold map derives every cell stream with ``pcg64_states``: it
+    builds no ``SeedSequence`` and at most one ``Generator``."""
+    built = {"SeedSequence": 0, "Generator": 0}
+
+    def counting(name):
+        real = getattr(np.random, name)
+
+        def stub(*args, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+        return stub
+
+    scene = make_scene(1, "easy", 42)
+    location = location_by_id(scene, "dining/south")
+    for name in built:
+        monkeypatch.setattr(np.random, name, counting(name))
+    fmap = compute_feasibility_map(scene, location, _dining_target(scene))
+    assert 0.0 < fmap.values.mean() < 1.0
+    assert built["SeedSequence"] == 0
+    assert built["Generator"] <= 1
+
+
 def test_cells_are_independent_of_each_other(scene1):
     """A cell's trial draws depend only on its own (row, col) stream, so the
     cell run alone gives the outcomes it has in the whole map."""
@@ -193,6 +216,43 @@ def test_trial_outcomes_equal_per_cell_oracle_at_negative_coordinates():
     got = trial_outcomes(scene, loc, target, params)
     assert np.array_equal(got, per_cell_trial_outcomes(scene, loc, target, params))
     assert got.any() and not got.all()
+
+
+def test_trial_outcomes_equal_per_cell_oracle_at_a_multi_word_scene_seed():
+    """A scene seed of 2**40 is two uint32 entropy words, so every word
+    after it moves along by one."""
+    scene = make_scene(1, "easy", 2**40)
+    loc = location_by_id(scene, "dining/south")
+    params = FeasibilityParams(nav_sigma_xy=0.05)
+    got = trial_outcomes(scene, loc, _dining_target(scene), params)
+    assert np.array_equal(got, per_cell_trial_outcomes(scene, loc, _dining_target(scene), params))
+    assert got.any() and not got.all()
+
+
+def test_trial_outcomes_of_unreachable_bands_are_all_false(monkeypatch):
+    """Every band of the walled scene, whose dining bands reach no cell:
+    such a band derives streams for a (0, 2) key array and fails every
+    trial, as in the oracle."""
+    key_shapes = []
+
+    def recording(entropy, keys):
+        key_shapes.append(np.shape(keys))
+        return pcg64_states(entropy, keys)
+
+    monkeypatch.setattr(feasibility, "pcg64_states", recording)
+    scene = _walled_scene()
+    nav = navigator_for(scene)
+    params = FeasibilityParams(nav_sigma_xy=0.05)
+    for table in scene.tables:
+        for loc in symbolic_locations(scene, table.id):
+            got = trial_outcomes(scene, loc, table.center, params)
+            assert got.shape == (8, 24, params.trials_per_cell)
+            assert np.array_equal(got, per_cell_trial_outcomes(scene, loc, table.center, params))
+            reachable = int(nav.reachable_at(loc.cell_centers().reshape(-1, 2)).sum())
+            assert key_shapes[-1] == (reachable, 2), loc.id
+            assert table.id != "dining" or not reachable, loc.id
+            if not reachable:
+                assert not got.any(), loc.id
 
 
 def _walled_scene():
