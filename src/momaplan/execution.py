@@ -12,8 +12,9 @@ navigation at its cut, on the first unrouted object.
 
 Arrival noise over (x, y) uses the FeasibilityParams the planner's maps were
 built with, so maps and replays draw from one distribution. A run draws it in
-one call, two standard normals per arrival and two arrivals per step, so it
-consumes exactly ``4 * len(plan.steps)`` normals, whatever its outcome.
+one ``rng.normal(0.0, sigma, 4 * len(plan.steps))`` call (x and y per arrival,
+two arrivals per step). Each value is ``0.0 + sigma * z`` for the ``z`` that
+``standard_normal`` would draw, so any run uses ``4 * len(plan.steps)`` normals.
 
 Most arrivals pass with one comparison. Each ``PlanStep`` carries
 free-space radii fixed when it was routed: the load pose's clearance from
@@ -28,6 +29,9 @@ of the stand's, and each point of the perturbed reach line lies within
 could fail there, and the slack absorbs rounding. Every other arrival runs
 the full collision and reach tests, scalar loops over stored ``Rect``
 bounds with exact far-rectangle early-outs.
+
+The goal checks hand world-frame positions and the table center to
+``relations.satisfied_atoms``, where the atom rule lives.
 """
 from __future__ import annotations
 
@@ -100,7 +104,7 @@ def execute_plan(
     steps = plan.steps
     # Offsets, read four at a time: x and y of the load arrival, then of the
     # unload arrival.
-    noise = iter((params.nav_sigma_xy * rng.standard_normal(4 * len(steps))).tolist())
+    noise = iter(rng.normal(0.0, params.nav_sigma_xy, 4 * len(steps)).tolist())
     cost = 0.0
     delivered = 0
     kind: str | None = None
@@ -139,7 +143,7 @@ def execute_plan(
         kind, stage = NAVIGATION, plan.truncated
     # The first object not delivered (steps route a prefix of the order).
     failed_object = None if kind is None else plan.order[delivered]
-    if kind is not None:
+    if kind is not None and log.isEnabledFor(logging.DEBUG):
         log.debug("run failed: %s during %s of %s", kind, stage, failed_object)
     positions = scene.start_positions.copy()
     layers = dict.fromkeys(positions, 0)
@@ -166,11 +170,10 @@ def verify_goal(
 ) -> bool:
     """Do the final world-frame positions satisfy every goal atom?
 
-    Positions are converted into the target table's frame; objects that
-    never reached the table simply fail their atoms.
+    Positions are read in the target table's frame; objects that never
+    reached the table simply fail their atoms.
     """
-    frame = {o: table.to_table_frame(x, y) for o, (x, y) in positions_world.items()}
-    return all(satisfied_atoms(atoms, frame, layers, VERIFY_TOL))
+    return all(satisfied_atoms(atoms, positions_world, layers, VERIFY_TOL, table.center))
 
 
 def relation_satisfaction(
@@ -182,6 +185,5 @@ def relation_satisfaction(
     """Fraction of goal atoms holding in the final state."""
     if not atoms:
         return 1.0
-    frame = {o: table.to_table_frame(x, y) for o, (x, y) in positions_world.items()}
-    flags = satisfied_atoms(atoms, frame, layers, VERIFY_TOL)
+    flags = satisfied_atoms(atoms, positions_world, layers, VERIFY_TOL, table.center)
     return sum(flags) / len(flags)

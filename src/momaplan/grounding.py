@@ -27,8 +27,8 @@ from .relations import (
     NOMINAL_DIRECTION,
     ON_TOP_OF,
     PlacementAtom,
-    atom_holds,
     goal_objects,
+    satisfied_atoms,
     stack_supports,
 )
 
@@ -221,11 +221,17 @@ def _sample_one(
     positions: dict[str, tuple[float, float]] = {}
     layers: dict[str, int] = {}
     for obj in order:
+        # The goal atoms on obj whose other object, if any, is already placed.
+        atoms = [
+            atom for atom in goal.atoms
+            if atom.subject == obj and (atom.reference is None or atom.reference in positions)
+            or atom.reference == obj and atom.subject in positions
+        ]
         support = stack_support.get(obj)
         if support is not None and support in positions:
             candidate = positions[support]
             layer = layers[support] + 1
-            if _accept(goal, obj, candidate, layer, positions, layers, radii, half_extents):
+            if _accept(atoms, obj, candidate, layer, positions, layers, radii, half_extents):
                 positions[obj] = candidate
                 layers[obj] = layer
                 continue
@@ -238,7 +244,7 @@ def _sample_one(
         for _ in range(ATTEMPTS_PER_OBJECT):
             dx, dy = rng.normal(0.0, NOISE_SIGMA_M, size=2)
             candidate = (nx + dx, ny + dy)
-            if _accept(goal, obj, candidate, layer, positions, layers, radii, half_extents):
+            if _accept(atoms, obj, candidate, layer, positions, layers, radii, half_extents):
                 positions[obj] = candidate
                 layers[obj] = layer
                 break
@@ -251,7 +257,7 @@ def _sample_one(
 
 
 def _accept(
-    goal: GeneratedGoal,
+    atoms: list[PlacementAtom],
     obj: str,
     candidate: tuple[float, float],
     layer: int,
@@ -266,11 +272,4 @@ def _accept(
         return False
     trial_pos = {**positions, obj: candidate}
     trial_layers = {**layers, obj: layer}
-    for atom in goal.atoms:
-        if obj not in atom.objects():
-            continue
-        if any(o not in trial_pos for o in atom.objects()):
-            continue
-        if not atom_holds(atom, trial_pos, trial_layers, ALIGNMENT_TOL):
-            return False
-    return True
+    return all(satisfied_atoms(atoms, trial_pos, trial_layers, ALIGNMENT_TOL))

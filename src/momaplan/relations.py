@@ -13,6 +13,9 @@ each group a value). ``centered_on_table`` aligns its subject with one
 extra variable that stands for the table center, so centering never pins
 an object to a particular value. Stacking uses two layers: an object placed
 on another sits at layer one, so a stack cannot rest on a stacked object.
+
+Whether atoms hold for metric positions is decided in one loop,
+``satisfied_atoms``, which grounding, ``atom_holds`` and the goal checks read.
 """
 from __future__ import annotations
 
@@ -38,7 +41,10 @@ PLANAR_SIGNS: dict[str, tuple[int, int]] = {
     "below_right": (1, -1),
 }
 
-RELATION_NAMES: tuple[str, ...] = tuple(PLANAR_SIGNS) + (ON_TOP_OF, CENTERED)
+# Stacking and centering align both axes; centering's reference is the table center.
+_AXIS_SIGNS: dict[str, tuple[int, int]] = {**PLANAR_SIGNS, ON_TOP_OF: (0, 0), CENTERED: (0, 0)}
+
+RELATION_NAMES: tuple[str, ...] = tuple(_AXIS_SIGNS)
 
 # Unit offset direction used when deriving nominal metric positions from a
 # relation plus a separation distance; diagonals split the distance evenly.
@@ -132,17 +138,12 @@ def _axis_constraints(
     ys: list[tuple[str, str, int]] = []
     stacks: list[tuple[str, str]] = []
     for atom in atoms:
-        if atom.relation == CENTERED:
-            xs.append((atom.subject, _CENTER_VAR, 0))
-            ys.append((atom.subject, _CENTER_VAR, 0))
-        elif atom.relation == ON_TOP_OF:
-            xs.append((atom.subject, atom.reference, 0))  # type: ignore[arg-type]
-            ys.append((atom.subject, atom.reference, 0))  # type: ignore[arg-type]
-            stacks.append((atom.subject, atom.reference))  # type: ignore[arg-type]
-        else:
-            sx, sy = PLANAR_SIGNS[atom.relation]
-            xs.append((atom.subject, atom.reference, sx))  # type: ignore[arg-type]
-            ys.append((atom.subject, atom.reference, sy))  # type: ignore[arg-type]
+        ref = _CENTER_VAR if atom.reference is None else atom.reference
+        sx, sy = _AXIS_SIGNS[atom.relation]
+        xs.append((atom.subject, ref, sx))
+        ys.append((atom.subject, ref, sy))
+        if atom.relation == ON_TOP_OF:
+            stacks.append((atom.subject, ref))
     return xs, ys, stacks
 
 
@@ -211,10 +212,35 @@ def check_consistency(atoms: list[PlacementAtom]) -> ConsistencyResult:
 # Metric satisfaction
 
 
-def _axis_holds(delta: float, sign: int, tol: float) -> bool:
-    if sign == 0:
-        return abs(delta) <= tol
-    return delta > 0 if sign > 0 else delta < 0
+def satisfied_atoms(
+    atoms: list[PlacementAtom],
+    positions: dict[str, tuple[float, float]],
+    layers: dict[str, int] | None = None,
+    tol: float = ALIGNMENT_TOL,
+    center: tuple[float, float] = (0.0, 0.0),
+) -> list[bool]:
+    """Whether each atom holds for metric positions in the frame centered
+    at ``center``: each offset is ``(x - cx) - (rx - cx)``, the floats that
+    converting both positions first gives, and ``centered_on_table``'s
+    reference is ``center``. Missing layers default to zero."""
+    cx, cy = center
+    lookup = layers or {}
+    flags = []
+    for atom in atoms:
+        x, y = positions[atom.subject]
+        dx, dy = x - cx, y - cy
+        if atom.reference is not None:
+            rx, ry = positions[atom.reference]
+            dx -= rx - cx
+            dy -= ry - cy
+        sx, sy = _AXIS_SIGNS[atom.relation]
+        flags.append(
+            (abs(dx) <= tol if sx == 0 else dx > 0 if sx > 0 else dx < 0)
+            and (abs(dy) <= tol if sy == 0 else dy > 0 if sy > 0 else dy < 0)
+            and (atom.relation != ON_TOP_OF
+                 or lookup.get(atom.subject, 0) == lookup.get(atom.reference, 0) + 1)
+        )
+    return flags
 
 
 def atom_holds(
@@ -223,31 +249,5 @@ def atom_holds(
     layers: dict[str, int] | None = None,
     tol: float = ALIGNMENT_TOL,
 ) -> bool:
-    """Whether an atom holds for metric table-frame positions.
-
-    ``centered_on_table`` compares the subject to the frame origin. Layers
-    default to zero for objects missing from ``layers``.
-    """
-    sx_pos = positions[atom.subject]
-    if atom.relation == CENTERED:
-        return _axis_holds(sx_pos[0], 0, tol) and _axis_holds(sx_pos[1], 0, tol)
-    ref_pos = positions[atom.reference]  # type: ignore[index]
-    dx = sx_pos[0] - ref_pos[0]
-    dy = sx_pos[1] - ref_pos[1]
-    if atom.relation == ON_TOP_OF:
-        lookup = layers or {}
-        ls = lookup.get(atom.subject, 0)
-        lr = lookup.get(atom.reference, 0)  # type: ignore[arg-type]
-        return _axis_holds(dx, 0, tol) and _axis_holds(dy, 0, tol) and ls == lr + 1
-    sx, sy = PLANAR_SIGNS[atom.relation]
-    return _axis_holds(dx, sx, tol) and _axis_holds(dy, sy, tol)
-
-
-def satisfied_atoms(
-    atoms: list[PlacementAtom],
-    positions: dict[str, tuple[float, float]],
-    layers: dict[str, int] | None = None,
-    tol: float = ALIGNMENT_TOL,
-) -> list[bool]:
-    return [atom_holds(a, positions, layers, tol) for a in atoms]
-
+    """Whether one atom holds for metric table-frame positions."""
+    return satisfied_atoms([atom], positions, layers, tol)[0]

@@ -1,14 +1,17 @@
 import dataclasses
 import functools
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from momaplan import execution, harness
 from momaplan.execution import (
     MANIPULATION,
     NAVIGATION,
+    VERIFY_TOL,
     _reach_clear,
     execute_plan,
     relation_satisfaction,
@@ -28,9 +31,10 @@ from momaplan.harness import (
 )
 from momaplan.motion import robot_collides
 from momaplan.planning import PlanningParams, plan_task
-from momaplan.relations import PlacementAtom
+from momaplan.relations import ALIGNMENT_TOL, RELATION_NAMES, PlacementAtom, atom_holds, satisfied_atoms
+from momaplan.world import TableSpec
 
-from oracles import execute_plan_block_draw, plan_success_probability
+from oracles import execute_plan_block_draw, metric_atom_holds, plan_success_probability
 
 RADII = {name: spec[0] for name, spec in OBJECT_CATALOG.items()}
 
@@ -135,6 +139,29 @@ def test_huge_arrival_noise_fails_navigation(plan1):
         assert r.objects_delivered < len(plan.steps)
 
 
+def test_disabled_run_failed_line_reads_nothing(plan1, monkeypatch, caplog):
+    """A failed run's debug line is built only when DEBUG is on for the
+    module's logger."""
+    scene, plan = plan1
+    params = FeasibilityParams(reach_radius=0.05)
+    caplog.set_level(logging.DEBUG, logger="momaplan.execution")
+    result = execute_plan(scene, plan, np.random.default_rng(0), params)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"run failed: {MANIPULATION} during unload of {result.failed_object}"]
+    built = []
+
+    class Quiet:
+        def isEnabledFor(self, level):
+            return False
+
+        def debug(self, *args):
+            built.append(args)
+
+    monkeypatch.setattr(execution, "log", Quiet())
+    assert not execute_plan(scene, plan, np.random.default_rng(0), params).success
+    assert built == []
+
+
 def test_tiny_reach_fails_manipulation(plan1):
     scene, plan = plan1
     params = FeasibilityParams(reach_radius=0.05)
@@ -210,6 +237,51 @@ def test_verify_goal_tolerance():
     assert not verify_goal(table, atoms, {"a": base, "b": left}, layers)
     assert relation_satisfaction(table, atoms, {"a": base, "b": left}, layers) == 0.0
     assert relation_satisfaction(table, [], positions, layers) == 1.0
+
+
+_GOAL_NAMES = ("a", "b")
+
+
+@st.composite
+def _goal_atoms(draw):
+    relation = draw(st.sampled_from(RELATION_NAMES))
+    subject, reference = draw(st.permutations(_GOAL_NAMES))
+    return PlacementAtom(relation, subject, None if relation == "centered_on_table" else reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_goal_checks_match_the_table_frame_referee(data):
+    """On a table centered off the origin, ``verify_goal`` and
+    ``relation_satisfaction`` equal converting every position with
+    ``TableSpec.to_table_frame`` and applying the oracle's sign check.
+    Positions sit at the center plus offsets drawn at exactly 0,
+    +-VERIFY_TOL and +-ALIGNMENT_TOL. A center coordinate of +-2**-8 keeps
+    those offsets exact in the table frame, so flags land exactly on the
+    tolerance and on zero; one anywhere in +-5 m rounds them."""
+    coord = st.one_of(st.sampled_from([2.0**-8, -(2.0**-8)]), st.floats(-5.0, 5.0, allow_nan=False))
+    table = TableSpec("dining", (data.draw(coord), data.draw(coord)), (0.6, 0.4))
+    offset = st.one_of(
+        st.sampled_from([0.0, VERIFY_TOL, -VERIFY_TOL, ALIGNMENT_TOL, -ALIGNMENT_TOL]),
+        st.floats(-0.2, 0.2, allow_nan=False),
+    )
+    positions = {
+        o: (table.center[0] + data.draw(offset), table.center[1] + data.draw(offset))
+        for o in _GOAL_NAMES
+    }
+    layers = {o: data.draw(st.integers(0, 1)) for o in _GOAL_NAMES}
+    atoms = data.draw(st.lists(_goal_atoms(), max_size=4))
+
+    frame = {o: table.to_table_frame(x, y) for o, (x, y) in positions.items()}
+    flags = [metric_atom_holds(a, frame, layers, VERIFY_TOL) for a in atoms]
+    verified = verify_goal(table, atoms, positions, layers)
+    satisfaction = relation_satisfaction(table, atoms, positions, layers)
+    assert verified == all(flags)
+    assert satisfaction == (sum(flags) / len(flags) if atoms else 1.0)
+    assert verified == (satisfaction == 1.0)
+    for atom, flag in zip(atoms, flags):
+        assert atom_holds(atom, frame, layers, VERIFY_TOL) == flag
+        assert satisfied_atoms([atom], frame, layers, VERIFY_TOL) == [flag]
 
 
 def test_partial_satisfaction_fraction():
