@@ -6,17 +6,20 @@ Each pair runs the parent tree and the change tree once each on the same
 workload and seed, back to back, every run a fresh process started in its
 own tree::
 
-    python3 perfbench/run.py --workload <workload> --seed <seed> --seconds <s> --trace 0
+    python3 perfbench/run.py --workload <workload> --seed <seed> --seconds <run_seconds> --trace 0
 
-The side that runs first alternates pair by pair over the whole batch,
-starting with the parent. A run's value is the final JSON line it prints.
+with ``run_seconds`` from ``BENCHMARK.json``. The side that runs first
+alternates pair by pair over the whole batch, starting with the parent. A
+run's value is the final JSON line it prints. A run that exits non-zero is
+recorded in its pair by its exit code and the tail of its stderr, the batch
+goes on, and the summaries read only the pairs whose two runs completed.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload calibrate_sigma:3101-3110 --workload experiment_t1_easy:3111-3114 \\
         --claim calibrate_sigma:trials_per_s:1.2 --out BENCH_31.json
 
-For every end-to-end metric that ``BENCHMARK.json`` (read from the change
-tree) declares, each workload's summary gives both sides' quartiles, the
+``BENCHMARK.json`` is read from the change tree. For every end-to-end metric
+it declares, each workload's summary gives both sides' quartiles, the
 pairs the change won (ties count for neither side), the parent's
 interquartile range, the gap between the medians, and whether the change's
 median stays within the metric's bound of the parent's. A metric whose
@@ -91,32 +94,47 @@ def claim_verdict(summary: dict, better: str, factor: float) -> dict:
 
 
 def summarize_workload(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per-metric summaries and run counts of one workload's pairs."""
+    """Per-metric summaries over one workload's complete pairs, and run
+    counts over all its runs. A crashed run counts as not correct."""
     sides = ("parent", "change")
+    complete = [pair for pair in pairs if all("metrics" in pair[side] for side in sides)]
     summary = {}
-    for metric in end_to_end:
+    for metric in end_to_end if complete else []:
         name = metric["name"]
-        rows = [tuple(pair[side]["metrics"][name]["value"] for side in sides) for pair in pairs]
+        rows = [tuple(pair[side]["metrics"][name]["value"] for side in sides) for pair in complete]
         summary[name] = summarize(rows, metric["better"], metric["bound"])
     return {
         "seeds": [pair["seed"] for pair in pairs],
         "pairs": pairs,
         "summary": summary,
-        "failed_parent_change": [sum(pair[s]["failed"] for pair in pairs) for s in sides],
-        "attempted_parent_change": [sum(pair[s]["attempted"] for pair in pairs) for s in sides],
-        "correct_parent_change": [all(pair[s]["correct"] for pair in pairs) for s in sides],
+        "crashed_parent_change": [sum("exit_code" in pair[s] for pair in pairs) for s in sides],
+        "failed_parent_change": [sum(pair[s].get("failed", 0) for pair in pairs) for s in sides],
+        "attempted_parent_change": [sum(pair[s].get("attempted", 0) for pair in pairs)
+                                    for s in sides],
+        "correct_parent_change": [all(pair[s].get("correct", False) for pair in pairs)
+                                  for s in sides],
     }
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One benchmark run's final JSON line and the machine facts it prints."""
+    """One benchmark run's final JSON line and the machine facts it prints,
+    or, for a run that exits non-zero, its exit code and last stderr lines."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
-    lines = subprocess.run(command, cwd=tree, capture_output=True, text=True,
-                           check=True).stdout.strip().splitlines()
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        return {"exit_code": done.returncode,
+                "stderr_tail": done.stderr.strip().splitlines()[-20:]}, ""
+    lines = done.stdout.strip().splitlines()
     machine = next((line.split(":", 1)[1].strip() for line in lines
                     if line.startswith("# machine:")), "")
     return json.loads(lines[-1]), machine
+
+
+def _trials(run: dict) -> str:
+    if "exit_code" in run:
+        return f"exit {run['exit_code']}"
+    return f"{run['metrics']['trials_per_s']['value']:.4g} trials/s"
 
 
 def _workload_seeds(text: str) -> tuple[str, list[int]]:
@@ -144,7 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", type=_workload_seeds, action="append", required=True,
                         help="workload:first-last seeds, run in the order given")
     parser.add_argument("--claim", type=_claim, help="workload:metric:factor")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--what", default="", help="what the change does")
     parser.add_argument("--parent-rev", default="", help="the parent commit's name")
@@ -153,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     end_to_end = benchmark["end_to_end"]
+    seconds = benchmark["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
     batch: dict[str, list[dict]] = {}
     machine = ""
@@ -162,10 +180,11 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                pair[side], machine = run_once(trees[side], workload, seed, args.seconds)
+                pair[side], printed = run_once(trees[side], workload, seed, seconds)
+                machine = printed or machine
             print(f"{workload} seed {seed}: " + ", ".join(
-                f"{side} {pair[side]['metrics']['trials_per_s']['value']:.4g} trials/s"
-                for side in ("parent", "change")), file=sys.stderr)
+                f"{side} {_trials(pair[side])}" for side in ("parent", "change")),
+                file=sys.stderr)
             batch.setdefault(workload, []).append(pair)
             index += 1
 
@@ -175,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": args.parent_rev,
         "machine": machine,
         "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace 0",
         "pairing": "each pair runs parent and change on one seed, back to back, each from its "
                    "own tree; 'first' names the side that ran first, alternating pair by pair "
                    "over the whole batch in the order listed; each run's value is the final "
@@ -184,9 +203,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.claim:
         workload, metric, factor = args.claim
         better = next(m["better"] for m in end_to_end if m["name"] == metric)
+        summary = workloads.get(workload, {}).get("summary", {}).get(metric)
         report["claim"] = {"workload": workload, "metric": metric, "better": better,
                            "factor": factor,
-                           **claim_verdict(workloads[workload]["summary"][metric], better, factor)}
+                           **(claim_verdict(summary, better, factor) if summary
+                              else {"met": False})}
     report["notes"] = args.note
     report["workloads"] = workloads
     args.out.write_text(json.dumps(report, indent=1) + "\n")

@@ -143,7 +143,7 @@ def execute_plan(
         kind, stage = NAVIGATION, plan.truncated
     # The first object not delivered (steps route a prefix of the order).
     failed_object = None if kind is None else plan.order[delivered]
-    if kind is not None and log.isEnabledFor(logging.DEBUG):
+    if kind is not None:
         log.debug("run failed: %s during %s of %s", kind, stage, failed_object)
     positions = scene.start_positions.copy()
     layers = dict.fromkeys(positions, 0)

@@ -15,7 +15,7 @@ an object to a particular value. Stacking uses two layers: an object placed
 on another sits at layer one, so a stack cannot rest on a stacked object.
 
 Whether atoms hold for metric positions is decided in one loop,
-``satisfied_atoms``, which grounding, ``atom_holds`` and the goal checks read.
+``satisfied_atoms``, which grounding and execution's goal checks read.
 """
 from __future__ import annotations
 
@@ -242,12 +242,3 @@ def satisfied_atoms(
         )
     return flags
 
-
-def atom_holds(
-    atom: PlacementAtom,
-    positions: dict[str, tuple[float, float]],
-    layers: dict[str, int] | None = None,
-    tol: float = ALIGNMENT_TOL,
-) -> bool:
-    """Whether one atom holds for metric table-frame positions."""
-    return satisfied_atoms([atom], positions, layers, tol)[0]

@@ -55,7 +55,7 @@ from momaplan.planning import (
     SelectedPlan,
     enumerate_candidates,
 )
-from momaplan.relations import ALIGNMENT_TOL, atom_holds
+from momaplan.relations import ALIGNMENT_TOL, satisfied_atoms
 from momaplan.world import Pose2D, SymbolicLocation
 
 SQRT2 = math.sqrt(2.0)
@@ -487,9 +487,8 @@ def configuration_valid(config, atoms, radii, half_extents, tol: float = ALIGNME
     """The former ``grounding.configuration_valid``: the package's own atom
     predicate, table fit and same-layer clearance, re-checked on a finished
     configuration."""
-    for atom in atoms:
-        if not atom_holds(atom, config.positions, config.layers, tol):
-            return False
+    if not all(satisfied_atoms(atoms, config.positions, config.layers, tol)):
+        return False
     objs = list(config.positions)
     for i, a in enumerate(objs):
         if not _fits_on_table(config.positions[a], radii[a], half_extents):

@@ -1,6 +1,7 @@
 """The summary arithmetic of ``scripts/bench_pairs.py`` on synthetic pairs;
 no benchmark runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -110,3 +111,44 @@ def test_claim_ratio_for_a_lower_is_better_metric():
     verdict = bench_pairs.claim_verdict(bench_pairs.summarize(rows, "lower", 0.1), "lower", 1.2)
     assert verdict["median_ratio"] == pytest.approx(104.5 / 84.5)
     assert verdict["met"]
+
+
+def test_a_crashed_run_is_recorded_and_the_batch_goes_on(tmp_path, monkeypatch):
+    """Seed 2's change run exits non-zero: the report still holds every
+    run, the crash by its exit code, and summarizes the complete pair; the
+    run length comes from BENCHMARK.json. A claim on a workload with no
+    complete pair is not met."""
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 7, "end_to_end": [{"name": "trials_per_s", "better": "higher", '
+        '"bound": 0.25}, {"name": "setup_s", "better": "lower", "bound": 0.25}]}')
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        if (tree.name, seed) in (("change", 2), ("parent", 3)):
+            return {"exit_code": 1, "stderr_tail": ["Traceback", "ValueError: boom"]}, ""
+        return _run(10.0 if tree.name == "parent" else 13.0, 1.0), "cpu"
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "BENCH.json"
+    for workload, claim in (("w:1-2", "w:trials_per_s:1.2"), ("v:3", "v:trials_per_s:1.2")):
+        assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                                 "--workload", workload, "--claim", claim,
+                                 "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["machine"] == "cpu"
+        assert "--seconds 7 " in report["command"]
+        if workload == "w:1-2":
+            result = report["workloads"]["w"]
+            assert result["pairs"][1]["change"]["exit_code"] == 1
+            assert result["crashed_parent_change"] == [0, 1]
+            assert result["correct_parent_change"] == [True, False]
+            assert result["summary"]["trials_per_s"]["rows_parent_change"] == [[10.0, 13.0]]
+            assert report["claim"]["change_wins"] == "1/1"
+        else:
+            assert report["workloads"]["v"]["summary"] == {}
+            assert report["claim"]["met"] is False
+    assert {seconds for *_, seconds in calls} == {7}
+    assert len(calls) == 6

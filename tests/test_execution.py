@@ -31,7 +31,7 @@ from momaplan.harness import (
 )
 from momaplan.motion import robot_collides
 from momaplan.planning import PlanningParams, plan_task
-from momaplan.relations import ALIGNMENT_TOL, RELATION_NAMES, PlacementAtom, atom_holds, satisfied_atoms
+from momaplan.relations import ALIGNMENT_TOL, RELATION_NAMES, PlacementAtom, satisfied_atoms
 from momaplan.world import TableSpec
 
 from oracles import execute_plan_block_draw, metric_atom_holds, plan_success_probability
@@ -139,27 +139,15 @@ def test_huge_arrival_noise_fails_navigation(plan1):
         assert r.objects_delivered < len(plan.steps)
 
 
-def test_disabled_run_failed_line_reads_nothing(plan1, monkeypatch, caplog):
-    """A failed run's debug line is built only when DEBUG is on for the
-    module's logger."""
+def test_failing_run_logs_run_failed_line(plan1, caplog):
+    """A failed run logs one debug line naming its failure kind, stage and
+    object."""
     scene, plan = plan1
     params = FeasibilityParams(reach_radius=0.05)
     caplog.set_level(logging.DEBUG, logger="momaplan.execution")
     result = execute_plan(scene, plan, np.random.default_rng(0), params)
     assert [r.getMessage() for r in caplog.records] == [
         f"run failed: {MANIPULATION} during unload of {result.failed_object}"]
-    built = []
-
-    class Quiet:
-        def isEnabledFor(self, level):
-            return False
-
-        def debug(self, *args):
-            built.append(args)
-
-    monkeypatch.setattr(execution, "log", Quiet())
-    assert not execute_plan(scene, plan, np.random.default_rng(0), params).success
-    assert built == []
 
 
 def test_tiny_reach_fails_manipulation(plan1):
@@ -280,7 +268,6 @@ def test_goal_checks_match_the_table_frame_referee(data):
     assert satisfaction == (sum(flags) / len(flags) if atoms else 1.0)
     assert verified == (satisfaction == 1.0)
     for atom, flag in zip(atoms, flags):
-        assert atom_holds(atom, frame, layers, VERIFY_TOL) == flag
         assert satisfied_atoms([atom], frame, layers, VERIFY_TOL) == [flag]
 
 

@@ -19,7 +19,6 @@ from momaplan.relations import (
     ALIGNMENT_TOL,
     PLANAR_SIGNS,
     PlacementAtom,
-    atom_holds,
     atoms_consistent,
     check_consistency,
     find_minimal_conflict,
@@ -27,6 +26,10 @@ from momaplan.relations import (
 )
 
 A = PlacementAtom
+
+
+def _holds(atom, positions, layers=None):
+    return satisfied_atoms([atom], positions, layers)[0]
 
 
 def _atoms_from(triples):
@@ -177,25 +180,25 @@ def test_minimal_conflict_rejects_consistent_input():
 
 def test_atom_holds_signs_and_tolerance():
     pos = {"fork": (-0.15, 0.0), "plate": (0.0, 0.0)}
-    assert atom_holds(A("left_of", "fork", "plate"), pos)
-    assert not atom_holds(A("right_of", "fork", "plate"), pos)
+    assert _holds(A("left_of", "fork", "plate"), pos)
+    assert not _holds(A("right_of", "fork", "plate"), pos)
     # Orthogonal-axis alignment is tolerant up to ALIGNMENT_TOL...
     pos_tilted = {"fork": (-0.15, ALIGNMENT_TOL), "plate": (0.0, 0.0)}
-    assert atom_holds(A("left_of", "fork", "plate"), pos_tilted)
+    assert _holds(A("left_of", "fork", "plate"), pos_tilted)
     pos_bad = {"fork": (-0.15, ALIGNMENT_TOL + 1e-6), "plate": (0.0, 0.0)}
-    assert not atom_holds(A("left_of", "fork", "plate"), pos_bad)
+    assert not _holds(A("left_of", "fork", "plate"), pos_bad)
     # ...while the strict axis accepts no zero offset.
-    assert not atom_holds(A("left_of", "fork", "plate"), {"fork": (0.0, 0.0), "plate": (0.0, 0.0)})
+    assert not _holds(A("left_of", "fork", "plate"), {"fork": (0.0, 0.0), "plate": (0.0, 0.0)})
 
 
 def test_atom_holds_centered_and_stacked():
-    assert atom_holds(A("centered_on_table", "plate"), {"plate": (0.01, -0.02)})
-    assert not atom_holds(A("centered_on_table", "plate"), {"plate": (0.05, 0.0)})
+    assert _holds(A("centered_on_table", "plate"), {"plate": (0.01, -0.02)})
+    assert not _holds(A("centered_on_table", "plate"), {"plate": (0.05, 0.0)})
     pos = {"lid": (0.2, 0.1), "mug": (0.2, 0.1)}
-    assert atom_holds(A("on_top_of", "lid", "mug"), pos, {"lid": 1, "mug": 0})
-    assert not atom_holds(A("on_top_of", "lid", "mug"), pos, {"lid": 0, "mug": 0})
+    assert _holds(A("on_top_of", "lid", "mug"), pos, {"lid": 1, "mug": 0})
+    assert not _holds(A("on_top_of", "lid", "mug"), pos, {"lid": 0, "mug": 0})
     # Layer bookkeeping defaults to zero when omitted.
-    assert not atom_holds(A("on_top_of", "lid", "mug"), pos)
+    assert not _holds(A("on_top_of", "lid", "mug"), pos)
 
 
 @settings(max_examples=300)
@@ -213,7 +216,7 @@ def test_atom_holds_matches_independent_sign_oracle(data):
         if relation == "centered_on_table"
         else A(relation, "a", "b")
     )
-    assert atom_holds(atom, positions, layers) == metric_atom_holds(
+    assert _holds(atom, positions, layers) == metric_atom_holds(
         atom, positions, layers, tol=ALIGNMENT_TOL
     )
 
