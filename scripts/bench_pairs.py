@@ -10,9 +10,11 @@ own tree::
 
 with ``run_seconds`` from ``BENCHMARK.json``. The side that runs first
 alternates pair by pair over the whole batch, starting with the parent. A
-run's value is the final JSON line it prints. A run that exits non-zero is
-recorded in its pair by its exit code and the tail of its stderr, the batch
-goes on, and the summaries read only the pairs whose two runs completed.
+run's value is the final JSON line it prints; its ``# measured`` lines (the
+metrics before slowdown scaling, and the host slowdowns) are kept with it
+under ``measured``. A run that exits non-zero is recorded in its pair by
+its exit code and the tail of its stderr, the batch goes on, and the
+summaries read only the pairs whose two runs completed.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload calibrate_sigma:3101-3110 --workload experiment_t1_easy:3111-3114 \\
@@ -117,8 +119,10 @@ def summarize_workload(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
-    """One benchmark run's final JSON line and the machine facts it prints,
-    or, for a run that exits non-zero, its exit code and last stderr lines."""
+    """One benchmark run's final JSON line, with its ``# measured name =
+    value`` lines (unscaled metrics and host slowdowns) under ``measured``,
+    and the machine facts it prints; or, for a run that exits non-zero,
+    its exit code and last stderr lines."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -128,7 +132,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     lines = done.stdout.strip().splitlines()
     machine = next((line.split(":", 1)[1].strip() for line in lines
                     if line.startswith("# machine:")), "")
-    return json.loads(lines[-1]), machine
+    measured = {}
+    for line in lines:
+        if line.startswith("# measured "):
+            name, _, value = line.removeprefix("# measured ").partition(" = ")
+            measured[name] = float(value)
+    return {**json.loads(lines[-1]), "measured": measured}, machine
 
 
 def _trials(run: dict) -> str:

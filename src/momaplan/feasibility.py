@@ -12,37 +12,34 @@ probability estimated by repeated simulated trials. A trial succeeds when
   table being loaded.
 
 The per-cell trial noise comes from entropy words derived from the scene
-seed, the location, the unload point and the trial parameters; one
-``pcg64_states`` pass derives every reachable cell's (row, col) stream.
+seed, the location, the unload point and the trial parameters, one
+``SeedSequence``-spawned ``PCG64`` stream per reachable (row, col) cell.
 The same inputs reproduce a map bit for bit, and cells are independent. Maps
 are kept with the scene's navigator (``motion.navigator_for``), under its
 bound of eight scenes, keyed by location, exact unload point and
-parameters, so two unload points share a map only when they are equal.
-Each navigator keeps the ``motion.MAX_MAPS`` (256) most recently used
-maps; an evicted map is recomputed equal bit for bit when asked again.
-Only the draws are made cell by cell: the collision, reach and reach-line
-tests run once per map over the arrivals of every reachable cell.
+parameters. Each navigator keeps the ``motion.MAX_MAPS`` (256) most
+recently used maps; an evicted map is recomputed equal bit for bit.
+
+``pcg64_states`` derives many streams' starts and first outputs in uint64
+array passes. A map reloads one generator at each cell's start through one
+reused state dict and draws the cell's standard normals; the arrival tests
+then run once per map. ``draw_standing_cells`` turns first outputs into the
+planner's stand draws, bit for bit those of a generator on each stream.
 
 Two summary quantities feed planning: the per-cell probability itself for
 a concrete standing cell, and for a whole unload task the expected
 probability under probability-weighted standing-cell sampling, in closed
 form, sum(h^2) / sum(h). The weighted draw reads a normalised cumulative
-table each map builds once, and makes the draw ``Generator.choice`` makes
-with the map's probabilities. ``pcg64_states`` derives many seeded
-``PCG64`` streams and each one's first output in one array pass, for the
-map cells and for ``draw_standing_cells``, which turns first outputs into
-the planner's stand draws, one per unload option, in one more, bit for bit
-the draws a generator on each stream makes; a generator is built only for
-the rare word Lemire's bounded draw rejects.
+table each map builds once, as ``Generator.choice`` does.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -136,8 +133,6 @@ def _entropy_words(scene_seed: int, location_id: str, target: tuple[float, float
 
 # numpy's SeedSequence hashing and PCG64 seeding constants.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -160,7 +155,7 @@ def _uint32_words(entropy: int | Sequence) -> list[int]:
     return [word for item in entropy for word in _uint32_words(item)]
 
 
-def _hashmix(value, hash_const: int):
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
     """SeedSequence's hashmix on one word; returns the mixed word and the
     next hash constant."""
     value = value ^ hash_const
@@ -169,34 +164,44 @@ def _hashmix(value, hash_const: int):
     return value ^ (value >> 16), hash_const
 
 
-def _hash_consts(hash_const: int, mult: int, count: int) -> np.ndarray:
-    """``hash_const`` and the ``count`` hash constants after it, a
-    (count + 1, 1) uint32 column: a word hashed with constant i is xor-ed
-    with entry i and multiplied by entry i + 1."""
-    consts = [hash_const]
-    for _ in range(count):
-        consts.append((consts[-1] * mult) & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _mix(x, y):
+def _mix(x: int, y: int) -> int:
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> 16)
 
 
-def pcg64_states(entropy: int | Sequence, keys) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """The ``(state, inc)`` that ``PCG64(SeedSequence(entropy,
-    spawn_key=key))`` starts from, for each row ``key`` of the ``(K, L)``
-    array ``keys`` (every key word below 2**32), and the uint64 array of each
-    stream's first output, its ``random_raw()``.
+@cache
+def _hash_consts(hash_const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of ``count`` successive hashes from
+    ``hash_const`` on, (count / 4, 4, 1) uint32 arrays: hash i xors with
+    ``hash_const · mult**i`` and multiplies by the next power."""
+    consts = np.array([hash_const * pow(mult, i, 2**32) & _MASK32 for i in range(count + 1)], np.uint32)
+    return consts[:-1].reshape(-1, _POOL_SIZE, 1), consts[1:].reshape(-1, _POOL_SIZE, 1)
 
-    The entropy words are pool-mixed once in Python ints; the spawn-key
-    words of all K keys are mixed in uint32 array arithmetic; PCG64's
-    two-step seeding of each stream, and the step and XSL-RR output of its
-    first word (O'Neill, "PCG", 2014), then run in 128-bit Python ints.
-    Loading a pair into a generator's ``bit_generator.state`` (``_load``, as
-    ``trial_outcomes`` does per map cell) reproduces that stream without
-    building a SeedSequence, PCG64 and Generator for it.
+
+# PCG64's inc = 2·seq + 1, start (inc + seed)·M + inc and first step
+# start·M + inc are, modulo 2**128, seed·a + seq·b + c: rows a, b, c; columns
+# (state, inc, step); as high words, low words, and the low words' halves.
+_M = _PCG64_MULT
+_COEFFS = [[_M, 0, _M**2], [2 * _M + 2, 2, 2 * (_M**2 + _M + 1)], [_M + 1, 1, _M**2 + _M + 1]]
+_COEFF_HI, _COEFF_LO, _COEFF_LO1, _COEFF_LO0 = (
+    np.array([[[c % 2**128 >> shift & mask] for c in row] for row in _COEFFS], dtype=np.uint64)
+    for shift, mask in ((64, 2**64 - 1), (0, 2**64 - 1), (32, _MASK32), (0, _MASK32)))
+# 0-d arrays, which numpy applies faster than Python ints it range-checks.
+_U32_16, _U32_MIX_L, _U32_MIX_R = (np.array(v, np.uint32) for v in (16, _MIX_MULT_L, _MIX_MULT_R))
+_U64_32, _U64_58, _U64_63, _U64_64, _U64_MASK32 = (
+    np.array(v, np.uint64) for v in (32, 58, 63, 64, _MASK32))
+
+
+def pcg64_states(entropy: int | Sequence, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The start of ``PCG64(SeedSequence(entropy, spawn_key=key))`` for each
+    row ``key`` of the ``(K, L)`` array ``keys`` (key words below 2**32), as
+    (K, 4) uint64 rows ``(state_hi, state_lo, inc_hi, inc_lo)``, and each
+    stream's first output, its ``random_raw()``, as a uint64 array.
+
+    The first four entropy words are pool-mixed in Python ints; every later
+    word, and PCG64's seeding, step and XSL-RR output (O'Neill, "PCG", 2014),
+    in uint32 and uint64 array passes along the K streams: the high words of
+    64 x 64-bit products from 32-bit halves, carries as comparisons.
     """
     keys = np.asarray(keys, dtype=np.uint32)
     if keys.ndim != 2:
@@ -215,50 +220,59 @@ def pcg64_states(entropy: int | Sequence, keys) -> tuple[list[tuple[int, int]], 
             if src != dst:
                 word, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], word)
-    for extra in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            word, hash_const = _hashmix(extra, hash_const)
-            pool[dst] = _mix(pool[dst], word)
-    # Each key word is hashed with four successive constants, one per pool
-    # word, so a column mixes into the (4, K) pool in one array pass.
-    pool = np.array(pool, dtype=np.uint32)[:, None].repeat(len(keys), axis=1)
-    for column in keys.T:
-        consts = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
-        hash_const = int(consts[-1, 0])
-        word = (column ^ consts[:-1]) * consts[1:]
-        pool = _mix(pool, word ^ (word >> 16))
-    # generate_state(4, np.uint64): eight words, paired little-endian into
-    # the 128-bit seed and increment.
-    consts = _hash_consts(_INIT_B, _MULT_B, 8)
-    word = (np.tile(pool, (2, 1)) ^ consts[:-1]) * consts[1:]
-    words = (word ^ (word >> 16)).astype(np.uint64)
-    s_hi, s_lo, i_hi, i_lo = (words[0::2] | (words[1::2] << 32)).tolist()
-    states, first = [], []
-    for seed, seq in zip(zip(s_hi, s_lo), zip(i_hi, i_lo)):
-        inc = (((seq[0] << 64) | seq[1]) << 1 | 1) & _MASK128
-        state = ((inc + ((seed[0] << 64) | seed[1])) * _PCG64_MULT + inc) & _MASK128
-        states.append((state, inc))
-        # A draw steps the state, then outputs its halves xor-ed, rotated
-        # right by the state's top six bits.
-        step = (state * _PCG64_MULT + inc) & _MASK128
-        word, rot = (step >> 64) ^ (step & _MASK64), step >> 122
-        first.append(((word >> rot) | (word << (64 - rot))) & _MASK64)
-    return states, np.array(first, dtype=np.uint64)
+    # Each later word, the entropy's and then each key's, is hashed with four
+    # successive constants, one per pool word: all in one pass along the K
+    # streams, then one mixing pass per word into the (4, K) pool.
+    extra = np.array(run[_POOL_SIZE:], dtype=np.uint32)[:, None].repeat(len(keys), axis=1)
+    columns = np.concatenate((extra, keys.T))
+    xor, mult = _hash_consts(hash_const, _MULT_A, _POOL_SIZE * len(columns))
+    word = (columns[:, None, :] ^ xor) * mult
+    word ^= word >> _U32_16
+    word *= _U32_MIX_R
+    pool = np.full((len(keys), _POOL_SIZE), pool, dtype=np.uint32).T
+    for column in word:
+        pool = pool * _U32_MIX_L - column
+        pool ^= pool >> _U32_16
+    # generate_state(4, np.uint64): words paired into (seed, seq), high first.
+    xor, mult = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    word = ((pool ^ xor) * mult).reshape(2 * _POOL_SIZE, -1)
+    word ^= word >> _U32_16
+    word = word.astype(np.uint64)
+    words = word[0::2] | word[1::2] << _U64_32
+    # seed·a and seq·b, modulo 2**128: the low words' full product from
+    # 32-bit halves, the cross terms wrapped; then their sum plus c.
+    hi, lo = words[0::2, None], words[1::2, None]
+    lo0, lo1 = lo & _U64_MASK32, lo >> _U64_32
+    mid = lo1 * _COEFF_LO0[:2] + (lo0 * _COEFF_LO0[:2] >> _U64_32)
+    carry = (mid & _U64_MASK32) + lo0 * _COEFF_LO1[:2]
+    prod_hi = lo1 * _COEFF_LO1[:2] + (mid >> _U64_32) + (carry >> _U64_32)
+    prod_hi += hi * _COEFF_LO[:2] + lo * _COEFF_HI[:2]
+    prod_lo = lo * _COEFF_LO[:2]
+    out_lo = prod_lo[0] + prod_lo[1]
+    carry = out_lo < prod_lo[0]
+    out_lo += _COEFF_LO[2]
+    out_hi = prod_hi[0] + prod_hi[1] + _COEFF_HI[2] + carry + (out_lo < _COEFF_LO[2])
+    # A draw steps the state, then outputs its halves xor-ed, rotated right
+    # by the state's top six bits.
+    word, rot = out_hi[2] ^ out_lo[2], out_hi[2] >> _U64_58
+    first = (word >> rot) | (word << ((_U64_64 - rot) & _U64_63))
+    return np.array((out_hi[0], out_lo[0], out_hi[1], out_lo[1])).T, first
 
 
-def _load(gen: np.random.Generator, stream: tuple[int, int]) -> np.random.Generator:
-    """``gen`` set to the start of the PCG64 stream ``(state, inc)``."""
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": stream[0], "inc": stream[1]},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+def _load(bitgen: np.random.PCG64, streams: np.ndarray) -> Iterator[int]:
+    """Set ``bitgen`` to the start of each ``pcg64_states`` row in turn, through
+    one reused state dict, yielding the row's index while it is loaded."""
+    words = {}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    for k, (state_hi, state_lo, inc_hi, inc_lo) in enumerate(streams.tolist()):
+        words["state"] = state_hi << 64 | state_lo
+        words["inc"] = inc_hi << 64 | inc_lo
+        bitgen.state = state
+        yield k
 
 
 def draw_standing_cells(
-    fmaps: Sequence[FeasibilityMap], streams: Sequence[tuple[int, int]], first: np.ndarray,
+    fmaps: Sequence[FeasibilityMap], streams: np.ndarray, first: np.ndarray,
 ) -> np.ndarray:
     """Flat index of the cell ``sample_standing_cell`` draws from each map
     on a generator at the start of its PCG64 stream, given the streams and
@@ -286,7 +300,8 @@ def draw_standing_cells(
     rejected = (product & _MASK32) < (1 << 32) % sizes
     rejected[live] = False
     for k in np.flatnonzero(rejected).tolist():
-        gen = _load(np.random.Generator(np.random.PCG64(0)), streams[k])
+        gen = np.random.Generator(np.random.PCG64(0))
+        next(_load(gen.bit_generator, streams[k:k + 1]))
         cells[k] = gen.integers(fmaps[k].values.size)
     return cells
 
@@ -315,8 +330,11 @@ def trial_outcomes(
     streams, _ = pcg64_states(entropy, np.column_stack(np.divmod(cells, cols)))
     gen = np.random.Generator(np.random.PCG64(0))
     noise = np.empty((len(cells), n, 2))
-    for k, stream in enumerate(streams):
-        noise[k] = _load(gen, stream).normal(0.0, params.nav_sigma_xy, (n, 2))
+    for k in _load(gen.bit_generator, streams):
+        gen.standard_normal(out=noise[k])
+    # normal(0, σ) draws 0.0 + σ·z; σ·z differs from it only in a zero's
+    # sign, which no arrival test reads.
+    noise *= params.nav_sigma_xy
     arrivals = (centers[cells, None, :] + noise).reshape(-1, 2)
 
     target_arr = np.asarray(target, dtype=float)

@@ -48,10 +48,10 @@ Standing spots are frozen deterministically: the unloading spot for a given
 the feasibility map, seeded from the scene seed, so re-planning reproduces
 the same plan and execution replays the exact stands the planner scored.
 Each unload option has one ``SeedSequence``-spawned ``PCG64`` stream, for
-its stand draw. A planning call derives them all, with each stream's first
-output, in one array pass (``feasibility.pcg64_states``), and draws every
-option's stand from those outputs in one more
-(``feasibility.draw_standing_cells``), building no generator per option.
+its stand draw. A planning call derives every stream's first output in
+uint64 array passes (``feasibility.pcg64_states``) and draws each option's
+stand from them in one more (``feasibility.draw_standing_cells``), building
+no Python int or generator per option.
 """
 from __future__ import annotations
 

@@ -418,8 +418,15 @@ def _validate(scene: SceneState) -> None:
     for rect in scene.solid_rects():
         if rect.distance_to(scene.robot_pose.x, scene.robot_pose.y) <= scene.robot_radius:
             raise SceneError("robot start pose collides with furniture")
-    if not scene.grid.in_bounds(scene.grid.cell_of(scene.robot_pose.x, scene.robot_pose.y)):
+    grid = scene.grid
+    iy, ix = grid.cell_of(scene.robot_pose.x, scene.robot_pose.y)
+    if not grid.in_bounds((iy, ix)):
         raise SceneError("grid does not cover the robot start pose")
+    # The navigator plans from the start's cell: ``cells_within``'s test at
+    # that one cell's centre.
+    x, y = grid.origin[0] + (ix + 0.5) * grid.resolution, grid.origin[1] + (iy + 0.5) * grid.resolution
+    if any(rect_distances(rect, x, y) <= scene.robot_radius for rect in scene.solid_rects()):
+        raise SceneError("robot start cell is blocked: the robot collides with furniture there")
 
 
 def build_scene(

@@ -2,6 +2,7 @@
 no benchmark runs."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -152,3 +153,31 @@ def test_a_crashed_run_is_recorded_and_the_batch_goes_on(tmp_path, monkeypatch):
             assert report["claim"]["met"] is False
     assert {seconds for *_, seconds in calls} == {7}
     assert len(calls) == 6
+
+
+def test_a_run_keeps_its_measured_lines(tmp_path, monkeypatch):
+    """The unscaled set-up seconds and the slowdowns a run prints as
+    ``# measured`` lines stay with its final JSON line."""
+    stdout = "\n".join([
+        "# experiment_t1_easy seed=5 seconds=25 trace=0",
+        "# machine: cpu",
+        "# setup_s = 0.31 s (lower is better)",
+        "# measured setup_s = 0.3345",
+        "# measured peak_rss_mb = 101.5",
+        "# measured slowdown.setup = 1.07",
+        "# error_rate = 0 (quality, not gated)",
+        json.dumps(_run(40.0, 0.31)),
+    ])
+    seen = []
+
+    def fake_run(command, cwd, capture_output, text):
+        seen.append((command[-8:], cwd))
+        return subprocess.CompletedProcess(command, 0, stdout=stdout + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run, machine = bench_pairs.run_once(tmp_path, "experiment_t1_easy", 5, 25.0)
+    assert machine == "cpu"
+    assert run["measured"] == {"setup_s": 0.3345, "peak_rss_mb": 101.5, "slowdown.setup": 1.07}
+    assert run["metrics"] == _run(40.0, 0.31)["metrics"]
+    assert seen == [(["--workload", "experiment_t1_easy", "--seed", "5", "--seconds", "25",
+                      "--trace", "0"], tmp_path)]

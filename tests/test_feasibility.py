@@ -206,6 +206,27 @@ def test_trial_outcomes_equal_per_cell_oracle(oracle_scenes, environment, sigma,
     assert np.any(outcomes) and not np.all(outcomes)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.08])
+def test_maps_scaled_after_the_draw_equal_the_oracle(oracle_scenes, sigma):
+    """Each cell draws standard normals and the map scales them by σ once,
+    where the oracle draws ``normal(0.0, σ)``, that is 0.0 + σ·z. The two
+    differ only in the sign of a zero (σ = 0 makes every product a zero, a
+    negative one for each negative z), which moves no arrival test: maps
+    and trials equal the oracle bit for bit."""
+    scene = oracle_scenes["chair_top"]
+    params = FeasibilityParams(nav_sigma_xy=sigma)
+    table = scene.table("dining")
+    for loc in symbolic_locations(scene, "dining"):
+        target = (table.center[0] + 0.3 * loc.outward[0], table.center[1] + 0.1 * loc.outward[1])
+        expected = per_cell_trial_outcomes(scene, loc, target, params)
+        assert np.array_equal(trial_outcomes(scene, loc, target, params), expected), loc.id
+        fmap = compute_feasibility_map(scene, loc, target, params)
+        assert fmap.values.tobytes() == expected.mean(axis=2).tobytes(), loc.id
+    z = np.random.default_rng(3).standard_normal(20)
+    if sigma == 0.0:
+        assert np.signbit(sigma * z).any() and not np.signbit(0.0 + sigma * z).any()
+
+
 def test_trial_outcomes_equal_per_cell_oracle_at_negative_coordinates():
     """A target with both world coordinates negative, whose entropy words
     are masked 48-bit values of two uint32 words each."""
@@ -537,8 +558,21 @@ def test_cumulative_table_is_built_once_and_read_only():
 
 
 def _seed_sequence_stream(entropy, key):
+    """``(state_hi, state_lo, inc_hi, inc_lo)`` of the stream's own PCG64."""
     state = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)).state["state"]
-    return state["state"], state["inc"]
+    return _stream_row(state["state"], state["inc"])
+
+
+def _stream_row(state, inc):
+    return [state >> 64, state & (2**64 - 1), inc >> 64, inc & (2**64 - 1)]
+
+
+def _started(state, inc):
+    """A generator at the start of the PCG64 stream ``(state, inc)``, set by
+    the package's own loader."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    next(feasibility._load(gen.bit_generator, np.array([_stream_row(state, inc)], np.uint64)))
+    return gen
 
 
 # Zero, one-word, two-word (>= 2**32) and three-word (>= 2**64) integers.
@@ -562,8 +596,9 @@ _ENTROPY_INTS = st.one_of(
 )
 def test_pcg64_states_equal_seed_sequence_streams(entropy, keys):
     """Each stream's start and first output, its ``random_raw()``."""
-    states, first = pcg64_states(entropy, keys)
-    assert states == [_seed_sequence_stream(entropy, tuple(k)) for k in keys]
+    streams, first = pcg64_states(entropy, keys)
+    assert streams.dtype == np.uint64
+    assert streams.tolist() == [_seed_sequence_stream(entropy, tuple(k)) for k in keys]
     assert first.dtype == np.uint64
     assert first.tolist() == [
         int(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=tuple(k))).random_raw())
@@ -606,7 +641,7 @@ def test_pcg64_states_equal_the_planner_streams(scene_seed, round_index):
     entropy = (scene_seed, (42 << 20) + round_index)
     keys = np.indices((3, 5, 4, 2)).reshape(4, -1).T[1::2]
     expected = [_seed_sequence_stream(entropy, tuple(k)) for k in keys.tolist()]
-    assert pcg64_states(entropy, keys)[0] == expected
+    assert pcg64_states(entropy, keys)[0].tolist() == expected
 
 
 def test_pcg64_states_reject_bad_input():
@@ -616,6 +651,70 @@ def test_pcg64_states_reject_bad_input():
         pcg64_states(0, [0, 1])
     with pytest.raises(OverflowError):
         pcg64_states(0, [[2**32]])
+
+
+def _assert_streams_equal_seed_sequences(entropy, keys):
+    """``pcg64_states`` rows and first outputs against each key's own
+    ``PCG64(SeedSequence(...))``: its state and its ``random_raw()``."""
+    streams, first = pcg64_states(entropy, keys)
+    assert streams.shape == (len(keys), 4) and first.shape == (len(keys),)
+    assert streams.dtype == first.dtype == np.uint64
+    for key, row, word in zip(keys, streams.tolist(), first.tolist()):
+        own = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=tuple(key)))
+        state = own.state["state"]
+        assert row == _stream_row(state["state"], state["inc"])
+        assert word == int(own.random_raw())
+
+
+def _seed_and_inc(entropy, key):
+    """The 128-bit seed and increment PCG64 seeds the key's stream with."""
+    words = np.random.SeedSequence(entropy, spawn_key=key).generate_state(4, np.uint64)
+    hi_seed, lo_seed, hi_seq, lo_seq = map(int, words)
+    return hi_seed << 64 | lo_seed, ((hi_seq << 64 | lo_seq) << 1 | 1) % 2**128
+
+
+def _first_rotation(entropy, key):
+    """The XSL-RR rotation of the stream's first output: the top six bits
+    of its state after one step."""
+    own = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key))
+    own.random_raw()
+    return own.state["state"]["state"] >> 122
+
+
+def test_pcg64_states_at_rotations_0_and_63():
+    """A first output unrotated, and one rotated by 63, the widest shift
+    pair (word >> 63 | word << 1); keys found by search."""
+    entropy = (42, 7)
+    keys = {}
+    for k in range(5000):
+        keys.setdefault(_first_rotation(entropy, (k, 1)), (k, 1))
+        if 0 in keys and 63 in keys:
+            break
+    _assert_streams_equal_seed_sequences(entropy, [keys[0], keys[63]])
+
+
+def test_pcg64_states_where_seed_plus_inc_carries():
+    """Keys whose low words of inc + seed carry into the high word, and
+    whose full sum wraps past 2**128, next to ones that do neither."""
+    entropy = 2**40 + 3
+    found = {}
+    for k in range(200):
+        seed, inc = _seed_and_inc(entropy, (k,))
+        carry = (seed & (2**64 - 1)) + (inc & (2**64 - 1)) >= 2**64
+        found.setdefault((carry, seed + inc >= 2**128), (k,))
+    assert set(found) == {(False, False), (False, True), (True, False), (True, True)}
+    _assert_streams_equal_seed_sequences(entropy, list(found.values()))
+
+
+@pytest.mark.parametrize("keys", [
+    np.zeros((0, 2), dtype=np.int64),  # a band that reaches no cell
+    [[5, 17]],
+    [[0, 0], [2**32 - 1, 2**32 - 1], [0, 2**32 - 1], [2**32 - 1, 0]],
+    [[2**32 - 1], [0]],
+    [[0, 0, 0, 0], [2**32 - 1] * 4],
+], ids=["K=0", "K=1", "edge-words", "edge-words-L1", "edge-words-L4"])
+def test_pcg64_states_at_edge_key_counts_and_words(keys):
+    _assert_streams_equal_seed_sequences((2**63, 11, 2**48 - 1), np.asarray(keys))
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
@@ -670,11 +769,10 @@ def test_array_draw_on_a_cumulative_entry_counts_it(values, word, draw):
     ``searchsorted(side="right")`` does."""
     fmap = FeasibilityMap("loc", (0.0, 0.0), np.array([values]))
     stream = _stream_first_drawing(word)
-    own = feasibility._load(np.random.Generator(np.random.PCG64(0)), stream)
-    assert own.random() == draw == fmap.cdf[0]
-    own = feasibility._load(own, stream)
-    assert choice_standing_cell(fmap, own) == (0, 1)
-    drawn = feasibility.draw_standing_cells([fmap], [stream], np.array([word], np.uint64))
+    assert _started(*stream).random() == draw == fmap.cdf[0]
+    assert choice_standing_cell(fmap, _started(*stream)) == (0, 1)
+    drawn = feasibility.draw_standing_cells(
+        [fmap], np.array([_stream_row(*stream)], np.uint64), np.array([word], np.uint64))
     assert drawn.tolist() == [1]
 
 
@@ -685,16 +783,16 @@ def test_array_draw_redraws_a_word_lemire_rejects():
     the array draw must take the generator's cell, not the rejected word's."""
     word = 0x80000001 << 32
     stream = _stream_first_drawing(word)
-    own = feasibility._load(np.random.Generator(np.random.PCG64(0)), stream)
-    assert int(own.bit_generator.random_raw()) == word
-    expected = int(feasibility._load(own, stream).integers(192))
+    assert int(_started(*stream).bit_generator.random_raw()) == word
+    expected = int(_started(*stream).integers(192))
     assert expected == 96  # (0x80000001 * 192) >> 32, not the rejected word's cell 0
     zero = FeasibilityMap("loc", (0.0, 0.0), np.zeros((8, 24)))
     live = FeasibilityMap("loc", (0.0, 0.0), np.full((8, 24), 0.5))
     drawn = feasibility.draw_standing_cells(
-        [zero, live], [stream, stream], np.array([word, word], np.uint64))
+        [zero, live], np.array([_stream_row(*stream)] * 2, np.uint64),
+        np.array([word, word], np.uint64))
     assert drawn.tolist() == [expected, int(np.searchsorted(live.cdf, 0.5, side="right"))]
-    assert choice_standing_cell(zero, feasibility._load(own, stream)) == divmod(expected, 24)
+    assert choice_standing_cell(zero, _started(*stream)) == divmod(expected, 24)
 
 
 @pytest.mark.parametrize("trials", [2.5, "3", True, None])

@@ -320,11 +320,12 @@ def test_loaded_stream_draws_like_its_own_generator():
     """A stream loaded into a used generator draws, and ends in, what the
     generator built from its own SeedSequence would."""
     entropy, key = (42, 7), (3, 1, 2, 1)
-    (stream,), _ = pcg64_states(entropy, [key])
+    streams, _ = pcg64_states(entropy, [key])
     gen = np.random.Generator(np.random.PCG64(0))
     gen.random(3)
     own = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=key)))
-    assert _load(gen, stream).random(5).tolist() == own.random(5).tolist()
+    assert list(_load(gen.bit_generator, streams)) == [0]
+    assert gen.random(5).tolist() == own.random(5).tolist()
     assert gen.bit_generator.state == own.bit_generator.state
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from oracles import band_cell_center, disc_hits_rect, grid_cell_center, rasterize_by_point_test
 from momaplan.geometry import Rect
+from momaplan.harness import make_scene
+from momaplan.motion import navigator_for, robot_collides
 from momaplan.world import (
     BAND_CELL_SIZE,
     BAND_COLS,
@@ -203,6 +206,57 @@ def test_validation_rejects_unknown_table():
 def test_validation_rejects_colliding_robot():
     with pytest.raises(SceneError, match="collides"):
         _tiny_scene(robot_pose=Pose2D(0.0, -0.55, math.pi / 2))
+
+
+def _with_start(scene, x, y):
+    """``scene`` with the robot starting at (x, y), on the same grid."""
+    return build_scene(list(scene.tables), list(scene.obstacles), list(scene.objects),
+                       Pose2D(x, y, 0.0), rng_seed=scene.rng_seed,
+                       grid_origin=scene.grid.origin, grid_shape=scene.grid.shape)
+
+
+def test_validation_rejects_a_start_whose_cell_the_navigator_blocks():
+    """A start 3.5 mm clear of task 8's chair (chair_top): the disc clears
+    every rect at the point, but the centre of the grid cell holding it
+    lies within the robot radius of the chair, so the navigator would
+    block the cell it plans from and every plan would fail. Validation
+    refuses such a start."""
+    scene = make_scene(8, "chair_top", 42)
+    chair = scene.obstacles[0].rect
+    x, y = chair.x_min - scene.robot_radius - 0.0035, 0.51
+    assert chair.distance_to(x, y) == pytest.approx(scene.robot_radius + 0.0035)
+    assert not robot_collides(scene, x, y)
+    assert navigator_for(scene).blocked[scene.grid.cell_of(x, y)]
+    with pytest.raises(SceneError, match="^robot start cell is blocked: the robot collides "
+                                         "with furniture there$"):
+        _with_start(scene, x, y)
+
+
+@pytest.mark.parametrize("environment", ["easy", "chair_top", "chair_bottom"])
+def test_start_cell_rule_is_the_navigator_grid(environment):
+    """Clear starts 3-4 mm and 2-3 cm beyond each side of each rect: a
+    start is refused for its cell exactly when the scene's navigator
+    blocks that cell."""
+    scene = make_scene(1, environment, 42)
+    blocked = navigator_for(scene).blocked
+    refused = accepted = 0
+    for rect, gap, along in itertools.product(
+            scene.solid_rects(), (0.003, 0.0035, 0.004, 0.025), np.linspace(0.1, 0.9, 9)):
+        r = scene.robot_radius + gap
+        x = rect.x_min + along * (rect.x_max - rect.x_min)
+        y = rect.y_min + along * (rect.y_max - rect.y_min)
+        for px, py in ((x, rect.y_max + r), (x, rect.y_min - r),
+                       (rect.x_min - r, y), (rect.x_max + r, y)):
+            if robot_collides(scene, px, py):
+                continue
+            if blocked[scene.grid.cell_of(px, py)]:
+                with pytest.raises(SceneError, match="start cell is blocked"):
+                    _with_start(scene, px, py)
+                refused += 1
+            else:
+                assert _with_start(scene, px, py).robot_pose.xy == (px, py)
+                accepted += 1
+    assert accepted > 0 and (refused > 0 or environment == "easy")
 
 
 def test_scene_dict_round_trip(scene1):
