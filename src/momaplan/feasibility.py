@@ -339,9 +339,13 @@ def trial_outcomes(
 
     target_arr = np.asarray(target, dtype=float)
     dist = np.hypot(arrivals[:, 0] - target_arr[0], arrivals[:, 1] - target_arr[1])
-    ok = (dist <= params.reach_radius) & ~robot_collides_batch(scene, arrivals)
-    # Only arrivals still in play need the reach-line tests.
+    ok = dist <= params.reach_radius
+    # Only arrivals within reach need the collision test, and only those
+    # still in play the reach-line tests.
     live = np.flatnonzero(ok)
+    hit = robot_collides_batch(scene, arrivals[live])
+    ok[live[hit]] = False
+    live = live[~hit]
     for rect in scene.reach_blockers(location.table_id):
         hit = segments_hit_rect(arrivals[live], target_arr, rect)
         ok[live[hit]] = False

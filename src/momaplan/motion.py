@@ -118,11 +118,11 @@ class Navigator:
     A scene's navigator is also its one per-scene store: it records the
     robot's start cell and component, and holds the feasibility ``maps``
     (keyed by location, exact unload point and trial parameters),
-    standing-band indices (``bands``), loading-stand tables (``stands``)
-    and leg costs (``legs``), each built whole on first use, that other
-    modules memoise for the scene. No answer depends on what was asked
-    before. ``maps`` keeps the ``MAX_MAPS`` most recently used maps; the
-    other tables are not bounded within a scene.
+    standing-band indices (``bands``), loading-stand tables (``stands``,
+    filled row by row as read) and leg costs (``legs``), that other modules
+    memoise for the scene. No answer depends on what was asked before.
+    ``maps`` keeps the ``MAX_MAPS`` most recently used maps; the other
+    tables are not bounded within a scene.
     """
 
     def __init__(self, scene: SceneState):

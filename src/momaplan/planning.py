@@ -19,8 +19,8 @@ fixed charge per manipulation.
 ``Router`` holds the loading-stand, leg-routing and plan-cost rule, shared
 with the baseline planners in ``harness``. A stand is named by its band
 index: a leg starts at the robot's start or at a target-table band cell,
-so the loading stand after each is one entry of a per-scene table built
-whole (``Router.loading_stands``), and ``Router.legs`` says whether legs
+so the loading stand after each is one entry of a per-scene table filled
+as read (``Router.loading_stands``), and ``Router.legs`` says whether legs
 connect. ``plan_task`` builds the candidate table once per goal, keeps
 unload options as arrays (each stand's band index and feasibility) and
 prices all configurations from one leg table over (previous stand, unload
@@ -205,7 +205,7 @@ class BandIndex:
         self.owner = np.repeat(np.arange(len(locations)), sizes)
         self.cells = nav.flat_cells(self.centers)
         self.usable = nav.reachable_at(self.centers)
-        x, y = self.centers[:, 0], self.centers[:, 1]
+        x, y = self._xy = self.centers.T.copy()  # contiguous, for distance passes
         nearest = np.minimum.reduce([rect_distances(r, x, y) for r in scene.solid_rects()])
         self.clearance = nearest - scene.robot_radius
 
@@ -217,12 +217,12 @@ class BandIndex:
         """Band index of the usable cell nearest each of ``points``, shape
         (m, 2) (the first of ties), or -1 when no cell is usable; one
         distance pass for all of them."""
-        usable = np.flatnonzero(self.usable)
-        if not len(usable):
+        if not self.usable.any():
             return np.full(len(points), -1)
-        centers = self.centers[usable]
-        d2 = (centers[:, 0] - points[:, :1]) ** 2 + (centers[:, 1] - points[:, 1:]) ** 2
-        return usable[np.argmin(d2, axis=1)]
+        x, y = self._xy
+        d2 = (x - points[:, :1]) ** 2 + (y - points[:, 1:]) ** 2
+        d2[:, ~self.usable] = np.inf
+        return d2.argmin(axis=1)
 
 
 class Router:
@@ -233,8 +233,8 @@ class Router:
     cell in the robot's start component, faced toward the object. A
     previous stand is the robot's start or the center of a band cell, so
     the rule's answers fit one table per (stand table, source table),
-    indexed by band index with a last entry for the start, built whole on
-    first use and kept by the scene's navigator. ``legs`` tells which steps
+    indexed by band index with a last entry for the start, filled row by
+    row as read and kept by the scene's navigator. ``legs`` tells which steps
     connect, for the search's every (previous stand, option) pair and for
     the steps ``route`` routes. Both legs of a step are priced off the
     loading cell's ``leg_costs``, so the search computes at most one cost
@@ -259,19 +259,24 @@ class Router:
                 self.nav, symbolic_locations(self.scene, table_id), self.scene)
         return self.nav.bands[table_id]
 
-    def loading_stands(self, source: str, table: str) -> np.ndarray:
+    def loading_stands(self, source: str, table: str, rows: np.ndarray) -> np.ndarray:
         """The scene's loading-stand table for (``table``, ``source``): the
         band index in ``source``'s band of the loading stand after each band
         cell of ``table``, then after the robot's start (the last entry);
-        -1 where no cell of ``source``'s band is usable. Built whole on
-        first use, in distance passes of at most 64 points."""
+        -1 where no cell of ``source``'s band is usable, -2 at rows no call
+        has read. The unset rows among ``rows`` (-1 names the start) are
+        filled first, in distance passes of at most 64 points."""
         stands = self.nav.stands.get((table, source))
         if stands is None:
-            points = np.concatenate((self.band(table).centers, [self.scene.robot_pose.xy]))
-            nearest = self.band(source).nearest_free
-            stands = np.concatenate([nearest(points[i:i + 64]) for i in range(0, len(points), 64)])
-            stands.setflags(write=False)
-            self.nav.stands[(table, source)] = stands
+            stands = self.nav.stands[(table, source)] = np.full(len(self.band(table).centers) + 1, -2)
+        unset = stands[rows] == -2
+        if unset.any():
+            need = np.zeros(len(stands), dtype=bool)
+            need[rows[unset]] = True
+            need = np.flatnonzero(need)
+            points = np.concatenate((self.band(table).centers, [self.scene.robot_pose.xy]))[need]
+            for i in range(0, len(need), 64):
+                stands[need[i:i + 64]] = self.band(source).nearest_free(points[i:i + 64])
         return stands
 
     def leg_costs(self, table: str, cell: Cell) -> np.ndarray:
@@ -297,11 +302,12 @@ class Router:
         since a cost field is finite exactly on its source's component.
         ``prev`` and ``stands`` are band indices of ``table`` (-1 for the
         robot's start) that broadcast together; ``sources[j]`` is the
-        source table of entry j of the last axis. Stands are read with one
+        source table of entry j of the last axis. Every source's stand table
+        is filled at the rows ``prev`` names; stands are read with one
         gather over (source, previous stand), cells over (source, stand)."""
         names = {source: i for i, source in enumerate(dict.fromkeys(sources))}
         column = np.array([names[source] for source in sources], dtype=np.intp)
-        stand = np.stack([self.loading_stands(source, table) for source in names])[column, prev]
+        stand = np.stack([self.loading_stands(source, table, prev) for source in names])[column, prev]
         # Every table's band has the same cells per side, so the bands stack.
         cells = np.stack([self.band(source).cells for source in names])[column, stand]
         usable = np.append(self.band(table).usable, True)  # the start's entry last

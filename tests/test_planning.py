@@ -356,7 +356,7 @@ def price_every_loading_cell(scene, objects) -> None:
     router = Router(scene)
     cols = router.nav.grid.shape[1]
     for source in {router.source[obj] for obj in objects}:
-        stands = router.loading_stands(source, "dining")
+        stands = router.loading_stands(source, "dining", every_row(router, "dining"))
         for cell in set(router.band(source).cells[stands[stands >= 0]].tolist()):
             router.leg_costs("dining", divmod(cell, cols))
 
@@ -786,7 +786,8 @@ def test_loading_stand_does_not_depend_on_walk_history():
     """At each dining band corner, two band cells 5 cm apart share one
     grid cell and can have different loading stands. The stand after one
     cell must be the same whether or not legs after the other were asked
-    for first: the stand table is built whole, whatever the first query."""
+    for first: each row holds the one-point rule's answer, whatever was
+    filled before it."""
     scene = make_scene(8, "easy", seed=42)
     nav = navigator_for(scene)
     router = Router(scene)
@@ -801,7 +802,7 @@ def test_loading_stand_does_not_depend_on_walk_history():
     def stand_after(source, first, second):
         nav.stands.clear()
         router.legs("dining", [source], np.array([first]), np.array([second]))
-        return router.loading_stands(source, "dining")[second]
+        return router.loading_stands(source, "dining", np.array([second]))[second]
 
     differing = 0
     for obj in objects:
@@ -909,6 +910,12 @@ def test_batched_nearest_free_equals_one_point_rule(environment):
     assert centers_at(unusable, unusable.nearest_free(points[:3])) == [None] * 3
 
 
+def every_row(router, table):
+    """Every row of a stand table toward ``table``: each band index, then
+    the robot's start (the last entry)."""
+    return np.arange(len(router.band(table).centers) + 1)
+
+
 def centers_at(band, indices):
     """The center of each band index as a tuple of floats, None for -1."""
     return [None if i < 0 else tuple(band.centers[i].tolist()) for i in indices]
@@ -931,12 +938,105 @@ def test_stand_tables_equal_the_one_point_rule(environment):
         for table in each.tables:
             band = router.band(table.id)
             assert band.usable.any() == usable
-            stands = router.loading_stands(table.id, "dining")
+            rows = every_row(router, "dining")
+            stands = router.loading_stands(table.id, "dining", rows)
             assert len(stands) == len(points)
             assert centers_at(band, stands) == [nearest_usable_center(band, p) for p in points]
             assert (stands >= 0).all() if usable else (stands == -1).all()
             # A second lookup reads the stored table.
-            assert router.loading_stands(table.id, "dining") is stands
+            assert router.loading_stands(table.id, "dining", rows) is stands
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+@pytest.mark.parametrize("task", sorted(TASK_OBJECTS))
+def test_stand_rows_filled_in_any_order_equal_the_one_point_rule(task, environment):
+    """On every benchmark scene, each table's stand table toward the dining
+    table is filled in random chunks of rows, repeated and shaped as
+    ``Router.legs`` asks (the start's row as -1), then for the rest: a row
+    no call has read holds -2, and in the end every row holds the one-point
+    rule's answer from its dining band center or the robot's start."""
+    scene = make_scene(task, environment, seed=42)
+    router = Router(scene)
+    points = [*router.band("dining").centers.tolist(), scene.robot_pose.xy]
+    rng = np.random.default_rng(task)
+    for table in scene.tables:
+        band = router.band(table.id)
+        order = rng.permutation(len(points)) - 1
+        asked = int(rng.integers(1, len(points)))
+        for chunk in np.array_split(order[:asked], 3):
+            rows = np.concatenate([chunk, chunk[::-1]])[:, None]
+            stands = router.loading_stands(table.id, "dining", rows)
+        assert (stands[order[asked:]] == -2).all() and (stands[order[:asked]] != -2).all()
+        stands = router.loading_stands(table.id, "dining", order[asked:])
+        assert centers_at(band, stands) == [nearest_usable_center(band, p) for p in points]
+
+
+def count_distance_passes(monkeypatch) -> list:
+    """The band and point count of every ``BandIndex.nearest_free`` pass
+    from here on, in call order."""
+    passes = []
+    nearest_free = BandIndex.nearest_free
+
+    def spy(self, points):
+        passes.append((self, len(points)))
+        return nearest_free(self, points)
+
+    monkeypatch.setattr(BandIndex, "nearest_free", spy)
+    return passes
+
+
+def test_a_repeated_plan_makes_no_distance_pass(goal1, monkeypatch):
+    """A second ``plan_task`` on the same inputs reads every stand row it
+    needs from the stand tables the first filled."""
+    scene = make_scene(1, "easy", seed=42)
+    configs = grounded(scene, goal1, m=3)
+    passes = count_distance_passes(monkeypatch)
+    plan = plan_task(scene, "dining", configs, goal1.atoms, fast_params())
+    assert passes
+    del passes[:]
+    assert_same_plan(plan_task(scene, "dining", configs, goal1.atoms, fast_params()), plan)
+    assert passes == []
+
+
+@pytest.mark.parametrize("task, environment", [(1, "easy"), (8, "chair_top")])
+def test_a_cold_plan_fills_only_the_stand_rows_it_reads(task, environment, monkeypatch):
+    """A cold plan's distance passes, at most 64 points each, cover for
+    each source table exactly the rows its ``Router.legs`` calls name as
+    previous stands, each once; every other row stays unset (-2)."""
+    scene = make_scene(task, environment, seed=42)
+    goal = task_goal(task)
+    configs = grounded(scene, goal, m=10)
+    passes = count_distance_passes(monkeypatch)
+    read = defaultdict(set)
+    legs = Router.legs
+
+    def spy(self, table, sources, prev, stands):
+        for source in sources:
+            read[source].update(np.ravel(prev).tolist())
+        return legs(self, table, sources, prev, stands)
+
+    monkeypatch.setattr(Router, "legs", spy)
+    plan_task(scene, "dining", configs, goal.atoms, fast_params())
+    nav = navigator_for(scene)
+    size = len(nav.bands["dining"].centers) + 1
+    assert {source for _, source in nav.stands} == set(read)
+    for (table, source), stands in nav.stands.items():
+        rows = sorted(row % size for row in read[source])  # the start's -1 is the last row
+        assert table == "dining" and np.flatnonzero(stands != -2).tolist() == rows
+        assert sum(n for band, n in passes if band is nav.bands[source]) == len(rows)
+        assert len(rows) < size / 4
+    assert all(n <= 64 for _, n in passes)
+
+
+def test_plan_task_refuses_a_blocked_start(goal1):
+    """A start moved into the dining table by ``dataclasses.replace``,
+    which skips the scene checks, is refused by ``plan_task`` itself,
+    before any feasibility map is computed."""
+    scene = make_scene(1, "easy", seed=42)
+    blocked = dataclasses.replace(scene, robot_pose=Pose2D(*scene.table("dining").center, 0.0))
+    with pytest.raises(PlanningError, match="robot start cell is blocked"):
+        plan_task(blocked, "dining", grounded(scene, goal1, m=1), goal1.atoms, fast_params())
+    assert not navigator_for(blocked).maps
 
 
 def test_selected_plan_survives_exhaustive_rescoring(goal1):
