@@ -20,11 +20,13 @@ bound of eight scenes, keyed by location, exact unload point and
 parameters. Each navigator keeps the ``motion.MAX_MAPS`` (256) most
 recently used maps; an evicted map is recomputed equal bit for bit.
 
-``pcg64_states`` derives many streams' starts and first outputs in uint64
-array passes. A map reloads one generator at each cell's start through one
-reused state dict and draws the cell's standard normals; the arrival tests
-then run once per map. ``draw_standing_cells`` turns first outputs into the
-planner's stand draws, bit for bit those of a generator on each stream.
+``pcg64_states`` derives many streams' starts and first outputs: numpy's
+``SeedSequence`` mixes their shared entropy once, and array passes mix each
+stream's key words, seed PCG64 and take its first output. A map reloads one
+generator at each cell's start through one reused state dict and draws the
+cell's standard normals; the arrival tests then run once per map.
+``draw_standing_cells`` turns first outputs into the planner's stand draws,
+bit for bit those of a generator on each stream.
 
 Two summary quantities feed planning: the per-cell probability itself for
 a concrete standing cell, and for a whole unload task the expected
@@ -140,35 +142,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _uint32_words(entropy: int | Sequence) -> list[int]:
-    """The uint32 words SeedSequence reads from a non-negative int (least
-    significant first, one word for 0) or a sequence of them."""
-    if isinstance(entropy, (int, np.integer)):
-        value = int(entropy)
-        if value < 0:
-            raise ValueError(f"entropy must be non-negative, got {value}")
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [word for item in entropy for word in _uint32_words(item)]
-
-
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix on one word; returns the mixed word and the
-    next hash constant."""
-    value = value ^ hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
 @cache
 def _hash_consts(hash_const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The xor and multiplier constants of ``count`` successive hashes from
@@ -198,38 +171,29 @@ def pcg64_states(entropy: int | Sequence, keys) -> tuple[np.ndarray, np.ndarray]
     (K, 4) uint64 rows ``(state_hi, state_lo, inc_hi, inc_lo)``, and each
     stream's first output, its ``random_raw()``, as a uint64 array.
 
-    The first four entropy words are pool-mixed in Python ints; every later
-    word, and PCG64's seeding, step and XSL-RR output (O'Neill, "PCG", 2014),
-    in uint32 and uint64 array passes along the K streams: the high words of
-    64 x 64-bit products from 32-bit halves, carries as comparisons.
+    ``SeedSequence(entropy)`` mixes the entropy the streams share, once;
+    each key's words, and PCG64's seeding, step and XSL-RR output (O'Neill,
+    "PCG", 2014), go in uint32 and uint64 array passes along the K streams:
+    the high words of 64 x 64-bit products from 32-bit halves, carries as
+    comparisons.
     """
     keys = np.asarray(keys, dtype=np.uint32)
     if keys.ndim != 2:
         raise ValueError(f"keys must be a (K, L) array, got shape {keys.shape}")
-    # SeedSequence pads short entropy with zero words before a spawn key;
-    # without one, a missing pool word hashes as zero all the same.
-    run = _uint32_words(entropy)
-    run += [0] * (_POOL_SIZE - len(run))
-    hash_const = _INIT_A
-    pool = []
-    for i in range(_POOL_SIZE):
-        word, hash_const = _hashmix(run[i], hash_const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], word)
-    # Each later word, the entropy's and then each key's, is hashed with four
-    # successive constants, one per pool word: all in one pass along the K
-    # streams, then one mixing pass per word into the (4, K) pool.
-    extra = np.array(run[_POOL_SIZE:], dtype=np.uint32)[:, None].repeat(len(keys), axis=1)
-    columns = np.concatenate((extra, keys.T))
-    xor, mult = _hash_consts(hash_const, _MULT_A, _POOL_SIZE * len(columns))
-    word = (columns[:, None, :] ^ xor) * mult
+    # The pool mix's hashes, four per uint32 entropy word and at least 16
+    # (a missing pool word hashes as zero, as the padding before a spawn key
+    # does), step the hash constant. None raises here, before numpy would
+    # fill it from the OS.
+    items = [entropy] if isinstance(entropy, (int, np.integer)) else entropy
+    words = sum(-(-int(item).bit_length() // 32) or 1 for item in items)
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(words, _POOL_SIZE), 2**32) & _MASK32
+    pool = np.full((len(keys), _POOL_SIZE), np.random.SeedSequence(entropy).pool).T
+    # Each key word is hashed with four successive constants, one per pool
+    # word, in one pass along the K streams; then one mixing pass per word.
+    xor, mult = _hash_consts(hash_const, _MULT_A, _POOL_SIZE * keys.shape[1])
+    word = (keys.T[:, None, :] ^ xor) * mult
     word ^= word >> _U32_16
     word *= _U32_MIX_R
-    pool = np.full((len(keys), _POOL_SIZE), pool, dtype=np.uint32).T
     for column in word:
         pool = pool * _U32_MIX_L - column
         pool ^= pool >> _U32_16

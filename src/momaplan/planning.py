@@ -48,9 +48,10 @@ Standing spots are frozen deterministically: the unloading spot for a given
 the feasibility map, seeded from the scene seed, so re-planning reproduces
 the same plan and execution replays the exact stands the planner scored.
 Each unload option has one ``SeedSequence``-spawned ``PCG64`` stream, for
-its stand draw. A planning call derives every stream's first output in
-uint64 array passes (``feasibility.pcg64_states``) and draws each option's
-stand from them in one more (``feasibility.draw_standing_cells``), building
+its stand draw. In ``feasibility.pcg64_states`` numpy mixes the shared
+(scene seed, stand seed) entropy once per call, and array passes mix each
+option's key words, seed PCG64 and take every first output; one more pass
+(``feasibility.draw_standing_cells``) draws each option's stand, building
 no Python int or generator per option.
 """
 from __future__ import annotations

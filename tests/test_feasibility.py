@@ -139,7 +139,8 @@ def test_evicted_map_recomputes_bit_for_bit(monkeypatch):
 
 def test_a_cold_map_seeds_its_cells_in_one_pass(monkeypatch):
     """A cold map derives every cell stream with ``pcg64_states``: it
-    builds no ``SeedSequence`` and at most one ``Generator``."""
+    builds one ``SeedSequence``, for the entropy its cells share, and at
+    most one ``Generator``."""
     built = {"SeedSequence": 0, "Generator": 0}
 
     def counting(name):
@@ -156,7 +157,7 @@ def test_a_cold_map_seeds_its_cells_in_one_pass(monkeypatch):
         monkeypatch.setattr(np.random, name, counting(name))
     fmap = compute_feasibility_map(scene, location, _dining_target(scene))
     assert 0.0 < fmap.values.mean() < 1.0
-    assert built["SeedSequence"] == 0
+    assert built["SeedSequence"] == 1
     assert built["Generator"] <= 1
 
 
@@ -578,11 +579,15 @@ _ENTROPY_INTS = st.one_of(
     st.integers(2**32, 2**64 - 1),
     st.integers(2**64, 2**96),
 )
+# Numpy integers, as ``PlanningParams.stand_seed`` may be.
+_ENTROPY_WORDS = st.one_of(
+    _ENTROPY_INTS, st.integers(0, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+)
 
 
 @settings(max_examples=300)
 @given(
-    entropy=st.one_of(_ENTROPY_INTS, st.lists(_ENTROPY_INTS, max_size=6).map(tuple)),
+    entropy=st.one_of(_ENTROPY_WORDS, st.lists(_ENTROPY_WORDS, max_size=6).map(tuple)),
     keys=st.integers(1, 4).flatmap(
         lambda length: st.lists(
             st.lists(st.integers(0, 2**32 - 1), min_size=length, max_size=length),
@@ -602,33 +607,6 @@ def test_pcg64_states_equal_seed_sequence_streams(entropy, keys):
     ]
 
 
-# Words shaped like ``_entropy_words`` output: the scene seed, a 64-bit
-# location hash, two masked 48-bit target words (2**48 - 1 is a target of
-# -1e-6) and the five fingerprint words.
-_MASKED_TARGET_WORDS = st.one_of(
-    st.sampled_from([0, 2**32, 2**48 - 1]), st.integers(0, 2**48 - 1),
-)
-_MAP_ENTROPY_WORDS = st.tuples(
-    st.one_of(st.just(0), st.integers(0, 2**63)),
-    st.one_of(st.just(0), st.integers(2**32, 2**64 - 1)),
-    _MASKED_TARGET_WORDS,
-    _MASKED_TARGET_WORDS,
-    st.lists(st.one_of(st.just(0), st.integers(0, 2**40)), min_size=5, max_size=5),
-).map(lambda w: [*w[:4], *w[4]])
-
-
-@settings(max_examples=300)
-@given(words=_MAP_ENTROPY_WORDS, key=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)))
-def test_entropy_split_once_gives_the_list_seeded_stream(words, key):
-    """A map seeds each cell from its entropy words split into one uint32
-    array; each cell's SeedSequence state is the one the word list gives."""
-    split = np.array(feasibility._uint32_words(words), dtype=np.uint32)
-    assert np.array_equal(
-        np.random.SeedSequence(split, spawn_key=key).generate_state(4, np.uint64),
-        np.random.SeedSequence(words, spawn_key=key).generate_state(4, np.uint64),
-    )
-
-
 @settings(max_examples=25)
 @given(scene_seed=st.integers(0, 2**63), round_index=st.integers(0, 10**6))
 def test_pcg64_states_equal_the_planner_streams(scene_seed, round_index):
@@ -640,13 +618,22 @@ def test_pcg64_states_equal_the_planner_streams(scene_seed, round_index):
     assert pcg64_states(entropy, keys)[0].tolist() == expected
 
 
-def test_pcg64_states_reject_bad_input():
-    with pytest.raises(ValueError):
-        pcg64_states(-1, [[0]])
+def test_pcg64_states_reject_bad_input(monkeypatch):
+    """Entropy numpy would not reproduce raises; ``None``, which numpy
+    would fill from the OS, raises before any ``SeedSequence`` is built."""
+    for entropy in (-1, [1, -2]):
+        with pytest.raises(ValueError):
+            pcg64_states(entropy, [[0]])
     with pytest.raises(ValueError):
         pcg64_states(0, [0, 1])
     with pytest.raises(OverflowError):
         pcg64_states(0, [[2**32]])
+    built = []
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args: built.append(args))
+    for entropy in (None, [1, None]):
+        with pytest.raises(TypeError):
+            pcg64_states(entropy, [[0]])
+    assert built == []
 
 
 def _assert_streams_equal_seed_sequences(entropy, keys):
