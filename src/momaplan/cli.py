@@ -266,7 +266,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         scene = load_scene(args.scene)
     except (SceneError, OSError) as exc:
         return _invalid("scene", exc)
-    rows, cols = scene.grid.occupied.shape
+    rows, cols = scene.grid.shape
     print(f"scene ok: {len(scene.tables)} tables, {len(scene.obstacles)} obstacles, "
           f"{len(scene.objects)} objects")
     print(f"grid {cols}x{rows} at {scene.grid.resolution} m, "

@@ -1,10 +1,12 @@
-"""Base navigation on the occupancy grid.
+"""Base navigation on the scene's grid.
 
 The robot moves between cell centers on an 8-connected lattice: straight
 steps cost one grid resolution, diagonal steps cost resolution times sqrt(2),
 and a diagonal step is allowed only when both adjacent straight cells are
-also free (no squeezing through corners). A cell is blocked exactly when
-``robot_collides``, the test of every replay and map, holds at its centre.
+also free (no squeezing through corners). The navigator reads the scene's
+one blocked-cell raster, ``SceneState.blocked``: a cell is blocked exactly
+when ``robot_collides``, the test of every replay and map, holds at its
+centre.
 
 Paths and Dijkstra cost fields share one adjacency graph per scene.
 Reachability reads components labelled on the free grid with
@@ -37,7 +39,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .geometry import EARLY_OUT_SLACK, rect_distances
-from .world import OccupancyGrid, SceneState, cells_within
+from .world import Grid, SceneState
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -108,8 +110,10 @@ _RASTER_SLOT = tuple(sorted(_OFFSETS).index(offset) for offset in _OFFSETS)
 
 
 class Navigator:
-    """Per-scene navigation state: blocked cells (those whose centre
-    ``robot_collides`` rejects), adjacency and reachability.
+    """Navigation state over a grid and its blocked-cell raster: adjacency
+    and reachability. A scene's navigator reads the scene's grid, its
+    ``blocked`` raster (shared, not copied) and the robot's start cell;
+    without a start cell no point is ``reachable_at``.
 
     Cost fields (single-source shortest path distances over the whole grid)
     are computed per call and not kept; a routed source keeps its descent
@@ -125,21 +129,7 @@ class Navigator:
     tables are not bounded within a scene.
     """
 
-    def __init__(self, scene: SceneState):
-        grid = scene.grid
-        blocked = cells_within(
-            scene.solid_rects(), scene.robot_radius, grid.origin, grid.resolution, grid.shape)
-        self._setup(grid, blocked, grid.cell_of(*scene.robot_pose.xy))
-
-    @classmethod
-    def from_grid(cls, grid: OccupancyGrid) -> "Navigator":
-        """Navigator over a bare occupancy grid, blocking its occupied cells
-        (no robot start, so no point is ``reachable_at``)."""
-        nav = cls.__new__(cls)
-        nav._setup(grid, grid.occupied, None)
-        return nav
-
-    def _setup(self, grid: OccupancyGrid, blocked: np.ndarray, start_cell: Cell | None) -> None:
+    def __init__(self, grid: Grid, blocked: np.ndarray, start_cell: Cell | None = None):
         self.grid = grid
         self.blocked = blocked
         self.free = ~self.blocked
@@ -244,7 +234,7 @@ class Navigator:
             # Every edge is stored both ways, so a directed search finds the
             # same distances without scipy transposing the matrix per call.
             dist = dijkstra(self._adjacency, directed=True, indices=node)
-            field = np.full(self.grid.occupied.size, np.inf)
+            field = np.full(self.blocked.size, np.inf)
             field[self._cell_of_node] = dist
             field = field.reshape(self.grid.shape)
         field.setflags(write=False)
@@ -370,7 +360,7 @@ def navigator_for(scene: SceneState) -> Navigator:
         return nav  # already the most recently used: the order stands
     nav = _NAVIGATORS.pop(scene, None)
     if nav is None:
-        nav = Navigator(scene)
+        nav = Navigator(scene.grid, scene.blocked, scene.grid.cell_of(*scene.robot_pose.xy))
     _NAVIGATORS[scene] = nav
     if len(_NAVIGATORS) > _MAX_NAVIGATORS:
         del _NAVIGATORS[next(iter(_NAVIGATORS))]

@@ -76,7 +76,9 @@ from .geometry import rect_distances, segment_clearance
 from .grounding import Configuration
 from .motion import MotionPlan, Navigator, navigator_for, octile
 from .relations import PlacementAtom, stack_supports
-from .world import Pose2D, SceneState, SymbolicLocation, TableSpec, symbolic_locations
+from .world import (
+    BAND_COLS, BAND_ROWS, Pose2D, SceneState, SymbolicLocation, TableSpec, symbolic_locations,
+)
 
 log = logging.getLogger(__name__)
 
@@ -187,7 +189,8 @@ def enumerate_candidates(
 class BandIndex:
     """Flat arrays over every band cell of one table, location by location
     in row-major cell order, for nearest-usable-cell and in-reach queries; a
-    cell's position in them is its band index. ``centers`` holds the
+    cell's position in them is its band index, so location k's cells start
+    at k * ``BAND_ROWS * BAND_COLS``. ``centers`` holds the
     locations' cell centers, ``cells`` the flat grid index of each center,
     and a cell is usable when ``Navigator.reachable_at`` holds at its
     center.
@@ -199,20 +202,13 @@ class BandIndex:
 
     def __init__(self, nav: Navigator, locations: list[SymbolicLocation], scene: SceneState):
         self.locations = locations
-        sizes = [loc.dims[0] * loc.dims[1] for loc in locations]
-        self._offset = dict(zip((loc.id for loc in locations), np.cumsum([0] + sizes).tolist()))
         self.centers = np.concatenate([loc.cell_centers().reshape(-1, 2) for loc in locations])
         self.centers.setflags(write=False)
-        self.owner = np.repeat(np.arange(len(locations)), sizes)
         self.cells = nav.flat_cells(self.centers)
         self.usable = nav.reachable_at(self.centers)
         x, y = self._xy = self.centers.T.copy()  # contiguous, for distance passes
         nearest = np.minimum.reduce([rect_distances(r, x, y) for r in scene.solid_rects()])
         self.clearance = nearest - scene.robot_radius
-
-    def index(self, location: SymbolicLocation, cell: Cell) -> int:
-        """Band index of ``cell`` of ``location``, one of this band's."""
-        return self._offset[location.id] + cell[0] * location.dims[1] + cell[1]
 
     def nearest_free(self, points: np.ndarray) -> np.ndarray:
         """Band index of the usable cell nearest each of ``points``, shape
@@ -361,7 +357,7 @@ class Router:
                     source_table=source,
                     load_pose=Pose2D(x, y, math.atan2(oy - y, ox - x)),
                     load_cell=load_cell,
-                    unload_location=band.locations[band.owner[stand]].id,
+                    unload_location=band.locations[stand // (BAND_ROWS * BAND_COLS)].id,
                     target_table=table,
                     unload_pose=Pose2D(ux, uy, math.atan2(ty - uy, tx - ux)),
                     unload_cell=unload_cell,
@@ -526,7 +522,7 @@ def _unload_options(
     fea_stand = np.array([fmap.values.item(cell) for fmap, cell in zip(fmaps, drawn.tolist())])
     fea_stand = fea_stand.reshape(shape)
     # A side's band indices follow its first cell's in row-major cell order.
-    starts = np.array([band.index(location, (0, 0)) for location in locations])
+    starts = np.arange(len(locations)) * (BAND_ROWS * BAND_COLS)
     stands = (drawn.reshape(-1, len(locations)) + starts).reshape(shape)
     return stands, fea_task, fea_stand
 

@@ -1,5 +1,6 @@
-"""World model: poses, furniture, movable objects, the occupancy grid and
-the symbolic standing locations that flank each table.
+"""World model: poses, furniture, movable objects, the navigation grid with
+the scene's one blocked-cell raster, and the symbolic standing locations
+that flank each table.
 
 A scene is stored on disk as a small YAML document (one ``format_version: 1``
 key plus tables / obstacles / objects / robot sections) so fixtures can be
@@ -116,17 +117,14 @@ class ObjectSpec:
 
 
 @dataclass(frozen=True)
-class OccupancyGrid:
-    """Boolean occupancy raster. ``occupied[iy, ix]`` covers the square whose
-    lower-left corner sits at ``origin + (ix, iy) * resolution``."""
+class Grid:
+    """A raster's frame: cell ``[iy, ix]`` of a ``shape`` (rows, cols) raster
+    covers the square whose lower-left corner sits at ``origin + (ix, iy) *
+    resolution``."""
 
     resolution: float
     origin: tuple[float, float]
-    occupied: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.occupied.shape  # (rows, cols)
+    shape: tuple[int, int]
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         ix = int(math.floor((x - self.origin[0]) / self.resolution))
@@ -135,7 +133,7 @@ class OccupancyGrid:
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         iy, ix = cell
-        return 0 <= iy < self.occupied.shape[0] and 0 <= ix < self.occupied.shape[1]
+        return 0 <= iy < self.shape[0] and 0 <= ix < self.shape[1]
 
 
 @dataclass(frozen=True)
@@ -183,15 +181,17 @@ class SymbolicLocation:
 class SceneState:
     """Immutable snapshot of the workspace.
 
-    ``eq=False`` keeps identity hashing so derived artifacts (blocked cells,
-    reachability labels, motion cost fields) can be memoized per instance.
+    ``eq=False`` keeps identity hashing so derived artifacts (reachability
+    labels, motion cost fields) can be memoized per instance. ``blocked`` is
+    the scene's one blocked-cell raster, shared by ``_validate`` and the
+    navigator.
     """
 
     tables: tuple[TableSpec, ...]
     obstacles: tuple[ObstacleSpec, ...]
     objects: tuple[ObjectSpec, ...]
     robot_pose: Pose2D
-    grid: OccupancyGrid
+    grid: Grid
     rng_seed: int
     robot_radius: float = DEFAULT_ROBOT_RADIUS
 
@@ -225,6 +225,17 @@ class SceneState:
             o.id: self.table(o.initial_location).to_world(*o.initial_position)  # type: ignore[misc]
             for o in self.objects
         })
+
+    @cached_property
+    def blocked(self) -> np.ndarray:
+        """The cells of ``grid`` whose centre the robot's disc cannot stand
+        on without touching furniture (``cells_within`` at
+        ``robot_radius``), read-only."""
+        grid = self.grid
+        blocked = cells_within(
+            self.solid_rects(), self.robot_radius, grid.origin, grid.resolution, grid.shape)
+        blocked.setflags(write=False)
+        return blocked
 
     def solid_rects(self) -> tuple[Rect, ...]:
         """Every table and obstacle rectangle, tables first."""
@@ -275,12 +286,12 @@ def location_by_id(scene: SceneState, location_id: str) -> SymbolicLocation:
 
 
 # ---------------------------------------------------------------------------
-# Rasterization
+# Grid sizing and the disc rule
 
 
 def _auto_bounds(
-    tables: tuple[TableSpec, ...],
-    obstacles: tuple[ObstacleSpec, ...],
+    tables: list[TableSpec],
+    obstacles: list[ObstacleSpec],
     robot_pose: Pose2D,
 ) -> tuple[float, float, float, float]:
     xs = [robot_pose.x]
@@ -318,34 +329,6 @@ def cells_within(rects: tuple[Rect, ...], radius: float, origin: tuple[float, fl
         near_y = rect_distances(rect, rect.cx, ys) <= radius
         hits[np.ix_(near_y, near_x)] |= rect_distances(rect, xs[near_x], ys[near_y, None]) <= radius
     return hits
-
-
-def rasterize(
-    tables: tuple[TableSpec, ...],
-    obstacles: tuple[ObstacleSpec, ...],
-    robot_pose: Pose2D,
-    resolution: float = DEFAULT_GRID_RESOLUTION,
-    origin: tuple[float, float] | None = None,
-    shape: tuple[int, int] | None = None,
-) -> OccupancyGrid:
-    """Rasterize furniture onto a boolean grid: a cell is occupied when its
-    center lies inside a table or obstacle rectangle (``cells_within`` at
-    radius 0). A grid of more than ``MAX_GRID_CELLS`` cells raises
-    ``SceneError``."""
-    if origin is None or shape is None:
-        x0, y0, x1, y1 = _auto_bounds(tables, obstacles, robot_pose)
-        origin = (x0, y0)
-        shape = (
-            int(math.ceil((y1 - y0) / resolution)),
-            int(math.ceil((x1 - x0) / resolution)),
-        )
-    rows, cols = shape
-    if rows * cols > MAX_GRID_CELLS:
-        raise SceneError(f"grid of {rows} x {cols} cells exceeds the limit of {MAX_GRID_CELLS}")
-    rects = tuple(spec.rect for spec in (*tables, *obstacles))
-    occupied = cells_within(rects, 0.0, origin, resolution, shape)
-    occupied.setflags(write=False)
-    return OccupancyGrid(resolution=resolution, origin=origin, occupied=occupied)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +401,11 @@ def _validate(scene: SceneState) -> None:
     for rect in scene.solid_rects():
         if rect.distance_to(scene.robot_pose.x, scene.robot_pose.y) <= scene.robot_radius:
             raise SceneError("robot start pose collides with furniture")
-    grid = scene.grid
-    iy, ix = grid.cell_of(scene.robot_pose.x, scene.robot_pose.y)
-    if not grid.in_bounds((iy, ix)):
+    cell = scene.grid.cell_of(*scene.robot_pose.xy)
+    if not scene.grid.in_bounds(cell):
         raise SceneError("grid does not cover the robot start pose")
-    # The navigator plans from the start's cell: ``cells_within``'s test at
-    # that one cell's centre.
-    x, y = grid.origin[0] + (ix + 0.5) * grid.resolution, grid.origin[1] + (iy + 0.5) * grid.resolution
-    if any(rect_distances(rect, x, y) <= scene.robot_radius for rect in scene.solid_rects()):
+    # The navigator plans from the start's cell.
+    if scene.blocked[cell]:
         raise SceneError("robot start cell is blocked: the robot collides with furniture there")
 
 
@@ -440,18 +420,27 @@ def build_scene(
     grid_origin: tuple[float, float] | None = None,
     grid_shape: tuple[int, int] | None = None,
 ) -> SceneState:
-    """Assemble, rasterize and validate a scene."""
-    table_map = {t.id: t for t in tables}
-    placed = _spread_objects(objects, table_map)
-    grid = rasterize(
-        tuple(tables), tuple(obstacles), robot_pose, resolution, grid_origin, grid_shape
-    )
+    """Assemble and validate a scene. Without both ``grid_origin`` and
+    ``grid_shape`` the grid covers the furniture, bands and robot with a
+    margin; a grid of more than ``MAX_GRID_CELLS`` cells is refused."""
+    placed = _spread_objects(objects, {t.id: t for t in tables})
+    if not resolution > 0:
+        raise SceneError(f"grid resolution must be positive, got {resolution!r}")
+    if grid_shape is not None and min(grid_shape) < 1:
+        raise SceneError(f"grid shape must be at least 1 x 1, got {list(grid_shape)!r}")
+    if grid_origin is None or grid_shape is None:
+        x0, y0, x1, y1 = _auto_bounds(tables, obstacles, robot_pose)
+        grid_origin = (x0, y0)
+        grid_shape = (int(math.ceil((y1 - y0) / resolution)), int(math.ceil((x1 - x0) / resolution)))
+    rows, cols = grid_shape
+    if rows * cols > MAX_GRID_CELLS:
+        raise SceneError(f"grid of {rows} x {cols} cells exceeds the limit of {MAX_GRID_CELLS}")
     scene = SceneState(
         tables=tuple(tables),
         obstacles=tuple(obstacles),
         objects=tuple(placed),
         robot_pose=robot_pose,
-        grid=grid,
+        grid=Grid(resolution, grid_origin, (rows, cols)),
         rng_seed=int(rng_seed),
         robot_radius=robot_radius,
     )

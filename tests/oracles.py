@@ -56,7 +56,7 @@ from momaplan.planning import (
     enumerate_candidates,
 )
 from momaplan.relations import ALIGNMENT_TOL, satisfied_atoms
-from momaplan.world import Pose2D, SymbolicLocation
+from momaplan.world import BAND_COLS, BAND_ROWS, Pose2D, SymbolicLocation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -740,7 +740,9 @@ def seeded_unload_option(scene, nav, band, location, target_world, layer, params
     """The former ``planning._unload_option``: a ``SeedSequence`` / ``PCG64``
     / ``Generator`` triple spawned from the scene seed and
     ``params.stand_seed`` with key ``(*seed_key, 1)`` draws the stand through
-    ``rng.choice``; the option is scored by ``weighted_mean_feasibility``."""
+    ``rng.choice``; the option is scored by ``weighted_mean_feasibility``.
+    Its band index counts the cells of the band's earlier locations, then
+    ``cell``'s row-major position in ``location``."""
     fmap = compute_feasibility_map(scene, location, target_world, params.feasibility)
     draw_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((scene.rng_seed, params.stand_seed), spawn_key=(*seed_key, 1))))
@@ -750,7 +752,7 @@ def seeded_unload_option(scene, nav, band, location, target_world, layer, params
         location=location,
         pose=pose,
         cell=nav.cell_of(pose.x, pose.y),
-        band_index=band.index(location, cell),
+        band_index=(band.locations.index(location) * BAND_ROWS + cell[0]) * BAND_COLS + cell[1],
         target_world=target_world,
         layer=layer,
         fea_task=weighted_mean_feasibility(fmap.values),

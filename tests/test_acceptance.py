@@ -37,7 +37,7 @@ from momaplan.harness import (
 from momaplan.motion import Navigator, step_cost
 from momaplan.planning import PlanningParams, plan_task
 from momaplan.relations import PlacementAtom, atoms_consistent, check_consistency
-from momaplan.world import OccupancyGrid, location_by_id, symbolic_locations
+from momaplan.world import Grid, location_by_id, symbolic_locations
 
 from oracles import (
     consistent_by_axis_enumeration,
@@ -132,9 +132,9 @@ def test_criterion_04_astar_matches_dijkstra():
     comparisons = 0
     exact = True
     while grids < 50:
-        occupied = rng.random((20, 20)) < 0.25
-        grid = OccupancyGrid(0.1, (0.0, 0.0), occupied)
-        nav = Navigator.from_grid(grid)
+        blocked = rng.random((20, 20)) < 0.25
+        grid = Grid(0.1, (0.0, 0.0), blocked.shape)
+        nav = Navigator(grid, blocked)
         free_cells = [tuple(c) for c in np.argwhere(nav.free)]
         if len(free_cells) < 2:
             continue

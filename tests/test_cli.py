@@ -405,6 +405,22 @@ def test_validate_rejects_bad_seed_and_robot_radius(tmp_path, capsys, entry, tex
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("shape", [-3, 162], "grid shape must be at least 1 x 1, got [-3, 162]"),
+    ("resolution", 0, "grid resolution must be positive, got 0.0"),
+])
+def test_validate_rejects_an_empty_grid(tmp_path, capsys, key, value, message):
+    """A grid with no cells, or with no size per cell, exits 2 on one line
+    that names the grid entry."""
+    data = scene_to_dict(make_scene(1, "easy", 42))
+    data["grid"][key] = value
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(data))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _rejected_in_one_line(code, err, "scene")
+    assert message in err and out == ""
+
+
 @pytest.mark.parametrize("field, message", [
     ("footprint_radius", "'dinner_plate' footprint_radius must be finite, got nan"),
     ("center", "'dining' center must be finite, got [nan, 0.0]"),

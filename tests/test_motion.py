@@ -17,7 +17,7 @@ from momaplan.motion import (
     step_cost,
 )
 from momaplan.planning import Router
-from momaplan.world import OccupancyGrid, symbolic_locations
+from momaplan.world import Grid, symbolic_locations
 
 from oracles import (
     coo_adjacency,
@@ -31,12 +31,14 @@ from oracles import (
 SQRT2 = math.sqrt(2.0)
 
 
-def grid_from(occupied, resolution=0.1, origin=(0.0, 0.0)):
-    return OccupancyGrid(resolution, origin, np.asarray(occupied, dtype=bool))
+def bare_navigator(blocked, resolution=0.1, origin=(0.0, 0.0)):
+    """A navigator over a bare grid blocking ``blocked``, with no robot start."""
+    blocked = np.asarray(blocked, dtype=bool)
+    return Navigator(Grid(resolution, origin, blocked.shape), blocked)
 
 
-def random_grid(rng, shape=(20, 20), p_blocked=0.25):
-    return grid_from(rng.random(shape) < p_blocked)
+def random_navigator(rng, shape=(20, 20), p_blocked=0.25):
+    return bare_navigator(rng.random(shape) < p_blocked)
 
 
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
@@ -45,36 +47,47 @@ def test_free_cells_are_the_centres_the_disc_test_clears(environment):
     ``robot_collides`` clears the robot's disc at the cell's centre."""
     for task in range(1, 10):
         scene = make_scene(task, environment, 42)
-        nav = Navigator(scene)
-        assert nav.blocked.any() and nav.free.any()
-        for cell, free in np.ndenumerate(nav.free):
+        assert scene.blocked.any() and not scene.blocked.all()
+        for cell, blocked in np.ndenumerate(scene.blocked):
             x, y = grid_cell_center(scene.grid, cell)
-            assert free == (not robot_collides(scene, x, y)), (task, cell)
+            assert blocked == robot_collides(scene, x, y), (task, cell)
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_navigator_shares_the_scenes_read_only_raster(environment):
+    """Every benchmark scene: its navigator reads the scene's grid, its one
+    blocked-cell raster (the same array, read-only) and its start cell."""
+    for task in range(1, 10):
+        scene = make_scene(task, environment, 42)
+        nav = navigator_for(scene)
+        assert nav.blocked is scene.blocked and not scene.blocked.flags.writeable
+        assert nav.grid is scene.grid
+        assert nav.start_cell == scene.grid.cell_of(*scene.robot_pose.xy)
 
 
 def test_bare_grid_blocks_exactly_its_occupied_cells():
-    for occupied in (np.zeros((4, 6), dtype=bool), np.ones((3, 2), dtype=bool),
-                     random_grid(np.random.default_rng(5), (15, 12), 0.2).occupied):
-        nav = Navigator.from_grid(grid_from(occupied))
-        assert np.array_equal(nav.blocked, occupied)
-        assert np.array_equal(nav.free, ~occupied)
+    for blocked in (np.zeros((4, 6), dtype=bool), np.ones((3, 2), dtype=bool),
+                    np.random.default_rng(5).random((15, 12)) < 0.2):
+        nav = bare_navigator(blocked)
+        assert np.array_equal(nav.blocked, blocked)
+        assert np.array_equal(nav.free, ~blocked)
 
 
 def test_corner_cutting_is_forbidden():
-    occupied = np.array(
+    blocked = np.array(
         [
             [False, True],
             [True, False],
         ]
     )
-    nav = Navigator.from_grid(grid_from(occupied))
+    nav = bare_navigator(blocked)
     assert not nav.same_component((0, 0), (1, 1))
     with pytest.raises(MotionError, match="no path"):
         nav.astar((0, 0), (1, 1))
 
 
 def test_astar_simple_open_grid():
-    nav = Navigator.from_grid(grid_from(np.zeros((5, 5), dtype=bool)))
+    nav = bare_navigator(np.zeros((5, 5), dtype=bool))
     plan = nav.astar((0, 0), (4, 2))
     # Two straight plus two diagonal steps is optimal for (4, 2).
     assert (plan.straight_steps, plan.diagonal_steps) == (2, 2)
@@ -100,8 +113,7 @@ def _check_path_moves(nav, plan):
 def test_astar_matches_dijkstra_oracle_on_random_grids():
     rng = np.random.default_rng(17)
     for trial in range(25):
-        grid = random_grid(rng)
-        nav = Navigator.from_grid(grid)
+        nav = random_navigator(rng)
         free_cells = [tuple(c) for c in np.argwhere(nav.free)]
         if len(free_cells) < 2:
             continue
@@ -125,7 +137,7 @@ def _acceptance_grids():
     rng = np.random.default_rng(99)
     grids = 0
     while grids < 50:
-        nav = Navigator.from_grid(random_grid(rng))
+        nav = random_navigator(rng)
         free_cells = [tuple(c) for c in np.argwhere(nav.free)]
         if len(free_cells) < 2:
             continue
@@ -181,7 +193,7 @@ def test_descent_keeps_the_running_best_rule_on_near_ties():
     straight step into (1, 0), offset 2, so the running best keeps the
     straight step, while an argmin would take the diagonal. The field is
     passed to ``field_path`` as a caller holding it would."""
-    nav = Navigator.from_grid(grid_from(np.zeros((3, 3), dtype=bool)))
+    nav = bare_navigator(np.zeros((3, 3), dtype=bool))
     field = np.full((3, 3), 5.0)
     field[1, 2] = 3.0
     field[0, 2], field[2, 2], field[1, 1] = 2.0, 2.0 - 0.8e-12, 2.0 - 1.6e-12
@@ -213,7 +225,7 @@ def test_field_path_takes_the_first_tied_step_in_offset_order():
     """From (1, 3) to (0, 0) on an open grid, a straight and a diagonal
     first step tie, and so do two second steps; the straight step comes
     first in the offsets both times."""
-    nav = Navigator.from_grid(grid_from(np.zeros((3, 4), dtype=bool)))
+    nav = bare_navigator(np.zeros((3, 4), dtype=bool))
     plan = nav.field_path((1, 3), (0, 0))
     assert plan.cells == ((1, 3), (1, 2), (1, 1), (0, 0))
     assert (plan.straight_steps, plan.diagonal_steps) == (2, 1)
@@ -221,8 +233,7 @@ def test_field_path_takes_the_first_tied_step_in_offset_order():
 
 def test_cost_field_matches_oracle_costs():
     rng = np.random.default_rng(23)
-    grid = random_grid(rng)
-    nav = Navigator.from_grid(grid)
+    nav = random_navigator(rng)
     free_cells = [tuple(c) for c in np.argwhere(nav.free)]
     start = free_cells[0]
     oracle = dijkstra_counts(nav.free, start)
@@ -230,7 +241,7 @@ def test_cost_field_matches_oracle_costs():
     for cell in free_cells:
         if cell in oracle:
             s, d = oracle[cell]
-            assert field[cell] == pytest.approx(step_cost(s, d, grid.resolution), abs=1e-9)
+            assert field[cell] == pytest.approx(step_cost(s, d, nav.grid.resolution), abs=1e-9)
         else:
             assert math.isinf(field[cell])
     assert math.isinf(field[tuple(np.argwhere(nav.blocked)[0])])
@@ -238,7 +249,7 @@ def test_cost_field_matches_oracle_costs():
 
 def _undirected_field(nav: Navigator, source) -> np.ndarray:
     dist = dijkstra(nav._adjacency, directed=False, indices=int(nav._node_of[source]))
-    field = np.full(nav.grid.occupied.size, np.inf)
+    field = np.full(nav.blocked.size, np.inf)
     field[nav._cell_of_node] = dist
     return field.reshape(nav.grid.shape)
 
@@ -251,14 +262,15 @@ def test_adjacency_is_symmetric_so_directed_fields_are_exact():
     rng = np.random.default_rng(99)
     cases = []
     while len(cases) < 50:
-        nav = Navigator.from_grid(random_grid(rng))
+        nav = random_navigator(rng)
         free_cells = [tuple(c) for c in np.argwhere(nav.free)]
         if len(free_cells) < 2:
             continue
         cases.append((nav, [free_cells[int(rng.integers(len(free_cells)))]]))
     sample = np.random.default_rng(7)
     for environment in ENVIRONMENTS:
-        nav = Navigator(make_scene(1, environment, 42))
+        scene = make_scene(1, environment, 42)
+        nav = Navigator(scene.grid, scene.blocked, scene.grid.cell_of(*scene.robot_pose.xy))
         free_cells = np.argwhere(nav.free)
         picks = sample.choice(len(free_cells), size=5, replace=False)
         cases.append((nav, [nav.start_cell] + [tuple(free_cells[i]) for i in picks]))
@@ -282,7 +294,8 @@ def assert_graph_is_the_coo_build(nav: Navigator) -> None:
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
 def test_graph_is_the_coo_build_on_every_task(environment):
     for task in range(1, 10):
-        assert_graph_is_the_coo_build(Navigator(make_scene(task, environment, 42)))
+        scene = make_scene(task, environment, 42)
+        assert_graph_is_the_coo_build(Navigator(scene.grid, scene.blocked))
 
 
 def test_graph_is_the_coo_build_on_acceptance_grids():
@@ -292,7 +305,7 @@ def test_graph_is_the_coo_build_on_acceptance_grids():
 
 
 def test_graph_of_a_grid_with_no_free_cell():
-    nav = Navigator.from_grid(grid_from(np.ones((4, 5), dtype=bool)))
+    nav = bare_navigator(np.ones((4, 5), dtype=bool))
     assert nav._adjacency.shape == (0, 0)
     assert (nav._labels == -1).all()
     assert_graph_is_the_coo_build(nav)
@@ -302,7 +315,7 @@ def test_cells_touching_only_diagonally_are_separate_components():
     """(0, 0) and (1, 1) touch at a corner whose two straight detours are
     blocked: no edge joins them, so grid labelling and the graph agree that
     they are two components, numbered in raster order."""
-    nav = Navigator.from_grid(grid_from([[False, True, True], [True, False, False]]))
+    nav = bare_navigator([[False, True, True], [True, False, False]])
     assert nav._adjacency.nnz == 2
     assert nav._labels.tolist() == [[0, -1, -1], [-1, 1, 1]]
     assert_graph_is_the_coo_build(nav)
@@ -312,7 +325,7 @@ def test_leg_costs_cached_and_readonly():
     """A cost field is read-only and computed again on each call, not
     kept; a loading cell's leg costs are built once per (table, cell), kept
     read-only by the scene's navigator and shared by its routers."""
-    nav = Navigator.from_grid(grid_from(np.zeros((6, 6), dtype=bool)))
+    nav = bare_navigator(np.zeros((6, 6), dtype=bool))
     field = nav.cost_field((0, 0))
     again = nav.cost_field((0, 0))
     assert again is not field and np.array_equal(again, field)
@@ -330,8 +343,7 @@ def test_leg_costs_cached_and_readonly():
 def test_leg_cost_agrees_with_astar():
     """A leg's cost read off either endpoint's cost field is the A* cost."""
     rng = np.random.default_rng(31)
-    grid = random_grid(rng, shape=(15, 15))
-    nav = Navigator.from_grid(grid)
+    nav = random_navigator(rng, shape=(15, 15))
     free_cells = [tuple(c) for c in np.argwhere(nav.free)]
     a = free_cells[0]
     for _ in range(10):
@@ -346,7 +358,7 @@ def test_leg_cost_agrees_with_astar():
 
 
 def test_paths_share_interned_cells():
-    nav = Navigator.from_grid(grid_from(np.zeros((8, 8), dtype=bool)))
+    nav = bare_navigator(np.zeros((8, 8), dtype=bool))
     first = nav.astar((0, 0), (7, 7))
     second = nav.astar((0, 0), (7, 7))
     crossing = nav.astar((3, 0), (3, 7))
@@ -362,9 +374,9 @@ def test_paths_share_interned_cells():
 
 
 def test_astar_rejects_blocked_endpoints():
-    occupied = np.zeros((4, 4), dtype=bool)
-    occupied[2, 2] = True
-    nav = Navigator.from_grid(grid_from(occupied))
+    blocked = np.zeros((4, 4), dtype=bool)
+    blocked[2, 2] = True
+    nav = bare_navigator(blocked)
     with pytest.raises(MotionError, match="start cell"):
         nav.astar((2, 2), (0, 0))
     with pytest.raises(MotionError, match="goal cell"):
@@ -373,8 +385,7 @@ def test_astar_rejects_blocked_endpoints():
 
 def test_components_match_oracle_reachability():
     rng = np.random.default_rng(41)
-    grid = random_grid(rng, shape=(18, 18), p_blocked=0.35)
-    nav = Navigator.from_grid(grid)
+    nav = random_navigator(rng, shape=(18, 18), p_blocked=0.35)
     free_cells = [tuple(c) for c in np.argwhere(nav.free)]
     start = free_cells[0]
     reachable = set(dijkstra_counts(nav.free, start))
@@ -405,7 +416,7 @@ def test_point_queries_match_scalar(scene1):
 
 
 def test_bare_grid_navigator_has_no_reachable_point():
-    nav = Navigator.from_grid(grid_from(np.zeros((5, 5), dtype=bool)))
+    nav = bare_navigator(np.zeros((5, 5), dtype=bool))
     assert nav.start_component == -1
     assert not nav.reachable_at(np.array([[0.25, 0.25], [-1.0, -1.0]])).any()
 

@@ -41,7 +41,7 @@ from momaplan.planning import (
     stacking_orders,
 )
 from momaplan.relations import PlacementAtom
-from momaplan.world import Pose2D, symbolic_locations
+from momaplan.world import BAND_COLS, BAND_ROWS, Pose2D, symbolic_locations
 
 from oracles import (
     dijkstra_counts,
@@ -472,7 +472,7 @@ def test_octile_bound_never_exceeds_a_leg_cost(task, environment):
     scene = make_scene(task, environment, seed=42)
     price_every_loading_cell(scene, TASK_OBJECTS[task])
     nav = navigator_for(scene)
-    ends = np.append(Router(scene).band("dining").cells, nav.grid.occupied.size)
+    ends = np.append(Router(scene).band("dining").cells, nav.blocked.size)
     rows, cols = np.divmod(ends, nav.grid.shape[1])
     rows[-1], cols[-1] = nav.start_cell
     assert len(nav.legs) > 1
@@ -574,7 +574,7 @@ def test_leg_costs_are_the_cost_field_at_band_cells_and_start(task, environment)
 def _grid_fields(nav) -> int:
     """How many float64 arrays of the grid's size, or arrays viewing one,
     the navigator's attributes reach through containers and objects."""
-    size = nav.grid.occupied.size
+    size = nav.blocked.size
     seen, found, todo = set(), 0, list(vars(nav).values())
     while todo:
         obj = todo.pop()
@@ -906,7 +906,7 @@ def test_batched_nearest_free_equals_one_point_rule(environment):
         assert centers_at(band, band.nearest_free(points)) == [
             nearest_usable_center(band, p) for p in points
         ]
-    unusable = BandIndex(Navigator.from_grid(scene.grid), bands[0].locations, scene)
+    unusable = BandIndex(Navigator(scene.grid, scene.blocked), bands[0].locations, scene)
     assert centers_at(unusable, unusable.nearest_free(points[:3])) == [None] * 3
 
 
@@ -1164,12 +1164,12 @@ def test_band_index_addresses_every_cell_once():
     nav = navigator_for(scene)
     band = Router(scene).band("dining")
     seen = []
-    for loc in band.locations:
+    for k, loc in enumerate(band.locations):
         rows, cols = loc.dims
         for cell in itertools.product(range(rows), range(cols)):
-            index = band.index(loc, cell)
+            index = (k * rows + cell[0]) * cols + cell[1]
             seen.append(index)
-            assert band.locations[band.owner[index]] is loc
+            assert band.locations[index // (BAND_ROWS * BAND_COLS)] is loc
             center = tuple(loc.cell_centers()[cell].tolist())
             assert tuple(band.centers[index].tolist()) == center
             assert divmod(int(band.cells[index]), scene.grid.shape[1]) == nav.cell_of(*center)
@@ -1242,7 +1242,7 @@ def test_route_cuts_name_their_stage(goal1, monkeypatch):
     scene = make_scene(1, "chair_top", seed=42)
     band = Router(scene).band("dining")
     usable = np.flatnonzero(band.usable)
-    behind = [i for i in np.flatnonzero(~band.usable) if band.locations[band.owner[i]].side == "north"]
+    behind = [i for i in np.flatnonzero(~band.usable) if band.locations[i // (BAND_ROWS * BAND_COLS)].side == "north"]
     assert behind
     stands = [usable[0], behind[0], usable[1]]
     steps, stage, cost = route(scene, stands)
@@ -1298,6 +1298,6 @@ def test_every_routed_step_unloads_at_its_stand_facing_the_target(monkeypatch):
             assert step.target_world == target
             assert step.unload_cell == router.nav.cell_of(x, y)
             assert step.unload_cell == divmod(int(band.cells[stand]), router.scene.grid.shape[1])
-            assert step.unload_location == band.locations[band.owner[stand]].id
+            assert step.unload_location == band.locations[stand // (BAND_ROWS * BAND_COLS)].id
             assert step.target_table == band.locations[0].table_id == "dining"
     assert routed["llm_grop"] == 2 * 3 * 3 and routed["latp"] > 0 and routed["tpra"] > 0

@@ -14,6 +14,7 @@ from momaplan.world import (
     BAND_COLS,
     BAND_OFFSET,
     BAND_ROWS,
+    Grid,
     ObjectSpec,
     ObstacleSpec,
     Pose2D,
@@ -23,7 +24,6 @@ from momaplan.world import (
     cells_within,
     load_scene,
     location_by_id,
-    rasterize,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -100,7 +100,7 @@ def test_location_by_id(scene1):
         location_by_id(scene1, "dining/up")
 
 
-def test_rasterize_matches_point_in_rect_oracle():
+def test_zero_radius_blocked_matches_point_in_rect_oracle():
     # Half extents chosen so no rectangle edge lands exactly on a cell
     # center; the boundary-inclusion convention is checked in the exact
     # closed form either way.
@@ -108,29 +108,32 @@ def test_rasterize_matches_point_in_rect_oracle():
         tables=[TableSpec("work", (0.0, 0.0), (0.515, 0.315))],
         obstacles=[ObstacleSpec("chair", (0.03, 0.63), (0.21, 0.18))],
         resolution=0.1,
+        robot_radius=0.0,
     )
     rects = scene.solid_rects()
     expected = rasterize_by_point_test(
         rects, scene.grid.resolution, scene.grid.origin, scene.grid.shape
     )
-    assert np.array_equal(scene.grid.occupied, expected)
+    assert np.array_equal(scene.blocked, expected)
 
 
-def test_rasterize_counts_centres_on_an_edge_as_inside():
+def test_zero_radius_blocked_counts_centres_on_an_edge_as_inside():
     """Edges on cell centres, exact in binary: the closed-boundary rule."""
     rects = (Rect(1.0, 1.0, 0.25, 0.75), Rect(2.5, 0.5, 0.75, 0.25), Rect(9.0, 9.0, 0.1, 0.1))
-    tables = tuple(TableSpec(f"t{i}", (r.cx, r.cy), (r.hx, r.hy)) for i, r in enumerate(rects))
-    grid = rasterize(tables, (), Pose2D(0.0, 0.0), 0.5, (0.0, 0.0), (8, 8))
+    tables = [TableSpec(f"t{i}", (r.cx, r.cy), (r.hx, r.hy)) for i, r in enumerate(rects)]
+    scene = build_scene(tables, [], [], Pose2D(0.0, 0.0), 1, robot_radius=0.0, resolution=0.5,
+                        grid_origin=(0.0, 0.0), grid_shape=(8, 8))
+    grid = scene.grid
     expected = rasterize_by_point_test(rects, grid.resolution, grid.origin, grid.shape)
     assert expected.sum() == 16  # 2 x 4 and 4 x 2 centres, edge rows and columns included
-    assert np.array_equal(grid.occupied, expected)
+    assert np.array_equal(scene.blocked, expected)
 
 
 def test_cells_within_is_the_scalar_disc_rule():
     """Every cell against the scalar disc test, at radii whose axis ties
     are exact in binary, so the per-rect window's edges are exercised."""
     rects = (Rect(1.0, 1.0, 0.25, 0.75), Rect(2.5, 0.5, 0.75, 0.25), Rect(9.0, 9.0, 0.1, 0.1))
-    grid = rasterize((), (), Pose2D(0.0, 0.0), 0.5, (0.0, 0.0), (8, 8))
+    grid = Grid(0.5, (0.0, 0.0), (8, 8))
     for radius in (0.0, 0.5, 0.75, 1.1, 6.0):
         hits = cells_within(rects, radius, grid.origin, grid.resolution, grid.shape)
         for cell, hit in np.ndenumerate(hits):
@@ -263,7 +266,8 @@ def test_scene_dict_round_trip(scene1):
     data = scene_to_dict(scene1)
     clone = scene_from_dict(data)
     assert scene_to_dict(clone) == data
-    assert np.array_equal(clone.grid.occupied, scene1.grid.occupied)
+    assert clone.grid == scene1.grid
+    assert np.array_equal(clone.blocked, scene1.blocked)
 
 
 def test_scene_file_round_trip(tmp_path, scene1):
@@ -288,6 +292,10 @@ def test_scene_from_dict_rejects_bad_version():
         ("tables", "half_extents", [0.0, 0.15], "half extents must be positive"),
         ("grid", "shape", [115.0, 162.0], "shape must be two ints"),
         ("grid", "shape", [10_000_000, 10_000_000], "exceeds the limit of 1000000"),
+        ("grid", "shape", [-3, 162], r"grid shape must be at least 1 x 1, got \[-3, 162\]"),
+        ("grid", "shape", [115, 0], r"grid shape must be at least 1 x 1, got \[115, 0\]"),
+        ("grid", "resolution", -0.05, "grid resolution must be positive, got -0.05"),
+        ("grid", "resolution", 0, "grid resolution must be positive, got 0.0"),
         ("robot", "x", "left", "malformed scene entry"),
         ("robot", "radius", -0.1, "robot radius must be non-negative and finite, got -0.1"),
         ("robot", "radius", float("nan"), "robot radius must be non-negative and finite, got nan"),
